@@ -77,7 +77,11 @@ def _cmd_run(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG_ERROR
-    seed = _resolve_seed(args, config_doc)
+    try:
+        seed = _resolve_seed(args, config_doc)
+    except (TypeError, ValueError) as exc:
+        print(f"config error: seed must be an integer: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     if seed is None:
         print(
             "config error: seed is mandatory (--seed, config 'seed', or ERGOLAB_SEED)",

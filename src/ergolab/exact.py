@@ -8,12 +8,19 @@ with rational weights ``w_j`` and rational angles ``t_j``.  ``PhaseSum`` stores
 that form literally, so sums, products, conjugation and equality are decided in
 exact arithmetic.  Floats only appear when a caller asks for ``value()``.
 
+Products and zero tests run on an integer lattice: angles become numerators
+over the lcm Q of their denominators and weights become numerators over the
+lcm D of theirs, so the inner loops multiply and add Python ints and only the
+surviving merged terms are turned back into ``Fraction``s.
+
 Zero-testing is exact whenever the common denominator of the angles is small
 enough for cyclotomic reduction (a vanishing rational combination of q-th roots
-of unity is exactly a multiple of the q-th cyclotomic polynomial).  For huge
-denominators (e.g. forty-digit decimal parameters) a 60-digit numeric fallback
-is used; in practice those sums only ever cancel at the rational-angle level,
-which the merge step on construction already catches exactly.
+of unity is exactly a multiple of the q-th cyclotomic polynomial; Lam & Leung,
+J. Algebra 224, 2000).  The cyclotomic polynomials are built from integers
+alone.  For huge denominators (e.g. forty-digit decimal parameters) a 60-digit
+numeric fallback on ``mpmath`` is used; in practice those sums only ever cancel
+at the rational-angle level, which the merge step on construction already
+catches exactly.
 """
 
 from __future__ import annotations
@@ -82,26 +89,79 @@ def point_str(point: tuple[Fraction, ...]) -> list[str]:
     return [scalar_str(c) for c in point]
 
 
+def _prime_factors(n: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(q: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the q-th cyclotomic polynomial."""
-    from sympy import Symbol, cyclotomic_poly
+    """Ascending integer coefficients of the q-th cyclotomic polynomial.
 
-    poly = cyclotomic_poly(q, Symbol("x"))
-    return tuple(int(c) for c in reversed(poly.as_poly().all_coeffs()))
+    Phi_q = prod_{d | q} (x^d - 1)^mu(q/d); only squarefree q/d contribute, so
+    d runs over q divided by products of distinct primes of q.  The factors
+    with mu = +1 are multiplied first, and those with mu = -1 then divide the
+    product exactly.
+    """
+    primes = _prime_factors(q)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        d = q
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                d //= p
+        (down if bin(mask).count("1") % 2 else up).append(d)
+    poly = [1]
+    for d in up:  # poly * (x^d - 1)
+        poly = [s - p for s, p in zip([0] * d + poly, poly + [0] * d)]
+    for d in down:  # poly / (x^d - 1), exact: poly[i] = quot[i - d] - quot[i]
+        quot = [0] * (len(poly) - d)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
+        poly = quot
+    return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], q: int) -> list[Fraction]:
+def _reduce_mod_cyclotomic(coeffs: list[int], q: int) -> list[int]:
     """Remainder of sum(coeffs[a] * x^a) modulo the q-th cyclotomic polynomial."""
     phi = _cyclotomic_coeffs(q)
     deg = len(phi) - 1  # phi is monic of degree deg
+    tail = [(j, pj) for j, pj in enumerate(phi[:deg]) if pj]
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            for j, pj in enumerate(phi):
-                work[i - deg + j] -= c * pj
+            base = i - deg
+            for j, pj in tail:
+                work[base + j] -= c * pj
     return work[:deg]
+
+
+def _lattice(terms, Q: int, D: int) -> list[tuple[int, int]]:
+    """Terms (angle, weight) as integers (angle * Q, weight * D)."""
+    return [(a.numerator * (Q // a.denominator), w.numerator * (D // w.denominator))
+            for a, w in terms]
+
+
+def _weight_lcm(terms) -> int:
+    return lcm(*(w.denominator for _, w in terms))
+
+
+def _angle_lcm(terms) -> int:
+    return lcm(*(a.denominator for a, _ in terms))
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class PhaseSum:
@@ -127,15 +187,23 @@ class PhaseSum:
         )
         self._cached_value: complex | None = None
 
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[Fraction, Fraction], ...]) -> "PhaseSum":
+        """Wrap terms that are already reduced mod 1, merged, nonzero and sorted."""
+        obj = object.__new__(cls)
+        obj._terms = terms
+        obj._cached_value = None
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PhaseSum":
-        return cls()
+        return cls._canonical(())
 
     @classmethod
     def one(cls) -> "PhaseSum":
-        return cls([(Fraction(0), Fraction(1))])
+        return cls._canonical(((_ZERO, _ONE),))
 
     @classmethod
     def unit(cls, angle: Fraction) -> "PhaseSum":
@@ -144,7 +212,8 @@ class PhaseSum:
 
     @classmethod
     def from_rational(cls, w) -> "PhaseSum":
-        return cls([(Fraction(0), Fraction(w))])
+        w = Fraction(w)
+        return cls._canonical(((_ZERO, w),) if w else ())
 
     # -- structure ---------------------------------------------------------
 
@@ -176,7 +245,7 @@ class PhaseSum:
     __radd__ = __add__
 
     def __neg__(self) -> "PhaseSum":
-        return PhaseSum((a, -w) for a, w in self._terms)
+        return PhaseSum._canonical(tuple((a, -w) for a, w in self._terms))
 
     def __sub__(self, other) -> "PhaseSum":
         rhs = self._coerce(other)
@@ -192,24 +261,59 @@ class PhaseSum:
 
     def __mul__(self, other) -> "PhaseSum":
         if isinstance(other, (int, Fraction)):
-            w0 = Fraction(other)
-            return PhaseSum((a, w * w0) for a, w in self._terms)
+            return self._monomial_product(_ZERO, Fraction(other))
         if isinstance(other, PhaseSum):
-            return PhaseSum(
-                (a1 + a2, w1 * w2)
-                for a1, w1 in self._terms
-                for a2, w2 in other._terms
-            )
+            lhs, rhs = self, other
+            if len(rhs._terms) > len(lhs._terms):
+                lhs, rhs = rhs, lhs
+            if not rhs._terms:
+                return PhaseSum._canonical(())
+            if len(rhs._terms) == 1:
+                return lhs._monomial_product(*rhs._terms[0])
+            return lhs._lattice_product(rhs)
         return NotImplemented
 
     __rmul__ = __mul__
 
+    def _monomial_product(self, angle: Fraction, weight: Fraction) -> "PhaseSum":
+        """The product with weight * e^(2*pi*i*angle), angle in [0, 1).
+
+        Shifting by one angle keeps the angles distinct, so nothing merges.
+        """
+        if not weight:
+            return PhaseSum._canonical(())
+        terms = tuple((a, w * weight) for a, w in self._terms)
+        if angle:
+            terms = tuple(sorted(((a + angle) % 1, w) for a, w in terms))
+        return PhaseSum._canonical(terms)
+
+    def _lattice_product(self, other: "PhaseSum") -> "PhaseSum":
+        """The product, accumulated over integer angle and weight numerators.
+
+        Angle numerators over Q add mod Q, weight numerators over D1 and D2
+        multiply, and each merged coefficient is divided by D1 * D2 once.
+        """
+        lhs, rhs = self._terms, other._terms
+        Q = lcm(_angle_lcm(lhs), _angle_lcm(rhs))
+        D1, D2 = _weight_lcm(lhs), _weight_lcm(rhs)
+        right = _lattice(rhs, Q, D2)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for A1, W1 in _lattice(lhs, Q, D1):
+            for A2, W2 in right:
+                key = (A1 + A2) % Q
+                acc[key] = get(key, 0) + W1 * W2
+        D = D1 * D2
+        return PhaseSum._canonical(tuple(
+            (Fraction(key, Q), Fraction(acc[key], D)) for key in sorted(acc) if acc[key]
+        ))
+
     def conjugate(self) -> "PhaseSum":
-        return PhaseSum((-a, w) for a, w in self._terms)
+        return PhaseSum._canonical(tuple(sorted((-a % 1, w) for a, w in self._terms)))
 
     def rotated(self, angle: Fraction) -> "PhaseSum":
         """Multiply by the unit phase e^(2*pi*i*angle)."""
-        return PhaseSum((a + angle, w) for a, w in self._terms)
+        return self._monomial_product(Fraction(angle) % 1, _ONE)
 
     def abs2(self) -> "PhaseSum":
         """|self|^2 as an exact (real) PhaseSum."""
@@ -233,15 +337,27 @@ class PhaseSum:
 
     # -- exact predicates ------------------------------------------------------
 
+    def _cyclotomic_remainder(self) -> tuple[list[int], int] | None:
+        """(remainder of D * self modulo Phi_q, D), or None if q > CYCLOTOMIC_LIMIT.
+
+        q is the lcm of the angle denominators and D that of the weights, so
+        the remainder has integer coefficients.
+        """
+        q = _angle_lcm(self._terms)
+        if q > CYCLOTOMIC_LIMIT:
+            return None
+        D = _weight_lcm(self._terms)
+        coeffs = [0] * q
+        for A, W in _lattice(self._terms, q, D):
+            coeffs[A] = W
+        return _reduce_mod_cyclotomic(coeffs, q), D
+
     def is_zero(self) -> bool:
         if not self._terms:
             return True
-        q = lcm(*(a.denominator for a, _ in self._terms))
-        if q <= CYCLOTOMIC_LIMIT:
-            coeffs = [Fraction(0)] * q
-            for a, w in self._terms:
-                coeffs[a.numerator * (q // a.denominator)] += w
-            return not any(_reduce_mod_cyclotomic(coeffs, q))
+        reduced = self._cyclotomic_remainder()
+        if reduced is not None:
+            return not any(reduced[0])
         # Denominator too large for exact reduction: high-precision numeric test.
         import mpmath
 
@@ -267,13 +383,10 @@ class PhaseSum:
             return Fraction(0)
         if len(self._terms) == 1 and self._terms[0][0] == 0:
             return self._terms[0][1]
-        q = lcm(*(a.denominator for a, _ in self._terms))
-        if q > CYCLOTOMIC_LIMIT:
+        reduced = self._cyclotomic_remainder()
+        if reduced is None:
             return None
-        coeffs = [Fraction(0)] * q
-        for a, w in self._terms:
-            coeffs[a.numerator * (q // a.denominator)] += w
-        reduced = _reduce_mod_cyclotomic(coeffs, q)
-        if any(reduced[1:]):
+        remainder, D = reduced
+        if any(remainder[1:]):
             return None
-        return reduced[0] if reduced else Fraction(0)
+        return Fraction(remainder[0], D)

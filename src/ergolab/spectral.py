@@ -30,6 +30,7 @@ import numpy as np
 
 from ergolab.core import (
     Character,
+    ErgolabError,
     FiberedSystem,
     FreqVector,
     LevelIndicator,
@@ -566,7 +567,8 @@ def fiber_eigenvalue_scan(fibered: FiberedSystem, alpha, samples: int, N: int, *
 
     An eigenvalue of a positive-measure set of fibers shows up in the flat
     system and conversely; the report states both sides.  Fibers whose
-    construction fails are excluded from the fraction and counted as failures.
+    construction or probe raises an ``ErgolabError`` are excluded from the
+    fraction and counted as failures; any other exception propagates.
     """
     angle = parse_scalar(alpha, field="alpha") % 1
     observable = fiber_observable if fiber_observable is not None \
@@ -584,7 +586,7 @@ def fiber_eigenvalue_scan(fibered: FiberedSystem, alpha, samples: int, N: int, *
             verdict = detect_eigenvalue(fiber, observable, angle, N,
                                         threshold=threshold,
                                         seed=seed, samples=1024)
-        except Exception as exc:  # noqa: BLE001 - per-fiber failures are data
+        except ErgolabError as exc:  # per-fiber failures are data
             failures += 1
             entries.append({"base_point": [scalar_str(c) for c in point],
                             "error": str(exc)})

@@ -219,3 +219,19 @@ def test_cli_byte_determinism(tmp_path):
     doc1.pop("wall_clock_seconds")
     doc2.pop("wall_clock_seconds")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_cli_non_integer_seed_is_config_error(source, tmp_path, monkeypatch, capsys):
+    from ergolab.cli import main
+
+    args = ["run", "spectral-probe", "--out", str(tmp_path / "out")]
+    monkeypatch.delenv("ERGOLAB_SEED", raising=False)
+    if source == "env":
+        monkeypatch.setenv("ERGOLAB_SEED", "abc")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": "x"}))
+        args += ["--config", str(config)]
+    assert main(args) == 3
+    assert "config error:" in capsys.readouterr().err

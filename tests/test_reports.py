@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergolab.core import Character, FiberedSystem, HaarMeasure, build_system
+from ergolab.core import Character, ErgolabError, FiberedSystem, HaarMeasure, build_system
 from ergolab.joinings import build_joining, product_consistency_test
 from ergolab.spectral import (
     correlation_sequence,
@@ -80,7 +80,7 @@ def test_fiber_scan_counts_failures():
     def flaky_fiber(point):
         calls["n"] += 1
         if calls["n"] % 2 == 0:
-            raise RuntimeError("fiber construction failed")
+            raise ErgolabError("fiber construction failed")
         return build_system({"kind": "rotation", "params": {"angle": "1/3"}})
 
     fibered = FiberedSystem(
@@ -95,6 +95,20 @@ def test_fiber_scan_counts_failures():
     doc = report.to_json()
     assert doc["failures"] == 5
     json.dumps(doc)
+
+
+def test_fiber_scan_propagates_programming_errors():
+    def broken_fiber(point):
+        raise TypeError("not a fiber failure")
+
+    fibered = FiberedSystem(
+        base_measure=HaarMeasure(1),
+        fiber=broken_fiber,
+        description="broken",
+        fiber_observable=Character((1,)),
+    )
+    with pytest.raises(TypeError, match="not a fiber failure"):
+        fiber_eigenvalue_scan(fibered, "1/3", samples=3, N=64, seed=0)
 
 
 def test_fibered_rank1_parameter_spec_kind():
