@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from ergolab.core import ErgolabError, SystemSpec, build_system
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a named experiment")
     run.add_argument("experiment", choices=EXPERIMENTS)
     run.add_argument("--config", help="JSON config file with knob overrides")
-    run.add_argument("--seed", type=int, help="master seed (overrides config/env)")
+    run.add_argument("--seed", help="master seed, an integer in [0, 2^64) (overrides config/env)")
     run.add_argument("--out", default="ergolab-out", help="output directory")
     run.add_argument("--format", default="json", choices=("json", "csv", "markdown"))
 
@@ -50,14 +51,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+SEED_LIMIT = 2**64
+
+
+def _check_seed(value, source: str) -> int:
+    """The seed if it is a non-bool int in [0, 2^64); ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{source} seed must be an integer, got {value!r}")
+    if not 0 <= value < SEED_LIMIT:
+        raise ValueError(f"{source} seed must lie in [0, 2^64), got {value}")
+    return value
+
+
+def _seed_from_text(text: str, source: str) -> int:
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"{source} seed must be a decimal integer, got {text!r}")
+    return _check_seed(int(text), source)
+
+
 def _resolve_seed(args, config_doc: dict) -> int | None:
     if args.seed is not None:
-        return args.seed
+        return _seed_from_text(args.seed, "--seed")
     if "seed" in config_doc:
-        return int(config_doc["seed"])
+        return _check_seed(config_doc["seed"], "config")
     env = os.environ.get("ERGOLAB_SEED")
     if env is not None:
-        return int(env)
+        return _seed_from_text(env, "ERGOLAB_SEED")
     return None
 
 
@@ -79,8 +98,8 @@ def _cmd_run(args) -> int:
             return EXIT_CONFIG_ERROR
     try:
         seed = _resolve_seed(args, config_doc)
-    except (TypeError, ValueError) as exc:
-        print(f"config error: seed must be an integer: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if seed is None:
         print(

@@ -195,6 +195,13 @@ class PhaseSum:
         obj._cached_value = None
         return obj
 
+    @classmethod
+    def _from_lattice(cls, acc: dict[int, int], Q: int, D: int) -> "PhaseSum":
+        """The sum of (acc[A] / D) * e(A / Q) over the nonzero entries of acc."""
+        return cls._canonical(tuple(
+            (Fraction(key, Q), Fraction(acc[key], D)) for key in sorted(acc) if acc[key]
+        ))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -212,8 +219,27 @@ class PhaseSum:
 
     @classmethod
     def from_rational(cls, w) -> "PhaseSum":
-        w = Fraction(w)
+        if type(w) is not Fraction:
+            w = Fraction(w)
         return cls._canonical(((_ZERO, w),) if w else ())
+
+    @classmethod
+    def sum(cls, sums: Iterable["PhaseSum"]) -> "PhaseSum":
+        """The sum of many PhaseSums in one pass over the integer lattice.
+
+        Angle numerators over the lcm Q of all angle denominators key the
+        accumulation of weight numerators over the lcm D of all weight
+        denominators; terms equal those of a left fold of ``+``.
+        """
+        terms = [t for s in sums for t in s._terms]
+        if not terms:
+            return cls._canonical(())
+        Q, D = _angle_lcm(terms), _weight_lcm(terms)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for A, W in _lattice(terms, Q, D):
+            acc[A] = get(A, 0) + W
+        return cls._from_lattice(acc, Q, D)
 
     # -- structure ---------------------------------------------------------
 
@@ -303,10 +329,7 @@ class PhaseSum:
             for A2, W2 in right:
                 key = (A1 + A2) % Q
                 acc[key] = get(key, 0) + W1 * W2
-        D = D1 * D2
-        return PhaseSum._canonical(tuple(
-            (Fraction(key, Q), Fraction(acc[key], D)) for key in sorted(acc) if acc[key]
-        ))
+        return PhaseSum._from_lattice(acc, Q, D1 * D2)
 
     def conjugate(self) -> "PhaseSum":
         return PhaseSum._canonical(tuple(sorted((-a % 1, w) for a, w in self._terms)))
@@ -317,6 +340,9 @@ class PhaseSum:
 
     def abs2(self) -> "PhaseSum":
         """|self|^2 as an exact (real) PhaseSum."""
+        if len(self._terms) == 1:
+            w = self._terms[0][1]
+            return PhaseSum._canonical(((_ZERO, w * w),))
         return self * self.conjugate()
 
     # -- evaluation ----------------------------------------------------------

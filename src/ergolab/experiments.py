@@ -48,7 +48,14 @@ from ergolab.joinings import (
     rel_indep_joining,
     sample_joining,
 )
-from ergolab.rank1 import Rank1Spec, dyadic_equivalence, rank1_map, rank1_word
+from ergolab.rank1 import (
+    Rank1Spec,
+    dyadic_equivalence,
+    rank1_map,
+    rank1_word,
+    refuse_oversized_tower,
+    word_lengths,
+)
 from ergolab.spectral import (
     correlation_sequence,
     detect_eigenvalue,
@@ -615,6 +622,8 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     knobs = config.knobs
     checks: list[Check] = []
     depth = knobs["depth"]
+    for knob in ("depth", "word_stage_max"):
+        refuse_oversized_tower(word_lengths(knobs[knob]), f"knobs.{knob} = {knobs[knob]}")
     params = [parse_scalar(p, field="knobs.parameters") for p in knobs["parameters"]]
     specs = {scalar_str(p): Rank1Spec.from_rational(p, depth) for p in params}
 
@@ -696,13 +705,14 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     ))
 
     # exact map bookkeeping per depth
+    def distinct(units: np.ndarray) -> bool:
+        return bool(np.all(np.diff(np.sort(units)) > 0))
+
     map_ok = True
     for d in range(1, depth + 1):
         m = rank1_map(first, d)
-        sources = sorted(int(s) for s in m.level_starts[:-1])
-        images = sorted(int(s) for s in m.level_starts[1:])
-        map_ok &= len(set(sources)) == len(sources)
-        map_ok &= len(set(images)) == len(images)
+        map_ok &= distinct(m.level_starts[:-1])  # sources
+        map_ok &= distinct(m.level_starts[1:])  # images
         map_ok &= m.undefined_measure <= Fraction(1, 3) ** (d - 1) * Fraction(1, 3)
         map_ok &= m.word == rank1_word(Rank1Spec.from_rational(first.a, d), d).word
     checks.append(Check(
@@ -715,16 +725,21 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         details={"depths": list(range(1, depth + 1))},
     ))
 
-    # itinerary coherence at full depth
+    # itinerary coherence at full depth: the base orbit walked on integer
+    # units, tied to normalized coordinates by the exact map at both ends
     m = rank1_map(first, depth)
+    units, levels = m.base_orbit()
+
+    def midpoint(unit) -> Fraction:
+        return Fraction(2 * int(unit) + 1, 2 * m.length)
+
     x = m.level_interval(0)[0] + Fraction(1, 2 * m.total_units)
-    itinerary_ok = True
-    for step in range(m.length - 1):
-        if m.level_of(x) != step:
-            itinerary_ok = False
-            break
-        x = m.apply(x)
-    itinerary_ok &= m.level_of(x) == m.length - 1
+    itinerary_ok = (
+        x == midpoint(units[0]) and m.level_of(x) == 0
+        and m.apply(x) == midpoint(units[1])
+        and np.array_equal(levels, np.arange(m.length))
+        and m.level_of(midpoint(units[-1])) == m.length - 1
+    )
     checks.append(Check(
         check_id="itinerary-coherence",
         anchor="rank1-cutting-and-stacking",

@@ -11,6 +11,13 @@ Bookkeeping is purely integral: at depth d every level is one unit of width
 with levels [j/L_d, (j+1)/L_d).  The map is the translation sending level i to
 level i+1; the top level stays undefined at a finite stage.
 
+Depth limit: ``rank1_word``, ``rank1_map`` and ``stage_level_positions`` raise
+DepthExceededError, before allocating anything, when they would hold more than
+``MAX_TOWER_LEVELS`` = L_14 = 7,174,453 entries; words and maps therefore stop
+at depth 14.  Tower-level correlations need no tower: ``level_lag_counts``
+counts level coincidences from the per-stage copy offsets alone, and runs at
+depth 30 and beyond.
+
 The binary-parameter dichotomy: two parameters whose difference is a dyadic
 rational give towers whose digit streams eventually agree, hence eventually
 identical stage words (one family up to stage bookkeeping); a non-dyadic
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +63,9 @@ __all__ = [
     "build_rank1_system",
     "Rank1System",
     "stage_level_positions",
+    "level_lag_counts",
+    "MAX_TOWER_LEVELS",
+    "refuse_oversized_tower",
 ]
 
 
@@ -162,6 +172,19 @@ def word_lengths(n: int) -> int:
     return (3 ** (n + 1) - 1) // 2
 
 
+#: Largest number of levels (or level positions) a word or map may allocate: L_14.
+MAX_TOWER_LEVELS = word_lengths(14)
+
+
+def refuse_oversized_tower(levels: int, what: str) -> None:
+    """Raise DepthExceededError if ``what`` needs more than MAX_TOWER_LEVELS levels."""
+    if levels > MAX_TOWER_LEVELS:
+        raise DepthExceededError(
+            f"{what} would allocate {levels} levels, above the limit of "
+            f"{MAX_TOWER_LEVELS} (L_14)"
+        )
+
+
 def rank1_word(spec: Rank1Spec, n: int) -> TowerStage:
     """The stage-n word: B_0 = "T"; B_{k+1} = B_k s B_k B_k when a_{k+1} = 0,
     B_k B_k s B_k when a_{k+1} = 1."""
@@ -169,6 +192,7 @@ def rank1_word(spec: Rank1Spec, n: int) -> TowerStage:
         raise SpecValidationError("n", f"stage must be >= 0, got {n}")
     if n > spec.depth:
         raise DepthExceededError(f"stage {n} exceeds constructed depth {spec.depth}")
+    refuse_oversized_tower(word_lengths(n), f"the stage-{n} word")
     digits = spec.digit_stream(n)
     word = "T"
     for d in digits:
@@ -183,14 +207,19 @@ def copy_offsets(prev_length: int, digit: int) -> tuple[int, int, int]:
     return (0, prev_length, 2 * prev_length + 1)
 
 
-def stage_level_positions(spec: Rank1Spec, stage: int, level: int, depth: int) -> np.ndarray:
-    """Indices of the depth-d levels that make up the given stage-k level."""
+def _check_stage_level(spec: Rank1Spec, stage: int, level: int, depth: int) -> None:
     if not 0 <= level < word_lengths(stage):
         raise SpecValidationError("level", f"stage {stage} has levels 0..{word_lengths(stage)-1}")
     if depth < stage:
         raise SpecValidationError("depth", "depth must be >= stage")
     if depth > spec.depth:
         raise DepthExceededError(f"depth {depth} exceeds constructed depth {spec.depth}")
+
+
+def stage_level_positions(spec: Rank1Spec, stage: int, level: int, depth: int) -> np.ndarray:
+    """Indices of the depth-d levels that make up the given stage-k level."""
+    _check_stage_level(spec, stage, level, depth)
+    refuse_oversized_tower(3 ** (depth - stage), f"a stage-{stage} level at depth {depth}")
     digits = spec.digit_stream(depth)
     positions = np.array([level], dtype=np.int64)
     length = word_lengths(stage)
@@ -200,6 +229,51 @@ def stage_level_positions(spec: Rank1Spec, stage: int, level: int, depth: int) -
         length = 3 * length + 1
     positions.sort()
     return positions
+
+
+def level_lag_counts(spec: Rank1Spec, stage: int, level: int, depth: int,
+                     N: int) -> list[int]:
+    """Cyclic lag counts c(n) = #{(p, q) : q - p = n mod L_d}, n = 0..N, over the
+    depth-d positions p, q of the given stage-k level.
+
+    The positions are level + sum_j off_j with off_j one of the three copy
+    offsets of stage j = k..d-1, so the integer differences q - p form the
+    convolution D of the per-stage offset-difference multisets, and
+    c(n) = D(n) + D(L_d - n) for n != 0 mod L_d (D is symmetric).  Stages are
+    convolved top-down, and a partial difference is kept only while it lies
+    within L_j - L_k of [0, N] or of [L_d - N, L_d]: the stages below j move it
+    by at most sum_{i<j} (2 L_i + 1) = L_j - L_k.  Counts are Python ints.
+    The level shifts every position alike, so it is validated but does not
+    change the counts.
+    """
+    if N < 0:
+        raise SpecValidationError("N", f"N must be >= 0, got {N}")
+    _check_stage_level(spec, stage, level, depth)
+    digits = spec.digit_stream(depth)
+    total = word_lengths(depth)
+    top = min(N, total - 1)  # largest lag needed mod L_d
+    diffs = {0: 1}
+    for j in range(depth - 1, stage - 1, -1):
+        length = word_lengths(j)
+        offsets = copy_offsets(length, digits[j])
+        steps: dict[int, int] = {}
+        for a in offsets:
+            for b in offsets:
+                steps[b - a] = steps.get(b - a, 0) + 1
+        reach = length - word_lengths(stage)
+        low, high = -reach, top + reach
+        wrap_low, wrap_high = total - top - reach, total - 1 + reach
+        kept: dict[int, int] = {}
+        get = kept.get
+        for t, count in diffs.items():
+            for step, mult in steps.items():
+                u = t + step
+                if low <= u <= high or wrap_low <= u <= wrap_high:
+                    kept[u] = get(u, 0) + count * mult
+        diffs = kept
+    cyclic = [diffs.get(0, 0)] + [diffs.get(n, 0) + diffs.get(total - n, 0)
+                                   for n in range(1, top + 1)]
+    return [cyclic[n % total] for n in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +327,21 @@ class Rank1Map:
             )
         return x + Fraction(int(self._translations[level]), self.length)
 
+    def base_orbit(self) -> tuple[np.ndarray, np.ndarray]:
+        """Units and levels of the orbit x, Tx, ..., T^(L-1) x of the base point.
+
+        The base point x = (u + 1/2) / L sits in the middle of unit
+        u = level_starts[0], and every translation is a whole number of units,
+        so the orbit is the integer walk u + cumsum(translations).  Entry i of
+        the levels is the level holding T^i x, or -1 if the walk left the space.
+        """
+        units = int(self.level_starts[0]) + np.concatenate(
+            ([0], np.cumsum(self._translations)))
+        inside = (units >= 0) & (units < self.length)
+        levels = np.full(self.length, -1, dtype=np.int64)
+        levels[inside] = self._level_of_unit[units[inside]]
+        return units, levels
+
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         units = np.floor(xs * self.length).astype(np.int64)
         levels = self._level_of_unit[units]
@@ -289,6 +378,7 @@ def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
         raise SpecValidationError("depth", f"depth must be >= 1, got {depth}")
     if depth > spec.depth:
         raise DepthExceededError(f"depth {depth} exceeds constructed depth {spec.depth}")
+    refuse_oversized_tower(word_lengths(depth), f"the depth-{depth} map")
     digits = spec.digit_stream(depth)
     starts = np.array([0], dtype=np.int64)
     word = "T"
@@ -408,11 +498,17 @@ class Rank1System(System):
     """
 
     def __init__(self, r1spec: Rank1Spec, spec=None):
+        if r1spec.depth < 1:
+            raise SpecValidationError("depth", f"depth must be >= 1, got {r1spec.depth}")
         self.r1spec = r1spec
-        self.map = rank1_map(r1spec)
         self.space = (INTERVAL,)
         self.measure = HaarMeasure((INTERVAL,), description="lebesgue on [0,1)")
         self.spec = spec
+
+    @cached_property
+    def map(self) -> Rank1Map:
+        """The tower map, built on first use: level-indicator correlations never need it."""
+        return rank1_map(self.r1spec)
 
     def apply(self, point: Point) -> Point:
         (x,) = point

@@ -13,10 +13,14 @@ sigma_f({conj(c)}) -- mass 1 exactly when f witnesses the eigenvalue c.
 |values|^2, which converges to the total squared atomic mass of sigma_f.
 
 Exactness: affine systems with exact measures go through character pullback;
-finite-support measures go through direct orbit summation; rank-one level
-indicators go through tower-level counting on the cyclic closure of the finite
-tower (a genuine periodic system, so positive-definiteness is exact); anything
-else is seeded Monte Carlo with per-entry standard errors.
+finite-support measures go through direct orbit summation; anything else is
+seeded Monte Carlo with per-entry standard errors.  Rank-one level indicators
+go through tower-level counting on the cyclic closure of the finite tower (a
+genuine periodic system, so positive-definiteness is exact): the level's
+positions are sums of per-stage copy offsets, so the lag counts are a
+convolution of the per-stage offset-difference multisets, computed in integers
+and pruned to the lags asked for (``rank1.level_lag_counts``).  No tower, mask
+or FFT is built, so depth 30 costs about what depth 10 does.
 """
 
 from __future__ import annotations
@@ -262,9 +266,12 @@ def _rank1_indicator_sequence(system: System, f: LevelIndicator, N: int,
 
     Uses the cyclic closure of the finite tower (top level mapped back to the
     base), which is a genuine measure-preserving interval exchange; the finite
-    construction stage is recorded in the provenance.
+    construction stage is recorded in the provenance.  With L = L_d levels,
+    s = 3^(d - stage) of them in the indicated level, and c(n) the integer lag
+    counts of ``level_lag_counts``, values(n) = c(n) / L, or
+    (c(n) L - s^2) / (s (L - s)) when centered and normalized.
     """
-    from ergolab.rank1 import Rank1System, stage_level_positions, word_lengths
+    from ergolab.rank1 import Rank1System, level_lag_counts, word_lengths
 
     if not isinstance(system, Rank1System):
         raise UnsupportedOperationError(
@@ -272,25 +279,15 @@ def _rank1_indicator_sequence(system: System, f: LevelIndicator, N: int,
         )
     depth = system.r1spec.depth
     total = word_lengths(depth)
-    positions = stage_level_positions(system.r1spec, f.stage, f.level, depth)
-    mask = np.zeros(total, dtype=np.float64)
-    mask[positions] = 1.0
-    spectrum = np.fft.rfft(mask)
-    autocorr = np.fft.irfft(np.abs(spectrum) ** 2, n=total)
-    counts = np.rint(autocorr).astype(np.int64)  # exact: counts are integers
-    size = int(positions.size)
-    mass = Fraction(size, total)
+    counts = level_lag_counts(system.r1spec, f.stage, f.level, depth, N)
+    size = 3 ** (depth - f.stage)
     centered = center or f.centered
-
-    phases: list[PhaseSum] = []
-    variance = mass * (1 - mass)
-    for n in range(N + 1):
-        overlap = Fraction(int(counts[n % total]), total)
-        if centered:
-            phases.append(PhaseSum.from_rational((overlap - mass * mass) / variance))
-        else:
-            phases.append(PhaseSum.from_rational(overlap))
-    values = np.array([p.value() for p in phases], dtype=np.complex128)
+    if centered:
+        ratios = [Fraction(c * total - size * size, size * (total - size)) for c in counts]
+    else:
+        ratios = [Fraction(c, total) for c in counts]
+    phases = [PhaseSum.from_rational(x) for x in ratios]
+    values = np.array([float(x) for x in ratios], dtype=np.complex128)
     return CorrelationSeq(
         N=N, observable=LevelIndicator(f.stage, f.level, centered), exact=True,
         _values=values, phases=phases,
@@ -352,13 +349,13 @@ def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
     prefixes = [max(1, N // 4), max(1, N // 2), N]
     trace = []
     if seq.exact and seq.phases is not None:
-        running = PhaseSum.zero()
-        partials: dict[int, PhaseSum] = {}
-        for i in range(N):
-            running = running + seq.phases[i].abs2()
-            if i + 1 in prefixes:
-                partials[i + 1] = running
-        totals = {n: partials[n] * Fraction(1, n) for n in prefixes}
+        squares = [p.abs2() for p in seq.phases[:N]]
+        running, start = PhaseSum.zero(), 0
+        totals = {}
+        for n in prefixes:
+            running = PhaseSum.sum([running, *squares[start:n]])
+            start = n
+            totals[n] = running * Fraction(1, n)
         trace = [(n, totals[n].value().real) for n in prefixes]
         total_ps = totals[N]
         total_exact = total_ps.as_rational()

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: parsing and PhaseSum algebra."""
 
 import cmath
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -180,6 +182,36 @@ def test_product_terms_match_reference_loop(pair):
     assert a.abs2().terms == reference_product(a, a.conjugate())
     assert (a * Fraction(-2, 3)).terms == reference_product(a, PhaseSum.from_rational(Fraction(-2, 3)))
     assert all(type(t) is Fraction and type(w) is Fraction for t, w in (a * b).terms)
+
+
+@st.composite
+def summand_lists(draw):
+    """Lists of sums, some followed later by their negation, so that whole
+    summands (and possibly everything) cancel."""
+    xs = draw(st.lists(wide_sums, max_size=6))
+    if xs:
+        xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=3))]
+    return draw(st.permutations(xs))
+
+
+@given(summand_lists())
+def test_sum_terms_match_left_fold(xs):
+    total = PhaseSum.sum(xs)
+    assert total.terms == reduce(operator.add, xs, PhaseSum.zero()).terms
+    assert all(type(t) is Fraction and type(w) is Fraction for t, w in total.terms)
+
+
+def test_sum_of_nothing_and_of_cancelling_sums_is_empty():
+    x = PhaseSum([(Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 10**40), Fraction(1))])
+    assert PhaseSum.sum([]).terms == ()
+    assert PhaseSum.sum(iter([x, -x])).terms == ()
+    assert PhaseSum.sum([x, -x, x]).terms == x.terms
+
+
+@given(wide_angles, fractional_weights)
+def test_one_term_abs2_matches_the_product(angle, weight):
+    x = PhaseSum([(angle, weight)])
+    assert x.abs2().terms == (x * x.conjugate()).terms == ((Fraction(0), weight * weight),)
 
 
 def test_product_cancellation_to_rational():

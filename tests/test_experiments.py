@@ -235,3 +235,75 @@ def test_cli_non_integer_seed_is_config_error(source, tmp_path, monkeypatch, cap
         args += ["--config", str(config)]
     assert main(args) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, value", [
+    ("config", 1.5),
+    ("config", True),
+    ("config", "7"),
+    ("config", None),
+    ("config", 99999999999999999999999),
+    ("config", 2**64),
+    ("config", -1),
+    ("flag", "-5"),
+    ("flag", "1.5"),
+    ("flag", "18446744073709551616"),
+    ("env", "-5"),
+    ("env", "1e3"),
+    ("env", "18446744073709551616"),
+])
+def test_cli_seed_outside_u64_is_config_error(source, value, tmp_path, monkeypatch, capsys):
+    from ergolab.cli import main
+
+    args = ["run", "spectral-probe", "--out", str(tmp_path / "out")]
+    monkeypatch.delenv("ERGOLAB_SEED", raising=False)
+    if source == "config":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": value}))
+        args += ["--config", str(config)]
+    elif source == "flag":
+        args += ["--seed", value]
+    else:
+        monkeypatch.setenv("ERGOLAB_SEED", value)
+    assert main(args) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "flag", "env"])
+def test_cli_accepts_the_largest_u64_seed(source, tmp_path, monkeypatch):
+    from ergolab.cli import main
+
+    seed = 2**64 - 1
+    config = tmp_path / "cfg.json"
+    doc = {"knobs": {"N": 64, "samples": 256}}
+    if source == "config":
+        doc["seed"] = seed
+    config.write_text(json.dumps(doc))
+    args = ["run", "spectral-probe", "--config", str(config), "--out", str(tmp_path / "out")]
+    monkeypatch.delenv("ERGOLAB_SEED", raising=False)
+    if source == "flag":
+        args += ["--seed", str(seed)]
+    elif source == "env":
+        monkeypatch.setenv("ERGOLAB_SEED", str(seed))
+    assert main(args) == 0
+    report = json.loads((tmp_path / "out" / "report-spectral-probe.json").read_text())
+    assert report["config"]["seed"] == seed
+
+
+@pytest.mark.parametrize("knobs", [{"depth": 20}, {"depth": 40}, {"word_stage_max": 15}])
+def test_cli_refuses_towers_above_depth_14(knobs, tmp_path, capsys, monkeypatch):
+    from ergolab.cli import main
+    from ergolab.rank1 import Rank1Spec
+
+    def allocation_reached(self, n):
+        raise AssertionError("a tower was started before the depth was refused")
+
+    # every function that builds a tower reads the digits right before it allocates
+    monkeypatch.setattr(Rank1Spec, "digit_stream", allocation_reached)
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "knobs": knobs}))
+    args = ["run", "rank1-family", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert "L_14" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Rank-one cutting-and-stacking: words, maps, dichotomy, continuity."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +18,14 @@ from ergolab.core import (
     orbit,
 )
 from ergolab.rank1 import (
+    MAX_TOWER_LEVELS,
+    Rank1Map,
     Rank1Spec,
     agreement_stage,
     binary_digits,
     build_rank1_system,
     dyadic_equivalence,
+    level_lag_counts,
     make_Sa_system,
     rank1_map,
     rank1_word,
@@ -114,6 +118,29 @@ def test_word_stage_max_14():
     assert stage.height == 3**14
 
 
+@pytest.mark.parametrize("depth", [20, 40])
+def test_oversized_towers_are_refused_before_allocating(depth, monkeypatch):
+    def allocation_reached(self, n):
+        raise AssertionError(f"the guard let a depth-{depth} tower through")
+
+    # every function that builds a tower reads the digits right before it allocates
+    monkeypatch.setattr(Rank1Spec, "digit_stream", allocation_reached)
+    spec = Rank1Spec.from_rational("1/3", depth)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DepthExceededError, match="L_14"):
+            rank1_map(spec)
+        with pytest.raises(DepthExceededError, match="L_14"):
+            rank1_word(spec, depth)
+        with pytest.raises(DepthExceededError, match="L_14"):
+            stage_level_positions(spec, 3, 0, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert word_lengths(14) == MAX_TOWER_LEVELS < word_lengths(15)
+
+
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------
@@ -170,6 +197,35 @@ def test_itinerary_spells_word_small_depth():
     assert "".join(letters) == word
 
 
+def test_base_orbit_matches_the_fraction_walk():
+    m = rank1_map(Rank1Spec.from_digits([0, 1, 1, 0]))
+    units, levels = m.base_orbit()
+    assert np.array_equal(levels, np.arange(m.length))
+    x = m.level_interval(0)[0] + F(1, 2 * m.length)
+    for step in range(m.length):
+        assert x == F(2 * int(units[step]) + 1, 2 * m.length)
+        assert m.level_of(x) == step
+        if step < m.length - 1:
+            x = m.apply(x)
+
+
+def test_base_orbit_reports_a_corrupted_map():
+    good = rank1_map(Rank1Spec.from_rational("1/3", 4))
+    swapped = good.level_starts.copy()
+    swapped[[3, 10]] = swapped[[10, 3]]
+    bad = Rank1Map(depth=good.depth, level_starts=swapped, word=good.word)
+    # the partition has two levels swapped; the translations are the good tower's
+    bad._translations = good._translations
+    _, levels = bad.base_orbit()
+    expected = np.arange(bad.length)
+    expected[[3, 10]] = [10, 3]
+    assert np.array_equal(levels, expected)
+    # a translation that leaves the space is reported as level -1
+    bad._translations = good._translations.copy()
+    bad._translations[0] += 2 * bad.length
+    assert bad.base_orbit()[1][1] == -1
+
+
 def test_map_apply_exact_and_depth_exceeded():
     m = rank1_map(Rank1Spec.from_digits([0]))
     # depth-1, digit 0 tower: levels are [0,1/4) -> [1,5/4)/raw... normalized:
@@ -221,6 +277,65 @@ def test_level_zero_positions_are_base_mass():
     word = rank1_word(spec, 2).word
     assert all(word[p] == "T" for p in pos)
     assert pos.size == 9
+
+
+def fft_lag_counts(spec, stage, level, depth, N):
+    """Reference: circular autocorrelation of the level's 0/1 mask, by FFT and rounding."""
+    total = word_lengths(depth)
+    mask = np.zeros(total, dtype=np.float64)
+    mask[stage_level_positions(spec, stage, level, depth)] = 1.0
+    spectrum = np.fft.rfft(mask)
+    counts = np.rint(np.fft.irfft(np.abs(spectrum) ** 2, n=total)).astype(np.int64)
+    return [int(counts[n % total]) for n in range(N + 1)]
+
+
+def pair_lag_counts(spec, stage, level, depth, N):
+    """Reference: the differences q - p mod L_d of all ordered pairs of positions."""
+    total = word_lengths(depth)
+    pos = stage_level_positions(spec, stage, level, depth)
+    counts = np.bincount(((pos[None, :] - pos[:, None]) % total).ravel(), minlength=total)
+    return [int(counts[n % total]) for n in range(N + 1)]
+
+
+@pytest.mark.parametrize("a", ["1/4", "1/3", "3/4"])
+@pytest.mark.parametrize("depth", [5, 10])
+def test_level_lag_counts_match_fft(a, depth):
+    spec = Rank1Spec.from_rational(a, depth)
+    for stage in range(6):
+        for level in {0, word_lengths(stage) // 2, word_lengths(stage) - 1}:
+            counts = level_lag_counts(spec, stage, level, depth, 4096)
+            assert counts == fft_lag_counts(spec, stage, level, depth, 4096), (stage, level)
+            assert counts[0] == 3 ** (depth - stage)
+            assert all(type(c) is int for c in counts)
+
+
+@st.composite
+def lag_cases(draw):
+    digits = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6))
+    depth = len(digits)
+    stage = draw(st.integers(0, depth))
+    level = draw(st.integers(0, word_lengths(stage) - 1))
+    N = draw(st.integers(0, 2 * word_lengths(depth) + 3))
+    return Rank1Spec.from_digits(digits), stage, level, depth, N
+
+
+@given(lag_cases())
+@settings(max_examples=60, deadline=None)
+def test_level_lag_counts_match_all_pairs(case):
+    spec, stage, level, depth, N = case
+    counts = level_lag_counts(spec, stage, level, depth, N)
+    assert counts == pair_lag_counts(spec, stage, level, depth, N)
+    assert counts == fft_lag_counts(spec, stage, level, depth, N)
+
+
+def test_level_lag_counts_validate_their_inputs():
+    spec = Rank1Spec.from_rational("1/3", 4)
+    with pytest.raises(SpecValidationError):
+        level_lag_counts(spec, 2, 13, 4, 8)
+    with pytest.raises(SpecValidationError):
+        level_lag_counts(spec, 3, 0, 2, 8)
+    with pytest.raises(DepthExceededError):
+        level_lag_counts(spec, 3, 0, 5, 8)
 
 
 def test_pieces_csv_is_exact_rationals():

@@ -7,6 +7,7 @@ pullback machinery.
 """
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,13 @@ from ergolab.core import (
     build_measure,
     build_system,
 )
-from ergolab.rank1 import Rank1Spec, build_rank1_system, make_Sa_system
+from ergolab.rank1 import (
+    Rank1Spec,
+    build_rank1_system,
+    make_Sa_system,
+    stage_level_positions,
+    word_lengths,
+)
 from ergolab.spectral import (
     correlation_sequence,
     detect_eigenvalue,
@@ -355,6 +362,45 @@ def test_weak_mixing_rank1_probe():
     assert report.no_atoms_detected
     assert all(m < 0.05 for _, m in report.masses)
     assert "finite" in report.caveat
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_tower_correlation_phases_from_pair_counts(center):
+    """Oracle: counts from all pairs of level positions, and the phases formed
+    as overlap, or (overlap - mass^2) / (mass (1 - mass)) when centered."""
+    depth, stage, level, N = 7, 3, 5, 700
+    spec = Rank1Spec.from_rational("3/4", depth)
+    total = word_lengths(depth)
+    pos = stage_level_positions(spec, stage, level, depth)
+    counts = np.bincount(((pos[None, :] - pos[:, None]) % total).ravel(), minlength=total)
+    mass = F(pos.size, total)
+    expected = []
+    for n in range(N + 1):
+        overlap = F(int(counts[n % total]), total)
+        expected.append((overlap - mass * mass) / (mass * (1 - mass)) if center else overlap)
+    seq = correlation_sequence(build_rank1_system(spec),
+                               LevelIndicator(stage, level, centered=center), N)
+    assert seq.exact and seq.provenance == f"tower-level-counting (cyclic closure, depth {depth})"
+    assert [p.as_rational() for p in seq.phases] == expected
+    report = wiener_atomic_mass(seq, grid_max_denominator=1)
+    assert report.total_exact == sum(x * x for x in expected[:N]) / N
+    assert [n for n, _ in report.trace] == [N // 4, N // 2, N]
+
+
+def test_tower_correlation_at_depth_30_needs_no_tower():
+    system = build_rank1_system(Rank1Spec.from_rational("1/3", 30))
+    tracemalloc.start()
+    try:
+        seq = correlation_sequence(system, LevelIndicator(3, 0, centered=False), 1024)
+        centered = correlation_sequence(system, LevelIndicator(3, 0), 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
+    assert "map" not in vars(system)  # the depth-30 tower was never built
+    assert seq.exact and all(p.as_rational() is not None for p in seq.phases)
+    assert seq.phase_value(0).as_rational() == F(3**27, word_lengths(30))
+    assert centered.phase_value(0).as_rational() == 1
 
 
 def test_weak_mixing_caveat_serialized():
