@@ -4,7 +4,8 @@
                 [--format json|csv|markdown]
     ergolab spec validate FILE
 
-Exit codes: 0 all checks pass, 2 at least one check failed, 3 config error.
+Exit codes: 0 all checks pass, 2 at least one check failed, 3 config or usage
+error (``--help`` exits 0).
 The master seed comes from --seed, else the config file, else ERGOLAB_SEED.
 """
 
@@ -30,8 +31,17 @@ EXIT_CHECK_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_CONFIG_ERROR, not 2:
+    2 is the exit code of a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG_ERROR, f"config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ergolab",
         description="computational laboratory for measure-preserving systems",
     )
@@ -89,6 +99,9 @@ def _cmd_run(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
+        if not isinstance(config_doc, dict):
+            print(f"config error: {args.config} must hold a JSON object", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         declared = config_doc.get("experiment")
         if declared is not None and declared != args.experiment:
             print(
@@ -133,6 +146,9 @@ def _cmd_validate(args) -> int:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read {args.file}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if not isinstance(doc, dict):
+        print(f"invalid: {args.file} must hold a JSON object", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         if "system" in doc:

@@ -162,6 +162,13 @@ def _draw_units(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, TWO64, size=n, dtype=np.uint64)
 
 
+def _units_to_floats(units: np.ndarray) -> np.ndarray:
+    """u / 2^64 in [0, 1).  The float64 quotient rounds to 1.0 for
+    u >= 2^64 - 2^10; on the circle that point is 0.0.  Every other value is
+    returned bit for bit unchanged."""
+    return (units.astype(np.float64) / float(TWO64)) % 1.0
+
+
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -290,7 +297,7 @@ class HaarMeasure(MeasureHandle):
 
     def sample_floats(self, rng, n):
         units = _draw_units(rng, n * self.arity).reshape(n, self.arity)
-        return units.astype(np.float64) / float(TWO64)
+        return _units_to_floats(units)
 
     def split(self, coords):
         coords = tuple(coords)
@@ -569,7 +576,7 @@ class SampledPowerMeasure(MeasureHandle):
 
     def sample_floats(self, rng, n):
         units = _draw_units(rng, n)
-        return ((units.astype(np.float64) / float(TWO64)) ** self.exponent)[:, None]
+        return (_units_to_floats(units) ** self.exponent)[:, None]
 
 
 # ---------------------------------------------------------------------------

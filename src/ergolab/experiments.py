@@ -131,6 +131,29 @@ DEFAULT_KNOBS: dict[str, dict] = {
 }
 
 
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+                    str: "a string", list: "an array", dict: "an object"}
+
+
+def _check_knob_type(key: str, default, value) -> None:
+    """Refuse an override whose JSON type differs from the default's.
+
+    A boolean only replaces a boolean, an integer (not a boolean) an integer,
+    and an integer or a float a float; strings, arrays and objects replace
+    their own kind."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(default, bool) and isinstance(value, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise SpecValidationError(
+            f"knobs.{key}",
+            f"expected {_JSON_TYPE_NAMES[type(default)]}, got {value!r}",
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run depends on: experiment name, master seed, resolved knobs."""
@@ -149,9 +172,14 @@ class ExperimentConfig:
         if not isinstance(seed, int) or seed < 0:
             raise SpecValidationError("seed", "seed is mandatory and must be a nonnegative int")
         knobs = json.loads(json.dumps(DEFAULT_KNOBS[experiment]))  # deep copy
-        for key, value in (overrides or {}).items():
+        if overrides is None:
+            overrides = {}
+        if not isinstance(overrides, dict):
+            raise SpecValidationError("knobs", "knobs must be an object")
+        for key, value in overrides.items():
             if key not in knobs:
                 raise SpecValidationError(f"knobs.{key}", "unknown knob for this experiment")
+            _check_knob_type(key, knobs[key], value)
             knobs[key] = value
         return cls(experiment=experiment, seed=seed, knobs=knobs)
 

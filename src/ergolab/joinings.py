@@ -12,12 +12,21 @@ of a twist and its shifted copy, and programmatic custom samplers.
 ``product_consistency_test`` refutes product structure of one given joining and
 is explicitly one-sided: disjointness quantifies over all joinings, which no
 finite procedure certifies.
+
+Sampled checks read every empirical character mean from one kernel,
+``_character_means``.  It splits the coordinates into two halves, tabulates the
+characters of each half that occur in the family, and gets all means at once
+as one complex matrix product Aᵀ·B / n, accumulated over blocks of
+``MEANS_BLOCK_ROWS`` samples so that memory does not grow with samples times
+characters.  Exact marginal integrals are computed once per joining and
+component frequency and kept on the ``Joining``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -45,7 +54,6 @@ from ergolab.core import (
     build_cocycle,
     build_measure,
     build_system,
-    character_array,
     character_at,
     derive_seed,
     frequency_box,
@@ -56,6 +64,8 @@ from ergolab.exact import PhaseSum, parse_scalar
 
 DEFAULT_CHECK_FAMILY_MAX_FREQ = 2
 SIGMA_FACTOR = 4.0
+#: samples per block of the character-mean kernel; bounds its working memory
+MEANS_BLOCK_ROWS = 4096
 
 JOINING_KINDS = (
     "product",
@@ -183,6 +193,9 @@ class Joining:
     spec: JoiningSpec | None
     components: list[System]
     system: JoinedSystem
+    #: (component index, component frequency) -> exact marginal integral or None
+    _marginal_integrals: dict = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     @property
     def space(self):
@@ -207,10 +220,14 @@ class Joining:
         return [tuple(k[sl]) for sl in self.slices]
 
     def product_integral(self, k: Sequence[int]) -> Optional[PhaseSum]:
-        """Integral of the same character against the product of the marginals."""
+        """Integral of the same character against the product of the marginals.
+
+        Each marginal integral is computed once per joining and reused."""
         total = PhaseSum.one()
-        for i, ki in enumerate(self.split_frequencies(k)):
-            part = self.marginal_integrate(i, ki)
+        for key in enumerate(self.split_frequencies(k)):
+            if key not in self._marginal_integrals:
+                self._marginal_integrals[key] = self.marginal_integrate(*key)
+            part = self._marginal_integrals[key]
             if part is None:
                 return None
             total = total * part
@@ -753,15 +770,18 @@ def invariance_check(joining: Joining, family: Sequence[Sequence[int]], *,
 
     if seed is None:
         raise UnsupportedOperationError("no exact path; pass a seed for a sampled check")
+    if samples < 1:
+        raise SpecValidationError("samples", f"samples must be >= 1, got {samples}")
     rng = rng_from_seed(seed)
     points = joining.system.measure.sample_floats(rng, samples)
     image = joining.system.apply_array(points)
+    family = [validate_frequencies(joining.space, tuple(k)) for k in family]
+    before = _character_means(points, family)
+    after = _character_means(image, family)
+    sigma = math.sqrt(2.0 / samples)
     passed = True
     for k in family:
-        k = validate_frequencies(joining.space, tuple(k))
-        m1 = complex(character_array(k, points).mean())
-        m2 = complex(character_array(k, image).mean())
-        sigma = math.sqrt(2.0 / samples)
+        m1, m2 = before[k], after[k]
         ok = abs(m1 - m2) <= SIGMA_FACTOR * sigma
         passed &= ok
         entries.append({
@@ -826,18 +846,13 @@ class ConsistencyVerdict:
         return "\n".join(lines) + "\n"
 
 
-def _product_characters(joining: Joining, degree: int) -> list[FreqVector]:
-    boxes = [frequency_box(len(c.space), degree) for c in joining.components]
+def _product_characters(boxes: Sequence[list[FreqVector]]) -> list[FreqVector]:
+    """Every nonzero concatenation of one frequency vector from each box."""
     out = []
-    def rec(i, acc):
-        if i == len(boxes):
-            k = tuple(v for part in acc for v in part)
-            if any(k):
-                out.append(k)
-            return
-        for part in boxes[i]:
-            rec(i + 1, acc + [part])
-    rec(0, [])
+    for parts in itertools.product(*boxes):
+        k = tuple(v for part in parts for v in part)
+        if any(k):
+            out.append(k)
     return out
 
 
@@ -856,7 +871,8 @@ def product_consistency_test(joining: Joining, degree: int = 2, *,
         raise SpecValidationError("degree", f"degree must be >= 1, got {degree}")
     if mode not in ("auto", "exact", "sampled"):
         raise SpecValidationError("mode", f"unknown mode {mode!r}")
-    characters = _product_characters(joining, degree)
+    boxes = [frequency_box(len(c.space), degree) for c in joining.components]
+    characters = _product_characters(boxes)
     note = ("one-sided: only the tested characters of this one joining were "
             "compared; no disjointness claim is implied")
 
@@ -884,17 +900,29 @@ def product_consistency_test(joining: Joining, degree: int = 2, *,
 
     if seed is None:
         raise UnsupportedOperationError("sampled mode needs a seed")
+    if samples < 1:
+        raise SpecValidationError("samples", f"samples must be >= 1, got {samples}")
     rng = rng_from_seed(seed)
     points = joining.system.measure.sample_floats(rng, samples)
     sigma = 1.0 / math.sqrt(samples)
-    means = _box_character_means(points, degree)
+    means = _character_means(points, characters)
+    marginal_means: dict[int, dict[FreqVector, complex]] = {}
+
+    def sampled_product(k: FreqVector) -> complex:
+        # drawn once per component, on its whole box, when first needed
+        total = 1.0 + 0j
+        for i, ki in enumerate(joining.split_frequencies(k)):
+            if i not in marginal_means:
+                rng_i = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
+                pts = joining.components[i].measure.sample_floats(rng_i, samples)
+                marginal_means[i] = _character_means(pts, boxes[i])
+            total *= marginal_means[i][ki]
+        return total
+
     worst = (None, 0.0)
     for k in characters:
         prod_ps = joining.product_integral(k)
-        if prod_ps is not None:
-            prod = prod_ps.value()
-        else:
-            prod = _sampled_product_value(joining, k, seed, samples)
+        prod = prod_ps.value() if prod_ps is not None else sampled_product(k)
         joint = means[k]
         rows.append(ConsistencyRow(k, joint, prod, sigma))
         dev = abs(joint - prod)
@@ -907,42 +935,91 @@ def product_consistency_test(joining: Joining, degree: int = 2, *,
     )
 
 
-def _box_character_means(points: np.ndarray, degree: int) -> dict[FreqVector, complex]:
-    """Empirical means of every character with sup-norm <= degree.
+def _character_means(points: np.ndarray, family: Sequence[FreqVector]
+                     ) -> dict[FreqVector, complex]:
+    """Empirical mean of e(<k, x>) over the rows x of ``points``, for every k in
+    ``family``.
 
-    Per-coordinate phase columns are computed once; each character's values are
-    then one running partial product per enumeration-tree node, which beats
-    exponentiating every (sample, character) pair by a wide margin.
+    The coordinates are split into a left and a right half, so that
+    e(<k, x>) = A[x, k_left] * B[x, k_right], where A and B tabulate the
+    characters of each half whose keys occur in the family.  Every mean is
+    then an entry of one complex matrix product Aᵀ·B / n.  A half's table is
+    built coordinate by coordinate as a broadcast outer product with that
+    coordinate's power columns (see ``_power_columns``); where not every
+    combination occurs in the family, only the occurring prefixes are formed.
+    The samples are processed in blocks of ``MEANS_BLOCK_ROWS`` rows and the
+    blocks' Aᵀ·B are added up, so memory is bounded by the block size times a
+    small multiple of the number of half-keys, whatever the number of samples.
     """
+    family = [tuple(k) for k in family]
+    if not family:
+        return {}
     n, arity = points.shape
-    cols: list[dict[int, np.ndarray]] = []
-    for c in range(arity):
-        base = np.exp(2j * np.pi * points[:, c])
-        per = {0: np.ones(n, dtype=np.complex128)}
-        acc = np.ones(n, dtype=np.complex128)
-        for v in range(1, degree + 1):
-            acc = acc * base
-            per[v] = acc
-            per[-v] = np.conj(acc)
-        cols.append(per)
-    means: dict[FreqVector, complex] = {}
-
-    def rec(c: int, partial: np.ndarray, prefix: tuple[int, ...]):
-        if c == arity:
-            means[prefix] = complex(partial.mean())
-            return
-        for v in range(-degree, degree + 1):
-            rec(c + 1, partial * cols[c][v] if v else partial, prefix + (v,))
-
-    rec(0, np.ones(n, dtype=np.complex128), ())
-    return means
+    half = arity // 2
+    left_steps, left_column = _half_plan([k[:half] for k in family])
+    right_steps, right_column = _half_plan([k[half:] for k in family])
+    acc = np.zeros((len(left_column), len(right_column)), dtype=np.complex128)
+    for lo in range(0, n, MEANS_BLOCK_ROWS):
+        block = points[lo:lo + MEANS_BLOCK_ROWS]
+        # one expression, so the previous block's tables are freed before these are built
+        acc += (_half_table(block[:, :half], left_steps).T
+                @ _half_table(block[:, half:], right_steps))
+    acc /= n
+    return {k: complex(acc[left_column[k[:half]], right_column[k[half:]]])
+            for k in family}
 
 
-def _sampled_product_value(joining: Joining, k: FreqVector, seed: int,
-                           samples: int) -> complex:
-    total = 1.0 + 0j
-    for i, ki in enumerate(joining.split_frequencies(k)):
-        rng = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
-        pts = joining.components[i].measure.sample_floats(rng, samples)
-        total *= complex(character_array(ki, pts).mean())
-    return total
+def _half_plan(keys: Sequence[FreqVector]) -> tuple[list, dict[FreqVector, int]]:
+    """How to tabulate the distinct ``keys`` of one half, coordinate by
+    coordinate, and the column of each key in the finished table.
+
+    Each step holds the values that occur at its coordinate and, unless every
+    (prefix, value) combination occurs, the parent column and the value column
+    of each prefix that does."""
+    keys = sorted(set(keys))
+    steps = []
+    prefixes: list[tuple[int, ...]] = [()]
+    for c in range(len(keys[0])):
+        values = sorted({key[c] for key in keys})
+        occurring = sorted({key[:c + 1] for key in keys})
+        pairs = None
+        if len(occurring) < len(prefixes) * len(values):
+            parent = {p: j for j, p in enumerate(prefixes)}
+            value = {v: j for j, v in enumerate(values)}
+            pairs = (np.array([parent[p[:-1]] for p in occurring], dtype=np.intp),
+                     np.array([value[p[-1]] for p in occurring], dtype=np.intp))
+        prefixes = occurring
+        steps.append((values, pairs))
+    return steps, {key: j for j, key in enumerate(prefixes)}
+
+
+def _half_table(coords: np.ndarray, steps: list) -> np.ndarray:
+    """(rows, keys) table of e(<key, x>) following a plan from ``_half_plan``:
+    a broadcast outer product with the coordinate's power columns where every
+    combination occurs, else one product per occurring prefix."""
+    rows = coords.shape[0]
+    table = np.ones((rows, 1), dtype=np.complex128)
+    for c, (values, pairs) in enumerate(steps):
+        powers = _power_columns(coords[:, c], values)
+        if pairs is None:
+            table = (table[:, :, None] * powers[:, None, :]).reshape(rows, -1)
+        else:
+            table = table[:, pairs[0]] * powers[:, pairs[1]]
+    return table
+
+
+def _power_columns(x: np.ndarray, values: Sequence[int]) -> np.ndarray:
+    """Columns e(v x) for v in ``values``, from a single ``np.exp``: positive
+    powers by repeated multiplication, negative ones as their conjugates."""
+    out = np.empty((x.shape[0], len(values)), dtype=np.complex128)
+    column = {v: j for j, v in enumerate(values)}
+    base = np.exp(2j * np.pi * x)
+    power = np.ones(x.shape[0], dtype=np.complex128)
+    for v in range(max(abs(v) for v in values) + 1):
+        if v:
+            power = power * base
+        if v in column:
+            out[:, column[v]] = power
+        if -v in column:
+            out[:, column[-v]] = np.conj(power)
+    return out

@@ -28,6 +28,7 @@ from ergolab.core import (
     rng_from_seed,
 )
 from ergolab.exact import PhaseSum
+from ergolab.rank1 import Rank1Spec, rank1_map
 
 F = Fraction
 
@@ -282,6 +283,34 @@ def test_sampler_determinism(seed):
     fa = m.sample_floats(rng_from_seed(seed), 8)
     fb = m.sample_floats(rng_from_seed(seed), 8)
     assert np.array_equal(fa, fb)
+
+
+class _TopUnitGenerator:
+    """Stands in for a numpy Generator whose every uint64 draw is 2^64 - 1."""
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, 2**64 - 1, dtype=dtype)
+
+
+@pytest.mark.parametrize("measure", [HaarMeasure(2), SampledPowerMeasure(2)])
+def test_float_samplers_stay_below_one(measure):
+    # 2^64 - 1 over 2^64 rounds to 1.0 in float64; on the circle that is 0.0
+    pts = measure.sample_floats(_TopUnitGenerator(), 5)
+    assert pts.shape == (5, measure.arity)
+    assert np.all((0.0 <= pts) & (pts < 1.0))
+    tower = rank1_map(Rank1Spec.from_rational(F(1, 3), 4))
+    image = tower.apply_array(pts[:, 0])
+    assert np.all((0.0 <= image) & (image < 1.0))
+
+
+@pytest.mark.parametrize("measure", [HaarMeasure(3), SampledPowerMeasure(3)])
+def test_float_samplers_keep_every_other_draw(measure):
+    units = rng_from_seed(12).integers(0, 2**64, size=3 * 4096, dtype=np.uint64)
+    expected = units.reshape(-1, measure.arity).astype(np.float64) / 2.0**64
+    if isinstance(measure, SampledPowerMeasure):
+        expected = expected ** 3
+    assert np.array_equal(measure.sample_floats(rng_from_seed(12), expected.shape[0]),
+                          expected)
 
 
 def test_orbit_determinism_same_spec():

@@ -208,6 +208,14 @@ def test_cli_spec_validate(tmp_path):
     assert "angle" in proc.stderr
 
 
+@pytest.mark.parametrize("doc", [5, [1], "rotation"])
+def test_cli_spec_validate_refuses_a_document_that_is_not_an_object(doc, tmp_path, capsys):
+    from ergolab.cli import main
+
+    assert main(["spec", "validate", _config_file(tmp_path, doc)]) == 3
+    assert "invalid:" in capsys.readouterr().err
+
+
 def test_cli_byte_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -307,3 +315,115 @@ def test_cli_refuses_towers_above_depth_14(knobs, tmp_path, capsys, monkeypatch)
     assert main(args) == 3
     assert "L_14" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _config_file(tmp_path, doc) -> str:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "spectral-probe",
+    7,
+    {"seed": 1, "knobs": [["N", 64]]},
+    {"seed": 1, "knobs": "N=64"},
+    {"seed": 1, "knobs": 64},
+])
+def test_cli_config_that_is_not_an_object_is_config_error(doc, tmp_path, capsys):
+    from ergolab.cli import main
+
+    args = ["run", "spectral-probe", "--seed", "1", "--config", _config_file(tmp_path, doc),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, knob, value", [
+    ("spectral-probe", "N", "64"),
+    ("spectral-probe", "N", 64.0),
+    ("spectral-probe", "N", True),
+    ("spectral-probe", "N", None),
+    ("example1", "statistical", 1),
+    ("example1", "statistical", "true"),
+    ("rank1-family", "threshold", True),
+    ("rank1-family", "threshold", "0.1"),
+    ("product-closure", "rotation_angle", 7),
+    ("spectral-probe", "candidates", {}),
+    ("spectral-probe", "system", []),
+    ("rank1-family", "parameters", "1/4"),
+])
+def test_cli_knob_of_the_wrong_type_is_config_error(experiment, knob, value, tmp_path, capsys):
+    from ergolab.cli import main
+
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {knob: value}})
+    args = ["run", experiment, "--config", config, "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"knobs.{knob}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_empty_sample_is_config_error(tmp_path, capsys):
+    from ergolab.cli import main
+
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {"samples": 0}})
+    assert main(["run", "product-closure", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "config error: samples" in capsys.readouterr().err
+
+
+RANK1_SMALL = {"depth": 6, "word_stage_max": 8, "prefix_length": 4,
+               "wm_stages": [2, 3], "N": 256}
+
+
+@pytest.mark.parametrize("experiment, knobs, typed", [
+    ("example1", {"statistical": False, "N": 64, "max_freq": 1,
+                  "invariance_degree": 1}, "statistical"),
+    ("spectral-probe", {"N": 64, "samples": 256}, "N"),
+    ("rank1-family", {**RANK1_SMALL, "threshold": 0.2}, "threshold"),
+    ("rank1-family", {**RANK1_SMALL, "threshold": 1}, "threshold"),
+    ("product-closure", {"rotation_angle": "1/7", "samples": 256, "degree": 1},
+     "rotation_angle"),
+    ("spectral-probe", {"N": 64, "candidates": ["1/5"]}, "candidates"),
+    ("spectral-probe", {"N": 64, "system": {"kind": "rotation",
+                                            "params": {"angle": "1/5"}}}, "system"),
+])
+def test_cli_accepts_an_override_of_each_knob_type(experiment, knobs, typed, tmp_path):
+    from ergolab.cli import main
+
+    config = _config_file(tmp_path, {"seed": 1, "knobs": knobs})
+    assert main(["run", experiment, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / f"report-{experiment}.json").read_text())
+    assert report["config"]["knobs"][typed] == knobs[typed]
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "bogus", "--seed", "1"],
+    ["run", "spectral-probe", "--seed", "1", "--format", "yaml"],
+    ["run", "spectral-probe", "--seed", "1", "--bogus"],
+    ["run"],
+    [],
+    ["spec"],
+    ["spec", "validate"],
+])
+def test_cli_usage_errors_exit_3(args, capsys):
+    from ergolab.cli import main
+
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == 3
+    err = capsys.readouterr().err
+    assert "usage:" in err and "config error:" in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["spec", "validate", "-h"]])
+def test_cli_help_exits_0(args, capsys):
+    from ergolab.cli import main
+
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.core import (
     Character,
@@ -13,12 +15,19 @@ from ergolab.core import (
     SpecValidationError,
     build_measure,
     build_system,
+    character_array,
+    derive_seed,
     frequency_box,
+    rng_from_seed,
 )
 from ergolab.exact import PhaseSum
+from ergolab.experiments import SQRT2_ANGLE_40
 from ergolab.joinings import (
+    MEANS_BLOCK_ROWS,
     JoiningConstructionError,
     JoiningSpec,
+    _character_means,
+    _product_characters,
     build_joining,
     custom_joining,
     invariance_check,
@@ -358,3 +367,168 @@ def test_example1_statistical_base_sampler():
     report = invariance_check(triple, [(1, 0, -1, 0), (0, 1, 0, -1)],
                               seed=3, samples=8192)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# character-mean kernel and marginal memo
+# ---------------------------------------------------------------------------
+
+@st.composite
+def points_and_family(draw):
+    arity = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 3))
+    n = draw(st.sampled_from([1, 2, 7, MEANS_BLOCK_ROWS - 1, MEANS_BLOCK_ROWS,
+                              MEANS_BLOCK_ROWS + 1, 2 * MEANS_BLOCK_ROWS + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # coordinates outside [0, 1) too: characters are periodic
+    points = rng.uniform(-2.0, 3.0, size=(n, arity))
+    key = st.tuples(*[st.integers(-degree, degree)] * arity)
+    family = draw(st.lists(key, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        family.append((0,) * arity)
+    return points, family
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_and_family())
+def test_character_means_match_per_character_means(case):
+    points, family = case
+    means = _character_means(points, family)
+    assert set(means) == set(family)
+    for k in family:
+        assert abs(means[k] - complex(character_array(k, points).mean())) <= 1e-12
+    if (0,) * points.shape[1] in family:
+        assert means[(0,) * points.shape[1]] == pytest.approx(1.0, abs=1e-15)
+
+
+def _box_means_by_recursion(points, degree):
+    """Reference: one running partial product per node of the box's enumeration tree."""
+    n, arity = points.shape
+    cols = []
+    for c in range(arity):
+        base = np.exp(2j * np.pi * points[:, c])
+        per = {0: np.ones(n, dtype=np.complex128)}
+        acc = np.ones(n, dtype=np.complex128)
+        for v in range(1, degree + 1):
+            acc = acc * base
+            per[v] = acc
+            per[-v] = np.conj(acc)
+        cols.append(per)
+    means = {}
+
+    def rec(c, partial, prefix):
+        if c == arity:
+            means[prefix] = complex(partial.mean())
+            return
+        for v in range(-degree, degree + 1):
+            rec(c + 1, partial * cols[c][v] if v else partial, prefix + (v,))
+
+    rec(0, np.ones(n, dtype=np.complex128), ())
+    return means
+
+
+@pytest.mark.parametrize("arity, degree", [(1, 3), (2, 2), (4, 1), (5, 2)])
+def test_box_means_equal_the_recursion_and_sub_families(arity, degree):
+    points = np.random.default_rng(arity).random((2 * MEANS_BLOCK_ROWS + 5, arity))
+    box = frequency_box(arity, degree)
+    means = _character_means(points, box)
+    reference = _box_means_by_recursion(points, degree)
+    assert set(means) == set(reference)
+    assert max(abs(means[k] - reference[k]) for k in box) <= 1e-12
+    nonzero = frequency_box(arity, degree, skip_zero=True)
+    sparse = box[::3]
+    for family in (nonzero, sparse):
+        sub = _character_means(points, family)
+        assert max(abs(sub[k] - means[k]) for k in family) <= 1e-12
+
+
+def _closure_joinings():
+    twist_doc = {"kind": "twist", "params": {}}
+    pair = build_system({"kind": "product", "params": {"factors": [twist_doc, twist_doc]}})
+    rotation = build_system({"kind": "rotation", "params": {"angle": SQRT2_ANGLE_40},
+                             "precision": 40})
+    return [product_joining([pair, rotation]),
+            rel_indep_joining([pair, rotation], [[0, 2], []], {"kind": "product"})]
+
+
+def test_memoized_product_integral_equals_uncached_product():
+    # the last joining's components share an arity but not their integrals
+    joinings = _closure_joinings() + [product_joining(
+        [IdentitySystem(build_measure(MIX_HALVES)), build_system(ROT_THIRD)])]
+    for joining in joinings:
+        boxes = [frequency_box(len(c.space), 2) for c in joining.components]
+        characters = _product_characters(boxes)
+        for k in characters:
+            uncached = PhaseSum.one()
+            for i, ki in enumerate(joining.split_frequencies(k)):
+                uncached = uncached * joining.marginal_integrate(i, ki)
+            assert joining.product_integral(k).terms == uncached.terms, k
+
+
+def test_product_integral_computes_each_marginal_once():
+    joining = _closure_joinings()[0]
+    calls = []
+    uncounted = joining.marginal_integrate
+
+    def counted(i, k):
+        calls.append((i, tuple(k)))
+        return uncounted(i, k)
+
+    joining.marginal_integrate = counted
+    characters = _product_characters([frequency_box(len(c.space), 2)
+                                      for c in joining.components])
+    first = [joining.product_integral(k).terms for k in characters]
+    assert len(calls) == len(set(calls)) == 5**4 + 5
+    second = [joining.product_integral(k).terms for k in characters]
+    assert second == first
+    assert len(calls) == 5**4 + 5
+
+
+def _sampled_product_value_per_character(joining, k, seed, samples):
+    """Reference: draw every marginal sample again for each character."""
+    total = 1.0 + 0j
+    for i, ki in enumerate(joining.split_frequencies(k)):
+        rng = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
+        pts = joining.components[i].measure.sample_floats(rng, samples)
+        total *= complex(character_array(ki, pts).mean())
+    return total
+
+
+def test_sampled_marginals_drawn_once_and_match_per_character_draws():
+    triple = build_joining({
+        "kind": "example1-triple",
+        "params": {"base_measure": {"kind": "power-law-sampled", "exponent": 2},
+                   "angle": "1/5"},
+    })
+    draws = []
+    for i, comp in enumerate(triple.components):
+        def counted(rng, n, i=i, sample=comp.measure.sample_floats):
+            draws.append(i)
+            return sample(rng, n)
+        comp.measure.sample_floats = counted
+    seed, samples = 41, MEANS_BLOCK_ROWS + 11
+    outcome = product_consistency_test(triple, degree=1, mode="sampled",
+                                       samples=samples, seed=seed)
+    assert sorted(draws) == [0, 1]
+    sampled_rows = 0
+    for row in outcome.rows:
+        exact = triple.product_integral(row.character)
+        if exact is not None:
+            assert row.product == exact.value()
+            continue
+        sampled_rows += 1
+        reference = _sampled_product_value_per_character(triple, row.character,
+                                                         seed, samples)
+        assert abs(row.product - reference) <= 1e-12
+    assert sampled_rows > 0
+
+
+def test_sampled_checks_refuse_an_empty_sample():
+    with pytest.raises(SpecValidationError, match="samples"):
+        product_consistency_test(diag_third(), degree=1, mode="sampled", samples=0, seed=1)
+    triple = build_joining({
+        "kind": "example1-triple",
+        "params": {"base_measure": {"kind": "power-law-sampled", "exponent": 2}},
+    })
+    with pytest.raises(SpecValidationError, match="samples"):
+        invariance_check(triple, [(1, 0, -1, 0)], seed=1, samples=0)
