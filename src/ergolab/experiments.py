@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -163,7 +165,8 @@ class ExperimentConfig:
     knobs: dict
 
     @classmethod
-    def resolve(cls, experiment: str, seed: int, overrides: dict | None = None
+    def resolve(cls, experiment: str, seed: int,
+                overrides: Mapping[str, object] = MappingProxyType({})
                 ) -> "ExperimentConfig":
         if experiment not in EXPERIMENTS:
             raise SpecValidationError(
@@ -172,9 +175,7 @@ class ExperimentConfig:
         if not isinstance(seed, int) or seed < 0:
             raise SpecValidationError("seed", "seed is mandatory and must be a nonnegative int")
         knobs = json.loads(json.dumps(DEFAULT_KNOBS[experiment]))  # deep copy
-        if overrides is None:
-            overrides = {}
-        if not isinstance(overrides, dict):
+        if not isinstance(overrides, Mapping):
             raise SpecValidationError("knobs", "knobs must be an object")
         for key, value in overrides.items():
             if key not in knobs:

@@ -14,11 +14,11 @@ is explicitly one-sided: disjointness quantifies over all joinings, which no
 finite procedure certifies.
 
 Sampled checks read every empirical character mean from one kernel,
-``_character_means``.  It splits the coordinates into two halves, tabulates the
-characters of each half that occur in the family, and gets all means at once
-as one complex matrix product Aᵀ·B / n, accumulated over blocks of
-``MEANS_BLOCK_ROWS`` samples so that memory does not grow with samples times
-characters.  Exact marginal integrals are computed once per joining and
+``_character_means``.  It splits the coordinates into two halves, tabulates
+each half's characters as broadcast outer products of per-coordinate power
+columns, and gets all means at once as one complex matrix product Aᵀ·B / n,
+accumulated over blocks of ``MEANS_BLOCK_ROWS`` samples so that memory does not
+grow with samples times characters.  Exact marginal integrals are computed once per joining and
 component frequency and kept on the ``Joining``.
 """
 
@@ -941,70 +941,60 @@ def _character_means(points: np.ndarray, family: Sequence[FreqVector]
     ``family``.
 
     The coordinates are split into a left and a right half, so that
-    e(<k, x>) = A[x, k_left] * B[x, k_right], where A and B tabulate the
-    characters of each half whose keys occur in the family.  Every mean is
-    then an entry of one complex matrix product Aᵀ·B / n.  A half's table is
-    built coordinate by coordinate as a broadcast outer product with that
-    coordinate's power columns (see ``_power_columns``); where not every
-    combination occurs in the family, only the occurring prefixes are formed.
-    The samples are processed in blocks of ``MEANS_BLOCK_ROWS`` rows and the
-    blocks' Aᵀ·B are added up, so memory is bounded by the block size times a
-    small multiple of the number of half-keys, whatever the number of samples.
+    e(<k, x>) = A[x, k_left] * B[x, k_right].  Each half's table is the
+    broadcast outer product, coordinate by coordinate, of the power columns of
+    the values that occur there (see ``_power_columns``), so every mean is an
+    entry of one complex matrix product Aᵀ·B / n, read at the mixed-radix
+    indices of the key's two halves.  The samples are processed in blocks of
+    ``MEANS_BLOCK_ROWS`` rows and the blocks' Aᵀ·B are added up, so memory is
+    bounded by the block size times a small multiple of the table widths,
+    whatever the number of samples.
     """
     family = [tuple(k) for k in family]
     if not family:
         return {}
     n, arity = points.shape
     half = arity // 2
-    left_steps, left_column = _half_plan([k[:half] for k in family])
-    right_steps, right_column = _half_plan([k[half:] for k in family])
-    acc = np.zeros((len(left_column), len(right_column)), dtype=np.complex128)
+    left_values, left_column = _half_plan([k[:half] for k in family])
+    right_values, right_column = _half_plan([k[half:] for k in family])
+    acc = np.zeros((math.prod(map(len, left_values)), math.prod(map(len, right_values))),
+                   dtype=np.complex128)
     for lo in range(0, n, MEANS_BLOCK_ROWS):
         block = points[lo:lo + MEANS_BLOCK_ROWS]
         # one expression, so the previous block's tables are freed before these are built
-        acc += (_half_table(block[:, :half], left_steps).T
-                @ _half_table(block[:, half:], right_steps))
+        acc += (_half_table(block[:, :half], left_values).T
+                @ _half_table(block[:, half:], right_values))
     acc /= n
     return {k: complex(acc[left_column[k[:half]], right_column[k[half:]]])
             for k in family}
 
 
-def _half_plan(keys: Sequence[FreqVector]) -> tuple[list, dict[FreqVector, int]]:
-    """How to tabulate the distinct ``keys`` of one half, coordinate by
-    coordinate, and the column of each key in the finished table.
-
-    Each step holds the values that occur at its coordinate and, unless every
-    (prefix, value) combination occurs, the parent column and the value column
-    of each prefix that does."""
-    keys = sorted(set(keys))
-    steps = []
-    prefixes: list[tuple[int, ...]] = [()]
-    for c in range(len(keys[0])):
-        values = sorted({key[c] for key in keys})
-        occurring = sorted({key[:c + 1] for key in keys})
-        pairs = None
-        if len(occurring) < len(prefixes) * len(values):
-            parent = {p: j for j, p in enumerate(prefixes)}
-            value = {v: j for j, v in enumerate(values)}
-            pairs = (np.array([parent[p[:-1]] for p in occurring], dtype=np.intp),
-                     np.array([value[p[-1]] for p in occurring], dtype=np.intp))
-        prefixes = occurring
-        steps.append((values, pairs))
-    return steps, {key: j for j, key in enumerate(prefixes)}
+def _half_plan(keys: Sequence[FreqVector]
+               ) -> tuple[list[list[int]], dict[FreqVector, int]]:
+    """The sorted values that occur at each coordinate of one half's ``keys``,
+    and each key's column in the outer-product table of those values: its
+    mixed-radix index, the last coordinate varying fastest."""
+    keys = set(keys)
+    width = len(next(iter(keys)))
+    values = [sorted({key[c] for key in keys}) for c in range(width)]
+    index = [{v: j for j, v in enumerate(vs)} for vs in values]
+    column = {}
+    for key in keys:
+        j = 0
+        for c in range(width):
+            j = j * len(values[c]) + index[c][key[c]]
+        column[key] = j
+    return values, column
 
 
-def _half_table(coords: np.ndarray, steps: list) -> np.ndarray:
-    """(rows, keys) table of e(<key, x>) following a plan from ``_half_plan``:
-    a broadcast outer product with the coordinate's power columns where every
-    combination occurs, else one product per occurring prefix."""
+def _half_table(coords: np.ndarray, values: list[list[int]]) -> np.ndarray:
+    """(rows, columns) table of e(<key, x>) for every combination of the
+    per-coordinate ``values``, as broadcast outer products of power columns."""
     rows = coords.shape[0]
     table = np.ones((rows, 1), dtype=np.complex128)
-    for c, (values, pairs) in enumerate(steps):
-        powers = _power_columns(coords[:, c], values)
-        if pairs is None:
-            table = (table[:, :, None] * powers[:, None, :]).reshape(rows, -1)
-        else:
-            table = table[:, pairs[0]] * powers[:, pairs[1]]
+    for c, vs in enumerate(values):
+        powers = _power_columns(coords[:, c], vs)
+        table = (table[:, :, None] * powers[:, None, :]).reshape(rows, -1)
     return table
 
 

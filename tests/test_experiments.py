@@ -46,6 +46,14 @@ def test_unknown_knob_rejected():
         ExperimentConfig.resolve("example1", 1, {"bogus": 2})
 
 
+@pytest.mark.parametrize("overrides", [None, [["N", 512]], "N=512"])
+def test_overrides_that_are_not_a_mapping_rejected(overrides):
+    with pytest.raises(SpecValidationError):
+        ExperimentConfig.resolve("example1", 1, overrides)
+    with pytest.raises(SpecValidationError):
+        ExperimentConfig.from_json({"experiment": "example1", "seed": 1, "knobs": overrides})
+
+
 def test_seed_is_mandatory():
     with pytest.raises(SpecValidationError):
         ExperimentConfig.from_json({"experiment": "example1"})
@@ -330,6 +338,7 @@ def _config_file(tmp_path, doc) -> str:
     {"seed": 1, "knobs": [["N", 64]]},
     {"seed": 1, "knobs": "N=64"},
     {"seed": 1, "knobs": 64},
+    {"seed": 1, "knobs": None},
 ])
 def test_cli_config_that_is_not_an_object_is_config_error(doc, tmp_path, capsys):
     from ergolab.cli import main
