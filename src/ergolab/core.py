@@ -107,6 +107,9 @@ def validate_point(space: Space, point: Sequence[Fraction], *, field: str = "poi
 
 
 def validate_frequencies(space: Space, k: Sequence[int], *, field: str = "k") -> FreqVector:
+    # a tuple of plain ints (not bools) of the right arity is returned as is
+    if type(k) is tuple and len(k) == len(space) and set(map(type, k)) <= {int}:
+        return k
     if len(k) != len(space):
         raise SpecValidationError(
             field, f"frequency vector has arity {len(k)}, space has arity {len(space)}"
@@ -123,9 +126,13 @@ def character_at(k: FreqVector, point: Point) -> PhaseSum:
 
 
 def character_array(k: FreqVector, points: np.ndarray) -> np.ndarray:
-    """Values of the character on an (n, arity) float array."""
+    """Values of the character on an (n, arity) float array.
+
+    The matrix-vector product is taken on a row-major copy, so the values do
+    not depend on the layout of ``points``: BLAS sums a column-major operand
+    in another order, which moves the last bits."""
     kv = np.asarray(k, dtype=np.float64)
-    return np.exp(2j * np.pi * (points @ kv))
+    return np.exp(2j * np.pi * (np.ascontiguousarray(points) @ kv))
 
 
 def frequency_box(arity: int, max_abs: int, *, skip_zero: bool = False) -> list[FreqVector]:
@@ -162,11 +169,22 @@ def _draw_units(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, TWO64, size=n, dtype=np.uint64)
 
 
+def wrap_unit(x: np.ndarray) -> np.ndarray:
+    """x mod 1 on a float array: ``x - floor(x)``, bit for bit ``x % 1.0``.
+
+    For finite x both round the same exact value x - floor(x) once, and both
+    give +0.0 at integers (and at -0.0); numpy's float ``%`` costs several
+    times more.  The difference is written over the floor, so no third array
+    is allocated."""
+    floor = np.floor(x)
+    return np.subtract(x, floor, out=floor)
+
+
 def _units_to_floats(units: np.ndarray) -> np.ndarray:
     """u / 2^64 in [0, 1).  The float64 quotient rounds to 1.0 for
     u >= 2^64 - 2^10; on the circle that point is 0.0.  Every other value is
     returned bit for bit unchanged."""
-    return (units.astype(np.float64) / float(TWO64)) % 1.0
+    return wrap_unit(units.astype(np.float64) / float(TWO64))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +633,7 @@ class AffineCocycle(Cocycle):
         return (self.slope * point[self.coord] + self.intercept) % 1
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        return (float(self.slope) * points[:, self.coord] + float(self.intercept)) % 1.0
+        return wrap_unit(float(self.slope) * points[:, self.coord] + float(self.intercept))
 
     def frequency_shift(self, kg: int):
         shift = self.slope * kg
@@ -738,7 +756,7 @@ class RotationSystem(System):
         return ((x + self.angle) % 1,)
 
     def apply_array(self, points):
-        return (points + float(self.angle)) % 1.0
+        return wrap_unit(points + float(self.angle))
 
     def char_pullback(self, k):
         k = validate_frequencies(self.space, k)
@@ -787,10 +805,10 @@ class SkewProductSystem(System):
 
     def apply_array(self, points):
         b = self.base_arity
-        new_base = self.base.apply_array(points[:, :b])
-        shift = self.cocycle.evaluate_array(points[:, :b])
-        new_g = (points[:, b] + shift) % 1.0
-        return np.concatenate([new_base, new_g[:, None]], axis=1)
+        out = np.empty_like(points, dtype=np.float64)
+        out[:, :b] = self.base.apply_array(points[:, :b])
+        out[:, b] = wrap_unit(points[:, b] + self.cocycle.evaluate_array(points[:, :b]))
+        return out
 
     def char_pullback(self, k):
         k = validate_frequencies(self.space, k)
@@ -818,7 +836,7 @@ class SkewProductSystem(System):
                 return (-cocycle(base_inv.apply(point))) % 1
 
             def evaluate_array(self, points):
-                return (-cocycle.evaluate_array(base_inv.apply_array(points))) % 1.0
+                return wrap_unit(-cocycle.evaluate_array(base_inv.apply_array(points)))
 
             def frequency_shift(self, kg):
                 # only valid when the base is the identity
@@ -861,10 +879,10 @@ class ProductSystem(System):
         return out
 
     def apply_array(self, points):
-        return np.concatenate(
-            [f.apply_array(points[:, sl]) for f, sl in zip(self.factors, self._slices)],
-            axis=1,
-        )
+        out = np.empty_like(points, dtype=np.float64)
+        for f, sl in zip(self.factors, self._slices):
+            out[:, sl] = f.apply_array(points[:, sl])
+        return out
 
     def char_pullback(self, k):
         k = validate_frequencies(self.space, k)

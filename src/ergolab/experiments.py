@@ -133,6 +133,9 @@ DEFAULT_KNOBS: dict[str, dict] = {
 }
 
 
+#: knobs whose smaller values leave a check vacuous or its input empty
+_KNOB_MINIMUMS = {"max_freq": 1, "toeplitz_size": 1}
+
 _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                     str: "a string", list: "an array", dict: "an object"}
 
@@ -181,6 +184,10 @@ class ExperimentConfig:
             if key not in knobs:
                 raise SpecValidationError(f"knobs.{key}", "unknown knob for this experiment")
             _check_knob_type(key, knobs[key], value)
+            if key in _KNOB_MINIMUMS and value < _KNOB_MINIMUMS[key]:
+                raise SpecValidationError(
+                    f"knobs.{key}", f"must be >= {_KNOB_MINIMUMS[key]}, got {value}"
+                )
             knobs[key] = value
         return cls(experiment=experiment, seed=seed, knobs=knobs)
 

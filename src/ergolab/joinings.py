@@ -59,6 +59,7 @@ from ergolab.core import (
     frequency_box,
     rng_from_seed,
     validate_frequencies,
+    wrap_unit,
 )
 from ergolab.exact import PhaseSum, parse_scalar
 
@@ -167,10 +168,10 @@ class JoinedSystem(System):
         return out
 
     def apply_array(self, points):
-        return np.concatenate(
-            [c.apply_array(points[:, sl]) for c, sl in zip(self.components, self._slices)],
-            axis=1,
-        )
+        out = np.empty_like(points, dtype=np.float64)
+        for c, sl in zip(self.components, self._slices):
+            out[:, sl] = c.apply_array(points[:, sl])
+        return out
 
     def char_pullback(self, k):
         k = validate_frequencies(self.space, k)
@@ -659,7 +660,7 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fracti
                 return (inner(point) + angle) % 1
 
             def evaluate_array(self, points):
-                return (inner.evaluate_array(points) + float(angle)) % 1.0
+                return wrap_unit(inner.evaluate_array(points) + float(angle))
 
             def frequency_shift(self, kg):
                 step = inner.frequency_shift(kg)

@@ -384,6 +384,38 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     assert "config error: samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, knob, value", [
+    ("spectral-probe", "toeplitz_size", 0),
+    ("spectral-probe", "toeplitz_size", -5),
+    ("identity-disjoint", "max_freq", -1),
+    ("identity-disjoint", "max_freq", 0),
+    ("example1", "max_freq", -1),
+    ("example1", "max_freq", 0),
+])
+def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp_path,
+                                                     capsys, monkeypatch):
+    from ergolab import experiments
+    from ergolab.cli import main
+
+    def runner_reached(config):
+        raise AssertionError("the experiment started before the knob was refused")
+
+    monkeypatch.setitem(experiments._RUNNERS, experiment, runner_reached)
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {knob: value}})
+    args = ["run", experiment, "--config", config, "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert f"config error: knobs.{knob}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_accepts_the_smallest_toeplitz_size(tmp_path):
+    from ergolab.cli import main
+
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {"N": 64, "toeplitz_size": 1}})
+    assert main(["run", "spectral-probe", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 RANK1_SMALL = {"depth": 6, "word_stage_max": 8, "prefix_length": 4,
                "wm_stages": [2, 3], "N": 256}
 

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.core import (
     Character,
@@ -30,7 +32,11 @@ from ergolab.rank1 import (
     stage_level_positions,
     word_lengths,
 )
+from ergolab.exact import parse_scalar, scalar_str
 from ergolab.spectral import (
+    CorrelationSeq,
+    _atom_grid,
+    _rotated_average,
     correlation_sequence,
     detect_eigenvalue,
     fiber_eigenvalue_scan,
@@ -275,6 +281,121 @@ def test_atom_masses_bounded_by_total():
     assert -1e-9 <= report.total_atomic_mass <= abs(seq.value(0)) ** 2 + 1e-9
     for atom in report.atoms:
         assert atom["squared_weight"] <= report.total_atomic_mass + 1e-9
+
+
+def reference_atoms(seq, candidates=(), grid_max_denominator=64, atom_floor=0.05):
+    """The atom scan before screening: ``_rotated_average`` at every grid angle."""
+    grid = sorted({F(p, q) for q in range(1, grid_max_denominator + 1) for p in range(q)})
+    atoms, seen = [], set()
+    for angle in [parse_scalar(c, field="candidates") for c in candidates] + grid:
+        angle %= 1
+        if angle in seen:
+            continue
+        seen.add(angle)
+        weight = _rotated_average(seq, angle, seq.N, sign=-1)
+        if weight >= atom_floor:
+            atoms.append({"angle": scalar_str(angle), "weight": weight,
+                          "squared_weight": weight ** 2})
+    atoms.sort(key=lambda a: -a["weight"])
+    return atoms
+
+
+def float_sequence(values) -> CorrelationSeq:
+    values = np.asarray(values, dtype=np.complex128)
+    return CorrelationSeq(N=len(values) - 1, observable=Character((1,)), exact=False,
+                          _values=values)
+
+
+def planted(N, atoms, noise=0.0, seed=0):
+    """values(n) = sum of weight * e(n * angle) over the atoms, plus noise."""
+    n = np.arange(N + 1)
+    values = sum(w * np.exp(2j * np.pi * float(a) * n) for a, w in atoms)
+    rng = np.random.default_rng(seed)
+    return values + noise * (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
+
+
+def test_atom_grid_is_the_sorted_farey_set():
+    for n in range(-1, 65):
+        expected = sorted({F(p, q) for q in range(1, n + 1) for p in range(q)})
+        assert _atom_grid(n) == expected
+
+
+@pytest.mark.parametrize("system, freqs, N, candidates", [
+    ("rotation-1/5", (1,), 1024, []),
+    ("rotation-1/5", (1,), 256, ["4/5", "1/7", "0.8", "1/3"]),
+    ("twist", (0, 1), 4096, []),
+    ("twist", (0, 1), 256, ["0", "1/2"]),
+])
+def test_wiener_atoms_equal_the_unscreened_scan(system, freqs, N, candidates):
+    sys_ = rotation("1/5") if system == "rotation-1/5" else twist()
+    seq = correlation_sequence(sys_, Character(freqs), N)
+    report = wiener_atomic_mass(seq, candidates=candidates)
+    assert report.atoms == reference_atoms(seq, candidates)
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
+@pytest.mark.parametrize("angle", [F(3, 7), F(0), F(17, 64), F(1, 3), F(2, 3)])
+@pytest.mark.parametrize("N", [512, 4096])
+def test_wiener_atoms_planted_at_the_floor(offset, angle, N):
+    # values(n) = w * e(n * a) has its atom at angle a; the floor is set within
+    # 1e-12 of the weight the direct formula gives at the planted angle
+    seq = float_sequence(planted(N, [(angle, 0.3), (F(1, 3), 0.5)], noise=0.01))
+    weight = _rotated_average(seq, angle, seq.N, sign=-1)
+    floor = weight + offset
+    report = wiener_atomic_mass(seq, atom_floor=floor)
+    assert report.atoms == reference_atoms(seq, atom_floor=floor)
+    found = scalar_str(angle) in {a["angle"] for a in report.atoms}
+    assert found == (offset <= 0)
+
+
+def test_wiener_atoms_with_a_nan_entry():
+    values = planted(128, [(F(1, 4), 0.9)])
+    values[5] = complex("nan+nanj")
+    seq = float_sequence(values)
+    report = wiener_atomic_mass(seq, candidates=["1/3"])
+    assert report.atoms == reference_atoms(seq, ["1/3"]) == []
+
+
+def test_wiener_screen_evaluates_few_grid_angles(monkeypatch):
+    import ergolab.spectral as spectral
+
+    calls = []
+    direct = spectral._rotated_average
+
+    def counted(seq, angle, N, sign):
+        calls.append(angle)
+        return direct(seq, angle, N, sign)
+
+    monkeypatch.setattr(spectral, "_rotated_average", counted)
+    seq = correlation_sequence(rotation("1/5"), Character((1,)), 1024)
+    report = wiener_atomic_mass(seq, candidates=["1/7"])
+    assert report.atoms[0]["angle"] == "4/5"
+    # the candidate, then only the grid angles that reach the floor (the atom
+    # and its Fejer side lobes), not all 1,260
+    assert calls[0] == F(1, 7)
+    assert sorted(calls[1:]) == sorted(parse_scalar(a["angle"]) for a in report.atoms)
+    assert len(calls) < 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(16, 300),
+    atoms=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40),
+                             st.floats(-1.0, 1.0, allow_nan=False)), max_size=4),
+    noise=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    floor=st.floats(0.0, 0.6, allow_nan=False),
+    grid=st.integers(0, 64),
+    candidates=st.lists(st.fractions(0, 3, max_denominator=200).map(str), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wiener_atoms_equal_the_unscreened_scan_on_drawn_sequences(
+        N, atoms, noise, scale, floor, grid, candidates, seed):
+    values = scale * planted(N, [(F(p, q), w) for p, q, w in atoms], noise, seed)
+    seq = float_sequence(values)
+    report = wiener_atomic_mass(seq, candidates=candidates, grid_max_denominator=grid,
+                                atom_floor=floor * scale)
+    assert report.atoms == reference_atoms(seq, candidates, grid, floor * scale)
 
 
 # ---------------------------------------------------------------------------
