@@ -14,6 +14,7 @@ against them are `PhaseSum`s; sampling is seeded and deterministic.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +86,13 @@ CIRCLE = Coord("circle")
 INTERVAL = Coord("interval")
 
 Space = tuple[Coord, ...]
+
+
+def factor_slices(parts: Sequence) -> list[slice]:
+    """The coordinate slice of each part (a measure or a system) in the
+    concatenation of their spaces."""
+    bounds = itertools.accumulate((len(p.space) for p in parts), initial=0)
+    return [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
 
 
 def validate_point(space: Space, point: Sequence[Fraction], *, field: str = "point") -> Point:
@@ -167,6 +175,26 @@ def derive_seed(master: int, label: str) -> int:
 
 def _draw_units(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, TWO64, size=n, dtype=np.uint64)
+
+
+def _weight_thresholds(weights: Sequence[Fraction], field: str) -> np.ndarray:
+    """Integer thresholds on the raw 64-bit draw for choosing index i with
+    probability weights[i]: the cumulative weights times 2^64 up to the last
+    positive weight, which is left out (so no threshold reaches 2^64).
+    Refuses weights that do not sum to 1 or are negative."""
+    total = sum(weights, Fraction(0))
+    if total != 1:
+        raise SpecValidationError(field, f"weights sum to {total}, expected 1")
+    if any(w < 0 for w in weights):
+        raise SpecValidationError(field, "weights must be nonnegative")
+    last = max(i for i, w in enumerate(weights) if w)
+    cumulative = itertools.accumulate(map(Fraction, weights[:last]))
+    return np.asarray([int(c * TWO64) for c in cumulative], dtype=np.uint64)
+
+
+def _choose(thresholds: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n indices drawn with the weights ``thresholds`` was built from."""
+    return np.searchsorted(thresholds, _draw_units(rng, n), side="right")
 
 
 def wrap_unit(x: np.ndarray) -> np.ndarray:
@@ -338,22 +366,11 @@ class DiracMixture(MeasureHandle):
         self.description = description
         if not atoms:
             raise SpecValidationError("atoms", "atom list must be nonempty")
-        total = sum((w for w, _ in atoms), Fraction(0))
-        if total != 1:
-            raise SpecValidationError("atoms", f"weights sum to {total}, expected 1")
-        if any(w < 0 for w, _ in atoms):
-            raise SpecValidationError("atoms", "weights must be nonnegative")
+        self._thresholds = _weight_thresholds([w for w, _ in atoms], "atoms")
         self.atoms = [
             (Fraction(w), validate_point(space, p, field=f"atoms[{i}].point"))
             for i, (w, p) in enumerate(atoms)
         ]
-        # integer thresholds on the raw 64-bit draw; shared by both sample paths
-        cum = Fraction(0)
-        thresholds = []
-        for w, _ in self.atoms[:-1]:
-            cum += w
-            thresholds.append(int(cum * TWO64))
-        self._thresholds = np.asarray(thresholds, dtype=np.uint64)
 
     def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
         k = validate_frequencies(self.space, k)
@@ -362,18 +379,15 @@ class DiracMixture(MeasureHandle):
             total = total + character_at(k, p) * w
         return total
 
-    def _choose(self, units: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._thresholds, units, side="right")
-
     def enumerate_atoms(self):
         return list(self.atoms)
 
     def sample_rationals(self, rng, n):
-        idx = self._choose(_draw_units(rng, n))
+        idx = _choose(self._thresholds, rng, n)
         return [self.atoms[i][1] for i in idx]
 
     def sample_floats(self, rng, n):
-        idx = self._choose(_draw_units(rng, n))
+        idx = _choose(self._thresholds, rng, n)
         table = np.asarray(
             [[float(c) for c in p] for _, p in self.atoms], dtype=np.float64
         )
@@ -431,11 +445,7 @@ class ProductMeasure(MeasureHandle):
         self.factors = list(factors)
         self.space = tuple(c for f in self.factors for c in f.space)
         self.description = description or " (x) ".join(f.description for f in self.factors)
-        self._slices = []
-        lo = 0
-        for f in self.factors:
-            self._slices.append(slice(lo, lo + f.arity))
-            lo += f.arity
+        self._slices = factor_slices(self.factors)
 
     def _fully_exact(self) -> bool:
         return all(f.exact for f in self.factors)
@@ -473,9 +483,8 @@ class ProductMeasure(MeasureHandle):
             raise UnsupportedOperationError("factor coordinates must be increasing")
         bases: list[MeasureHandle] = []
         fibers: list[MeasureHandle] = []
-        lo = 0
-        for f in self.factors:
-            local = tuple(c - lo for c in coords if lo <= c < lo + f.arity)
+        for f, sl in zip(self.factors, self._slices):
+            local = tuple(c - sl.start for c in coords if sl.start <= c < sl.stop)
             if local == tuple(range(f.arity)):
                 bases.append(f)
             elif not local:
@@ -489,7 +498,6 @@ class ProductMeasure(MeasureHandle):
                     )
                 bases.append(sub.base)
                 fibers.append(sub.fiber.measure)
-            lo += f.arity
         def assemble(parts: list[MeasureHandle]) -> MeasureHandle:
             parts = [p for p in parts if p.arity]
             if not parts:
@@ -505,9 +513,7 @@ class MixtureMeasure(MeasureHandle):
                  description: str | None = None):
         if not components:
             raise SpecValidationError("components", "mixture requires components")
-        total = sum((w for w, _ in components), Fraction(0))
-        if total != 1:
-            raise SpecValidationError("components", f"weights sum to {total}, expected 1")
+        self._thresholds = _weight_thresholds([w for w, _ in components], "components")
         space = components[0][1].space
         for i, (_, m) in enumerate(components):
             if m.space != space:
@@ -519,12 +525,6 @@ class MixtureMeasure(MeasureHandle):
         self.description = description or " + ".join(
             f"{w}*{m.description}" for w, m in self.components
         )
-        cum = Fraction(0)
-        thresholds = []
-        for w, _ in self.components[:-1]:
-            cum += w
-            thresholds.append(int(cum * TWO64))
-        self._thresholds = np.asarray(thresholds, dtype=np.uint64)
 
     def _fully_exact(self) -> bool:
         return all(m.exact for _, m in self.components)
@@ -540,11 +540,11 @@ class MixtureMeasure(MeasureHandle):
         return total
 
     def sample_rationals(self, rng, n):
-        idx = np.searchsorted(self._thresholds, _draw_units(rng, n), side="right")
+        idx = _choose(self._thresholds, rng, n)
         return [self.components[i][1].sample_rationals(rng, 1)[0] for i in idx]
 
     def sample_floats(self, rng, n):
-        idx = np.searchsorted(self._thresholds, _draw_units(rng, n), side="right")
+        idx = _choose(self._thresholds, rng, n)
         out = np.empty((n, self.arity), dtype=np.float64)
         for j, (_, m) in enumerate(self.components):
             rows = np.nonzero(idx == j)[0]
@@ -707,19 +707,6 @@ class System:
             f"{type(self).__name__} does not expose an inverse map"
         )
 
-    def pullback_power(self, k: FreqVector, n: int) -> Optional[tuple[FreqVector, Fraction]]:
-        """char_k composed with the n-th forward iterate, as (k', phase)."""
-        if n < 0:
-            raise SpecValidationError("n", "power must be >= 0 here; use inverse()")
-        current, phase = tuple(k), Fraction(0)
-        for _ in range(n):
-            step = self.char_pullback(current)
-            if step is None:
-                return None
-            current, extra = step
-            phase = (phase + extra) % 1
-        return current, phase
-
 
 class IdentitySystem(System):
     def __init__(self, measure: MeasureHandle, spec=None):
@@ -858,18 +845,24 @@ class SkewProductSystem(System):
 
 
 class ProductSystem(System):
-    def __init__(self, factors: Sequence[System], spec=None):
+    """The product map of the factors.  Its measure is the product of theirs
+    unless a joint ``measure`` is given: an invariant measure of the map with
+    those marginals, i.e. a joining."""
+
+    def __init__(self, factors: Sequence[System], spec=None,
+                 measure: MeasureHandle | None = None):
         if not factors:
             raise SpecValidationError("factors", "product requires at least one factor")
         self.factors = list(factors)
         self.space = tuple(c for f in self.factors for c in f.space)
-        self.measure = ProductMeasure([f.measure for f in self.factors])
+        self.measure = measure if measure is not None else \
+            ProductMeasure([f.measure for f in self.factors])
+        if self.measure.space != self.space:
+            raise SpecValidationError(
+                "measure", "the joint measure does not live on the concatenated factor spaces"
+            )
         self.spec = spec
-        self._slices = []
-        lo = 0
-        for f in self.factors:
-            self._slices.append(slice(lo, lo + len(f.space)))
-            lo += len(f.space)
+        self._slices = factor_slices(self.factors)
 
     def apply(self, point):
         point = validate_point(self.space, point)
@@ -898,7 +891,8 @@ class ProductSystem(System):
         return out, phase
 
     def inverse(self):
-        return ProductSystem([f.inverse() for f in self.factors])
+        # a measure preserved by the product map is preserved by its inverse
+        return ProductSystem([f.inverse() for f in self.factors], measure=self.measure)
 
 
 # ---------------------------------------------------------------------------

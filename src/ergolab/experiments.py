@@ -43,7 +43,6 @@ from ergolab.exact import PhaseSum, parse_scalar, scalar_str
 from ergolab.joinings import (
     Joining,
     build_joining,
-    custom_joining,
     invariance_check,
     product_consistency_test,
     product_joining,
@@ -134,7 +133,7 @@ DEFAULT_KNOBS: dict[str, dict] = {
 
 
 #: knobs whose smaller values leave a check vacuous or its input empty
-_KNOB_MINIMUMS = {"max_freq": 1, "toeplitz_size": 1}
+_KNOB_MINIMUMS = {"N": 1, "max_freq": 1, "toeplitz_size": 1}
 
 _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                     str: "a string", list: "an array", dict: "an object"}
@@ -419,20 +418,9 @@ def _run_identity_disjoint(config: ExperimentConfig) -> list[Check]:
         details={"degree": knobs["consistency_degree"]},
     ))
 
-    # sampled joining through its sampler, 4-sigma protocol
-    sampled = custom_joining(
-        [identity, rotation],
-        sample_rationals_fn=lambda rng, n: [
-            p + q for p, q in zip(identity.measure.sample_rationals(rng, n),
-                                  rotation.measure.sample_rationals(rng, n))
-        ],
-        sample_floats_fn=lambda rng, n: np.concatenate(
-            [identity.measure.sample_floats(rng, n),
-             rotation.measure.sample_floats(rng, n)], axis=1),
-        description="independently sampled joining",
-    )
+    # the product joining through its sampler, 4-sigma protocol
     outcome = product_consistency_test(
-        sampled, degree=knobs["consistency_degree"], mode="sampled",
+        product, degree=knobs["consistency_degree"], mode="sampled",
         samples=knobs["samples"], seed=derive_seed(config.seed, "sampled-consistency"),
     )
     checks.append(Check(

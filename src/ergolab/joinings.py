@@ -1,10 +1,11 @@
 """Joinings: measures on product spaces with prescribed marginals.
 
-A joining is realized operationally as a sampler over the product space plus an
-optional exact character integrator; every claim about it is made through
-character integrals.  The joint dynamics (the product map of the components)
-wraps the whole thing as a `System`, so the spectral engine applies verbatim to
-joined systems.
+A joining is an invariant measure of the components' product map whose
+marginals are their measures, realized as a sampler over the product space plus
+an optional exact character integrator.  It is carried as the measure of a
+``core.ProductSystem`` (the product joining is that map's default measure), so
+the spectral engine applies verbatim to joined systems.  Every claim about a
+joining is made through character integrals.
 
 Construction kinds: product, diagonal, graph (including off-diagonal powers),
 the relatively independent extension over declared factors, the coupled triple
@@ -44,7 +45,6 @@ from ergolab.core import (
     IndependentFiber,
     MeasureHandle,
     PointMeasure,
-    ProductMeasure,
     ProductSystem,
     SkewProductSystem,
     SpecValidationError,
@@ -56,6 +56,7 @@ from ergolab.core import (
     build_system,
     character_at,
     derive_seed,
+    factor_slices,
     frequency_box,
     rng_from_seed,
     validate_frequencies,
@@ -145,55 +146,14 @@ class JoiningMeasure(MeasureHandle):
         return self._atoms_fn() if self._atoms_fn is not None else None
 
 
-class JoinedSystem(System):
-    """The product map of the components, carrying the joining as its measure."""
-
-    def __init__(self, components: Sequence[System], measure: JoiningMeasure):
-        self.components = list(components)
-        self.measure = measure
-        self.space = measure.space
-        self.spec = None
-        self._slices = []
-        lo = 0
-        for c in self.components:
-            self._slices.append(slice(lo, lo + len(c.space)))
-            lo += len(c.space)
-        if lo != len(self.space):
-            raise SpecValidationError("components", "component arities do not add up")
-
-    def apply(self, point):
-        out: tuple = ()
-        for c, sl in zip(self.components, self._slices):
-            out += c.apply(point[sl])
-        return out
-
-    def apply_array(self, points):
-        out = np.empty_like(points, dtype=np.float64)
-        for c, sl in zip(self.components, self._slices):
-            out[:, sl] = c.apply_array(points[:, sl])
-        return out
-
-    def char_pullback(self, k):
-        k = validate_frequencies(self.space, k)
-        out: tuple = ()
-        phase = Fraction(0)
-        for c, sl in zip(self.components, self._slices):
-            step = c.char_pullback(k[sl])
-            if step is None:
-                return None
-            kf, ph = step
-            out += kf
-            phase = (phase + ph) % 1
-        return out, phase
-
-
 @dataclass
 class Joining:
-    """A joining of the component systems, exposed as sampler + integrator."""
+    """A joining of the component systems: their product map, carrying the
+    joining as its invariant measure, exposed as sampler + integrator."""
 
     spec: JoiningSpec | None
     components: list[System]
-    system: JoinedSystem
+    system: ProductSystem
     #: (component index, component frequency) -> exact marginal integral or None
     _marginal_integrals: dict = field(default_factory=dict, init=False,
                                       repr=False, compare=False)
@@ -337,40 +297,7 @@ class _ComposedSystem(System):
 
 def product_joining(systems: Sequence[System], spec: JoiningSpec | None = None) -> Joining:
     systems = list(systems)
-    space = tuple(c for s in systems for c in s.space)
-    slices = []
-    lo = 0
-    for s in systems:
-        slices.append(slice(lo, lo + len(s.space)))
-        lo += len(s.space)
-
-    def integrator(k):
-        total = PhaseSum.one()
-        for s, sl in zip(systems, slices):
-            part = s.measure.integrate_character(k[sl])
-            if part is None:
-                return None
-            total = total * part
-        return total
-
-    def sample_rationals(rng, n):
-        cols = [s.measure.sample_rationals(rng, n) for s in systems]
-        return [tuple(c for col in row for c in col) for row in zip(*cols)]
-
-    def sample_floats(rng, n):
-        return np.concatenate([s.measure.sample_floats(rng, n) for s in systems], axis=1)
-
-    def atoms_fn():
-        return ProductMeasure([s.measure for s in systems]).enumerate_atoms()
-
-    measure = JoiningMeasure(
-        space, integrator, sample_rationals, sample_floats,
-        description="product joining",
-        exact_flag=all(s.measure.exact for s in systems),
-        atoms_fn=atoms_fn,
-    )
-    return Joining(spec=spec, components=systems,
-                   system=JoinedSystem(systems, measure))
+    return Joining(spec=spec, components=systems, system=ProductSystem(systems))
 
 
 def graph_joining(system: System, graph_map: System, *,
@@ -429,7 +356,7 @@ def graph_joining(system: System, graph_map: System, *,
         atoms_fn=atoms_fn,
     )
     return Joining(spec=spec, components=[system, system],
-                   system=JoinedSystem([system, system], measure))
+                   system=ProductSystem([system, system], measure=measure))
 
 
 def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> None:
@@ -458,8 +385,8 @@ def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> Non
                     character=k,
                 )
         # commutation with the dynamics on the exact family
-        via_tr = _compose_pullback(system, graph_map, k)
-        via_rt = _compose_pullback(graph_map, system, k)
+        via_tr = _ComposedSystem(system, graph_map).char_pullback(k)
+        via_rt = _ComposedSystem(graph_map, system).char_pullback(k)
         if via_tr is not None and via_rt is not None and via_tr != via_rt:
             raise JoiningConstructionError(
                 f"graph map does not commute with the dynamics at character {k}",
@@ -473,19 +400,6 @@ def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> Non
                         character=k,
                     )
             break  # pointwise check on atoms does not depend on k
-
-
-def _compose_pullback(outer: System, inner: System, k: FreqVector):
-    """Pullback of char_k through outer o inner, or None."""
-    step = outer.char_pullback(k)
-    if step is None:
-        return None
-    k1, p1 = step
-    step = inner.char_pullback(k1)
-    if step is None:
-        return None
-    k2, p2 = step
-    return k2, (p1 + p2) % 1
 
 
 def _factor_system(system: System, coords: Sequence[int]) -> System:
@@ -502,12 +416,10 @@ def _factor_system(system: System, coords: Sequence[int]) -> System:
             return IdentitySystem(system.base.measure)
     if isinstance(system, ProductSystem):
         parts: list[System] = []
-        lo = 0
-        for f in system.factors:
-            local = tuple(c - lo for c in coords if lo <= c < lo + len(f.space))
+        for f, sl in zip(system.factors, factor_slices(system.factors)):
+            local = tuple(c - sl.start for c in coords if sl.start <= c < sl.stop)
             if local:
                 parts.append(_factor_system(f, local))
-            lo += len(f.space)
         if sum(len(p.space) for p in parts) != len(coords):
             raise UnsupportedOperationError(f"coordinates {coords} out of range")
         return ProductSystem(parts) if len(parts) > 1 else parts[0]
@@ -633,7 +545,7 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
         exact_flag=exact_flag,
     )
     return Joining(spec=spec, components=[s1, s2],
-                   system=JoinedSystem([s1, s2], measure))
+                   system=ProductSystem([s1, s2], measure=measure))
 
 
 def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fraction,
@@ -695,7 +607,7 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fracti
         exact_flag=base_measure.exact,
     )
     return Joining(spec=spec, components=[twist, shifted],
-                   system=JoinedSystem([twist, shifted], measure))
+                   system=ProductSystem([twist, shifted], measure=measure))
 
 
 def custom_joining(components: Sequence[System],
@@ -713,7 +625,7 @@ def custom_joining(components: Sequence[System],
         exact_flag=integrator is not None,
     )
     return Joining(spec=None, components=systems,
-                   system=JoinedSystem(systems, measure))
+                   system=ProductSystem(systems, measure=measure))
 
 
 # ---------------------------------------------------------------------------

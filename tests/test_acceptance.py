@@ -296,6 +296,13 @@ def test_report_determinism():
                       "statistical_samples": 2048}),
         ("rank1-family", {"depth": 6, "word_stage_max": 8, "prefix_length": 4,
                           "wm_stages": [2, 3], "N": 256, "threshold": 0.2}),
+        ("spectral-probe", {"N": 256, "toeplitz_size": 16, "eigenvalue_queries": [
+            {"angle": "1/3", "expect_witnessed": True}]}),
+        ("spectral-probe", {"system": {"kind": "twist", "params": {
+            "base_measure": {"kind": "power-law-sampled", "exponent": 2}}},
+            "observable": {"freqs": [0, 1], "centered": True}, "N": 256,
+            "samples": 1024, "toeplitz_size": 16,
+            "eigenvalue_queries": [{"angle": "0"}]}),
     ]:
         config_a = ExperimentConfig.resolve(experiment, 99, overrides)
         config_b = ExperimentConfig.resolve(experiment, 99, overrides)

@@ -391,6 +391,10 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     ("identity-disjoint", "max_freq", 0),
     ("example1", "max_freq", -1),
     ("example1", "max_freq", 0),
+    ("identity-disjoint", "N", 0),
+    ("identity-disjoint", "N", -5),
+    ("example1", "N", 0),
+    ("example1", "N", -1),
 ])
 def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp_path,
                                                      capsys, monkeypatch):
@@ -406,6 +410,30 @@ def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp
     assert main(args) == 3
     assert f"config error: knobs.{knob}: must be >= 1, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("weights, code", [(["2", "-1"], 3), (["1", "0"], 0)])
+def test_cli_mixture_weights(weights, code, tmp_path):
+    """Negative weights are a config error; a zero last weight is never drawn."""
+    from ergolab.cli import main
+
+    haar = {"kind": "haar", "arity": 1}
+    measure = {"kind": "mixture", "components": [
+        {"weight": w, "measure": haar} for w in weights]}
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {
+        "identity_measure": measure, "N": 64, "max_freq": 1, "samples": 256,
+        "consistency_degree": 1}})
+    assert main(["run", "identity-disjoint", "--config", config,
+                 "--out", str(tmp_path / "out")]) == code
+
+
+def test_cli_accepts_the_smallest_averaging_length(tmp_path):
+    from ergolab.cli import main
+
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {
+        "N": 1, "max_freq": 1, "samples": 256, "consistency_degree": 1}})
+    assert main(["run", "identity-disjoint", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_accepts_the_smallest_toeplitz_size(tmp_path):

@@ -30,7 +30,7 @@ from ergolab.core import (
     validate_frequencies,
     wrap_unit,
 )
-from ergolab.joinings import JoinedSystem, build_joining, example1_triple, product_joining
+from ergolab.joinings import build_joining, example1_triple, product_joining
 from ergolab.spectral import correlation_sequence
 
 F = Fraction
@@ -98,10 +98,10 @@ def old_apply_array(system, points):
         shift = old_evaluate(system.cocycle, points[:, :b])
         new_g = (points[:, b] + shift) % 1.0
         return np.concatenate([new_base, new_g[:, None]], axis=1)
-    if isinstance(system, (ProductSystem, JoinedSystem)):
-        parts = system.factors if isinstance(system, ProductSystem) else system.components
+    if isinstance(system, ProductSystem):
         return np.concatenate(
-            [old_apply_array(p, points[:, sl]) for p, sl in zip(parts, system._slices)],
+            [old_apply_array(p, points[:, sl])
+             for p, sl in zip(system.factors, system._slices)],
             axis=1,
         )
     raise TypeError(type(system))
