@@ -16,9 +16,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -371,13 +373,21 @@ class DiracMixture(MeasureHandle):
             (Fraction(w), validate_point(space, p, field=f"atoms[{i}].point"))
             for i, (w, p) in enumerate(atoms)
         ]
+        # weight numerators over D and coordinate numerators over Q
+        self._D = lcm(*(w.denominator for w, _ in self.atoms))
+        self._Q = lcm(*(c.denominator for _, p in self.atoms for c in p))
+        self._lattice = [(w.numerator * (self._D // w.denominator),
+                          tuple(c.numerator * (self._Q // c.denominator) for c in p))
+                         for w, p in self.atoms]
 
     def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
+        """Weights summed per angle <k, p> mod 1, all in integer numerators."""
         k = validate_frequencies(self.space, k)
-        total = PhaseSum.zero()
-        for w, p in self.atoms:
-            total = total + character_at(k, p) * w
-        return total
+        Q, acc = self._Q, {}
+        for W, p in self._lattice:
+            A = sum(map(operator.mul, k, p)) % Q
+            acc[A] = acc.get(A, 0) + W
+        return PhaseSum._from_lattice(acc, Q, self._D)
 
     def enumerate_atoms(self):
         return list(self.atoms)
@@ -452,12 +462,12 @@ class ProductMeasure(MeasureHandle):
 
     def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
         k = validate_frequencies(self.space, k)
-        total = PhaseSum.one()
+        total = None
         for f, sl in zip(self.factors, self._slices):
             part = f.integrate_character(k[sl])
             if part is None:
                 return None
-            total = total * part
+            total = part if total is None else total * part
         return total
 
     def sample_rationals(self, rng, n):
@@ -604,15 +614,19 @@ class SampledPowerMeasure(MeasureHandle):
 class Cocycle:
     """A measurable map from a base space into the circle (written additively)."""
 
+    #: Q: the phases of ``frequency_shift`` are numerators over Q
+    phase_modulus: int = 1
+
     def __call__(self, point: Point) -> Fraction:
         raise NotImplementedError
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def frequency_shift(self, kg: int) -> Optional[tuple[dict[int, int], Fraction]]:
-        """If e^(2*pi*i*kg*phi(x)) is a character times a constant phase, return
-        ({coord: added frequency}, phase); otherwise None."""
+    def frequency_shift(self, kg: int) -> Optional[tuple[dict[int, int], int]]:
+        """If e^(2*pi*i*kg*phi(x)) is a character times a constant phase
+        e^(2*pi*i*P/Q), return ({coord: added frequency}, P) with 0 <= P < Q;
+        otherwise None."""
         return None
 
 
@@ -635,11 +649,15 @@ class AffineCocycle(Cocycle):
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
         return wrap_unit(float(self.slope) * points[:, self.coord] + float(self.intercept))
 
+    @property
+    def phase_modulus(self) -> int:
+        return self.intercept.denominator
+
     def frequency_shift(self, kg: int):
-        shift = self.slope * kg
-        if shift.denominator != 1:
+        if kg % self.slope.denominator:
             return None
-        return {self.coord: int(shift)}, (self.intercept * kg) % 1
+        return ({self.coord: self.slope.numerator * (kg // self.slope.denominator)},
+                self.intercept.numerator * kg % self.intercept.denominator)
 
 
 @dataclass(frozen=True)
@@ -677,6 +695,19 @@ class TableCocycle(Cocycle):
         return out
 
 
+class _InverseShift(Cocycle):
+    """-phi(B^-1 x): the cocycle of the inverse of a skew product over B."""
+
+    def __init__(self, cocycle: Cocycle, base_inv: "System"):
+        self.cocycle, self.base_inv = cocycle, base_inv
+
+    def __call__(self, point):
+        return (-self.cocycle(self.base_inv.apply(point))) % 1
+
+    def evaluate_array(self, points):
+        return wrap_unit(-self.cocycle.evaluate_array(self.base_inv.apply_array(points)))
+
+
 # ---------------------------------------------------------------------------
 # systems
 # ---------------------------------------------------------------------------
@@ -698,9 +729,18 @@ class System:
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    #: Q: the phases of ``pullback_step`` are numerators over Q
+    phase_modulus: int = 1
+
+    def pullback_step(self, k: FreqVector) -> Optional[tuple[FreqVector, int]]:
+        """(k', P) with char_k(T x) = e^(2*pi*i*P/Q) * char_k'(x) and
+        0 <= P < Q, or None; ``k`` is an already validated frequency tuple."""
+        return None
+
     def char_pullback(self, k: FreqVector) -> Optional[tuple[FreqVector, Fraction]]:
         """(k', phase) with char_k(T x) = e^(2*pi*i*phase) * char_k'(x), or None."""
-        return None
+        step = self.pullback_step(validate_frequencies(self.space, k))
+        return None if step is None else (step[0], Fraction(step[1], self.phase_modulus))
 
     def inverse(self) -> "System":
         raise UnsupportedOperationError(
@@ -720,8 +760,8 @@ class IdentitySystem(System):
     def apply_array(self, points):
         return points
 
-    def char_pullback(self, k):
-        return validate_frequencies(self.space, k), Fraction(0)
+    def pullback_step(self, k):
+        return k, 0
 
     def inverse(self):
         return self
@@ -732,6 +772,7 @@ class RotationSystem(System):
 
     def __init__(self, angle: Fraction, measure: MeasureHandle | None = None, spec=None):
         self.angle = Fraction(angle) % 1
+        self.phase_modulus = self.angle.denominator
         self.measure = measure if measure is not None else HaarMeasure(1)
         if self.measure.arity != 1:
             raise SpecValidationError("measure", "rotation acts on one circle coordinate")
@@ -745,9 +786,8 @@ class RotationSystem(System):
     def apply_array(self, points):
         return wrap_unit(points + float(self.angle))
 
-    def char_pullback(self, k):
-        k = validate_frequencies(self.space, k)
-        return k, (k[0] * self.angle) % 1
+    def pullback_step(self, k):
+        return k, k[0] * self.angle.numerator % self.phase_modulus
 
     def inverse(self):
         return RotationSystem(-self.angle, self.measure)
@@ -774,6 +814,7 @@ class SkewProductSystem(System):
         self.measure = ProductMeasure([base.measure, group_measure])
         self.space = base.space + (group,)
         self.spec = spec
+        self.phase_modulus = lcm(base.phase_modulus, cocycle.phase_modulus)
 
     @property
     def base_arity(self) -> int:
@@ -797,38 +838,21 @@ class SkewProductSystem(System):
         out[:, b] = wrap_unit(points[:, b] + self.cocycle.evaluate_array(points[:, :b]))
         return out
 
-    def char_pullback(self, k):
-        k = validate_frequencies(self.space, k)
+    def pullback_step(self, k):
         b = self.base_arity
-        kb, kg = list(k[:b]), k[b]
-        shift = self.cocycle.frequency_shift(kg)
-        if shift is None:
-            return None
-        added, phase = shift
-        base_step = self.base.char_pullback(tuple(kb))
+        shift = self.cocycle.frequency_shift(k[b])
+        base_step = None if shift is None else self.base.pullback_step(k[:b])
         if base_step is None:
             return None
-        kb2, base_phase = base_step
-        kb2 = list(kb2)
+        (added, P), (kb, base_P) = shift, base_step
+        kb = list(kb)
         for coord, extra in added.items():
-            kb2[coord] += extra
-        return tuple(kb2) + (kg,), (phase + base_phase) % 1
+            kb[coord] += extra
+        Q = self.phase_modulus
+        return tuple(kb) + (k[b],), (P * (Q // self.cocycle.phase_modulus)
+                                     + base_P * (Q // self.base.phase_modulus)) % Q
 
     def inverse(self):
-        base_inv = self.base.inverse()
-        cocycle = self.cocycle
-
-        class _InverseShift(Cocycle):
-            def __call__(self, point):
-                return (-cocycle(base_inv.apply(point))) % 1
-
-            def evaluate_array(self, points):
-                return wrap_unit(-cocycle.evaluate_array(base_inv.apply_array(points)))
-
-            def frequency_shift(self, kg):
-                # only valid when the base is the identity
-                return None
-
         if isinstance(self.base, IdentitySystem):
             if isinstance(self.cocycle, AffineCocycle):
                 inv_cocycle: Cocycle = AffineCocycle(
@@ -839,9 +863,10 @@ class SkewProductSystem(System):
                     tuple((p, (-v) % 1) for p, v in self.cocycle.table)
                 )
             else:
-                inv_cocycle = _InverseShift()
+                inv_cocycle = _InverseShift(self.cocycle, self.base)
             return SkewProductSystem(self.base, inv_cocycle, self.group)
-        return SkewProductSystem(base_inv, _InverseShift(), self.group)
+        base_inv = self.base.inverse()
+        return SkewProductSystem(base_inv, _InverseShift(self.cocycle, base_inv), self.group)
 
 
 class ProductSystem(System):
@@ -863,6 +888,7 @@ class ProductSystem(System):
             )
         self.spec = spec
         self._slices = factor_slices(self.factors)
+        self.phase_modulus = lcm(*(f.phase_modulus for f in self.factors))
 
     def apply(self, point):
         point = validate_point(self.space, point)
@@ -877,18 +903,16 @@ class ProductSystem(System):
             out[:, sl] = f.apply_array(points[:, sl])
         return out
 
-    def char_pullback(self, k):
-        k = validate_frequencies(self.space, k)
+    def pullback_step(self, k):
         out: tuple[int, ...] = ()
-        phase = Fraction(0)
+        P, Q = 0, self.phase_modulus
         for f, sl in zip(self.factors, self._slices):
-            step = f.char_pullback(k[sl])
+            step = f.pullback_step(k[sl])
             if step is None:
                 return None
-            kf, ph = step
-            out += kf
-            phase = (phase + ph) % 1
-        return out, phase
+            out += step[0]
+            P += step[1] * (Q // f.phase_modulus)
+        return out, P % Q
 
     def inverse(self):
         # a measure preserved by the product map is preserved by its inverse
@@ -1234,6 +1258,21 @@ def orbit(system: System, start: Sequence, n: int) -> list[Point]:
         if i + 1 < n:
             point = system.apply(point)
     return out
+
+
+def pullback_orbit(system: System, k: Sequence[int],
+                   n: int) -> Iterator[tuple[FreqVector, int]]:
+    """(k_j, P_j) for j < n with char_k o T^j = e^(2*pi*i*P_j/Q) * char_(k_j),
+    Q = ``system.phase_modulus``; stops early at a step with no pullback.
+    ``k`` is validated once and the phases are summed mod Q in integers."""
+    k = validate_frequencies(system.space, k)
+    step, Q, P = system.pullback_step, system.phase_modulus, 0
+    for j in range(n):
+        yield k, P
+        nxt = step(k) if j + 1 < n else None
+        if nxt is None:
+            return
+        k, P = nxt[0], (P + nxt[1]) % Q
 
 
 @dataclass

@@ -224,21 +224,26 @@ class PhaseSum:
         return cls._canonical(((_ZERO, w),) if w else ())
 
     @classmethod
-    def sum(cls, sums: Iterable["PhaseSum"]) -> "PhaseSum":
-        """The sum of many PhaseSums in one pass over the integer lattice.
+    def sum(cls, sums: Iterable["PhaseSum"], step: Fraction = _ZERO) -> "PhaseSum":
+        """sum_n e^(2*pi*i*n*step) * sums[n] in one pass over the integer lattice.
 
-        Angle numerators over the lcm Q of all angle denominators key the
-        accumulation of weight numerators over the lcm D of all weight
-        denominators; terms equal those of a left fold of ``+``.
+        Angle numerators over the lcm Q of all angle denominators (the step's
+        included) key the accumulation of weight numerators over the lcm D of
+        all weight denominators; terms equal those of a left fold of ``+``
+        over the rotated sums.
         """
-        terms = [t for s in sums for t in s._terms]
+        parts = [s._terms for s in sums]
+        terms = [t for part in parts for t in part]
         if not terms:
             return cls._canonical(())
-        Q, D = _angle_lcm(terms), _weight_lcm(terms)
+        Q, D = lcm(_angle_lcm(terms), step.denominator), _weight_lcm(terms)
+        S = step.numerator * (Q // step.denominator)
         acc: dict[int, int] = {}
         get = acc.get
-        for A, W in _lattice(terms, Q, D):
-            acc[A] = get(A, 0) + W
+        for n, part in enumerate(parts):
+            for a, w in part:
+                key = (a.numerator * (Q // a.denominator) + n * S) % Q
+                acc[key] = get(key, 0) + w.numerator * (D // w.denominator)
         return cls._from_lattice(acc, Q, D)
 
     # -- structure ---------------------------------------------------------
@@ -302,16 +307,15 @@ class PhaseSum:
     __rmul__ = __mul__
 
     def _monomial_product(self, angle: Fraction, weight: Fraction) -> "PhaseSum":
-        """The product with weight * e^(2*pi*i*angle), angle in [0, 1).
+        """The product with weight * e^(2*pi*i*angle).
 
         Shifting by one angle keeps the angles distinct, so nothing merges.
         """
         if not weight:
             return PhaseSum._canonical(())
-        terms = tuple((a, w * weight) for a, w in self._terms)
-        if angle:
-            terms = tuple(sorted(((a + angle) % 1, w) for a, w in terms))
-        return PhaseSum._canonical(terms)
+        scaled = self if weight == 1 else \
+            PhaseSum._canonical(tuple((a, w * weight) for a, w in self._terms))
+        return scaled.rotated(angle)
 
     def _lattice_product(self, other: "PhaseSum") -> "PhaseSum":
         """The product, accumulated over integer angle and weight numerators.
@@ -332,11 +336,22 @@ class PhaseSum:
         return PhaseSum._from_lattice(acc, Q, D1 * D2)
 
     def conjugate(self) -> "PhaseSum":
-        return PhaseSum._canonical(tuple(sorted((-a % 1, w) for a, w in self._terms)))
+        return PhaseSum._canonical(tuple(sorted(
+            (-a % 1 if a else a, w) for a, w in self._terms)))
 
-    def rotated(self, angle: Fraction) -> "PhaseSum":
-        """Multiply by the unit phase e^(2*pi*i*angle)."""
-        return self._monomial_product(Fraction(angle) % 1, _ONE)
+    def rotated(self, angle: Fraction | int, modulus: int = 1) -> "PhaseSum":
+        """Multiply by the unit phase e^(2*pi*i*angle/modulus).  The shifted
+        angles are numerators over the lcm of all denominators, so each term
+        costs one new ``Fraction``."""
+        Q = angle.denominator * modulus
+        P = angle.numerator % Q
+        if not P:
+            return self
+        L = lcm(Q, _angle_lcm(self._terms))
+        shift = P * (L // Q)
+        keyed = sorted(((a.numerator * (L // a.denominator) + shift) % L, w)
+                       for a, w in self._terms)
+        return PhaseSum._canonical(tuple((Fraction(A, L), w) for A, w in keyed))
 
     def abs2(self) -> "PhaseSum":
         """|self|^2 as an exact (real) PhaseSum."""

@@ -38,6 +38,7 @@ from ergolab.core import (
     derive_seed,
     frequency_box,
     orbit,
+    pullback_orbit,
 )
 from ergolab.exact import PhaseSum, parse_scalar, scalar_str
 from ergolab.joinings import (
@@ -133,7 +134,8 @@ DEFAULT_KNOBS: dict[str, dict] = {
 
 
 #: knobs whose smaller values leave a check vacuous or its input empty
-_KNOB_MINIMUMS = {"N": 1, "max_freq": 1, "toeplitz_size": 1}
+_KNOB_MINIMUMS = {"N": 1, "max_freq": 1, "toeplitz_size": 1, "samples": 1,
+                  "prefix_length": 1}
 
 _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                     str: "a string", list: "an array", dict: "an object"}
@@ -297,16 +299,12 @@ class ExperimentReport:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _geometric_phase_average(phase: Fraction, n: int) -> PhaseSum:
-    """(1/n) * sum_{j<n} e^(2*pi*i*j*phase) as an exact PhaseSum."""
-    return PhaseSum((j * phase, Fraction(1, n)) for j in range(n))
-
-
 def _stationary_time_average(joining: Joining, k: tuple[int, ...], N: int) -> PhaseSum | None:
     """(1/N) sum_{n<N} integral(char_k o P^n) for the joint map P, exact path.
 
     Fast when the pullback fixes k (our affine product maps): the average is
-    integral(char_k) times a geometric mean of unit phases.
+    integral(char_k) times a geometric mean of unit phases.  Otherwise the
+    integrals along the pullback orbit are summed.
     """
     step = joining.system.char_pullback(k)
     base = joining.integrate(k)
@@ -316,20 +314,15 @@ def _stationary_time_average(joining: Joining, k: tuple[int, ...], N: int) -> Ph
     if k1 == tuple(k):
         if base.is_zero():
             return PhaseSum.zero()
-        return base * _geometric_phase_average(phase, N)
-    total = PhaseSum.zero()
-    current, acc = tuple(k), Fraction(0)
-    for _ in range(N):
-        part = joining.integrate(current)
+        return base * PhaseSum.sum([PhaseSum.from_rational(Fraction(1, N))] * N, phase)
+    Q = joining.system.phase_modulus
+    parts = []
+    for kn, P in pullback_orbit(joining.system, k, N):
+        part = joining.integrate(kn)
         if part is None:
             return None
-        total = total + part.rotated(acc)
-        step = joining.system.char_pullback(current)
-        if step is None:
-            return None
-        current, ph = step
-        acc = (acc + ph) % 1
-    return total * Fraction(1, N)
+        parts.append(part.rotated(P, Q))
+    return PhaseSum.sum(parts) * Fraction(1, N) if len(parts) == N else None
 
 
 def _fmt(value: float) -> str:

@@ -276,6 +276,7 @@ class _ComposedSystem(System):
         self.space = inner.space
         self.measure = inner.measure
         self.spec = None
+        self.phase_modulus = math.lcm(outer.phase_modulus, inner.phase_modulus)
 
     def apply(self, point):
         return self.outer.apply(self.inner.apply(point))
@@ -283,16 +284,14 @@ class _ComposedSystem(System):
     def apply_array(self, points):
         return self.outer.apply_array(self.inner.apply_array(points))
 
-    def char_pullback(self, k):
-        step = self.outer.char_pullback(k)
-        if step is None:
+    def pullback_step(self, k):
+        step = self.outer.pullback_step(k)
+        last = None if step is None else self.inner.pullback_step(step[0])
+        if last is None:
             return None
-        k1, p1 = step
-        step = self.inner.char_pullback(k1)
-        if step is None:
-            return None
-        k2, p2 = step
-        return k2, (p1 + p2) % 1
+        Q = self.phase_modulus
+        return last[0], (step[1] * (Q // self.outer.phase_modulus)
+                         + last[1] * (Q // self.inner.phase_modulus)) % Q
 
 
 def product_joining(systems: Sequence[System], spec: JoiningSpec | None = None) -> Joining:
@@ -568,6 +567,8 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fracti
         inner = cocycle
 
         class _Shifted(Cocycle):
+            phase_modulus = math.lcm(inner.phase_modulus, angle.denominator)
+
             def __call__(self, point):
                 return (inner(point) + angle) % 1
 
@@ -578,8 +579,10 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fracti
                 step = inner.frequency_shift(kg)
                 if step is None:
                     return None
-                added, ph = step
-                return added, (ph + kg * angle) % 1
+                added, P = step
+                Q = self.phase_modulus
+                return added, (P * (Q // inner.phase_modulus)
+                               + kg * angle.numerator * (Q // angle.denominator)) % Q
 
         shifted_cocycle = _Shifted()
     shifted = SkewProductSystem(IdentitySystem(base_measure), shifted_cocycle, CIRCLE)

@@ -42,7 +42,7 @@ from ergolab.core import (
     System,
     UnsupportedOperationError,
     character_array,
-    character_at,
+    pullback_orbit,
     rng_from_seed,
     validate_frequencies,
 )
@@ -179,41 +179,27 @@ def _exact_sequence(system: System, k: FreqVector, N: int,
     mean = measure.integrate_character(k) if measure.exact else None
 
     # path A: affine pullback against an exact integrator
-    if measure.exact and system.char_pullback(k) is not None:
+    if measure.exact:
+        Q = system.phase_modulus
         phases: list[PhaseSum] = []
-        current, phase = tuple(k), Fraction(0)
-        ok = True
-        for n in range(N + 1):
-            diff = tuple(a - b for a, b in zip(current, k))
-            integral = measure.integrate_character(diff)
+        for kn, P in pullback_orbit(system, k, N + 1):
+            integral = measure.integrate_character(tuple(a - b for a, b in zip(kn, k)))
             if integral is None:
-                ok = False
                 break
-            # c_n = e(phase) * mu_hat(k_n - k);  values(n) = conj(c_n)
-            phases.append((integral.rotated(phase)).conjugate())
-            if n < N:
-                step = system.char_pullback(current)
-                if step is None:
-                    ok = False
-                    break
-                current = step[0]
-                phase = (phase + step[1]) % 1
-        if ok:
+            # c_n = e(P / Q) * mu_hat(k_n - k);  values(n) = conj(c_n)
+            phases.append(integral.conjugate().rotated(-P, Q))
+        if len(phases) == N + 1:
             return _finish_exact(phases, k, N, center, mean, "affine-pullback")
 
-    # path B: finite-support orbit summation
+    # path B: finite-support orbit summation, values(n) = sum_p w e(<k, p - T^n p>)
     atoms = measure.enumerate_atoms()
     if atoms is not None:
-        base_vals = [character_at(k, p).conjugate() for _, p in atoms]
         points = [p for _, p in atoms]
-        weights = [w for w, _ in atoms]
         phases = []
         for _ in range(N + 1):
-            total = PhaseSum.zero()
-            for w, p, cv in zip(weights, points, base_vals):
-                total = total + character_at(k, p) * cv * w
-            phases.append(total.conjugate())
-            points = [system.apply(p) for p in points]
+            phases.append(PhaseSum((sum(ki * (a - b) for ki, a, b in zip(k, p, q)), w)
+                                   for (w, p), q in zip(atoms, points)))
+            points = [system.apply(q) for q in points]
         return _finish_exact(phases, k, N, center, mean, "atom-orbits")
 
     return None
@@ -505,11 +491,7 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
 
     mass_sq_exact = None
     if seq.exact and seq.phases is not None:
-        total = PhaseSum(
-            (a + n * angle, w)
-            for n in range(N)
-            for a, w in seq.phases[n].terms
-        )
+        total = PhaseSum.sum(seq.phases[:N], angle)
         mass = float(abs(total.value()) / N)
         ms = total.abs2().as_rational()
         if ms is not None:

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.core import (
+    CIRCLE,
     Character,
+    Cocycle,
     HaarMeasure,
     IdentitySystem,
     MixtureMeasure,
     ProductMeasure,
     SampledPowerMeasure,
+    SkewProductSystem,
     SpecValidationError,
     SystemSpec,
     UnsupportedOperationError,
@@ -157,6 +160,25 @@ def test_orbit_twist():
 
 def test_orbit_rotation_quarter():
     assert orbit(rotation("1/4"), ("1/8",), 2) == [(F(1, 8),), (F(3, 8),)]
+
+
+def test_inverse_skew_products_undo_the_map_on_rational_points():
+    """The inverse's cocycle is -phi(B^-1 x), over a rotation base and, for a
+    cocycle that is neither affine nor a table, over an identity base."""
+    class Squared(Cocycle):
+        def __call__(self, point):
+            return point[0] ** 2 % 1
+
+    over_rotation = build_system({"kind": "group-extension", "params": {
+        "base": {"kind": "rotation", "params": {"angle": "2/7"}},
+        "cocycle": {"kind": "affine", "slope": "3", "intercept": "1/5"}}})
+    over_identity = SkewProductSystem(IdentitySystem(HaarMeasure(1)),
+                                      Squared(), CIRCLE)
+    for system in (over_rotation, over_identity):
+        inverse = system.inverse()
+        for point in [(F(0), F(0)), (F(1, 3), F(5, 6)), (F(6, 7), F(1, 9))]:
+            assert inverse.apply(system.apply(point)) == point
+            assert system.apply(inverse.apply(point)) == point
 
 
 def test_orbit_validates_start():

@@ -381,7 +381,7 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     config = _config_file(tmp_path, {"seed": 1, "knobs": {"samples": 0}})
     assert main(["run", "product-closure", "--config", config,
                  "--out", str(tmp_path / "out")]) == 3
-    assert "config error: samples" in capsys.readouterr().err
+    assert "config error: knobs.samples: must be >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment, knob, value", [
@@ -395,6 +395,10 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     ("identity-disjoint", "N", -5),
     ("example1", "N", 0),
     ("example1", "N", -1),
+    ("spectral-probe", "samples", 0),
+    ("spectral-probe", "samples", -4),
+    ("rank1-family", "prefix_length", -2),
+    ("rank1-family", "prefix_length", 0),
 ])
 def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp_path,
                                                      capsys, monkeypatch):

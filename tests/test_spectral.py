@@ -32,7 +32,7 @@ from ergolab.rank1 import (
     stage_level_positions,
     word_lengths,
 )
-from ergolab.exact import parse_scalar, scalar_str
+from ergolab.exact import PhaseSum, parse_scalar, scalar_str
 from ergolab.spectral import (
     CorrelationSeq,
     _atom_grid,
@@ -177,6 +177,32 @@ def test_finite_support_path_matches_pullback_path():
         )
         assert via_pullback.value(n) == pytest.approx(
             complex(c_n).conjugate(), abs=1e-12)
+
+
+def test_atom_orbit_path_matches_pushed_atoms():
+    """A table cocycle has no pullback, so a finite-support measure takes the
+    atom-orbit path; its phases equal sum_p w * e(<k, p - T^n p>) exactly."""
+    sys_ = build_system({"kind": "group-extension", "params": {
+        "base": {"kind": "identity", "params": {"measure": {"kind": "atoms", "atoms": [
+            {"point": ["0"], "weight": "1/3"}, {"point": ["1/2"], "weight": "2/3"}]}}},
+        "cocycle": {"kind": "table", "entries": [
+            {"point": ["0"], "value": "1/4"}, {"point": ["1/2"], "value": "3/4"}]},
+        "group": {"kind": "cyclic", "order": 4},
+    }})
+    atoms = sys_.measure.enumerate_atoms()
+    # e(x + 4g) has mean 1/3 - 2/3 = -1/3 on these atoms, so centering moves it
+    for k, center, shift in [((1, 1), False, 0), ((0, 3), False, 0),
+                             ((1, 4), True, Fraction(1, 9))]:
+        seq = correlation_sequence(sys_, Character(k), 9, center=center)
+        assert seq.provenance == "atom-orbits" and seq.exact
+        points = [p for _, p in atoms]
+        for n in range(10):
+            expected = PhaseSum(
+                (sum(ki * (a - b) for ki, a, b in zip(k, p, q)), w)
+                for (w, p), q in zip(atoms, points)) - shift
+            assert (seq.phase_value(n) - expected).is_zero()
+            assert seq.value(n) == pytest.approx(expected.value(), abs=1e-14)
+            points = [sys_.apply(q) for q in points]
 
 
 def test_sampled_correlation_tracks_exact():
