@@ -853,20 +853,23 @@ class SkewProductSystem(System):
                                      + base_P * (Q // self.base.phase_modulus)) % Q
 
     def inverse(self):
-        if isinstance(self.base, IdentitySystem):
-            if isinstance(self.cocycle, AffineCocycle):
-                inv_cocycle: Cocycle = AffineCocycle(
-                    -self.cocycle.slope, -self.cocycle.intercept, self.cocycle.coord
-                )
-            elif isinstance(self.cocycle, TableCocycle):
-                inv_cocycle = TableCocycle(
-                    tuple((p, (-v) % 1) for p, v in self.cocycle.table)
-                )
-            else:
-                inv_cocycle = _InverseShift(self.cocycle, self.base)
-            return SkewProductSystem(self.base, inv_cocycle, self.group)
-        base_inv = self.base.inverse()
-        return SkewProductSystem(base_inv, _InverseShift(self.cocycle, base_inv), self.group)
+        """The skew product over B^-1 with cocycle -phi(B^-1 x), written out
+        exactly where it is affine or a table: over the identity, and over a
+        rotation by alpha with phi = s x + c, s an integer, where it is
+        -s x + (s alpha - c) mod 1."""
+        phi, base_inv = self.cocycle, self.base.inverse()
+        over_identity = isinstance(self.base, IdentitySystem)
+        if over_identity and isinstance(phi, AffineCocycle):
+            inv_cocycle: Cocycle = AffineCocycle(-phi.slope, -phi.intercept, phi.coord)
+        elif over_identity and isinstance(phi, TableCocycle):
+            inv_cocycle = TableCocycle(tuple((p, (-v) % 1) for p, v in phi.table))
+        elif isinstance(self.base, RotationSystem) and isinstance(phi, AffineCocycle) \
+                and phi.slope.denominator == 1:
+            inv_cocycle = AffineCocycle(
+                -phi.slope, (phi.slope * self.base.angle - phi.intercept) % 1, phi.coord)
+        else:
+            inv_cocycle = _InverseShift(phi, base_inv)
+        return SkewProductSystem(base_inv, inv_cocycle, self.group)
 
 
 class ProductSystem(System):

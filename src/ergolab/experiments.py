@@ -135,7 +135,7 @@ DEFAULT_KNOBS: dict[str, dict] = {
 
 #: knobs whose smaller values leave a check vacuous or its input empty
 _KNOB_MINIMUMS = {"N": 1, "max_freq": 1, "toeplitz_size": 1, "samples": 1,
-                  "prefix_length": 1}
+                  "prefix_length": 1, "statistical_samples": 1}
 
 _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                     str: "a string", list: "an array", dict: "an object"}

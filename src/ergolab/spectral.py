@@ -20,7 +20,10 @@ genuine periodic system, so positive-definiteness is exact): the level's
 positions are sums of per-stage copy offsets, so the lag counts are a
 convolution of the per-stage offset-difference multisets, computed in integers
 and pruned to the lags asked for (``rank1.level_lag_counts``).  No tower, mask
-or FFT is built, so depth 30 costs about what depth 10 does.
+or FFT is built, so depth 30 costs about what depth 10 does.  The correlations
+stay integer numerators over one denominator; their ``PhaseSum``s are built
+only when asked for, and their exact Wiener totals are integer sums of squared
+numerators with one ``Fraction`` per prefix.
 """
 
 from __future__ import annotations
@@ -69,18 +72,29 @@ class CorrelationSeq:
     """values(n) = <f o T^(-n), f> for n in [-N, N], with conjugate symmetry.
 
     Entries for n >= 0 are stored; negative indices are served by conjugation.
-    When ``exact`` is set every entry carries its PhaseSum alongside floats.
+    When ``exact`` is set every entry carries its PhaseSum alongside floats.  A
+    rational sequence stores the entries as ``numerators[n] / denominator``
+    and builds its PhaseSums on first access to ``phases``.
     """
 
     N: int
     observable: object
     exact: bool
     _values: np.ndarray  # complex, index n = 0..N
-    phases: list[PhaseSum] | None = None
+    _phases: list[PhaseSum] | None = None
     std_errors: np.ndarray | None = None
     n_samples: int = 0
     seed: int | None = None
     provenance: str = ""
+    numerators: list[int] | None = None
+    denominator: int = 1
+
+    @property
+    def phases(self) -> list[PhaseSum] | None:
+        if self._phases is None and self.numerators is not None:
+            den = self.denominator
+            self._phases = [PhaseSum.from_rational(Fraction(c, den)) for c in self.numerators]
+        return self._phases
 
     def value(self, n: int) -> complex:
         if abs(n) > self.N:
@@ -215,7 +229,7 @@ def _finish_exact(phases: list[PhaseSum], k: FreqVector, N: int, center: bool,
         phases = [p - shift for p in phases]
     values = np.array([p.value() for p in phases], dtype=np.complex128)
     return CorrelationSeq(
-        N=N, observable=observable, exact=True, _values=values, phases=phases,
+        N=N, observable=observable, exact=True, _values=values, _phases=phases,
         provenance=provenance,
     )
 
@@ -236,7 +250,7 @@ def _sampled_sequence(system: System, k: FreqVector, N: int, center: bool,
     values = np.empty(N + 1, dtype=np.complex128)
     errors = np.empty(N + 1, dtype=np.float64)
     for n in range(N + 1):
-        fn = character_array(k, current)
+        fn = character_array(k, current) if n else f0
         prods = fn * np.conj(f0)
         c_n = complex(prods.mean())
         values[n] = np.conj(c_n)
@@ -275,14 +289,14 @@ def _rank1_indicator_sequence(system: System, f: LevelIndicator, N: int,
     size = 3 ** (depth - f.stage)
     centered = center or f.centered
     if centered:
-        ratios = [Fraction(c * total - size * size, size * (total - size)) for c in counts]
+        nums, den = [c * total - size * size for c in counts], size * (total - size)
     else:
-        ratios = [Fraction(c, total) for c in counts]
-    phases = [PhaseSum.from_rational(x) for x in ratios]
-    values = np.array([float(x) for x in ratios], dtype=np.complex128)
+        nums, den = counts, total
+    # int true division rounds correctly, as float(Fraction(c, den)) does
+    values = np.array([c / den for c in nums], dtype=np.complex128)
     return CorrelationSeq(
         N=N, observable=LevelIndicator(f.stage, f.level, centered), exact=True,
-        _values=values, phases=phases,
+        _values=values, numerators=nums, denominator=den,
         provenance=f"tower-level-counting (cyclic closure, depth {depth})",
     )
 
@@ -375,8 +389,14 @@ def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
         raise SpecValidationError("N", f"Wiener averaging needs N >= 16, got {N}")
 
     prefixes = [max(1, N // 4), max(1, N // 2), N]
-    trace = []
-    if seq.exact and seq.phases is not None:
+    if seq.numerators is not None:
+        # entries c_n / d: each prefix total is sum c_n^2 / (d^2 m), summed in ints
+        squares, den2 = [c * c for c in seq.numerators[:N]], seq.denominator ** 2
+        exact_totals = [Fraction(sum(squares[:n]), den2 * n) for n in prefixes]
+        trace = [(n, float(t)) for n, t in zip(prefixes, exact_totals)]
+        total_exact = exact_totals[-1]
+        total = float(total_exact)
+    elif seq.exact and seq.phases is not None:
         squares = [p.abs2() for p in seq.phases[:N]]
         running, start = PhaseSum.zero(), 0
         totals = {}

@@ -399,6 +399,8 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     ("spectral-probe", "samples", -4),
     ("rank1-family", "prefix_length", -2),
     ("rank1-family", "prefix_length", 0),
+    ("example1", "statistical_samples", 0),
+    ("example1", "statistical_samples", -3),
 ])
 def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp_path,
                                                      capsys, monkeypatch):

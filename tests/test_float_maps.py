@@ -161,8 +161,11 @@ def test_apply_array_bitwise_equal_to_concatenate_formula(name, order):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_inverse_shift_cocycle_is_negated_wrap(order):
-    system = SkewProductSystem(RotationSystem(F(2, 7)), AffineCocycle(F(1), F(1, 3)), CIRCLE)
+    # a half-integer slope sees the wrap of x - 2/7, so the inverse's cocycle
+    # stays the shift -phi(B^-1 x) (an integer slope inverts to an affine one)
+    system = SkewProductSystem(RotationSystem(F(2, 7)), AffineCocycle(F(1, 2), F(1, 3)), CIRCLE)
     inv = system.inverse()
+    assert type(inv.cocycle).__name__ == "_InverseShift"
     pts = np.asarray(float_points(2), order=order)
     base_pts = pts[:, :1]
     expected = (-old_evaluate(system.cocycle,

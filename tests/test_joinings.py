@@ -532,3 +532,33 @@ def test_sampled_checks_refuse_an_empty_sample():
     })
     with pytest.raises(SpecValidationError, match="samples"):
         invariance_check(triple, [(1, 0, -1, 0)], seed=1, samples=0)
+
+
+def test_negative_power_over_a_rotation_is_exact():
+    """The off-diagonal joining of a group extension over the rotation 2/7
+    with its inverse integrates exactly.  Oracle: the mean of the character
+    over an M x M grid of rational points (x, g) and their images, which is
+    the Haar integral for every frequency below M."""
+    component = {"kind": "group-extension", "params": {
+        "base": {"kind": "rotation", "params": {"angle": "2/7"}},
+        "cocycle": {"kind": "affine", "slope": "3", "intercept": "1/5"}}}
+    system = build_system(component)
+    M = 16
+    grid = [(Fraction(i, M), Fraction(j, M)) for i in range(M) for j in range(M)]
+    for power in (-1, -2, 1):
+        joining = build_joining({"kind": "off-diagonal",
+                                 "params": {"component": component, "power": power}})
+        assert joining.exact
+        step = system.inverse() if power < 0 else system
+        images = grid
+        for _ in range(abs(power)):
+            images = [step.apply(p) for p in images]
+        for k in [(1, 1, 0, 0), (-3, 1, 0, -1), (-6, 1, 0, -1), (3, 1, 0, -1),
+                  (0, 1, 0, -1), (2, -1, 1, 1), (1, 0, -1, 0)]:
+            brute = PhaseSum((sum(a * b for a, b in zip(k, p + q)), Fraction(1, M * M))
+                             for p, q in zip(grid, images))
+            assert joining.integrate(k) == brute
+    off = build_joining({"kind": "off-diagonal",
+                         "params": {"component": component, "power": -1}})
+    # the graph of T^-1: e(-3x + g - g') integrates to e(-(3 * 2/7 - 1/5))
+    assert off.integrate((-3, 1, 0, -1)) == PhaseSum.unit(Fraction(-23, 35))

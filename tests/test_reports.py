@@ -1,5 +1,6 @@
 """Serialization surfaces: spectral JSON/CSV, verdict JSON, fiber-failure data."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ergolab.core import Character, ErgolabError, FiberedSystem, HaarMeasure, build_system
+from ergolab.experiments import ExperimentConfig, run_experiment
 from ergolab.joinings import build_joining, product_consistency_test
 from ergolab.spectral import (
     correlation_sequence,
@@ -124,3 +126,20 @@ def test_fibered_rank1_parameter_spec_kind():
     pts = system.measure.sample_rationals(rng_from_seed(4), 2)
     out = system.apply(pts[0])
     assert len(out) == 2 and out[0] == pts[0][0]
+
+
+RANK1_DEPTH_6 = {"depth": 6, "word_stage_max": 8, "prefix_length": 4,
+                 "wm_stages": [2, 3], "N": 256, "threshold": 0.2}
+
+
+@pytest.mark.parametrize("seed, knobs, digest", [
+    (99, RANK1_DEPTH_6, "b4611dde5e606c041591b4893c1547fcb48a1c3d79c936c9e5d18c5ab1dd7082"),
+    (2024, RANK1_DEPTH_6, "233ea12e1dab47ca998d0224206ae93ac69c99cc65ae4c27fc30fb3432acb0f1"),
+    (99, {"depth": 10}, "920a45126ea21fb9668467dcf6b7d8e88d802e7129c6cc41a6ae563c77a78a1f"),
+    (2024, {"depth": 10}, "87933ba4e1ee9b815caf3f1cfadcc22474e7cd3a43404baa3fda03372797ee8a"),
+])
+def test_rank1_family_canonical_bytes_are_pinned(seed, knobs, digest):
+    """sha256 of the rank1-family report: tower correlations, Wiener totals
+    and every printed mass stay byte for byte what they were."""
+    report = run_experiment(ExperimentConfig.resolve("rank1-family", seed, knobs))
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == digest
