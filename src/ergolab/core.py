@@ -13,6 +13,7 @@ against them are `PhaseSum`s; sampling is seeded and deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -447,7 +448,9 @@ def cyclic_uniform(order: int) -> DiracMixture:
 
 
 class ProductMeasure(MeasureHandle):
-    """Product of independent factor measures."""
+    """Product of independent factor measures.  A factor whose character
+    integral is exactly zero (the empty ``PhaseSum``) makes the product's zero
+    whatever the other factors return; else one with none makes it None."""
 
     def __init__(self, factors: Sequence[MeasureHandle], description: str | None = None):
         if not factors:
@@ -462,13 +465,12 @@ class ProductMeasure(MeasureHandle):
 
     def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
         k = validate_frequencies(self.space, k)
-        total = None
-        for f, sl in zip(self.factors, self._slices):
-            part = f.integrate_character(k[sl])
-            if part is None:
-                return None
-            total = part if total is None else total * part
-        return total
+        parts = [f.integrate_character(k[sl]) for f, sl in zip(self.factors, self._slices)]
+        if any(part is not None and not part.terms for part in parts):
+            return PhaseSum.zero()
+        if any(part is None for part in parts):
+            return None
+        return functools.reduce(operator.mul, parts)
 
     def sample_rationals(self, rng, n):
         cols = [f.sample_rationals(rng, n) for f in self.factors]
@@ -920,6 +922,77 @@ class ProductSystem(System):
     def inverse(self):
         # a measure preserved by the product map is preserved by its inverse
         return ProductSystem([f.inverse() for f in self.factors], measure=self.measure)
+
+
+# ---------------------------------------------------------------------------
+# image measures
+# ---------------------------------------------------------------------------
+
+class CoordinateMap:
+    """x -> (x[index[0]], x[index[1]], ...) on points with ``arity``
+    coordinates: copies, reorders or drops coordinates.  Its character
+    pullback adds k[t] into slot index[t], with phase 0."""
+
+    phase_modulus = 1
+
+    def __init__(self, arity: int, index: Sequence[int]):
+        self.arity, self.index = arity, tuple(index)
+
+    def apply(self, point: Point) -> Point:
+        return tuple(point[i] for i in self.index)
+
+    def apply_array(self, points: np.ndarray) -> np.ndarray:
+        # row-major like the samplers' arrays; points[:, index] is column-major
+        return np.take(points, np.asarray(self.index, dtype=np.intp), axis=1)
+
+    def pullback_step(self, k: FreqVector) -> tuple[FreqVector, int]:
+        out = [0] * self.arity
+        for i, ki in zip(self.index, k):
+            out[i] += ki
+        return tuple(out), 0
+
+
+class ImageMeasure(MeasureHandle):
+    """The law of f(x) for x drawn from ``source``, where f is a ``System`` on
+    the source's space or a ``CoordinateMap``.
+
+    A character is integrated through f's pullback when it has one, else
+    summed over the source's atoms, else it has no exact integral.  Samples
+    are f applied to the source's own draws, and atoms are pushed forward.
+    The measure is exact exactly when the source is.
+    """
+
+    def __init__(self, source: MeasureHandle, f: "System | CoordinateMap",
+                 description: str | None = None):
+        self.source, self.f = source, f
+        self.space = tuple(source.space[i] for i in f.index) \
+            if isinstance(f, CoordinateMap) else source.space
+        self.description = description or f"image of {source.description}"
+
+    def _fully_exact(self) -> bool:
+        return self.source.exact
+
+    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
+        k = validate_frequencies(self.space, k)
+        step = self.f.pullback_step(k)
+        if step is not None:
+            part = self.source.integrate_character(step[0])
+            return None if part is None else part.rotated(step[1], self.f.phase_modulus)
+        atoms = self.source.enumerate_atoms()
+        if atoms is None:
+            return None
+        return PhaseSum((sum(map(operator.mul, k, self.f.apply(p)), Fraction(0)), w)
+                        for w, p in atoms)
+
+    def sample_rationals(self, rng, n):
+        return [self.f.apply(p) for p in self.source.sample_rationals(rng, n)]
+
+    def sample_floats(self, rng, n):
+        return self.f.apply_array(self.source.sample_floats(rng, n))
+
+    def enumerate_atoms(self):
+        atoms = self.source.enumerate_atoms()
+        return None if atoms is None else [(w, self.f.apply(p)) for w, p in atoms]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from ergolab.joinings import (
     sample_joining,
 )
 from ergolab.rank1 import (
+    Rank1Map,
     Rank1Spec,
     dyadic_equivalence,
     rank1_map,
@@ -635,6 +636,27 @@ def _run_product_closure(config: ExperimentConfig) -> list[Check]:
     return checks
 
 
+def _itinerary_coherent(m: Rank1Map, word: str) -> bool:
+    """The base point's orbit at the map's full depth, walked on integer units
+    and tied to normalized coordinates by the exact map at both ends: it
+    climbs levels 0, 1, ..., L - 1 in order, and its letters, 'T' on the
+    3**depth base units and 's' on spacer units, spell ``word``."""
+    units, levels = m.base_orbit()
+
+    def midpoint(unit) -> Fraction:
+        return Fraction(2 * int(unit) + 1, 2 * m.length)
+
+    x = m.level_interval(0)[0] + Fraction(1, 2 * m.total_units)
+    is_base = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("T")
+    return (
+        x == midpoint(units[0]) and m.level_of(x) == 0
+        and m.apply(x) == midpoint(units[1])
+        and np.array_equal(levels, np.arange(m.length))
+        and m.level_of(midpoint(units[-1])) == m.length - 1
+        and np.array_equal(units < 3 ** m.depth, is_base)
+    )
+
+
 def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     knobs = config.knobs
     checks: list[Check] = []
@@ -742,21 +764,8 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         details={"depths": list(range(1, depth + 1))},
     ))
 
-    # itinerary coherence at full depth: the base orbit walked on integer
-    # units, tied to normalized coordinates by the exact map at both ends
     m = rank1_map(first, depth)
-    units, levels = m.base_orbit()
-
-    def midpoint(unit) -> Fraction:
-        return Fraction(2 * int(unit) + 1, 2 * m.length)
-
-    x = m.level_interval(0)[0] + Fraction(1, 2 * m.total_units)
-    itinerary_ok = (
-        x == midpoint(units[0]) and m.level_of(x) == 0
-        and m.apply(x) == midpoint(units[1])
-        and np.array_equal(levels, np.arange(m.length))
-        and m.level_of(midpoint(units[-1])) == m.length - 1
-    )
+    itinerary_ok = _itinerary_coherent(m, rank1_word(first, depth).word)
     checks.append(Check(
         check_id="itinerary-coherence",
         anchor="rank1-cutting-and-stacking",

@@ -9,7 +9,10 @@ joining is made through character integrals.
 
 Construction kinds: product, diagonal, graph (including off-diagonal powers),
 the relatively independent extension over declared factors, the coupled triple
-of a twist and its shifted copy, and programmatic custom samplers.
+of a twist and its shifted copy, and programmatic custom samplers.  All but
+the last are images of product measures under coordinate or graph maps
+(``core.ImageMeasure``); custom samplers, and fibers that depend on the drawn
+base point, are given by callables (``JoiningMeasure``).
 ``product_consistency_test`` refutes product structure of one given joining and
 is explicitly one-sided: disjointness quantifies over all joinings, which no
 finite procedure certifies.
@@ -29,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,13 +41,16 @@ from ergolab.core import (
     AffineCocycle,
     Cocycle,
     ConditionalAtomsFiber,
+    CoordinateMap,
     ErgolabError,
     FreqVector,
     HaarMeasure,
     IdentitySystem,
+    ImageMeasure,
     IndependentFiber,
     MeasureHandle,
     PointMeasure,
+    ProductMeasure,
     ProductSystem,
     SkewProductSystem,
     SpecValidationError,
@@ -58,6 +64,8 @@ from ergolab.core import (
     derive_seed,
     factor_slices,
     frequency_box,
+    orbit,
+    pullback_orbit,
     rng_from_seed,
     validate_frequencies,
     wrap_unit,
@@ -68,6 +76,8 @@ DEFAULT_CHECK_FAMILY_MAX_FREQ = 2
 SIGMA_FACTOR = 4.0
 #: samples per block of the character-mean kernel; bounds its working memory
 MEANS_BLOCK_ROWS = 4096
+#: largest |power| of an off-diagonal joining; T^power takes power steps per use
+MAX_OFF_DIAGONAL_POWER = 4096
 
 JOINING_KINDS = (
     "product",
@@ -116,18 +126,17 @@ class JoiningSpec:
 # ---------------------------------------------------------------------------
 
 class JoiningMeasure(MeasureHandle):
-    """MeasureHandle view of a joining: integrator + samplers over the product space."""
+    """MeasureHandle from callables: integrator + samplers over the product
+    space (custom joinings, and fibers that depend on the base point)."""
 
     def __init__(self, space, integrator, sample_rationals_fn, sample_floats_fn,
-                 description: str, exact_flag: bool,
-                 atoms_fn: Callable[[], Optional[list]] | None = None):
+                 description: str, exact_flag: bool):
         self.space = space
         self.description = description
         self._integrator = integrator
         self._sample_rationals = sample_rationals_fn
         self._sample_floats = sample_floats_fn
         self._exact_flag = exact_flag
-        self._atoms_fn = atoms_fn
 
     def _fully_exact(self) -> bool:
         return self._exact_flag
@@ -141,9 +150,6 @@ class JoiningMeasure(MeasureHandle):
 
     def sample_floats(self, rng, n):
         return self._sample_floats(rng, n)
-
-    def enumerate_atoms(self):
-        return self._atoms_fn() if self._atoms_fn is not None else None
 
 
 @dataclass
@@ -235,15 +241,15 @@ def build_joining(spec: JoiningSpec | dict) -> Joining:
         graph_map = _as_system(params.get("map"), field="params.map")
         return graph_joining(sys_, graph_map, spec=spec)
     if kind == "off-diagonal":
-        sys_ = _as_system(params.get("component"), field="params.component")
         power = params.get("power", 0)
         if not isinstance(power, int):
             raise SpecValidationError("params.power", "power must be an integer")
+        if abs(power) > MAX_OFF_DIAGONAL_POWER:
+            raise SpecValidationError(
+                "params.power", f"|power| must be <= {MAX_OFF_DIAGONAL_POWER}, got {power}")
+        sys_ = _as_system(params.get("component"), field="params.component")
         base = sys_ if power >= 0 else sys_.inverse()
-        graph_map: System = IdentitySystem(sys_.measure)
-        for _ in range(abs(power)):
-            graph_map = _ComposedSystem(base, graph_map)
-        return graph_joining(sys_, graph_map, spec=spec)
+        return graph_joining(sys_, _PowerSystem(base, abs(power), sys_.measure), spec=spec)
     if kind == "rel-indep":
         comps = params.get("components")
         if not isinstance(comps, (list, tuple)) or len(comps) != 2:
@@ -268,8 +274,29 @@ def build_joining(spec: JoiningSpec | dict) -> Joining:
     raise SpecValidationError("kind", f"unknown joining kind {kind!r}")
 
 
+class _PowerSystem(System):
+    """T^power, power >= 0, as one system carrying T's invariant ``measure``:
+    its maps step along T's orbit and its pullback walks ``pullback_orbit``."""
+
+    def __init__(self, base: System, power: int, measure: MeasureHandle):
+        self.base, self.power, self.measure = base, power, measure
+        self.space, self.phase_modulus = base.space, base.phase_modulus
+
+    def apply(self, point):
+        return orbit(self.base, point, self.power + 1)[-1]
+
+    def apply_array(self, points):
+        for _ in range(self.power):
+            points = self.base.apply_array(points)
+        return points
+
+    def pullback_step(self, k):
+        steps = list(pullback_orbit(self.base, k, self.power + 1))
+        return steps[-1] if len(steps) > self.power else None
+
+
 class _ComposedSystem(System):
-    """outer o inner, used for powers of a map in off-diagonal joinings."""
+    """outer o inner, used to test that a graph map commutes with the dynamics."""
 
     def __init__(self, outer: System, inner: System):
         self.outer, self.inner = outer, inner
@@ -311,78 +338,28 @@ def graph_joining(system: System, graph_map: System, *,
     if graph_map.space != system.space:
         raise SpecValidationError("map", "graph map must act on the component's space")
     _validate_graph_map(system, graph_map, check_max_freq)
-    measure0 = system.measure
     arity = len(system.space)
-    space = system.space + system.space
-
-    def pulled(k2):
-        return graph_map.char_pullback(k2)
-
-    def integrator(k):
-        k1, k2 = k[:arity], k[arity:]
-        step = pulled(k2)
-        if step is not None:
-            k2p, ph = step
-            merged = tuple(a + b for a, b in zip(k1, k2p))
-            base = measure0.integrate_character(merged)
-            return None if base is None else base.rotated(ph)
-        atoms = measure0.enumerate_atoms()
-        if atoms is None:
-            return None
-        total = PhaseSum.zero()
-        for w, p in atoms:
-            total = total + character_at(k1, p) * character_at(k2, graph_map.apply(p)) * w
-        return total
-
-    def sample_rationals(rng, n):
-        pts = measure0.sample_rationals(rng, n)
-        return [p + graph_map.apply(p) for p in pts]
-
-    def sample_floats(rng, n):
-        pts = measure0.sample_floats(rng, n)
-        return np.concatenate([pts, graph_map.apply_array(pts)], axis=1)
-
-    def atoms_fn():
-        atoms = measure0.enumerate_atoms()
-        if atoms is None:
-            return None
-        return [(w, p + graph_map.apply(p)) for w, p in atoms]
-
-    measure = JoiningMeasure(
-        space, integrator, sample_rationals, sample_floats,
-        description="graph joining",
-        exact_flag=measure0.exact,
-        atoms_fn=atoms_fn,
-    )
+    # x -> (x, x) -> (x, R x)
+    doubled = ImageMeasure(system.measure, CoordinateMap(arity, tuple(range(arity)) * 2))
+    measure = ImageMeasure(doubled, ProductSystem([IdentitySystem(system.measure), graph_map]),
+                           description="graph joining")
     return Joining(spec=spec, components=[system, system],
                    system=ProductSystem([system, system], measure=measure))
 
 
 def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> None:
     measure = system.measure
+    image = ImageMeasure(measure, graph_map)
     family = frequency_box(len(system.space), max_freq, skip_zero=True)
     atoms = measure.enumerate_atoms()
     for k in family:
         # measure preservation of R
-        expected = measure.integrate_character(k)
-        step = graph_map.char_pullback(k)
-        if step is not None and expected is not None:
-            k2, ph = step
-            actual = measure.integrate_character(k2)
-            if actual is not None and not (actual.rotated(ph) - expected).is_zero():
-                raise JoiningConstructionError(
-                    f"graph map does not preserve the measure at character {k}",
-                    character=k,
-                )
-        elif atoms is not None and expected is not None:
-            total = PhaseSum.zero()
-            for w, p in atoms:
-                total = total + character_at(k, graph_map.apply(p)) * w
-            if not (total - expected).is_zero():
-                raise JoiningConstructionError(
-                    f"graph map does not preserve the measure at character {k}",
-                    character=k,
-                )
+        expected, actual = measure.integrate_character(k), image.integrate_character(k)
+        if expected is not None and actual is not None and not (actual - expected).is_zero():
+            raise JoiningConstructionError(
+                f"graph map does not preserve the measure at character {k}",
+                character=k,
+            )
         # commutation with the dynamics on the exact family
         via_tr = _ComposedSystem(system, graph_map).char_pullback(k)
         via_rt = _ComposedSystem(graph_map, system).char_pullback(k)
@@ -439,6 +416,14 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
         raise SpecValidationError("factors", "rel-indep takes two systems and two factor lists")
     s1, s2 = systems
     f1, f2 = tuple(int(c) for c in factors[0]), tuple(int(c) for c in factors[1])
+    a1, a2 = len(s1.space), len(s2.space)
+    rest1 = tuple(i for i in range(a1) if i not in f1)
+    rest2 = tuple(i for i in range(a2) if i not in f2)
+    # the source point is (base point, fiber-1 point, fiber-2 point); ``order``
+    # names the joined coordinate each source coordinate fills
+    order = f1 + tuple(a1 + c for c in f2) + rest1 + tuple(a1 + c for c in rest2)
+    if sorted(order) != list(range(a1 + a2)):
+        raise SpecValidationError("factors", "factors must be distinct component coordinates")
     fac1, fac2 = _factor_system(s1, f1), _factor_system(s2, f2)
     split1, split2 = s1.measure.split(f1), s2.measure.split(f2)
 
@@ -457,92 +442,44 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     if [len(c.space) for c in base_joining.components] != [len(f1), len(f2)]:
         raise SpecValidationError("base", "base joining does not match the factor arities")
 
-    a1, a2 = len(s1.space), len(s2.space)
-    rest1 = tuple(i for i in range(a1) if i not in f1)
-    rest2 = tuple(i for i in range(a2) if i not in f2)
-    space = s1.space + s2.space
+    scatter = CoordinateMap(a1 + a2, sorted(range(a1 + a2), key=order.__getitem__))
+    base_measure, fiber1, fiber2 = base_joining.system.measure, split1.fiber, split2.fiber
+    if isinstance(fiber1, IndependentFiber) and isinstance(fiber2, IndependentFiber):
+        source: MeasureHandle = ProductMeasure([base_measure, fiber1.measure, fiber2.measure])
+    else:
+        # a fiber depends on the base point: summed over base atoms, drawn per point
+        b1, b, r1 = len(f1), len(f1) + len(f2), len(rest1)
 
-    def assemble(base_pt1, fiber_pt1, base_pt2, fiber_pt2):
-        pt1 = [None] * a1
-        for c, v in zip(f1, base_pt1):
-            pt1[c] = v
-        for c, v in zip(rest1, fiber_pt1):
-            pt1[c] = v
-        pt2 = [None] * a2
-        for c, v in zip(f2, base_pt2):
-            pt2[c] = v
-        for c, v in zip(rest2, fiber_pt2):
-            pt2[c] = v
-        return tuple(pt1) + tuple(pt2)
-
-    def integrator(k):
-        k1, k2 = k[:a1], k[a1:]
-        kb = tuple(k1[c] for c in f1) + tuple(k2[c] for c in f2)
-        kr1 = tuple(k1[c] for c in rest1)
-        kr2 = tuple(k2[c] for c in rest2)
-        if isinstance(split1.fiber, IndependentFiber) and \
-                isinstance(split2.fiber, IndependentFiber):
-            base_part = base_joining.integrate(kb)
-            p1 = split1.fiber.measure.integrate_character(kr1)
-            p2 = split2.fiber.measure.integrate_character(kr2)
-            if base_part is None or p1 is None or p2 is None:
+        def integrator(k):
+            kb, kr1, kr2 = k[:b], k[b:b + r1], k[b + r1:]
+            base_atoms = base_measure.enumerate_atoms()
+            if base_atoms is None:
                 return None
-            return base_part * p1 * p2
-        base_atoms = base_joining.system.measure.enumerate_atoms()
-        if base_atoms is None:
-            return None
-        b1_arity = len(f1)
-        total = PhaseSum.zero()
-        for w, bp in base_atoms:
-            bp1, bp2 = bp[:b1_arity], bp[b1_arity:]
-            p1 = split1.fiber.at(bp1).integrate_character(kr1)
-            p2 = split2.fiber.at(bp2).integrate_character(kr2)
-            if p1 is None or p2 is None:
-                return None
-            total = total + character_at(kb, bp) * p1 * p2 * w
-        return total
+            total = PhaseSum.zero()
+            for w, bp in base_atoms:
+                p1 = fiber1.at(bp[:b1]).integrate_character(kr1)
+                p2 = fiber2.at(bp[b1:]).integrate_character(kr2)
+                if p1 is None or p2 is None:
+                    return None
+                total = total + character_at(kb, bp) * p1 * p2 * w
+            return total
 
-    b1_arity = len(f1)
+        def sample_rationals(rng, n):
+            return [bp + fiber1.at(bp[:b1]).sample_rationals(rng, 1)[0]
+                    + fiber2.at(bp[b1:]).sample_rationals(rng, 1)[0]
+                    for bp in base_measure.sample_rationals(rng, n)]
 
-    def sample_rationals(rng, n):
-        base_pts = base_joining.system.measure.sample_rationals(rng, n)
-        out = []
-        for bp in base_pts:
-            bp1, bp2 = bp[:b1_arity], bp[b1_arity:]
-            fp1 = split1.fiber.at(bp1).sample_rationals(rng, 1)[0]
-            fp2 = split2.fiber.at(bp2).sample_rationals(rng, 1)[0]
-            out.append(assemble(bp1, fp1, bp2, fp2))
-        return out
+        def sample_floats(rng, n):
+            return np.array([[float(c) for c in p] for p in sample_rationals(rng, n)])
 
-    def sample_floats(rng, n):
-        if isinstance(split1.fiber, IndependentFiber) and \
-                isinstance(split2.fiber, IndependentFiber):
-            base_pts = base_joining.system.measure.sample_floats(rng, n)
-            fib1 = split1.fiber.measure.sample_floats(rng, n)
-            fib2 = split2.fiber.measure.sample_floats(rng, n)
-            out = np.empty((n, a1 + a2))
-            for j, c in enumerate(f1):
-                out[:, c] = base_pts[:, j]
-            for j, c in enumerate(rest1):
-                out[:, c] = fib1[:, j]
-            for j, c in enumerate(f2):
-                out[:, a1 + c] = base_pts[:, b1_arity + j]
-            for j, c in enumerate(rest2):
-                out[:, a1 + c] = fib2[:, j]
-            return out
-        pts = sample_rationals(rng, n)
-        return np.array([[float(c) for c in p] for p in pts])
-
-    exact_flag = base_joining.exact and all(
-        (isinstance(sp.fiber, IndependentFiber) and sp.fiber.measure.exact)
-        or isinstance(sp.fiber, ConditionalAtomsFiber)
-        for sp in (split1, split2)
-    )
-    measure = JoiningMeasure(
-        space, integrator, sample_rationals, sample_floats,
-        description="relatively independent extension",
-        exact_flag=exact_flag,
-    )
+        exact_flag = base_joining.exact and all(
+            isinstance(fiber, ConditionalAtomsFiber) or fiber.measure.exact
+            for fiber in (fiber1, fiber2))
+        joined_space = s1.space + s2.space
+        source = JoiningMeasure(tuple(joined_space[c] for c in order), integrator,
+                                sample_rationals, sample_floats,
+                                description="base point and fibers", exact_flag=exact_flag)
+    measure = ImageMeasure(source, scatter, description="relatively independent extension")
     return Joining(spec=spec, components=[s1, s2],
                    system=ProductSystem([s1, s2], measure=measure))
 
@@ -586,29 +523,9 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fracti
 
         shifted_cocycle = _Shifted()
     shifted = SkewProductSystem(IdentitySystem(base_measure), shifted_cocycle, CIRCLE)
-    space = twist.space + shifted.space
-
-    def integrator(k):
-        k1, k2, k3, k4 = k
-        if k2 != 0 or k4 != 0:
-            return PhaseSum.zero()
-        return base_measure.integrate_character((k1 + k3,))
-
-    def sample_rationals(rng, n):
-        xs = base_measure.sample_rationals(rng, n)
-        yz = HaarMeasure(2).sample_rationals(rng, n)
-        return [(x[0], y, x[0], z) for x, (y, z) in zip(xs, yz)]
-
-    def sample_floats(rng, n):
-        xs = base_measure.sample_floats(rng, n)
-        yz = HaarMeasure(2).sample_floats(rng, n)
-        return np.column_stack([xs[:, 0], yz[:, 0], xs[:, 0], yz[:, 1]])
-
-    measure = JoiningMeasure(
-        space, integrator, sample_rationals, sample_floats,
-        description="coupled twist triple",
-        exact_flag=base_measure.exact,
-    )
+    # (x, y, z) -> (x, y, x, z), with y and z drawn independently from Haar
+    measure = ImageMeasure(ProductMeasure([base_measure, HaarMeasure(2)]),
+                           CoordinateMap(3, (0, 1, 0, 2)), description="coupled twist triple")
     return Joining(spec=spec, components=[twist, shifted],
                    system=ProductSystem([twist, shifted], measure=measure))
 

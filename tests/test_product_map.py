@@ -89,9 +89,13 @@ def old_product_closures(systems):
         lo += len(s.space)
 
     def integrator(k):
+        # an exactly zero factor makes the product zero, even beside a factor
+        # with no exact integral
+        parts = [s.measure.integrate_character(k[sl]) for s, sl in zip(systems, slices)]
+        if any(part is not None and not part.terms for part in parts):
+            return PhaseSum.zero()
         total = PhaseSum.one()
-        for s, sl in zip(systems, slices):
-            part = s.measure.integrate_character(k[sl])
+        for part in parts:
             if part is None:
                 return None
             total = total * part

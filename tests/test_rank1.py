@@ -459,3 +459,27 @@ def test_make_sa_flat_system_applies_fiberwise():
     m = rank1_map(Rank1Spec.from_rational(a, 3))
     out = flat.apply((a, F(0)))
     assert out == (a, m.apply(F(0)))
+
+
+@pytest.mark.parametrize("a", ["1/4", "3/4", "1/3"])
+@pytest.mark.parametrize("depth", [1, 2, 5, 10])
+def test_itinerary_coherence_holds_on_the_built_tower(a, depth):
+    from ergolab.experiments import _itinerary_coherent
+
+    spec = Rank1Spec.from_rational(a, depth)
+    assert _itinerary_coherent(rank1_map(spec, depth), rank1_word(spec, depth).word)
+
+
+def test_itinerary_coherence_fails_when_a_base_and_a_spacer_level_swap():
+    """Swapping a T level with an s level still walks levels 0..L-1 in order,
+    so only the letters of the orbit catch it."""
+    from ergolab.experiments import _itinerary_coherent
+
+    spec = Rank1Spec.from_rational("1/4", 10)
+    m = rank1_map(spec, 10)
+    assert (m.word[3], m.word[10]) == ("T", "s")
+    starts = m.level_starts.copy()
+    starts[[3, 10]] = starts[[10, 3]]
+    swapped = Rank1Map(depth=10, level_starts=starts, word=m.word)
+    assert np.array_equal(swapped.base_orbit()[1], np.arange(swapped.length))
+    assert not _itinerary_coherent(swapped, rank1_word(spec, 10).word)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -143,3 +144,47 @@ def test_rank1_family_canonical_bytes_are_pinned(seed, knobs, digest):
     and every printed mass stay byte for byte what they were."""
     report = run_experiment(ExperimentConfig.resolve("rank1-family", seed, knobs))
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == digest
+
+
+#: the small knobs of test_report_determinism; product-closure at 5,000 samples
+JOINING_REPORTS = {
+    "identity-disjoint": {"max_freq": 4, "N": 512, "samples": 2048},
+    "example1": {"N": 512, "max_freq": 4, "invariance_degree": 1,
+                 "statistical_samples": 2048},
+    "product-closure": {"samples": 5000},
+    "spectral-probe": {"system": {"kind": "twist", "params": {
+        "base_measure": {"kind": "power-law-sampled", "exponent": 2}}},
+        "observable": {"freqs": [0, 1], "centered": True}, "N": 256,
+        "samples": 1024, "toeplitz_size": 16, "eigenvalue_queries": [{"angle": "0"}]},
+}
+#: product-closure prints the seconds its consistency checks took
+ELAPSED_TOKEN = re.compile(r", [0-9]+\.[0-9]+s\)$")
+
+
+def masked_canonical_bytes(report) -> bytes:
+    doc = json.loads(report.canonical_bytes())
+    if doc["config"]["experiment"] == "product-closure":
+        for check in doc["checks"]:
+            if check["check_id"].startswith("consistency-"):
+                check["observed"] = ELAPSED_TOKEN.sub(", <elapsed>s)", check["observed"])
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("experiment, seed, digest", [
+    ("identity-disjoint", 99, "82a2e7710a50a596f99e576e421a62e8f70bb74236b611d792aa1e1492732e2e"),
+    ("example1", 99, "030bf6a0b3972e8cea24ebab8f10333e01a5f58f4a9d59b50651186362b55359"),
+    ("product-closure", 99, "d9f3aac73ebf7414786335b56d8d8352eb05ee755e05102f13bfbd5bdfe0a3e5"),
+    ("spectral-probe", 99, "7bc2642bd9d15fb082dbbf664210f69f7143b3bbd5136bac47a0b38fcbf71ea9"),
+    ("identity-disjoint", 2024,
+     "3c1a029399feefa33d459e4f07f818c5455f14b95d1eb2d55ffd32f45cf354ab"),
+    ("example1", 2024, "05ce3387a70c3ba99e3e964dd3623e108efc4ef9df4123d133ce49b9ac189dee"),
+    ("product-closure", 2024,
+     "fa4026289f1e8ac66551b4f71b5f79e5b5894784f79f832b428e454232698502"),
+    ("spectral-probe", 2024, "3a5337179e6241f7481000980c2d4d79178da40882be29442982cccdd89c9e25"),
+])
+def test_joining_report_canonical_bytes_are_pinned(experiment, seed, digest):
+    """sha256 of the reports that build joinings (and the sampled twist
+    probe), with product-closure's elapsed seconds masked."""
+    report = run_experiment(ExperimentConfig.resolve(experiment, seed,
+                                                     JOINING_REPORTS[experiment]))
+    assert hashlib.sha256(masked_canonical_bytes(report)).hexdigest() == digest
