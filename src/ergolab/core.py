@@ -13,7 +13,6 @@ against them are `PhaseSum`s; sampling is seeded and deterministic.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -21,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -447,10 +446,26 @@ def cyclic_uniform(order: int) -> DiracMixture:
     )
 
 
+def product_of_integrals(parts: Iterable[Optional[PhaseSum]]) -> Optional[PhaseSum]:
+    """The product of factor integrals, read in one pass.  A factor whose
+    integral is exactly zero (the empty ``PhaseSum``) makes the product zero
+    whatever the other factors return, and the factors after it are not read;
+    else one with no integral (None) makes it None."""
+    total: Optional[PhaseSum] = None
+    unknown = False
+    for part in parts:
+        if part is None:
+            unknown = True
+        elif not part.terms:
+            return PhaseSum.zero()
+        elif not unknown:
+            total = part if total is None else total * part
+    return None if unknown else (PhaseSum.one() if total is None else total)
+
+
 class ProductMeasure(MeasureHandle):
-    """Product of independent factor measures.  A factor whose character
-    integral is exactly zero (the empty ``PhaseSum``) makes the product's zero
-    whatever the other factors return; else one with none makes it None."""
+    """Product of independent factor measures; its character integral is the
+    ``product_of_integrals`` of the factors'."""
 
     def __init__(self, factors: Sequence[MeasureHandle], description: str | None = None):
         if not factors:
@@ -465,12 +480,8 @@ class ProductMeasure(MeasureHandle):
 
     def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
         k = validate_frequencies(self.space, k)
-        parts = [f.integrate_character(k[sl]) for f, sl in zip(self.factors, self._slices)]
-        if any(part is not None and not part.terms for part in parts):
-            return PhaseSum.zero()
-        if any(part is None for part in parts):
-            return None
-        return functools.reduce(operator.mul, parts)
+        return product_of_integrals(
+            f.integrate_character(k[sl]) for f, sl in zip(self.factors, self._slices))
 
     def sample_rationals(self, rng, n):
         cols = [f.sample_rationals(rng, n) for f in self.factors]
@@ -854,6 +865,16 @@ class SkewProductSystem(System):
         return tuple(kb) + (k[b],), (P * (Q // self.cocycle.phase_modulus)
                                      + base_P * (Q // self.base.phase_modulus)) % Q
 
+    def fiber(self, base_point: Point) -> RotationSystem:
+        """The rotation by phi(base point) that the map induces on the circle
+        over that point; an identity base fixes the point, so the circle is
+        invariant."""
+        if not (isinstance(self.base, IdentitySystem) and self.group.kind == "circle"):
+            raise UnsupportedOperationError(
+                "only skew products over an identity base expose fibers structurally"
+            )
+        return RotationSystem(self.cocycle(base_point))
+
     def inverse(self):
         """The skew product over B^-1 with cocycle -phi(B^-1 x), written out
         exactly where it is affine or a table: over the identity, and over a
@@ -1026,51 +1047,6 @@ class LevelIndicator:
 
 
 Observable = Character | LevelIndicator
-
-
-# ---------------------------------------------------------------------------
-# fibered view
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiberedSystem:
-    """A system presented through its space of ergodic components.
-
-    ``fiber`` maps a base point to the system living on that fiber; the
-    optional flat view is the same dynamics on the total space.
-    """
-
-    base_measure: MeasureHandle
-    fiber: Callable[[Point], System]
-    description: str
-    flat: System | None = None
-    fiber_observable: object | None = None
-    flat_observable: object | None = None
-
-    def sample_fibers(self, seed: int, n: int) -> list[tuple[Point, System]]:
-        rng = rng_from_seed(seed)
-        points = self.base_measure.sample_rationals(rng, n)
-        return [(p, self.fiber(p)) for p in points]
-
-    def integrate_product_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        """Exact integral of a product character via the fiber decomposition.
-
-        Available when the base measure has finite support: the total integral
-        is the weighted sum over base atoms of (base character value) times the
-        fiber measure's integral.
-        """
-        if not isinstance(self.base_measure, DiracMixture):
-            return None
-        b = self.base_measure.arity
-        kb, kf = k[:b], k[b:]
-        total = PhaseSum.zero()
-        for w, p in self.base_measure.atoms:
-            fib = self.fiber(p)
-            part = fib.measure.integrate_character(kf)
-            if part is None:
-                return None
-            total = total + character_at(kb, p) * part * w
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -1284,35 +1260,13 @@ def build_system(spec: SystemSpec | dict) -> System:
             from ergolab.rank1 import make_Sa_system
 
             depth = fiber_doc.get("depth", 8)
-            return make_Sa_system(base_measure, depth).flat
+            return make_Sa_system(base_measure, depth)
         raise SpecValidationError("params.fiber.kind", f"unknown fiber kind {fkind!r}")
     if kind == "rank1-family":
         from ergolab.rank1 import Rank1Spec, build_rank1_system
 
         return build_rank1_system(Rank1Spec.from_params(params), spec=spec)
     raise SpecValidationError("kind", f"unknown kind {kind!r}")
-
-
-def as_fibered(system: System) -> FiberedSystem:
-    """The structural ergodic-component view of a skew product over an identity base."""
-    if isinstance(system, SkewProductSystem) and isinstance(system.base, IdentitySystem) \
-            and system.group.kind == "circle":
-        cocycle = system.cocycle
-
-        def fiber(base_point: Point) -> System:
-            return RotationSystem(cocycle(base_point))
-
-        return FiberedSystem(
-            base_measure=system.base.measure,
-            fiber=fiber,
-            description="skew-rotation fibers over base points",
-            flat=system,
-            fiber_observable=Character((1,)),
-            flat_observable=Character((0,) * system.base_arity + (1,)),
-        )
-    raise UnsupportedOperationError(
-        "only skew products over an identity base expose fibers structurally"
-    )
 
 
 # ---------------------------------------------------------------------------

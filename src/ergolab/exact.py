@@ -373,9 +373,6 @@ class PhaseSum:
     def __complex__(self) -> complex:
         return self.value()
 
-    def abs_value(self) -> float:
-        return abs(self.value())
-
     # -- exact predicates ------------------------------------------------------
 
     def _cyclotomic_remainder(self) -> tuple[list[int], int] | None:

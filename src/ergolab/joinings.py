@@ -64,8 +64,7 @@ from ergolab.core import (
     derive_seed,
     factor_slices,
     frequency_box,
-    orbit,
-    pullback_orbit,
+    product_of_integrals,
     rng_from_seed,
     validate_frequencies,
     wrap_unit,
@@ -187,18 +186,18 @@ class Joining:
         return [tuple(k[sl]) for sl in self.slices]
 
     def product_integral(self, k: Sequence[int]) -> Optional[PhaseSum]:
-        """Integral of the same character against the product of the marginals.
+        """Integral of the same character against the product of the marginals,
+        with ``ProductMeasure``'s rule (``core.product_of_integrals``).
 
         Each marginal integral is computed once per joining and reused."""
-        total = PhaseSum.one()
-        for key in enumerate(self.split_frequencies(k)):
-            if key not in self._marginal_integrals:
-                self._marginal_integrals[key] = self.marginal_integrate(*key)
-            part = self._marginal_integrals[key]
-            if part is None:
-                return None
-            total = total * part
-        return total
+        return product_of_integrals([self._memoized_marginal(i, ki)
+                                     for i, ki in enumerate(self.split_frequencies(k))])
+
+    def _memoized_marginal(self, index: int, k: FreqVector) -> Optional[PhaseSum]:
+        key = (index, k)
+        if key not in self._marginal_integrals:
+            self._marginal_integrals[key] = self.marginal_integrate(index, k)
+        return self._marginal_integrals[key]
 
 
 def sample_joining(joining: Joining, seed: int, count: int, *,
@@ -248,8 +247,9 @@ def build_joining(spec: JoiningSpec | dict) -> Joining:
             raise SpecValidationError(
                 "params.power", f"|power| must be <= {MAX_OFF_DIAGONAL_POWER}, got {power}")
         sys_ = _as_system(params.get("component"), field="params.component")
-        base = sys_ if power >= 0 else sys_.inverse()
-        return graph_joining(sys_, _PowerSystem(base, abs(power), sys_.measure), spec=spec)
+        step = sys_ if power >= 0 else sys_.inverse()
+        maps = [step] * abs(power) or [IdentitySystem(sys_.measure)]
+        return graph_joining(sys_, _ComposedSystem(*maps, measure=sys_.measure), spec=spec)
     if kind == "rel-indep":
         comps = params.get("components")
         if not isinstance(comps, (list, tuple)) or len(comps) != 2:
@@ -274,51 +274,35 @@ def build_joining(spec: JoiningSpec | dict) -> Joining:
     raise SpecValidationError("kind", f"unknown joining kind {kind!r}")
 
 
-class _PowerSystem(System):
-    """T^power, power >= 0, as one system carrying T's invariant ``measure``:
-    its maps step along T's orbit and its pullback walks ``pullback_orbit``."""
+class _ComposedSystem(System):
+    """maps[0] o ... o maps[-1], carrying ``measure`` (the innermost map's by
+    default): graph maps tested for commutation, and off-diagonal powers."""
 
-    def __init__(self, base: System, power: int, measure: MeasureHandle):
-        self.base, self.power, self.measure = base, power, measure
-        self.space, self.phase_modulus = base.space, base.phase_modulus
+    def __init__(self, *maps: System, measure: MeasureHandle | None = None):
+        self.maps = maps
+        self.space = maps[-1].space
+        self.measure = maps[-1].measure if measure is None else measure
+        self.phase_modulus = math.lcm(*(m.phase_modulus for m in maps))
 
     def apply(self, point):
-        return orbit(self.base, point, self.power + 1)[-1]
+        for m in reversed(self.maps):
+            point = m.apply(point)
+        return point
 
     def apply_array(self, points):
-        for _ in range(self.power):
-            points = self.base.apply_array(points)
+        for m in reversed(self.maps):
+            points = m.apply_array(points)
         return points
 
     def pullback_step(self, k):
-        steps = list(pullback_orbit(self.base, k, self.power + 1))
-        return steps[-1] if len(steps) > self.power else None
-
-
-class _ComposedSystem(System):
-    """outer o inner, used to test that a graph map commutes with the dynamics."""
-
-    def __init__(self, outer: System, inner: System):
-        self.outer, self.inner = outer, inner
-        self.space = inner.space
-        self.measure = inner.measure
-        self.spec = None
-        self.phase_modulus = math.lcm(outer.phase_modulus, inner.phase_modulus)
-
-    def apply(self, point):
-        return self.outer.apply(self.inner.apply(point))
-
-    def apply_array(self, points):
-        return self.outer.apply_array(self.inner.apply_array(points))
-
-    def pullback_step(self, k):
-        step = self.outer.pullback_step(k)
-        last = None if step is None else self.inner.pullback_step(step[0])
-        if last is None:
-            return None
-        Q = self.phase_modulus
-        return last[0], (step[1] * (Q // self.outer.phase_modulus)
-                         + last[1] * (Q // self.inner.phase_modulus)) % Q
+        # char_k o (A o B) = char_k o A o B: pull back through the outer map first
+        P, Q = 0, self.phase_modulus
+        for m in self.maps:
+            step = m.pullback_step(k)
+            if step is None:
+                return None
+            k, P = step[0], P + step[1] * (Q // m.phase_modulus)
+        return k, P % Q
 
 
 def product_joining(systems: Sequence[System], spec: JoiningSpec | None = None) -> Joining:
@@ -412,10 +396,15 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     With trivial factors this is exactly the product joining.  The base joining
     is built over the derived factor systems (kinds: product, diagonal, graph).
     """
-    if len(systems) != 2 or len(factors) != 2:
-        raise SpecValidationError("factors", "rel-indep takes two systems and two factor lists")
+    if len(systems) != 2:
+        raise SpecValidationError("components", "rel-indep joins two systems")
+    if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
+            isinstance(f, (list, tuple)) and all(type(c) is int for c in f) for f in factors)):
+        raise SpecValidationError("factors", "factors must be two lists of int coordinates")
+    if not isinstance(base, (dict, Joining)):
+        raise SpecValidationError("base", "base must be a joining spec object or a Joining")
     s1, s2 = systems
-    f1, f2 = tuple(int(c) for c in factors[0]), tuple(int(c) for c in factors[1])
+    f1, f2 = tuple(factors[0]), tuple(factors[1])
     a1, a2 = len(s1.space), len(s2.space)
     rest1 = tuple(i for i in range(a1) if i not in f1)
     rest2 = tuple(i for i in range(a2) if i not in f2)

@@ -36,9 +36,8 @@ import numpy as np
 from ergolab.core import (
     INTERVAL,
     DepthExceededError,
-    FiberedSystem,
     HaarMeasure,
-    LevelIndicator,
+    IdentitySystem,
     MeasureHandle,
     Point,
     ProductMeasure,
@@ -60,6 +59,7 @@ __all__ = [
     "agreement_stage",
     "AgreementReport",
     "make_Sa_system",
+    "Rank1Family",
     "build_rank1_system",
     "Rank1System",
     "stage_level_positions",
@@ -146,11 +146,6 @@ class Rank1Spec:
                 )
             return self.digits[:n]
         return binary_digits(self.a, n)
-
-    def to_params(self) -> dict:
-        if self.digits is not None:
-            return {"digits": list(self.digits), "depth": self.depth}
-        return {"a": scalar_str(self.a), "depth": self.depth}
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +481,7 @@ def agreement_stage(a: Rank1Spec, b: Rank1Spec, max_stage: int) -> AgreementRepo
 
 
 # ---------------------------------------------------------------------------
-# system wrapper and fibered family
+# system wrapper and the parameterized family
 # ---------------------------------------------------------------------------
 
 class Rank1System(System):
@@ -522,45 +517,43 @@ def build_rank1_system(r1spec: Rank1Spec, spec=None) -> Rank1System:
     return Rank1System(r1spec, spec=spec)
 
 
-def make_Sa_system(base: MeasureHandle, depth: int) -> FiberedSystem:
-    """The parameterized family a -> T_a as a fibered system over the base measure.
+class Rank1Family(System):
+    """The family a -> T_a at one depth as one system, (a, x) -> (a, T_a x) over
+    base (x) Lebesgue; its fiber over a is T_a.  T_a reads only the first
+    ``depth`` binary digits of a, so towers are cached on floor(a 2^depth)."""
 
-    The flat view acts on (a, x) by (a, T_a x); fibers are the individual
-    rank-one systems at the requested depth.
-    """
-    if base.arity != 1:
-        raise SpecValidationError("base", "the parameter space has one coordinate")
+    def __init__(self, base: MeasureHandle, depth: int):
+        if base.arity != 1:
+            raise SpecValidationError("base", "the parameter space has one coordinate")
+        if type(depth) is not int or depth < 1:
+            raise SpecValidationError("depth", f"depth must be an int >= 1, got {depth!r}")
+        self.depth = depth
+        self.base = IdentitySystem(base)
+        self.space = (base.space[0], INTERVAL)
+        self.measure = ProductMeasure([base, HaarMeasure((INTERVAL,))])
+        self._tower_for_prefix = lru_cache(maxsize=256)(
+            lambda prefix: rank1_map(Rank1Spec.from_rational(Fraction(prefix, 2**depth), depth)))
 
-    @lru_cache(maxsize=256)
-    def fiber_for(a: Fraction) -> Rank1System:
-        return Rank1System(Rank1Spec.from_rational(a, depth))
+    def fiber(self, point: Point) -> Rank1System:
+        return Rank1System(Rank1Spec.from_rational(point[0], self.depth))
 
-    def fiber(point: Point) -> System:
-        return fiber_for(point[0])
+    def _tower(self, a: Fraction) -> Rank1Map:
+        if not 0 <= a <= 1:
+            raise SpecValidationError("a", f"parameter {a} is outside [0, 1]")
+        return self._tower_for_prefix(a * 2**self.depth // 1)
 
-    class _FlatSa(System):
-        def __init__(self):
-            self.space = (base.space[0], INTERVAL)
-            self.measure = ProductMeasure([base, HaarMeasure((INTERVAL,))])
-            self.spec = None
+    def apply(self, point):
+        a, x = point
+        return (a, self._tower(Fraction(a)).apply(Fraction(x)))
 
-        def apply(self, point):
-            a, x = point
-            return (a, fiber_for(a).map.apply(Fraction(x)))
+    def apply_array(self, points):
+        # floats from our samplers are exact dyadics, so Fraction(float) is lossless
+        out = points.copy()
+        for i in range(points.shape[0]):
+            out[i, 1] = float(self._tower(Fraction(points[i, 0])).apply(Fraction(points[i, 1])))
+        return out
 
-        def apply_array(self, points):
-            # floats from our samplers are exact dyadics, so Fraction(float) is lossless
-            out = points.copy()
-            for i in range(points.shape[0]):
-                a = Fraction(points[i, 0])
-                out[i, 1] = float(fiber_for(a).map.apply(Fraction(points[i, 1])))
-            return out
 
-    return FiberedSystem(
-        base_measure=base,
-        fiber=fiber,
-        description=f"rank-one family at depth {depth} over {base.description}",
-        flat=_FlatSa(),
-        fiber_observable=LevelIndicator(stage=min(3, depth), level=0),
-        flat_observable=None,
-    )
+def make_Sa_system(base: MeasureHandle, depth: int) -> Rank1Family:
+    """The parameterized family a -> T_a over the base measure, at one depth."""
+    return Rank1Family(base, depth)

@@ -38,9 +38,9 @@ import numpy as np
 from ergolab.core import (
     Character,
     ErgolabError,
-    FiberedSystem,
     FreqVector,
     LevelIndicator,
+    Observable,
     SpecValidationError,
     System,
     UnsupportedOperationError,
@@ -607,30 +607,29 @@ class FiberScanReport:
         }
 
 
-def fiber_eigenvalue_scan(fibered: FiberedSystem, alpha, samples: int, N: int, *,
-                          seed: int, threshold: float = EIGENVALUE_THRESHOLD,
-                          fiber_observable=None) -> FiberScanReport:
-    """Fraction of sampled fibers witnessing alpha, juxtaposed with the flat view.
+def fiber_eigenvalue_scan(system: System, alpha, samples: int, N: int, *, seed: int,
+                          fiber_observable: Observable,
+                          flat_observable: Observable | None = None,
+                          threshold: float = EIGENVALUE_THRESHOLD) -> FiberScanReport:
+    """Fraction of sampled fibers witnessing alpha, juxtaposed with the flat system.
 
-    An eigenvalue of a positive-measure set of fibers shows up in the flat
-    system and conversely; the report states both sides.  Fibers whose
-    construction or probe raises an ``ErgolabError`` are excluded from the
-    fraction and counted as failures; any other exception propagates.
+    ``system`` acts fiberwise over an identity base: base points are drawn
+    from ``system.base.measure`` and ``system.fiber(point)`` is the system on
+    the fiber over a point.  An eigenvalue of a positive-measure set of fibers
+    shows up in the flat system and conversely; with ``flat_observable`` the
+    report states both sides.  Fibers whose construction or probe raises an
+    ``ErgolabError`` are excluded from the fraction and counted as failures;
+    any other exception propagates.
     """
     angle = parse_scalar(alpha, field="alpha") % 1
-    observable = fiber_observable if fiber_observable is not None \
-        else fibered.fiber_observable
-    if observable is None:
-        raise SpecValidationError("fiber_observable", "no fiber observable available")
     entries = []
     witnessed = 0
     failures = 0
     usable = 0
-    base_points = fibered.base_measure.sample_rationals(rng_from_seed(seed), samples)
+    base_points = system.base.measure.sample_rationals(rng_from_seed(seed), samples)
     for point in base_points:
         try:
-            fiber = fibered.fiber(point)
-            verdict = detect_eigenvalue(fiber, observable, angle, N,
+            verdict = detect_eigenvalue(system.fiber(point), fiber_observable, angle, N,
                                         threshold=threshold,
                                         seed=seed, samples=1024)
         except ErgolabError as exc:  # per-fiber failures are data
@@ -646,9 +645,9 @@ def fiber_eigenvalue_scan(fibered: FiberedSystem, alpha, samples: int, N: int, *
 
     flat_verdict = None
     coherent = None
-    if fibered.flat is not None and fibered.flat_observable is not None:
+    if flat_observable is not None:
         try:
-            flat_verdict = detect_eigenvalue(fibered.flat, fibered.flat_observable,
+            flat_verdict = detect_eigenvalue(system, flat_observable,
                                              angle, N, threshold=threshold,
                                              seed=seed, samples=4096)
             coherent = (not flat_verdict.witnessed) or fraction > 0

@@ -21,7 +21,6 @@ from ergolab.core import (
     SpecValidationError,
     SystemSpec,
     UnsupportedOperationError,
-    as_fibered,
     build_measure,
     build_system,
     character_at,
@@ -380,7 +379,8 @@ def test_dirac_rational_and_float_paths_agree():
 # ---------------------------------------------------------------------------
 
 def test_fibered_consistency_for_finite_support_twist():
-    """Fibered and flat views give identical exact integrals (|k|_inf <= 8)."""
+    """The flat integral equals the sum over base atoms of w e(<k_b, p>) times
+    the fiber measure's integral (|k|_inf <= 8)."""
     base = {
         "kind": "atoms",
         "atoms": [
@@ -389,24 +389,33 @@ def test_fibered_consistency_for_finite_support_twist():
         ],
     }
     system = twist(base=base)
-    fibered = as_fibered(system)
     for k in frequency_box(2, 8):
-        via_fibers = fibered.integrate_product_character(k)
+        kb, kf = k[:1], k[1:]
+        via_fibers = PhaseSum.zero()
+        for w, p in system.base.measure.atoms:
+            part = system.fiber(p).measure.integrate_character(kf)
+            via_fibers = via_fibers + character_at(kb, p) * part * w
         flat = system.measure.integrate_character(k)
-        assert via_fibers is not None
         assert (via_fibers - flat).is_zero(), f"fibered mismatch at {k}"
 
 
 def test_fibered_fibers_are_rotations_by_the_cocycle():
     system = twist(slope="1", intercept="1/7")
-    fibered = as_fibered(system)
-    fiber = fibered.fiber((F(1, 3),))
+    fiber = system.fiber((F(1, 3),))
     assert fiber.apply((F(0),)) == (F(1, 3) + F(1, 7),)
 
 
 def test_fibered_requires_structural_fibers():
-    with pytest.raises(UnsupportedOperationError):
-        as_fibered(rotation("1/3"))
+    """Fibers are rotations only over an identity base and on the circle."""
+    over_rotation = {"kind": "group-extension", "params": {
+        "base": {"kind": "rotation", "params": {"angle": "1/3"}}}}
+    cyclic = {"kind": "group-extension", "params": {
+        "base": {"kind": "identity", "params": {}},
+        "cocycle": {"kind": "affine", "slope": "0", "intercept": "1/2"},
+        "group": {"kind": "cyclic", "order": 2}}}
+    for spec in (over_rotation, cyclic):
+        with pytest.raises(UnsupportedOperationError, match="identity base"):
+            build_system(spec).fiber((F(0),))
 
 
 def test_character_observable_labels():

@@ -7,6 +7,7 @@ built from by hand before they became image measures, kept here as references.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +22,12 @@ from ergolab.core import (
     IndependentFiber,
     ProductMeasure,
     SpecValidationError,
+    System,
     build_measure,
     build_system,
     character_at,
     frequency_box,
+    product_of_integrals,
     rng_from_seed,
 )
 from ergolab.exact import PhaseSum
@@ -50,6 +53,7 @@ ATOMS = {"kind": "atoms", "atoms": [
     {"point": ["2/3"], "weight": "1/2"},
 ]}
 IDENTITY_ATOMS = {"kind": "identity", "params": {"measure": ATOMS}}
+IDENTITY_HAAR = {"kind": "identity", "params": {"measure": HAAR}}
 # atoms on (x, g) that g -> g + phi(x) permutes, phi(0) = 1/2 and phi(1/2) = 0
 PAIR_ATOMS = {"kind": "atoms", "atoms": [
     {"point": ["0", "0"], "weight": "1/4"},
@@ -73,6 +77,31 @@ TWIST_PAIR = {"kind": "product", "params": {"factors": [TWIST, TWIST]}}
 # ---------------------------------------------------------------------------
 # the former closures
 # ---------------------------------------------------------------------------
+
+class TwoMapComposition(System):
+    """outer o inner, the two-map composition the former powers nested."""
+
+    def __init__(self, outer, inner):
+        self.outer, self.inner = outer, inner
+        self.space = inner.space
+        self.measure = inner.measure
+        self.phase_modulus = math.lcm(outer.phase_modulus, inner.phase_modulus)
+
+    def apply(self, point):
+        return self.outer.apply(self.inner.apply(point))
+
+    def apply_array(self, points):
+        return self.outer.apply_array(self.inner.apply_array(points))
+
+    def pullback_step(self, k):
+        step = self.outer.pullback_step(k)
+        last = None if step is None else self.inner.pullback_step(step[0])
+        if last is None:
+            return None
+        Q = self.phase_modulus
+        return last[0], (step[1] * (Q // self.outer.phase_modulus)
+                         + last[1] * (Q // self.inner.phase_modulus)) % Q
+
 
 def old_graph_closures(system, graph_map):
     """What ``graph_joining`` built by hand."""
@@ -244,7 +273,7 @@ def graph_case(component, graph_map=None, power=None):
             step = system if power >= 0 else system.inverse()
             old_map = IdentitySystem(system.measure)
             for _ in range(abs(power)):
-                old_map = _ComposedSystem(step, old_map)
+                old_map = TwoMapComposition(step, old_map)
         elif graph_map is None:
             joining = build_joining({"kind": "diagonal", "params": {"component": component}})
             old_map = IdentitySystem(system.measure)
@@ -385,9 +414,56 @@ def test_product_measure_zero_factor_beats_a_missing_integral():
     assert product.integrate_character((0, 0)) == PhaseSum.one()
 
 
+def test_product_of_integrals_zero_wins_in_any_position():
+    zero, one, half = PhaseSum.zero(), PhaseSum.one(), PhaseSum.from_rational(Fraction(1, 2))
+    assert product_of_integrals([None, zero]) == zero
+    assert product_of_integrals([zero, None]) == zero
+    assert product_of_integrals([half, None]) is None
+    assert product_of_integrals([half, half]) == PhaseSum.from_rational(Fraction(1, 4))
+    assert product_of_integrals([]) == one
+
+    def parts():
+        yield zero
+        raise AssertionError("read past an exact zero")
+
+    assert product_of_integrals(parts()) == zero
+
+
+def test_product_integral_follows_the_product_measure_rule():
+    """The joint and the product integral agree on an exact zero that only
+    one marginal knows, and on None when none is known to vanish."""
+    power = {"kind": "power-law-sampled", "exponent": 2}
+    joining = product_joining([
+        build_system({"kind": "twist", "params": {"base_measure": power}}),
+        build_system({"kind": "identity", "params": {"measure": power}})])
+    assert joining.integrate((0, 1, 1)) == PhaseSum.zero()
+    assert joining.product_integral((0, 1, 1)) == PhaseSum.zero()
+    assert joining.integrate((0, 0, 1)) is None
+    assert joining.product_integral((0, 0, 1)) is None
+
+
 # ---------------------------------------------------------------------------
-# off-diagonal powers
+# off-diagonal powers and compositions
 # ---------------------------------------------------------------------------
+
+def test_composition_applies_inner_first_and_pulls_back_outer_first():
+    """On maps that do not commute, A o B o C applies C first, and its pullback
+    gives char_k(A B C x) = e(phase) char_k'(x) at a rational point."""
+    twist = build_system(TWIST)
+    base_rot = build_system({"kind": "product", "params": {"factors": [
+        {"kind": "rotation", "params": {"angle": "1/5"}}, IDENTITY_HAAR]}})
+    shifted = build_system({"kind": "twist", "params": {
+        "cocycle": {"kind": "affine", "slope": "2", "intercept": "1/3"}}})
+    composed = _ComposedSystem(twist, base_rot, shifted)
+    x = (F(1, 7), F(2, 9))
+    assert composed.apply(x) == twist.apply(base_rot.apply(shifted.apply(x)))
+    points = np.array([[0.1, 0.7], [0.35, 0.2]])
+    assert np.array_equal(composed.apply_array(points), twist.apply_array(
+        base_rot.apply_array(shifted.apply_array(points))))
+    for k in frequency_box(2, 2):
+        k2, phase = composed.char_pullback(k)
+        assert character_at(k, composed.apply(x)) == character_at(k2, x).rotated(phase), k
+
 
 def off_diagonal_doc(power):
     return {"joining": {"kind": "off-diagonal",
@@ -424,6 +500,27 @@ def test_off_diagonal_power_beyond_the_cap_is_a_config_error(power, tmp_path, ca
         build_joining({"kind": "off-diagonal",
                        "params": {"component": {"kind": "no-such-kind"}, "power": power}})
     assert info.value.field == "params.power"  # refused before the component is built
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"factors": 5}, "factors"),
+    ({"factors": [5, []]}, "factors"),
+    ({"factors": [[0.5], []]}, "factors"),
+    ({"factors": [[False], []]}, "factors"),
+    ({"base": 5}, "base"),
+])
+def test_rel_indep_refuses_malformed_factors_and_base(params, field, tmp_path, capsys):
+    """These ended in a TypeError or AttributeError traceback, or [[0.5], []]
+    and [[False], []] were read as coordinate 0."""
+    from ergolab.cli import main
+
+    doc = {"joining": {"kind": "rel-indep", "params": {
+        "components": [{"kind": "identity", "params": {"measure": HAAR}}, ROT_THIRD],
+        **params}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spec", "validate", str(path)]) == 3
+    assert f"{field}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factors", [[[5], []], [[0, 0], []], [[], [-1]]])

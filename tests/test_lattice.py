@@ -81,13 +81,13 @@ def old_pullback(system, k):
             phase = (phase + step[1]) % 1
         return out, phase
     if isinstance(system, _ComposedSystem):
-        step = old_pullback(system.outer, k)
-        if step is None:
-            return None
-        last = old_pullback(system.inner, step[0])
-        if last is None:
-            return None
-        return last[0], (step[1] + last[1]) % 1
+        phase = F(0)
+        for m in system.maps:  # outer to inner
+            step = old_pullback(m, k)
+            if step is None:
+                return None
+            k, phase = step[0], (phase + step[1]) % 1
+        return k, phase
     return None
 
 
@@ -135,7 +135,7 @@ def systems(draw, depth=2):
     inner = draw(st.sampled_from([outer, IdentitySystem(outer.measure)]))
     if isinstance(outer, RotationSystem):
         inner = draw(st.sampled_from([inner, RotationSystem(draw(rationals))]))
-    return _ComposedSystem(outer, inner)
+    return _ComposedSystem(*[outer] * draw(st.integers(1, 2)), inner)
 
 
 def frequencies(arity):

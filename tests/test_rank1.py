@@ -16,6 +16,7 @@ from ergolab.core import (
     SpecValidationError,
     UndecidableInputError,
     orbit,
+    rng_from_seed,
 )
 from ergolab.rank1 import (
     MAX_TOWER_LEVELS,
@@ -422,9 +423,14 @@ def test_continuity_prefix_agreement_forces_identical_stages():
 # the parameterized family
 # ---------------------------------------------------------------------------
 
+def sampled_fibers(family, seed, n):
+    points = family.base.measure.sample_rationals(rng_from_seed(seed), n)
+    return [(p, family.fiber(p)) for p in points]
+
+
 def test_make_sa_haar_base_fiber_invariants():
-    fibered = make_Sa_system(HaarMeasure(1), depth=4)
-    for point, fiber in fibered.sample_fibers(seed=9, n=3):
+    family = make_Sa_system(HaarMeasure(1), depth=4)
+    for point, fiber in sampled_fibers(family, seed=9, n=3):
         m = fiber.map
         assert sorted(int(s) for s in m.level_starts) == list(range(m.length))
         assert m.undefined_measure == F(1, m.length)
@@ -432,9 +438,9 @@ def test_make_sa_haar_base_fiber_invariants():
 
 def test_make_sa_dirac_base_single_fiber():
     base = DiracMixture((CIRCLE,), [(F(1), (F(1, 3),))])
-    fibered = make_Sa_system(base, depth=6)
+    family = make_Sa_system(base, depth=6)
     direct = rank1_map(Rank1Spec.from_rational("1/3", 6))
-    _, fiber = fibered.sample_fibers(seed=0, n=1)[0]
+    _, fiber = sampled_fibers(family, seed=0, n=1)[0]
     assert np.array_equal(fiber.map.level_starts, direct.level_starts)
 
 
@@ -443,8 +449,8 @@ def test_make_sa_sampled_fibers_nondyadic_difference_disjoint():
         (F(1, 2), (F(1, 3),)),
         (F(1, 2), (F(1, 4),)),
     ])
-    fibered = make_Sa_system(base, depth=4)
-    fibers = fibered.sample_fibers(seed=3, n=16)
+    family = make_Sa_system(base, depth=4)
+    fibers = sampled_fibers(family, seed=3, n=16)
     params = {p[0] for p, _ in fibers}
     assert params == {F(1, 3), F(1, 4)}
     verdict = dyadic_equivalence(Rank1Spec.from_rational(F(1, 3), 4),
@@ -453,12 +459,38 @@ def test_make_sa_sampled_fibers_nondyadic_difference_disjoint():
 
 
 def test_make_sa_flat_system_applies_fiberwise():
-    fibered = make_Sa_system(HaarMeasure(1), depth=3)
-    flat = fibered.flat
+    flat = make_Sa_system(HaarMeasure(1), depth=3)
     a = F(1, 3)
     m = rank1_map(Rank1Spec.from_rational(a, 3))
     out = flat.apply((a, F(0)))
     assert out == (a, m.apply(F(0)))
+    assert flat.apply((F(1), F(0))) == (F(1), rank1_map(Rank1Spec.from_rational(1, 3)).apply(F(0)))
+    with pytest.raises(SpecValidationError, match="outside"):
+        flat.apply((F(1001, 1000), F(0)))  # its digit prefix is that of 1
+
+
+def test_make_sa_builds_one_tower_per_digit_prefix(monkeypatch):
+    """``apply_array`` equals the per-point ``apply`` and 1,000 Haar points
+    at depth 8 build at most 2^8 towers."""
+    import ergolab.rank1 as rank1_module
+
+    builds = []
+
+    def counting_rank1_map(spec, depth=None):
+        builds.append(spec)
+        return rank1_map(spec, depth)
+
+    monkeypatch.setattr(rank1_module, "rank1_map", counting_rank1_map)
+    family = make_Sa_system(HaarMeasure(1), depth=8)
+    # the top level (measure 1/L_8) has no image; no point of this draw lies in it
+    points = family.measure.sample_floats(rng_from_seed(11), 1000)
+    out = family.apply_array(points)
+    assert 0 < len(builds) <= 2**8
+    assert np.array_equal(out[:, 0], points[:, 0])
+    for (a, x), y in zip(points, out[:, 1]):
+        expected = family.apply((F(a), F(x)))[1]
+        assert y == float(expected)
+        assert expected == rank1_map(Rank1Spec.from_rational(F(a), 8)).apply(F(x))
 
 
 @pytest.mark.parametrize("a", ["1/4", "3/4", "1/3"])

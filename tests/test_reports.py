@@ -4,11 +4,12 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ergolab.core import Character, ErgolabError, FiberedSystem, HaarMeasure, build_system
+from ergolab.core import Character, ErgolabError, HaarMeasure, IdentitySystem, build_system
 from ergolab.experiments import ExperimentConfig, run_experiment
 from ergolab.joinings import build_joining, product_consistency_test
 from ergolab.spectral import (
@@ -86,13 +87,9 @@ def test_fiber_scan_counts_failures():
             raise ErgolabError("fiber construction failed")
         return build_system({"kind": "rotation", "params": {"angle": "1/3"}})
 
-    fibered = FiberedSystem(
-        base_measure=HaarMeasure(1),
-        fiber=flaky_fiber,
-        description="flaky",
-        fiber_observable=Character((1,)),
-    )
-    report = fiber_eigenvalue_scan(fibered, "1/3", samples=10, N=64, seed=0)
+    fibered = SimpleNamespace(base=IdentitySystem(HaarMeasure(1)), fiber=flaky_fiber)
+    report = fiber_eigenvalue_scan(fibered, "1/3", samples=10, N=64, seed=0,
+                                   fiber_observable=Character((1,)))
     assert report.failures == 5
     assert report.witness_fraction == 1.0  # the surviving fibers all witness
     doc = report.to_json()
@@ -104,14 +101,10 @@ def test_fiber_scan_propagates_programming_errors():
     def broken_fiber(point):
         raise TypeError("not a fiber failure")
 
-    fibered = FiberedSystem(
-        base_measure=HaarMeasure(1),
-        fiber=broken_fiber,
-        description="broken",
-        fiber_observable=Character((1,)),
-    )
+    fibered = SimpleNamespace(base=IdentitySystem(HaarMeasure(1)), fiber=broken_fiber)
     with pytest.raises(TypeError, match="not a fiber failure"):
-        fiber_eigenvalue_scan(fibered, "1/3", samples=3, N=64, seed=0)
+        fiber_eigenvalue_scan(fibered, "1/3", samples=3, N=64, seed=0,
+                              fiber_observable=Character((1,)))
 
 
 def test_fibered_rank1_parameter_spec_kind():

@@ -21,9 +21,9 @@ from ergolab.core import (
     IdentitySystem,
     LevelIndicator,
     SpecValidationError,
-    as_fibered,
     build_measure,
     build_system,
+    rng_from_seed,
 )
 from ergolab.rank1 import (
     Rank1Spec,
@@ -559,9 +559,12 @@ def test_weak_mixing_caveat_serialized():
 # fiber scans
 # ---------------------------------------------------------------------------
 
+TWIST_FIBER, TWIST_FLAT = Character((1,)), Character((0, 1))
+
+
 def test_fiber_scan_twist_over_haar_measure_zero_witness():
-    fibered = as_fibered(twist())
-    report = fiber_eigenvalue_scan(fibered, "1/7", samples=20, N=64, seed=101)
+    report = fiber_eigenvalue_scan(twist(), "1/7", samples=20, N=64, seed=101,
+                                   fiber_observable=TWIST_FIBER, flat_observable=TWIST_FLAT)
     assert report.witness_fraction == 0.0
     assert report.flat_verdict is not None and not report.flat_verdict.witnessed
     assert report.coherent
@@ -576,7 +579,8 @@ def test_fiber_scan_constant_fiber():
                       "angle": {"kind": "affine", "slope": "0", "intercept": "1/3"}},
         },
     })
-    report = fiber_eigenvalue_scan(as_fibered(sys_), "1/3", samples=10, N=64, seed=5)
+    report = fiber_eigenvalue_scan(sys_, "1/3", samples=10, N=64, seed=5,
+                                   fiber_observable=TWIST_FIBER, flat_observable=TWIST_FLAT)
     assert report.witness_fraction == 1.0
     assert report.flat_verdict.witnessed and report.coherent
 
@@ -587,18 +591,49 @@ def test_fiber_scan_dirac_base():
         "params": {"base_measure": {
             "kind": "atoms", "atoms": [{"point": ["1/3"], "weight": "1"}]}},
     })
-    report = fiber_eigenvalue_scan(as_fibered(sys_), "1/3", samples=10, N=64, seed=5)
+    report = fiber_eigenvalue_scan(sys_, "1/3", samples=10, N=64, seed=5,
+                                   fiber_observable=TWIST_FIBER, flat_observable=TWIST_FLAT)
     assert report.witness_fraction == 1.0
     assert report.flat_verdict.witnessed
+
+
+def test_fiber_scan_without_flat_observable_probes_no_flat_system():
+    report = fiber_eigenvalue_scan(twist(), "1/7", samples=4, N=64, seed=101,
+                                   fiber_observable=TWIST_FIBER)
+    assert report.flat_verdict is None and report.coherent is None
+    assert report.sampled == 4 and report.failures == 0
 
 
 def test_fiber_scan_rank1_family():
     from ergolab.core import CIRCLE
 
     base = DiracMixture((CIRCLE,), [(F(1), (F(1, 3),))])
-    fibered = make_Sa_system(base, depth=8)
-    point, fiber = fibered.sample_fibers(seed=1, n=1)[0]
+    family = make_Sa_system(base, depth=8)
+    point = base.sample_rationals(rng_from_seed(1), 1)[0]
+    fiber = family.fiber(point)
     assert point == (F(1, 3),)
     # single fiber equals the rank-one map at the same parameter
     direct = build_rank1_system(Rank1Spec.from_rational("1/3", 8))
     assert np.array_equal(fiber.map.level_starts, direct.map.level_starts)
+
+
+def test_fiber_scan_over_rank1_family_atoms_matches_direct_probes():
+    """Each fiber's mass is the mass of the rank-one system built directly."""
+    from ergolab.core import CIRCLE
+
+    base = DiracMixture((CIRCLE,), [(F(1, 2), (F(1, 3),)), (F(1, 2), (F(1, 4),))])
+    observable = LevelIndicator(stage=3, level=0)
+    report = fiber_eigenvalue_scan(make_Sa_system(base, depth=6), "1/40", samples=8, N=128,
+                                   seed=7, fiber_observable=observable)
+    assert report.failures == 0 and report.flat_verdict is None
+    drawn = base.sample_rationals(rng_from_seed(7), 8)
+    assert [entry["base_point"] for entry in report.per_fiber] == \
+        [[scalar_str(a)] for (a,) in drawn]
+    seen = set()
+    for entry in report.per_fiber:
+        (a,) = entry["base_point"]
+        seen.add(a)
+        direct = detect_eigenvalue(build_rank1_system(Rank1Spec.from_rational(a, 6)),
+                                   observable, "1/40", 128, seed=7, samples=1024)
+        assert entry["mass"] == direct.mass and entry["witnessed"] == direct.witnessed
+    assert seen == {"1/3", "1/4"}
