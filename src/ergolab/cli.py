@@ -17,14 +17,14 @@ import os
 import re
 import sys
 
-from ergolab.core import ErgolabError, SystemSpec, build_system
+from ergolab.core import ErgolabError, build_system
 from ergolab.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     emit_report,
     run_experiment,
 )
-from ergolab.joinings import JoiningSpec, build_joining
+from ergolab.joinings import build_joining
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 2
@@ -151,15 +151,10 @@ def _cmd_validate(args) -> int:
         print(f"invalid: {args.file} must hold a JSON object", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        if "system" in doc:
-            build_system(SystemSpec.from_json(doc["system"]))
-            kind = doc["system"].get("kind")
-        elif "joining" in doc:
-            build_joining(JoiningSpec.from_json(doc["joining"]))
-            kind = doc["joining"].get("kind")
-        else:
-            build_system(SystemSpec.from_json(doc))
-            kind = doc.get("kind")
+        key = "system" if "system" in doc else "joining" if "joining" in doc else ""
+        spec = doc[key] if key else doc
+        (build_joining if key == "joining" else build_system)(spec, path=key)
+        kind = spec["kind"]
     except (ErgolabError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -728,7 +727,6 @@ class _InverseShift(Cocycle):
 class System:
     """A measure-preserving transformation together with its invariant measure."""
 
-    spec: "SystemSpec | None" = None
     space: Space
     measure: MeasureHandle
 
@@ -762,10 +760,9 @@ class System:
 
 
 class IdentitySystem(System):
-    def __init__(self, measure: MeasureHandle, spec=None):
+    def __init__(self, measure: MeasureHandle):
         self.measure = measure
         self.space = measure.space
-        self.spec = spec
 
     def apply(self, point):
         return validate_point(self.space, point)
@@ -783,14 +780,13 @@ class IdentitySystem(System):
 class RotationSystem(System):
     """x -> x + angle on the circle with Haar measure."""
 
-    def __init__(self, angle: Fraction, measure: MeasureHandle | None = None, spec=None):
+    def __init__(self, angle: Fraction, measure: MeasureHandle | None = None):
         self.angle = Fraction(angle) % 1
         self.phase_modulus = self.angle.denominator
         self.measure = measure if measure is not None else HaarMeasure(1)
         if self.measure.arity != 1:
             raise SpecValidationError("measure", "rotation acts on one circle coordinate")
         self.space = self.measure.space
-        self.spec = spec
 
     def apply(self, point):
         (x,) = validate_point(self.space, point)
@@ -814,7 +810,9 @@ class SkewProductSystem(System):
     is base measure (x) Haar on the group coordinate.
     """
 
-    def __init__(self, base: System, cocycle: Cocycle, group: Coord = CIRCLE, spec=None):
+    def __init__(self, base: System, cocycle: Cocycle, group: Coord = CIRCLE):
+        if isinstance(cocycle, AffineCocycle) and not 0 <= cocycle.coord < len(base.space):
+            raise SpecValidationError("cocycle.coord", f"{cocycle.coord} is not a base coordinate")
         self.base = base
         self.cocycle = cocycle
         self.group = group
@@ -826,7 +824,6 @@ class SkewProductSystem(System):
             raise SpecValidationError("group", f"unsupported group {group.kind!r}")
         self.measure = ProductMeasure([base.measure, group_measure])
         self.space = base.space + (group,)
-        self.spec = spec
         self.phase_modulus = lcm(base.phase_modulus, cocycle.phase_modulus)
 
     @property
@@ -900,8 +897,7 @@ class ProductSystem(System):
     unless a joint ``measure`` is given: an invariant measure of the map with
     those marginals, i.e. a joining."""
 
-    def __init__(self, factors: Sequence[System], spec=None,
-                 measure: MeasureHandle | None = None):
+    def __init__(self, factors: Sequence[System], measure: MeasureHandle | None = None):
         if not factors:
             raise SpecValidationError("factors", "product requires at least one factor")
         self.factors = list(factors)
@@ -912,7 +908,6 @@ class ProductSystem(System):
             raise SpecValidationError(
                 "measure", "the joint measure does not live on the concatenated factor spaces"
             )
-        self.spec = spec
         self._slices = factor_slices(self.factors)
         self.phase_modulus = lcm(*(f.phase_modulus for f in self.factors))
 
@@ -1053,17 +1048,6 @@ Observable = Character | LevelIndicator
 # declarative specs
 # ---------------------------------------------------------------------------
 
-SYSTEM_KINDS = (
-    "rotation",
-    "identity",
-    "twist",
-    "group-extension",
-    "product",
-    "fibered",
-    "rank1-family",
-)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """Declarative description of a system; serializable as JSON.
@@ -1086,187 +1070,111 @@ class SystemSpec:
 
     @classmethod
     def from_json(cls, doc: dict, *, field: str = "system") -> "SystemSpec":
-        if not isinstance(doc, dict):
-            raise SpecValidationError(field, "spec document must be an object")
-        kind = doc.get("kind")
-        if kind not in SYSTEM_KINDS:
-            raise SpecValidationError(
-                f"{field}.kind", f"unknown kind {kind!r}; expected one of {SYSTEM_KINDS}"
-            )
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecValidationError(f"{field}.params", "params must be an object")
-        precision = doc.get("precision")
-        if precision is not None and (not isinstance(precision, int) or precision < 1):
-            raise SpecValidationError(f"{field}.precision", "precision must be a positive int")
-        return cls(kind=kind, params=params, precision=precision)
-
-    def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True).encode()
+        from ergolab.schema import parse
+        doc = parse(doc, "system", field)
+        return cls(kind=doc["kind"], params=doc["params"], precision=doc.get("precision"))
 
 
-def build_measure(doc: dict, *, field: str = "measure") -> MeasureHandle:
+def build_measure(doc: dict, *, path: str = "measure") -> MeasureHandle:
     """Build a MeasureHandle from its JSON description."""
+    from ergolab.schema import parse
+    return make_measure(parse(doc, "measure", path))
+
+
+def make_measure(doc) -> MeasureHandle:
+    """The measure of a document the schema has checked (or a built measure)."""
     if isinstance(doc, MeasureHandle):
         return doc
-    if not isinstance(doc, dict):
-        raise SpecValidationError(field, "measure spec must be an object")
-    kind = doc.get("kind")
+    kind = doc["kind"]
     if kind == "haar":
-        arity = doc.get("arity", 1)
-        if not isinstance(arity, int) or arity < 1:
-            raise SpecValidationError(f"{field}.arity", "arity must be a positive int")
-        return HaarMeasure(arity)
+        return HaarMeasure(doc["arity"])
     if kind == "atoms":
-        entries = doc.get("atoms")
-        if not isinstance(entries, list) or not entries:
-            raise SpecValidationError(f"{field}.atoms", "atoms must be a nonempty list")
-        parsed = []
-        arity = None
-        for i, entry in enumerate(entries):
-            point = tuple(
-                parse_scalar(c, field=f"{field}.atoms[{i}].point")
-                for c in entry.get("point", ())
-            )
-            if arity is None:
-                arity = len(point)
-            weight = parse_scalar(entry.get("weight", "1"), field=f"{field}.atoms[{i}].weight")
-            parsed.append((weight, point))
-        space = (CIRCLE,) * (arity or 1)
-        return DiracMixture(space, parsed)
+        atoms = [(parse_scalar(a["weight"]), tuple(map(parse_scalar, a["point"])))
+                 for a in doc["atoms"]]
+        # the space has the arity of the first point; validate_point refuses the rest
+        return DiracMixture((CIRCLE,) * (len(atoms[0][1]) if atoms else 1), atoms)
     if kind == "cyclic-uniform":
-        return cyclic_uniform(doc.get("order", 0))
+        return cyclic_uniform(doc["order"])
     if kind == "product":
-        factors = doc.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise SpecValidationError(f"{field}.factors", "factors must be a nonempty list")
-        return ProductMeasure(
-            [build_measure(f, field=f"{field}.factors[{i}]") for i, f in enumerate(factors)]
-        )
+        return ProductMeasure([make_measure(f) for f in doc["factors"]])
     if kind == "mixture":
-        comps = doc.get("components")
-        if not isinstance(comps, list) or not comps:
-            raise SpecValidationError(f"{field}.components", "components must be a nonempty list")
-        return MixtureMeasure(
-            [
-                (
-                    parse_scalar(c.get("weight", "0"), field=f"{field}.components[{i}].weight"),
-                    build_measure(c.get("measure"), field=f"{field}.components[{i}].measure"),
-                )
-                for i, c in enumerate(comps)
-            ]
-        )
-    if kind == "power-law-sampled":
-        return SampledPowerMeasure(doc.get("exponent", 0))
-    raise SpecValidationError(f"{field}.kind", f"unknown measure kind {kind!r}")
+        return MixtureMeasure([(parse_scalar(c["weight"]), make_measure(c["measure"]))
+                               for c in doc["components"]])
+    return SampledPowerMeasure(doc["exponent"])  # power-law-sampled
 
 
-def build_cocycle(doc: dict, *, field: str = "cocycle") -> Cocycle:
+def make_cocycle(doc) -> Cocycle:
+    """The cocycle of a document the schema has checked (or a built cocycle)."""
     if isinstance(doc, Cocycle):
         return doc
-    if not isinstance(doc, dict):
-        raise SpecValidationError(field, "cocycle spec must be an object")
-    kind = doc.get("kind")
-    if kind == "affine":
-        return AffineCocycle(
-            slope=parse_scalar(doc.get("slope", "1"), field=f"{field}.slope"),
-            intercept=parse_scalar(doc.get("intercept", "0"), field=f"{field}.intercept"),
-            coord=int(doc.get("coord", 0)),
-        )
-    if kind == "table":
-        entries = doc.get("entries")
-        if not isinstance(entries, list) or not entries:
-            raise SpecValidationError(f"{field}.entries", "entries must be a nonempty list")
-        table = tuple(
-            (
-                tuple(parse_scalar(c, field=f"{field}.entries[{i}].point") for c in e["point"]),
-                parse_scalar(e.get("value", "0"), field=f"{field}.entries[{i}].value"),
-            )
-            for i, e in enumerate(entries)
-        )
-        return TableCocycle(table)
-    raise SpecValidationError(f"{field}.kind", f"unknown cocycle kind {kind!r}")
+    if doc["kind"] == "affine":
+        return AffineCocycle(parse_scalar(doc["slope"]), parse_scalar(doc["intercept"]),
+                             doc["coord"])
+    return TableCocycle(tuple((tuple(map(parse_scalar, e["point"])), parse_scalar(e["value"]))
+                              for e in doc["entries"]))
 
 
-def build_system(spec: SystemSpec | dict) -> System:
+def build_system(spec: SystemSpec | dict, *, path: str = "") -> System:
     """Realize a SystemSpec as an executable System.
 
     The point map matches the declared formula exactly on rational points;
     exact character integrals are available whenever the invariant measure is a
-    finite mixture of Haar and Dirac components.
+    finite mixture of Haar and Dirac components.  ``path`` prefixes the field
+    named by a validation error.
     """
-    if isinstance(spec, dict):
-        spec = SystemSpec.from_json(spec)
-    params = spec.params
-    kind = spec.kind
+    from ergolab.schema import parse
+    if isinstance(spec, SystemSpec):
+        spec = spec.to_json()
+    return make_system(parse(spec, "system", path))
+
+
+def make_system(doc) -> System:
+    """The system of a document the schema has checked (or a built system)."""
+    if isinstance(doc, System):
+        return doc
+    kind, params = doc["kind"], doc["params"]
     if kind == "rotation":
-        angle = parse_scalar(params.get("angle", "0"), field="params.angle")
-        measure = build_measure(params["measure"], field="params.measure") if "measure" in params \
-            else HaarMeasure(1)
-        return RotationSystem(angle, measure, spec=spec)
+        return RotationSystem(parse_scalar(params["angle"]), make_measure(params["measure"]))
     if kind == "identity":
-        measure = build_measure(params.get("measure", {"kind": "haar", "arity": 1}),
-                                field="params.measure")
-        return IdentitySystem(measure, spec=spec)
+        return IdentitySystem(make_measure(params["measure"]))
     if kind == "twist":
-        base_measure = build_measure(params.get("base_measure", {"kind": "haar", "arity": 1}),
-                                     field="params.base_measure")
-        cocycle = build_cocycle(params.get("cocycle", {"kind": "affine"}),
-                                field="params.cocycle")
-        shift = params.get("shift")
-        if shift is not None:
-            shift_value = parse_scalar(shift, field="params.shift")
-            if isinstance(cocycle, AffineCocycle):
-                cocycle = AffineCocycle(cocycle.slope,
-                                        (cocycle.intercept + shift_value) % 1, cocycle.coord)
-            else:
+        base = IdentitySystem(make_measure(params["base_measure"]))
+        cocycle = make_cocycle(params["cocycle"])
+        if "shift" in params:
+            if not isinstance(cocycle, AffineCocycle):
                 raise SpecValidationError("params.shift", "shift requires an affine cocycle")
-        return SkewProductSystem(IdentitySystem(base_measure), cocycle, CIRCLE, spec=spec)
+            cocycle = AffineCocycle(cocycle.slope,
+                                    (cocycle.intercept + parse_scalar(params["shift"])) % 1,
+                                    cocycle.coord)
+        return SkewProductSystem(base, cocycle, CIRCLE)
     if kind == "group-extension":
-        base = build_system(SystemSpec.from_json(params["base"], field="params.base"))
-        cocycle = build_cocycle(params.get("cocycle", {"kind": "affine"}),
-                                field="params.cocycle")
-        group_doc = params.get("group", {"kind": "circle"})
-        gkind = group_doc.get("kind")
-        if gkind == "circle":
-            group = CIRCLE
-        elif gkind == "cyclic":
-            order = group_doc.get("order")
-            if not isinstance(order, int) or order < 1:
-                raise SpecValidationError("params.group.order", "order must be a positive int")
-            group = Coord("cyclic", order)
-        else:
-            raise SpecValidationError("params.group.kind", f"unknown group {gkind!r}")
-        return SkewProductSystem(base, cocycle, group, spec=spec)
+        group = params["group"]
+        return SkewProductSystem(
+            make_system(params["base"]), make_cocycle(params["cocycle"]),
+            Coord("cyclic", group["order"]) if group["kind"] == "cyclic" else CIRCLE)
     if kind == "product":
-        factors = params.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise SpecValidationError("params.factors", "factors must be a nonempty list")
-        return ProductSystem(
-            [build_system(SystemSpec.from_json(f, field=f"params.factors[{i}]"))
-             for i, f in enumerate(factors)],
-            spec=spec,
-        )
+        return ProductSystem([make_system(f) for f in params["factors"]])
     if kind == "fibered":
-        base_measure = build_measure(params.get("base_measure", {"kind": "haar", "arity": 1}),
-                                     field="params.base_measure")
-        fiber_doc = params.get("fiber", {})
-        fkind = fiber_doc.get("kind")
-        if fkind == "rotation":
-            cocycle = build_cocycle(fiber_doc.get("angle", {"kind": "affine"}),
-                                    field="params.fiber.angle")
-            return SkewProductSystem(IdentitySystem(base_measure), cocycle, CIRCLE, spec=spec)
-        if fkind == "rank1-parameter":
+        base_measure, fiber = make_measure(params["base_measure"]), params["fiber"]
+        if fiber["kind"] == "rank1-parameter":
             from ergolab.rank1 import make_Sa_system
 
-            depth = fiber_doc.get("depth", 8)
-            return make_Sa_system(base_measure, depth)
-        raise SpecValidationError("params.fiber.kind", f"unknown fiber kind {fkind!r}")
-    if kind == "rank1-family":
-        from ergolab.rank1 import Rank1Spec, build_rank1_system
+            return make_Sa_system(base_measure, fiber["depth"])
+        return SkewProductSystem(IdentitySystem(base_measure), make_cocycle(fiber["angle"]))
+    from ergolab.rank1 import Rank1Spec, build_rank1_system  # rank1-family
 
-        return build_rank1_system(Rank1Spec.from_params(params), spec=spec)
-    raise SpecValidationError("kind", f"unknown kind {kind!r}")
+    depth = params["depth"]
+    return build_rank1_system(Rank1Spec.from_digits(params["digits"], depth) if "digits" in params
+                              else Rank1Spec.from_rational(params["a"], depth))
+
+
+def build_observable(doc: dict, *, path: str = "observable") -> Observable:
+    """A Character, or with ``level`` = [stage, level] a LevelIndicator."""
+    from ergolab.schema import parse
+    doc = parse(doc, "observable", path)
+    if "level" in doc:
+        return LevelIndicator(*doc["level"])
+    return Character(tuple(doc["freqs"]), centered=doc["centered"])
 
 
 # ---------------------------------------------------------------------------

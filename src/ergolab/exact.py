@@ -35,8 +35,6 @@ __all__ = [
     "PhaseSum",
     "parse_scalar",
     "scalar_str",
-    "parse_point",
-    "point_str",
 ]
 
 #: Largest angle denominator for which zero tests run exact cyclotomic reduction.
@@ -79,14 +77,6 @@ def _value_error(field: str, message: str) -> ValueError:
 def scalar_str(x: Fraction) -> str:
     """Serialize a rational as ``"p/q"`` (or ``"p"`` for integers)."""
     return str(x)
-
-
-def parse_point(values: Iterable[ScalarLike], *, field: str = "point") -> tuple[Fraction, ...]:
-    return tuple(parse_scalar(v, field=f"{field}[{i}]") for i, v in enumerate(values))
-
-
-def point_str(point: tuple[Fraction, ...]) -> list[str]:
-    return [scalar_str(c) for c in point]
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -14,6 +14,8 @@ run) make a character-correlation effect of 0.1 detectable with power >= 0.99
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from collections.abc import Mapping
@@ -32,8 +34,8 @@ from ergolab.core import (
     LevelIndicator,
     SampledPowerMeasure,
     SpecValidationError,
-    SystemSpec,
     build_measure,
+    build_observable,
     build_system,
     derive_seed,
     frequency_box,
@@ -59,6 +61,7 @@ from ergolab.rank1 import (
     refuse_oversized_tower,
     word_lengths,
 )
+from ergolab.schema import KNOBS, SQRT2_ANGLE_40, parse_knobs  # noqa: F401 (re-exported)
 from ergolab.spectral import (
     correlation_sequence,
     detect_eigenvalue,
@@ -66,99 +69,18 @@ from ergolab.spectral import (
     wiener_atomic_mass,
 )
 
-EXPERIMENTS = (
-    "identity-disjoint",
-    "example1",
-    "product-closure",
-    "rank1-family",
-    "spectral-probe",
-)
-
-#: 40-digit decimal truncation of sqrt(2) - 1 (the fractional part of sqrt(2))
-SQRT2_ANGLE_40 = "0.4142135623730950488016887242096980785697"
+EXPERIMENTS = tuple(KNOBS)
 
 
 # ---------------------------------------------------------------------------
 # config and report
 # ---------------------------------------------------------------------------
 
+#: each experiment's knob defaults, read off its table in ``ergolab.schema``
 DEFAULT_KNOBS: dict[str, dict] = {
-    "identity-disjoint": {
-        "rotation_angle": "1/3",
-        "identity_measure": {
-            "kind": "atoms",
-            "atoms": [
-                {"point": ["0"], "weight": "1/2"},
-                {"point": ["1/2"], "weight": "1/2"},
-            ],
-        },
-        "max_freq": 8,
-        "N": 4096,
-        "samples": 4096,
-        "consistency_degree": 3,
-    },
-    "example1": {
-        "angle": "1/5",
-        "slope": "1",
-        "N": 4096,
-        "max_freq": 8,
-        "invariance_degree": 2,
-        "statistical": True,
-        "statistical_exponent": 2,
-        "statistical_samples": 20000,
-    },
-    "product-closure": {
-        "rotation_angle": SQRT2_ANGLE_40,
-        "precision": 40,
-        "samples": 100000,
-        "degree": 2,
-    },
-    "rank1-family": {
-        "parameters": ["1/4", "3/4", "1/3"],
-        "depth": 12,
-        "word_stage_max": 14,
-        "prefix_length": 6,
-        "wm_stages": [3, 4, 5],
-        "N": 4096,
-        "threshold": 0.05,
-    },
-    "spectral-probe": {
-        "system": {"kind": "rotation", "params": {"angle": "1/3"}},
-        "observable": {"freqs": [1], "centered": False},
-        "N": 4096,
-        "samples": 4096,
-        "candidates": [],
-        "eigenvalue_queries": [],
-        "toeplitz_size": 64,
-    },
+    experiment: {key: f.default for key, f in table.items()}
+    for experiment, table in KNOBS.items()
 }
-
-
-#: knobs whose smaller values leave a check vacuous or its input empty
-_KNOB_MINIMUMS = {"N": 1, "max_freq": 1, "toeplitz_size": 1, "samples": 1,
-                  "prefix_length": 1, "statistical_samples": 1}
-
-_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
-                    str: "a string", list: "an array", dict: "an object"}
-
-
-def _check_knob_type(key: str, default, value) -> None:
-    """Refuse an override whose JSON type differs from the default's.
-
-    A boolean only replaces a boolean, an integer (not a boolean) an integer,
-    and an integer or a float a float; strings, arrays and objects replace
-    their own kind."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        ok = isinstance(default, bool) and isinstance(value, bool)
-    elif isinstance(default, float):
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, type(default))
-    if not ok:
-        raise SpecValidationError(
-            f"knobs.{key}",
-            f"expected {_JSON_TYPE_NAMES[type(default)]}, got {value!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -179,18 +101,9 @@ class ExperimentConfig:
             )
         if not isinstance(seed, int) or seed < 0:
             raise SpecValidationError("seed", "seed is mandatory and must be a nonnegative int")
+        parse_knobs(experiment, overrides)
         knobs = json.loads(json.dumps(DEFAULT_KNOBS[experiment]))  # deep copy
-        if not isinstance(overrides, Mapping):
-            raise SpecValidationError("knobs", "knobs must be an object")
-        for key, value in overrides.items():
-            if key not in knobs:
-                raise SpecValidationError(f"knobs.{key}", "unknown knob for this experiment")
-            _check_knob_type(key, knobs[key], value)
-            if key in _KNOB_MINIMUMS and value < _KNOB_MINIMUMS[key]:
-                raise SpecValidationError(
-                    f"knobs.{key}", f"must be >= {_KNOB_MINIMUMS[key]}, got {value}"
-                )
-            knobs[key] = value
+        knobs.update(overrides)
         return cls(experiment=experiment, seed=seed, knobs=knobs)
 
     @classmethod
@@ -262,16 +175,14 @@ class ExperimentReport:
                           sort_keys=True).encode()
 
     def to_csv(self) -> str:
-        lines = ["check_id,anchor,expected,observed,sigma,verdict"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["check_id", "anchor", "expected", "observed", "sigma", "verdict"])
         for c in self.checks:
-            sigma = "" if c.sigma is None else repr(c.sigma)
-            expected = c.expected.replace(",", ";")
-            observed = c.observed.replace(",", ";")
-            lines.append(
-                f"{c.check_id},{c.anchor},{expected},{observed},{sigma},"
-                f"{'pass' if c.passed else 'fail'}"
-            )
-        return "\n".join(lines) + "\n"
+            writer.writerow([c.check_id, c.anchor, c.expected, c.observed,
+                             "" if c.sigma is None else repr(c.sigma),
+                             "pass" if c.passed else "fail"])
+        return out.getvalue()
 
     def to_markdown(self) -> str:
         lines = [
@@ -338,7 +249,7 @@ def _run_identity_disjoint(config: ExperimentConfig) -> list[Check]:
     knobs = config.knobs
     checks: list[Check] = []
     identity = IdentitySystem(build_measure(knobs["identity_measure"],
-                                            field="knobs.identity_measure"))
+                                            path="knobs.identity_measure"))
     rotation = build_system({"kind": "rotation",
                              "params": {"angle": knobs["rotation_angle"]}})
     max_freq = knobs["max_freq"]
@@ -432,7 +343,7 @@ def _run_identity_disjoint(config: ExperimentConfig) -> list[Check]:
 def _run_example1(config: ExperimentConfig) -> list[Check]:
     knobs = config.knobs
     checks: list[Check] = []
-    angle = parse_scalar(knobs["angle"], field="knobs.angle")
+    angle = parse_scalar(knobs["angle"])
     slope = knobs["slope"]
     N = knobs["N"]
     max_freq = knobs["max_freq"]
@@ -448,7 +359,7 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
 
     # precondition: the cocycle pushforward of the base measure is atomless
     base = triple.components[0].measure.factors[0]
-    slope_fr = parse_scalar(slope, field="knobs.slope")
+    slope_fr = parse_scalar(slope)
     wiener_vals = []
     for n in range(N):
         freq = slope_fr * n
@@ -663,7 +574,7 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     depth = knobs["depth"]
     for knob in ("depth", "word_stage_max"):
         refuse_oversized_tower(word_lengths(knobs[knob]), f"knobs.{knob} = {knobs[knob]}")
-    params = [parse_scalar(p, field="knobs.parameters") for p in knobs["parameters"]]
+    params = [parse_scalar(p) for p in knobs["parameters"]]
     specs = {scalar_str(p): Rank1Spec.from_rational(p, depth) for p in params}
 
     # word table for stages 0..3
@@ -679,18 +590,13 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         passed=table_ok,
     ))
 
-    # recursion invariants through the requested stage
+    # lengths and heights through the requested stage against the closed forms
     rec_ok = True
     probe = Rank1Spec.from_rational(params[-1], knobs["word_stage_max"])
-    prev = rank1_word(probe, 0)
     for n in range(1, knobs["word_stage_max"] + 1):
         cur = rank1_word(probe, n)
-        digit = probe.digit_stream(n)[-1]
-        expected_word = (prev.word + "s" + prev.word + prev.word if digit == 0
-                         else prev.word + prev.word + "s" + prev.word)
-        rec_ok &= cur.word == expected_word
-        rec_ok &= cur.length == 3 * prev.length + 1 and cur.height == 3 * prev.height
-        prev = cur
+        rec_ok &= len(cur.word) == cur.length == word_lengths(n)
+        rec_ok &= cur.word.count("T") == cur.height == 3 ** n
     checks.append(Check(
         check_id="word-recursion-invariants",
         anchor="rank1-cutting-and-stacking",
@@ -796,14 +702,8 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
 def _run_spectral_probe(config: ExperimentConfig) -> list[Check]:
     knobs = config.knobs
     checks: list[Check] = []
-    system = build_system(SystemSpec.from_json(knobs["system"], field="knobs.system"))
-    obs_doc = knobs["observable"]
-    if "level" in obs_doc:
-        stage, level = obs_doc["level"]
-        observable = LevelIndicator(stage=stage, level=level)
-    else:
-        observable = Character(tuple(int(v) for v in obs_doc.get("freqs", [1])),
-                               centered=bool(obs_doc.get("centered", False)))
+    system = build_system(knobs["system"], path="knobs.system")
+    observable = build_observable(knobs["observable"], path="knobs.observable")
     N = knobs["N"]
     seed = derive_seed(config.seed, "probe-correlation")
     seq = correlation_sequence(system, observable, N, seed=seed,
@@ -834,7 +734,7 @@ def _run_spectral_probe(config: ExperimentConfig) -> list[Check]:
                                     seed=derive_seed(config.seed, f"probe-eig-{i}"),
                                     samples=knobs["samples"], seq=seq)
         expect = query.get("expect_witnessed")
-        passed = True if expect is None else verdict.witnessed == bool(expect)
+        passed = expect is None or verdict.witnessed == expect
         checks.append(Check(
             check_id=f"eigenvalue-query-{i}",
             anchor="eigenvalue-detection",

@@ -55,15 +55,14 @@ from ergolab.core import (
     SkewProductSystem,
     SpecValidationError,
     System,
-    SystemSpec,
     UnsupportedOperationError,
-    build_cocycle,
-    build_measure,
-    build_system,
     character_at,
     derive_seed,
     factor_slices,
     frequency_box,
+    make_cocycle,
+    make_measure,
+    make_system,
     product_of_integrals,
     rng_from_seed,
     validate_frequencies,
@@ -77,17 +76,6 @@ SIGMA_FACTOR = 4.0
 MEANS_BLOCK_ROWS = 4096
 #: largest |power| of an off-diagonal joining; T^power takes power steps per use
 MAX_OFF_DIAGONAL_POWER = 4096
-
-JOINING_KINDS = (
-    "product",
-    "diagonal",
-    "graph",
-    "off-diagonal",
-    "rel-indep",
-    "example1-triple",
-    "custom-sampler",
-)
-
 
 class JoiningConstructionError(ErgolabError):
     """A declared joining violates a structural requirement; carries the witness."""
@@ -107,17 +95,9 @@ class JoiningSpec:
 
     @classmethod
     def from_json(cls, doc: dict, *, field: str = "joining") -> "JoiningSpec":
-        if not isinstance(doc, dict):
-            raise SpecValidationError(field, "joining spec must be an object")
-        kind = doc.get("kind")
-        if kind not in JOINING_KINDS:
-            raise SpecValidationError(
-                f"{field}.kind", f"unknown kind {kind!r}; expected one of {JOINING_KINDS}"
-            )
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecValidationError(f"{field}.params", "params must be an object")
-        return cls(kind=kind, params=params)
+        from ergolab.schema import parse
+        doc = parse(doc, "joining", field)
+        return cls(kind=doc["kind"], params=doc["params"])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +136,6 @@ class Joining:
     """A joining of the component systems: their product map, carrying the
     joining as its invariant measure, exposed as sampler + integrator."""
 
-    spec: JoiningSpec | None
     components: list[System]
     system: ProductSystem
     #: (component index, component frequency) -> exact marginal integral or None
@@ -215,63 +194,40 @@ def sample_joining(joining: Joining, seed: int, count: int, *,
 # construction
 # ---------------------------------------------------------------------------
 
-def _as_system(doc, *, field: str) -> System:
-    if isinstance(doc, System):
-        return doc
-    return build_system(SystemSpec.from_json(doc, field=field))
+def check_factor_lists(factors, field: str = "factors") -> None:
+    """Refuse rel-indep factors that are not two lists of int coordinates."""
+    if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
+            isinstance(f, (list, tuple)) and all(type(c) is int for c in f) for f in factors)):
+        raise SpecValidationError(field, "factors must be two lists of int coordinates")
 
 
-def build_joining(spec: JoiningSpec | dict) -> Joining:
-    """Realize a JoiningSpec; component entries may be spec documents or Systems."""
-    if isinstance(spec, dict):
-        spec = JoiningSpec.from_json(spec)
-    kind, params = spec.kind, spec.params
+def build_joining(spec: JoiningSpec | dict, *, path: str = "") -> Joining:
+    """Realize a JoiningSpec; component entries may be spec documents or Systems.
+    ``path`` prefixes the field named by a validation error."""
+    from ergolab.schema import parse
+    doc = parse(spec.to_json() if isinstance(spec, JoiningSpec) else spec, "joining", path)
+    kind, params = doc["kind"], doc["params"]
     if kind == "product":
-        comps = params.get("components")
-        if not isinstance(comps, (list, tuple)) or len(comps) < 2:
-            raise SpecValidationError("params.components", "product joining needs >= 2 components")
-        systems = [_as_system(c, field=f"params.components[{i}]") for i, c in enumerate(comps)]
-        return product_joining(systems, spec=spec)
+        return product_joining([make_system(c) for c in params["components"]])
     if kind == "diagonal":
-        sys_ = _as_system(params.get("component"), field="params.component")
-        return graph_joining(sys_, IdentitySystem(sys_.measure), spec=spec)
+        sys_ = make_system(params["component"])
+        return graph_joining(sys_, IdentitySystem(sys_.measure))
     if kind == "graph":
-        sys_ = _as_system(params.get("component"), field="params.component")
-        graph_map = _as_system(params.get("map"), field="params.map")
-        return graph_joining(sys_, graph_map, spec=spec)
+        return graph_joining(make_system(params["component"]), make_system(params["map"]))
     if kind == "off-diagonal":
-        power = params.get("power", 0)
-        if not isinstance(power, int):
-            raise SpecValidationError("params.power", "power must be an integer")
-        if abs(power) > MAX_OFF_DIAGONAL_POWER:
-            raise SpecValidationError(
-                "params.power", f"|power| must be <= {MAX_OFF_DIAGONAL_POWER}, got {power}")
-        sys_ = _as_system(params.get("component"), field="params.component")
+        power = params["power"]
+        sys_ = make_system(params["component"])
         step = sys_ if power >= 0 else sys_.inverse()
         maps = [step] * abs(power) or [IdentitySystem(sys_.measure)]
-        return graph_joining(sys_, _ComposedSystem(*maps, measure=sys_.measure), spec=spec)
+        return graph_joining(sys_, _ComposedSystem(*maps, measure=sys_.measure))
     if kind == "rel-indep":
-        comps = params.get("components")
-        if not isinstance(comps, (list, tuple)) or len(comps) != 2:
-            raise SpecValidationError("params.components", "rel-indep joins two systems")
-        systems = [_as_system(c, field=f"params.components[{i}]") for i, c in enumerate(comps)]
-        factors = params.get("factors", [[], []])
-        base_kind = params.get("base", {"kind": "product"})
-        return rel_indep_joining(systems, factors, base_kind, spec=spec)
+        systems = [make_system(c) for c in params["components"]]
+        return rel_indep_joining(systems, params["factors"], params["base"])
     if kind == "example1-triple":
-        return example1_triple(
-            base_measure=build_measure(params.get("base_measure", {"kind": "haar", "arity": 1}),
-                                       field="params.base_measure"),
-            cocycle=build_cocycle(params.get("cocycle", {"kind": "affine"}),
-                                  field="params.cocycle"),
-            angle=parse_scalar(params.get("angle", "0"), field="params.angle"),
-            spec=spec,
-        )
-    if kind == "custom-sampler":
-        raise SpecValidationError(
-            "kind", "custom-sampler joinings are programmatic: use custom_joining()"
-        )
-    raise SpecValidationError("kind", f"unknown joining kind {kind!r}")
+        return example1_triple(make_measure(params["base_measure"]),
+                               make_cocycle(params["cocycle"]), parse_scalar(params["angle"]))
+    raise SpecValidationError(
+        "kind", "custom-sampler joinings are programmatic: use custom_joining()")
 
 
 class _ComposedSystem(System):
@@ -305,14 +261,13 @@ class _ComposedSystem(System):
         return k, P % Q
 
 
-def product_joining(systems: Sequence[System], spec: JoiningSpec | None = None) -> Joining:
+def product_joining(systems: Sequence[System]) -> Joining:
     systems = list(systems)
-    return Joining(spec=spec, components=systems, system=ProductSystem(systems))
+    return Joining(components=systems, system=ProductSystem(systems))
 
 
 def graph_joining(system: System, graph_map: System, *,
-                  check_max_freq: int = DEFAULT_CHECK_FAMILY_MAX_FREQ,
-                  spec: JoiningSpec | None = None) -> Joining:
+                  check_max_freq: int = DEFAULT_CHECK_FAMILY_MAX_FREQ) -> Joining:
     """(Id, R)-pushforward of the component measure: the graph of R.
 
     R must preserve the measure and commute with the dynamics; both are checked
@@ -327,7 +282,7 @@ def graph_joining(system: System, graph_map: System, *,
     doubled = ImageMeasure(system.measure, CoordinateMap(arity, tuple(range(arity)) * 2))
     measure = ImageMeasure(doubled, ProductSystem([IdentitySystem(system.measure), graph_map]),
                            description="graph joining")
-    return Joining(spec=spec, components=[system, system],
+    return Joining(components=[system, system],
                    system=ProductSystem([system, system], measure=measure))
 
 
@@ -389,7 +344,7 @@ def _factor_system(system: System, coords: Sequence[int]) -> System:
 
 
 def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]],
-                      base: dict | Joining, spec: JoiningSpec | None = None) -> Joining:
+                      base: dict | Joining) -> Joining:
     """Couple two systems through a joining of declared coordinate factors and
     draw the fibers independently.
 
@@ -398,11 +353,10 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     """
     if len(systems) != 2:
         raise SpecValidationError("components", "rel-indep joins two systems")
-    if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
-            isinstance(f, (list, tuple)) and all(type(c) is int for c in f) for f in factors)):
-        raise SpecValidationError("factors", "factors must be two lists of int coordinates")
-    if not isinstance(base, (dict, Joining)):
-        raise SpecValidationError("base", "base must be a joining spec object or a Joining")
+    check_factor_lists(factors)
+    if not isinstance(base, Joining):
+        from ergolab.schema import parse
+        base = parse(base, "rel-indep-base", "base")
     s1, s2 = systems
     f1, f2 = tuple(factors[0]), tuple(factors[1])
     a1, a2 = len(s1.space), len(s2.space)
@@ -418,16 +372,12 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
 
     if isinstance(base, Joining):
         base_joining = base
+    elif base["kind"] == "product":
+        base_joining = product_joining([fac1, fac2])
+    elif base["kind"] == "diagonal":
+        base_joining = graph_joining(fac1, IdentitySystem(fac1.measure))
     else:
-        base_kind = base.get("kind", "product")
-        if base_kind == "product":
-            base_joining = product_joining([fac1, fac2])
-        elif base_kind == "diagonal":
-            base_joining = graph_joining(fac1, IdentitySystem(fac1.measure))
-        elif base_kind == "graph":
-            base_joining = graph_joining(fac1, _as_system(base.get("map"), field="base.map"))
-        else:
-            raise SpecValidationError("base.kind", f"unsupported base joining {base_kind!r}")
+        base_joining = graph_joining(fac1, make_system(base["map"]))
     if [len(c.space) for c in base_joining.components] != [len(f1), len(f2)]:
         raise SpecValidationError("base", "base joining does not match the factor arities")
 
@@ -469,12 +419,12 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
                                 sample_rationals, sample_floats,
                                 description="base point and fibers", exact_flag=exact_flag)
     measure = ImageMeasure(source, scatter, description="relatively independent extension")
-    return Joining(spec=spec, components=[s1, s2],
+    return Joining(components=[s1, s2],
                    system=ProductSystem([s1, s2], measure=measure))
 
 
-def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fraction,
-                    spec: JoiningSpec | None = None) -> Joining:
+def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle,
+                    angle: Fraction) -> Joining:
     """The coupled triple: a twist and its shifted copy glued along the base.
 
     Components are T(x, y) = (x, y + beta(x)) and R(x, z) = (x, z + beta(x) + angle)
@@ -515,7 +465,7 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle, angle: Fracti
     # (x, y, z) -> (x, y, x, z), with y and z drawn independently from Haar
     measure = ImageMeasure(ProductMeasure([base_measure, HaarMeasure(2)]),
                            CoordinateMap(3, (0, 1, 0, 2)), description="coupled twist triple")
-    return Joining(spec=spec, components=[twist, shifted],
+    return Joining(components=[twist, shifted],
                    system=ProductSystem([twist, shifted], measure=measure))
 
 
@@ -533,7 +483,7 @@ def custom_joining(components: Sequence[System],
         description=description,
         exact_flag=integrator is not None,
     )
-    return Joining(spec=None, components=systems,
+    return Joining(components=systems,
                    system=ProductSystem(systems, measure=measure))
 
 

@@ -128,15 +128,6 @@ class Rank1Spec:
         digits = tuple(int(d) for d in digits)
         return cls(a=None, digits=digits, depth=len(digits) if depth is None else depth)
 
-    @classmethod
-    def from_params(cls, params: dict) -> "Rank1Spec":
-        depth = params.get("depth", 8)
-        if not isinstance(depth, int) or depth < 0:
-            raise SpecValidationError("params.depth", "depth must be a nonnegative int")
-        if "digits" in params:
-            return cls.from_digits(params["digits"], depth)
-        return cls.from_rational(parse_scalar(params.get("a", "0"), field="params.a"), depth)
-
     def digit_stream(self, n: int) -> tuple[int, ...]:
         """Digits a_1 .. a_n."""
         if self.digits is not None:
@@ -492,13 +483,12 @@ class Rank1System(System):
     DepthExceededError rather than silently wrapping.
     """
 
-    def __init__(self, r1spec: Rank1Spec, spec=None):
+    def __init__(self, r1spec: Rank1Spec):
         if r1spec.depth < 1:
             raise SpecValidationError("depth", f"depth must be >= 1, got {r1spec.depth}")
         self.r1spec = r1spec
         self.space = (INTERVAL,)
         self.measure = HaarMeasure((INTERVAL,), description="lebesgue on [0,1)")
-        self.spec = spec
 
     @cached_property
     def map(self) -> Rank1Map:
@@ -513,8 +503,8 @@ class Rank1System(System):
         return self.map.apply_array(points[:, 0])[:, None]
 
 
-def build_rank1_system(r1spec: Rank1Spec, spec=None) -> Rank1System:
-    return Rank1System(r1spec, spec=spec)
+def build_rank1_system(r1spec: Rank1Spec) -> Rank1System:
+    return Rank1System(r1spec)
 
 
 class Rank1Family(System):

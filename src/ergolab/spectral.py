@@ -37,6 +37,7 @@ import numpy as np
 
 from ergolab.core import (
     Character,
+    DepthExceededError,
     ErgolabError,
     FreqVector,
     LevelIndicator,
@@ -368,6 +369,12 @@ def _grid_screen(vals: np.ndarray, max_denominator: int) -> dict[int, np.ndarray
     return screen
 
 
+def require_wiener_length(N: int, field: str = "N") -> None:
+    """Refuse a Wiener average, plain or rotated, over fewer than 16 terms."""
+    if N < 16:
+        raise SpecValidationError(field, f"Wiener averaging needs N >= 16, got {N}")
+
+
 def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
                        grid_max_denominator: int = ATOM_GRID_MAX_DENOMINATOR,
                        atom_floor: float = 0.05) -> AtomReport:
@@ -385,8 +392,7 @@ def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
     floor is screened out.
     """
     N = seq.N
-    if N < 16:
-        raise SpecValidationError("N", f"Wiener averaging needs N >= 16, got {N}")
+    require_wiener_length(N)
 
     prefixes = [max(1, N // 4), max(1, N // 2), N]
     if seq.numerators is not None:
@@ -502,8 +508,7 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
     alpha as an eigenvalue; it equals 1 when f o T = alpha * f.
     """
     angle = parse_scalar(alpha, field="alpha") % 1
-    if N < 16:
-        raise SpecValidationError("N", f"eigenvalue detection needs N >= 16, got {N}")
+    require_wiener_length(N)
     if seq is None:
         seq = correlation_sequence(system, f, N, seed=seed, samples=samples)
     if seq.N < N - 1:
@@ -617,9 +622,10 @@ def fiber_eigenvalue_scan(system: System, alpha, samples: int, N: int, *, seed: 
     from ``system.base.measure`` and ``system.fiber(point)`` is the system on
     the fiber over a point.  An eigenvalue of a positive-measure set of fibers
     shows up in the flat system and conversely; with ``flat_observable`` the
-    report states both sides.  Fibers whose construction or probe raises an
-    ``ErgolabError`` are excluded from the fraction and counted as failures;
-    any other exception propagates.
+    report states both sides, or leaves the flat side None when the flat
+    system has no exact path or a sampled point leaves its towers.  Fibers
+    whose construction or probe raises an ``ErgolabError`` are excluded from
+    the fraction and counted as failures; any other exception propagates.
     """
     angle = parse_scalar(alpha, field="alpha") % 1
     entries = []
@@ -651,7 +657,7 @@ def fiber_eigenvalue_scan(system: System, alpha, samples: int, N: int, *, seed: 
                                              angle, N, threshold=threshold,
                                              seed=seed, samples=4096)
             coherent = (not flat_verdict.witnessed) or fraction > 0
-        except UnsupportedOperationError:
+        except (UnsupportedOperationError, DepthExceededError):
             flat_verdict = None
     return FiberScanReport(
         witness_fraction=fraction,

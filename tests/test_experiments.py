@@ -118,6 +118,43 @@ def test_emit_csv_row_count(tmp_path):
     assert lines[0] == "check_id,anchor,expected,observed,sigma,verdict"
 
 
+def test_csv_quotes_commas_and_quotes():
+    """A field holding a comma or a quote reads back unchanged."""
+    import csv
+
+    from ergolab.experiments import Check, ExperimentReport
+
+    observed = 'mass 0.5, witnessed = "no"'
+    check = Check(check_id="c", anchor="plumbing", expected="a,b", observed=observed,
+                  passed=False)
+    report = ExperimentReport(config=small_config("spectral-probe"), checks=[check],
+                              wall_clock_seconds=0.0)
+    rows = list(csv.reader(report.to_csv().splitlines()))
+    assert rows[0] == ["check_id", "anchor", "expected", "observed", "sigma", "verdict"]
+    assert rows[1] == ["c", "plumbing", "a,b", observed, "", "fail"]
+
+
+def test_word_recursion_check_fails_on_a_dropped_letter(monkeypatch):
+    """A rank1_word that loses one letter at one stage fails the check that
+    compares each word with the closed forms L_n and 3^n."""
+    from ergolab import experiments
+    from ergolab.rank1 import TowerStage
+
+    real = experiments.rank1_word
+
+    def dropping(spec, n):
+        stage = real(spec, n)
+        if n != 7:  # only the recursion check reaches stage 7 at these knobs
+            return stage
+        word = stage.word[1:]
+        return TowerStage(stage=n, word=word, height=word.count("T"), length=len(word))
+
+    monkeypatch.setattr(experiments, "rank1_word", dropping)
+    checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
+    assert not checks["word-recursion-invariants"].passed
+    assert [cid for cid, c in checks.items() if not c.passed] == ["word-recursion-invariants"]
+
+
 def test_emit_markdown_sections(tmp_path):
     report = run_experiment(small_config("spectral-probe"))
     (path,) = emit_report(report, "markdown", tmp_path)

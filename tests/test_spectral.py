@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ergolab.core import (
     Character,
     DiracMixture,
+    HaarMeasure,
     IdentitySystem,
     LevelIndicator,
     SpecValidationError,
@@ -637,3 +638,13 @@ def test_fiber_scan_over_rank1_family_atoms_matches_direct_probes():
                                    observable, "1/40", 128, seed=7, samples=1024)
         assert entry["mass"] == direct.mass and entry["witnessed"] == direct.witnessed
     assert seen == {"1/3", "1/4"}
+
+
+def test_fiber_scan_flat_probe_leaving_the_towers_reports_no_flat_side():
+    """The flat probe of a rank-one family samples points in a tower's top
+    level, where the map is undefined: the flat side is left out."""
+    report = fiber_eigenvalue_scan(make_Sa_system(HaarMeasure(1), 6), "1/3", samples=2, N=16,
+                                   seed=0, fiber_observable=LevelIndicator(3, 0),
+                                   flat_observable=Character((0, 1)))
+    assert report.flat_verdict is None and report.coherent is None
+    assert report.sampled == 2 and report.failures == 0
