@@ -153,7 +153,10 @@ def _cmd_validate(args) -> int:
     try:
         key = "system" if "system" in doc else "joining" if "joining" in doc else ""
         spec = doc[key] if key else doc
-        (build_joining if key == "joining" else build_system)(spec, path=key)
+        if key == "joining":
+            build_joining(spec, path=key)
+        else:
+            build_system(spec, path=key)
         kind = spec["kind"]
     except (ErgolabError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
