@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from ergolab.core import ErgolabError, build_system
+from ergolab.core import ErgolabError, SpecValidationError, build_system
 from ergolab.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -152,6 +152,8 @@ def _cmd_validate(args) -> int:
         return EXIT_CONFIG_ERROR
     try:
         key = "system" if "system" in doc else "joining" if "joining" in doc else ""
+        if key and len(doc) > 1:
+            raise SpecValidationError(min(set(doc) - {key}), f"unknown key beside {key!r}")
         spec = doc[key] if key else doc
         if key == "joining":
             build_joining(spec, path=key)

@@ -148,6 +148,14 @@ def test_an_affine_cocycle_on_a_missing_base_coordinate_is_refused(tmp_path):
     assert code == 3 and "invalid: cocycle.coord: " in err
 
 
+@pytest.mark.parametrize("doc", [{"system": ROT, "joining": {"kind": "bogus"}},
+                                 {"system": ROT, "sytem": ROT}])
+def test_spec_validate_refuses_a_key_beside_the_spec(doc, tmp_path):
+    """The key beside ``system`` was never read, so a bad joining passed."""
+    code, err = _validate(tmp_path, doc)
+    assert code == 3 and "unknown key beside 'system'" in err
+
+
 def test_a_string_expectation_is_no_longer_read_as_true():
     """'no' was truthy: the eigenvalue query passed although it expected the
     opposite of what it saw."""
