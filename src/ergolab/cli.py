@@ -24,7 +24,6 @@ from ergolab.experiments import (
     emit_report,
     run_experiment,
 )
-from ergolab.joinings import build_joining
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 2
@@ -156,6 +155,7 @@ def _cmd_validate(args) -> int:
             raise SpecValidationError(min(set(doc) - {key}), f"unknown key beside {key!r}")
         spec = doc[key] if key else doc
         if key == "joining":
+            from ergolab.joinings import build_joining
             build_joining(spec, path=key)
         else:
             build_system(spec, path=key)

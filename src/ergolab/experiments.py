@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -43,24 +43,6 @@ from ergolab.core import (
     pullback_orbit,
 )
 from ergolab.exact import PhaseSum, parse_scalar, scalar_str
-from ergolab.joinings import (
-    Joining,
-    build_joining,
-    invariance_check,
-    product_consistency_test,
-    product_joining,
-    rel_indep_joining,
-    sample_joining,
-)
-from ergolab.rank1 import (
-    Rank1Map,
-    Rank1Spec,
-    dyadic_equivalence,
-    rank1_map,
-    rank1_word,
-    refuse_oversized_tower,
-    word_lengths,
-)
 from ergolab.schema import KNOBS, SQRT2_ANGLE_40, parse_knobs  # noqa: F401 (re-exported)
 from ergolab.spectral import (
     correlation_sequence,
@@ -68,6 +50,10 @@ from ergolab.spectral import (
     weak_mixing_test,
     wiener_atomic_mass,
 )
+
+if TYPE_CHECKING:  # joinings and rank1 load in the runners that use them
+    from ergolab.joinings import Joining
+    from ergolab.rank1 import Rank1Map
 
 EXPERIMENTS = tuple(KNOBS)
 
@@ -246,6 +232,8 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_identity_disjoint(config: ExperimentConfig) -> list[Check]:
+    from ergolab.joinings import product_consistency_test, product_joining, rel_indep_joining
+
     knobs = config.knobs
     checks: list[Check] = []
     identity = IdentitySystem(build_measure(knobs["identity_measure"],
@@ -341,6 +329,8 @@ def _run_identity_disjoint(config: ExperimentConfig) -> list[Check]:
 
 
 def _run_example1(config: ExperimentConfig) -> list[Check]:
+    from ergolab.joinings import build_joining, invariance_check, product_joining, sample_joining
+
     knobs = config.knobs
     checks: list[Check] = []
     angle = parse_scalar(knobs["angle"])
@@ -491,6 +481,9 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
 
 
 def _run_product_closure(config: ExperimentConfig) -> list[Check]:
+    from ergolab.joinings import (invariance_check, product_consistency_test, product_joining,
+                                  rel_indep_joining)
+
     knobs = config.knobs
     checks: list[Check] = []
     samples = knobs["samples"]
@@ -569,6 +562,9 @@ def _itinerary_coherent(m: Rank1Map, word: str) -> bool:
 
 
 def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
+    from ergolab.rank1 import (Rank1Spec, dyadic_equivalence, rank1_map, rank1_word,
+                               refuse_oversized_tower, word_lengths)
+
     knobs = config.knobs
     checks: list[Check] = []
     depth = knobs["depth"]

@@ -69,13 +69,13 @@ from ergolab.core import (
     wrap_unit,
 )
 from ergolab.exact import PhaseSum, parse_scalar
+from ergolab.schema import MAX_OFF_DIAGONAL_POWER, check_factor_lists, parse  # noqa: F401
 
 DEFAULT_CHECK_FAMILY_MAX_FREQ = 2
 SIGMA_FACTOR = 4.0
 #: samples per block of the character-mean kernel; bounds its working memory
 MEANS_BLOCK_ROWS = 4096
-#: largest |power| of an off-diagonal joining; T^power takes power steps per use
-MAX_OFF_DIAGONAL_POWER = 4096
+
 
 class JoiningConstructionError(ErgolabError):
     """A declared joining violates a structural requirement; carries the witness."""
@@ -95,7 +95,6 @@ class JoiningSpec:
 
     @classmethod
     def from_json(cls, doc: dict, *, field: str = "joining") -> "JoiningSpec":
-        from ergolab.schema import parse
         doc = parse(doc, "joining", field)
         return cls(kind=doc["kind"], params=doc["params"])
 
@@ -194,17 +193,9 @@ def sample_joining(joining: Joining, seed: int, count: int, *,
 # construction
 # ---------------------------------------------------------------------------
 
-def check_factor_lists(factors, field: str = "factors") -> None:
-    """Refuse rel-indep factors that are not two lists of int coordinates."""
-    if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
-            isinstance(f, (list, tuple)) and all(type(c) is int for c in f) for f in factors)):
-        raise SpecValidationError(field, "factors must be two lists of int coordinates")
-
-
 def build_joining(spec: JoiningSpec | dict, *, path: str = "") -> Joining:
     """Realize a JoiningSpec; component entries may be spec documents or Systems.
     ``path`` prefixes the field named by a validation error."""
-    from ergolab.schema import parse
     doc = parse(spec.to_json() if isinstance(spec, JoiningSpec) else spec, "joining", path)
     kind, params = doc["kind"], doc["params"]
     if kind == "product":
@@ -355,7 +346,6 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
         raise SpecValidationError("components", "rel-indep joins two systems")
     check_factor_lists(factors)
     if not isinstance(base, Joining):
-        from ergolab.schema import parse
         base = parse(base, "rel-indep-base", "base")
     s1, s2 = systems
     f1, f2 = tuple(factors[0]), tuple(factors[1])

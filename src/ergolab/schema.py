@@ -19,11 +19,20 @@ from typing import Callable, NamedTuple
 
 from ergolab.core import Cocycle, MeasureHandle, SpecValidationError, System
 from ergolab.exact import parse_scalar
-from ergolab.joinings import MAX_OFF_DIAGONAL_POWER, check_factor_lists
 from ergolab.spectral import require_wiener_length
 
 #: the default of a key that must be given
 REQUIRED = object()
+
+#: largest |power| of an off-diagonal joining; T^power takes power steps per use
+MAX_OFF_DIAGONAL_POWER = 4096
+
+
+def check_factor_lists(factors, field: str = "factors") -> None:
+    """Refuse rel-indep factors that are not two lists of int coordinates."""
+    if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
+            isinstance(f, (list, tuple)) and all(type(c) is int for c in f) for f in factors)):
+        raise SpecValidationError(field, "factors must be two lists of int coordinates")
 
 
 class Field(NamedTuple):

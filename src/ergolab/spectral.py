@@ -22,8 +22,9 @@ convolution of the per-stage offset-difference multisets, computed in integers
 and pruned to the lags asked for (``rank1.level_lag_counts``).  No tower, mask
 or FFT is built, so depth 30 costs about what depth 10 does.  The correlations
 stay integer numerators over one denominator; their ``PhaseSum``s are built
-only when asked for, and their exact Wiener totals are integer sums of squared
-numerators with one ``Fraction`` per prefix.
+only when asked for, their exact Wiener totals are integer sums of squared
+numerators with one ``Fraction`` per prefix, and an eigenvalue query sums the
+numerators per angle n * a mod 1 in integers.
 """
 
 from __future__ import annotations
@@ -96,6 +97,19 @@ class CorrelationSeq:
             den = self.denominator
             self._phases = [PhaseSum.from_rational(Fraction(c, den)) for c in self.numerators]
         return self._phases
+
+    def rotated_sum(self, angle: Fraction, N: int) -> PhaseSum | None:
+        """sum_{n<N} e(n * angle) * phases[n] exactly; None for a sampled sequence.
+        Rational entries c_n / d are summed per n * angle mod 1 in integers."""
+        if self.numerators is not None:
+            Q, S, acc = angle.denominator, angle.numerator, {}
+            for n, c in enumerate(self.numerators[:N]):
+                key = n * S % Q
+                acc[key] = acc.get(key, 0) + c
+            return PhaseSum._from_lattice(acc, Q, self.denominator)
+        if self.exact and self.phases is not None:
+            return PhaseSum.sum(self.phases[:N], angle)
+        return None
 
     def value(self, n: int) -> complex:
         if abs(n) > self.N:
@@ -515,8 +529,8 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
         raise SpecValidationError("N", "provided sequence is shorter than N")
 
     mass_sq_exact = None
-    if seq.exact and seq.phases is not None:
-        total = PhaseSum.sum(seq.phases[:N], angle)
+    total = seq.rotated_sum(angle, N)
+    if total is not None:
         mass = float(abs(total.value()) / N)
         ms = total.abs2().as_rational()
         if ms is not None:

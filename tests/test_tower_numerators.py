@@ -2,11 +2,13 @@
 Wiener totals summed in integers.
 
 Oracles, kept here as references: the per-lag ``Fraction`` ratios that
-``_rank1_indicator_sequence`` built from the lag counts, and the
+``_rank1_indicator_sequence`` built from the lag counts, the
 ``abs2``/``PhaseSum.sum`` fold that ``wiener_atomic_mass`` used for the prefix
-totals of every exact sequence.
+totals of every exact sequence, and the ``PhaseSum.sum`` over one phase per lag
+that ``detect_eigenvalue`` used for the rotated sum.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,13 @@ import pytest
 from ergolab.core import Character, LevelIndicator, build_system
 from ergolab.exact import PhaseSum
 from ergolab.rank1 import Rank1Spec, build_rank1_system, level_lag_counts, word_lengths
-from ergolab.spectral import correlation_sequence, weak_mixing_test, wiener_atomic_mass
+from ergolab.schema import SQRT2_ANGLE_40
+from ergolab.spectral import (
+    correlation_sequence,
+    detect_eigenvalue,
+    weak_mixing_test,
+    wiener_atomic_mass,
+)
 
 F = Fraction
 
@@ -40,6 +48,23 @@ def old_wiener_totals(seq):
         totals[n] = running * F(1, n)
     trace = [(n, totals[n].value().real) for n in prefixes]
     return trace, totals[N].value().real, totals[N].as_rational()
+
+
+@contextmanager
+def counting_fractions():
+    """Counts ``Fraction`` constructions in the block, in a one-item list."""
+    created = [0]
+    original = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        created[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield created
+    finally:
+        Fraction.__new__ = original
 
 
 def hexes(trace):
@@ -114,21 +139,39 @@ def test_weak_mixing_probe_builds_few_fractions():
     (about 25 per sequence) is the parameter's digits and the prefix totals."""
     system = build_rank1_system(Rank1Spec.from_rational("1/4", 10))
     family = [LevelIndicator(stage=s, level=0) for s in (3, 4, 5)]
-    created = 0
-    original = vars(Fraction)["__new__"]
-
-    def counting(cls, *args, **kwargs):
-        nonlocal created
-        created += 1
-        return original.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counting)
-    try:
+    with counting_fractions() as created:
         report = weak_mixing_test(system, family, N=4096)
-    finally:
-        Fraction.__new__ = original
     assert report.no_atoms_detected
-    assert created <= 32 * len(family)
+    assert created[0] <= 32 * len(family)
+
+
+def depth_10_stage_3_sequence(centered=False):
+    system = build_rank1_system(Rank1Spec.from_rational("1/4", 10))
+    return system, correlation_sequence(system, LevelIndicator(3, 0), 4096, center=centered)
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("angle", ["0", "1/3", "1/4", SQRT2_ANGLE_40])
+def test_rotated_sum_matches_the_phase_sum_fold(angle, centered):
+    """The integer lattice sum has the terms of the fold over one PhaseSum per lag."""
+    angle = Fraction(angle)
+    _, seq = depth_10_stage_3_sequence(centered)
+    assert seq.rotated_sum(angle, 4096).terms == PhaseSum.sum(seq.phases[:4096], angle).terms
+
+
+def test_eigenvalue_query_on_a_tower_builds_few_fractions():
+    """One query built a PhaseSum per lag: 4,117 Fractions at angle 1/3 and
+    N = 4,096.  Summed per angle n/3 in integers it builds a few per term of
+    the sum, and two per term over a 40-digit angle, where every term is distinct."""
+    system, seq = depth_10_stage_3_sequence()
+    with counting_fractions() as created:
+        verdict = detect_eigenvalue(system, None, "1/3", 4096, seq=seq)
+    assert not verdict.witnessed and verdict.mass_squared_exact is not None
+    assert created[0] <= 32
+    angle = Fraction(SQRT2_ANGLE_40)
+    with counting_fractions() as created:
+        total = seq.rotated_sum(angle, 4096)
+    assert created[0] <= 2 * len(total.terms)
 
 
 def test_depth_30_wiener_total_is_the_integer_sum():
