@@ -13,21 +13,21 @@ over the lcm Q of their denominators and weights become numerators over the
 lcm D of theirs, so the inner loops multiply and add Python ints and only the
 surviving merged terms are turned back into ``Fraction``s.
 
-Zero-testing is exact whenever the common denominator of the angles is small
-enough for cyclotomic reduction (a vanishing rational combination of q-th roots
-of unity is exactly a multiple of the q-th cyclotomic polynomial; Lam & Leung,
-J. Algebra 224, 2000).  The cyclotomic polynomials are built from integers
-alone.  For huge denominators (e.g. forty-digit decimal parameters) a 60-digit
-numeric fallback on ``mpmath`` is used; in practice those sums only ever cancel
-at the rational-angle level, which the merge step on construction already
-catches exactly.
+Zero tests and ``as_rational`` are exact for every angle denominator, with no
+numeric fallback.  They split off one prime power p^e of Q at a time: the
+minimal polynomial of a primitive p^e-th root of unity over the m-th roots of
+unity (m = Q / p^e) is 1 + x^(p^(e-1)) + ... + x^((p-1) p^(e-1)), so a sum
+vanishes iff its coefficients along that cycle agree, each a smaller sum over
+m.  Only primes p no larger than the number of terms can close a cycle, so a
+forty-digit denominator costs a few splits (Lam & Leung, "On vanishing sums of
+roots of unity", J. Algebra 224, 2000).
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Union
 
@@ -37,7 +37,7 @@ __all__ = [
     "scalar_str",
 ]
 
-#: Largest angle denominator for which zero tests run exact cyclotomic reduction.
+#: Read only by perfbench's tracer, which buckets zero tests by denominator.
 CYCLOTOMIC_LIMIT = 2048
 
 ScalarLike = Union[int, str, Fraction]
@@ -61,6 +61,12 @@ def parse_scalar(value: ScalarLike, *, field: str = "value") -> Fraction:
             f"got float {value!r}; pass an exact string such as '1/3' or '0.25'",
         )
     if isinstance(value, str):
+        # Fraction builds 10**exponent, which takes minutes for 1e-100000000.
+        exponent = value.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
+        exponent, limit = exponent.lstrip("0"), sys.get_int_max_str_digits()
+        if limit and exponent.isdecimal() and (
+                len(exponent) > len(str(limit)) or int(exponent) > limit):
+            raise _value_error(field, f"the exponent of {value!r} exceeds {limit}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -79,61 +85,53 @@ def scalar_str(x: Fraction) -> str:
     return str(x)
 
 
-def _prime_factors(n: int) -> list[int]:
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+def _split(acc: dict[int, int], q: int, p: int):
+    """The terms of sum(W * e(A / q)) keyed j -> t -> v -> W, and m.
 
-
-@lru_cache(maxsize=None)
-def _cyclotomic_coeffs(q: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the q-th cyclotomic polynomial.
-
-    Phi_q = prod_{d | q} (x^d - 1)^mu(q/d); only squarefree q/d contribute, so
-    d runs over q divided by products of distinct primes of q.  The factors
-    with mu = +1 are multiplied first, and those with mu = -1 then divide the
-    product exactly.
+    With p^e the exact power of p in q and m = q / p^e, each angle A / q is
+    u / p^e + v / m by the Chinese remainder theorem, and u = j + t * p^(e-1)
+    with t < p.  The factor e(t / p) is what the zero test compares.
     """
-    primes = _prime_factors(q)
-    up, down = [], []
-    for mask in range(1 << len(primes)):
-        d = q
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d //= p
-        (down if bin(mask).count("1") % 2 else up).append(d)
-    poly = [1]
-    for d in up:  # poly * (x^d - 1)
-        poly = [s - p for s, p in zip([0] * d + poly, poly + [0] * d)]
-    for d in down:  # poly / (x^d - 1), exact: poly[i] = quot[i - d] - quot[i]
-        quot = [0] * (len(poly) - d)
-        for i in range(len(quot)):
-            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
-        poly = quot
-    return tuple(poly)
+    pe = p
+    while q % (pe * p) == 0:
+        pe *= p
+    m, step = q // pe, pe // p
+    to_u, to_v = pow(m, -1, pe), pow(pe, -1, m)
+    classes: dict[int, dict[int, dict[int, int]]] = {}
+    for A, W in acc.items():
+        t, j = divmod(A * to_u % pe, step)
+        classes.setdefault(j, {}).setdefault(t, {})[A * to_v % m] = W
+    return classes, m
 
 
-def _reduce_mod_cyclotomic(coeffs: list[int], q: int) -> list[int]:
-    """Remainder of sum(coeffs[a] * x^a) modulo the q-th cyclotomic polynomial."""
-    phi = _cyclotomic_coeffs(q)
-    deg = len(phi) - 1  # phi is monic of degree deg
-    tail = [(j, pj) for j, pj in enumerate(phi[:deg]) if pj]
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            base = i - deg
-            for j, pj in tail:
-                work[base + j] -= c * pj
-    return work[:deg]
+def _difference(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    out = dict(x)
+    for key, W in y.items():
+        out[key] = out.get(key, 0) - W
+    return {key: W for key, W in out.items() if W}
+
+
+def _vanishes(acc: dict[int, int], q: int) -> bool:
+    """Whether sum(W * e(A / q)) over acc is 0; acc has nonzero weights.
+
+    For a prime p of q, Phi_{p^e}(x) = sum_{t<p} x^(t * p^(e-1)) stays the
+    minimal polynomial of e(1 / p^e) over Q(e(1 / m)), so the sum is zero iff
+    in every class j of ``_split`` the p coefficients over m are equal, and all
+    zero when fewer than p occur.  A class holds p terms only if p <= len(acc),
+    so when q has no such prime the sum is not zero.
+    """
+    if len(acc) < 2:
+        return not acc
+    p = next((d for d in range(2, len(acc) + 1) if q % d == 0), None)
+    if p is None:
+        return False
+    classes, m = _split(acc, q, p)
+    for row in classes.values():
+        parts = row.values() if len(row) < p else \
+            (_difference(row[t], row[t + 1]) for t in range(p - 1))
+        if not all(_vanishes(part, m) for part in parts):
+            return False
+    return True
 
 
 def _lattice(terms, Q: int, D: int) -> list[tuple[int, int]]:
@@ -365,37 +363,16 @@ class PhaseSum:
 
     # -- exact predicates ------------------------------------------------------
 
-    def _cyclotomic_remainder(self) -> tuple[list[int], int] | None:
-        """(remainder of D * self modulo Phi_q, D), or None if q > CYCLOTOMIC_LIMIT.
-
-        q is the lcm of the angle denominators and D that of the weights, so
-        the remainder has integer coefficients.
-        """
-        q = _angle_lcm(self._terms)
-        if q > CYCLOTOMIC_LIMIT:
-            return None
-        D = _weight_lcm(self._terms)
-        coeffs = [0] * q
-        for A, W in _lattice(self._terms, q, D):
-            coeffs[A] = W
-        return _reduce_mod_cyclotomic(coeffs, q), D
+    def _integers(self) -> tuple[dict[int, int], int, int]:
+        """(acc, q, D) with self = sum(acc[A] / D * e(A / q))."""
+        q, D = _angle_lcm(self._terms), _weight_lcm(self._terms)
+        return dict(_lattice(self._terms, q, D)), q, D
 
     def is_zero(self) -> bool:
         if not self._terms:
             return True
-        reduced = self._cyclotomic_remainder()
-        if reduced is not None:
-            return not any(reduced[0])
-        # Denominator too large for exact reduction: high-precision numeric test.
-        import mpmath
-
-        with mpmath.workdps(60):
-            total = mpmath.mpc(0)
-            for a, w in self._terms:
-                total += mpmath.mpf(w.numerator) / w.denominator * mpmath.expjpi(
-                    2 * mpmath.mpf(a.numerator) / a.denominator
-                )
-            return bool(mpmath.fabs(total) < mpmath.mpf(10) ** -45)
+        acc, q, _ = self._integers()
+        return _vanishes(acc, q)
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)
@@ -411,10 +388,16 @@ class PhaseSum:
             return Fraction(0)
         if len(self._terms) == 1 and self._terms[0][0] == 0:
             return self._terms[0][1]
-        reduced = self._cyclotomic_remainder()
-        if reduced is None:
-            return None
-        remainder, D = reduced
-        if any(remainder[1:]):
-            return None
-        return Fraction(remainder[0], D)
+        acc, q, D = self._integers()
+        # If self is c, then so is class j = 0's beta_(0,0) - beta_(0,1) over m
+        # (c sits at t = 0), with at most len(acc) terms.  Once no prime of q
+        # is <= len(acc) + 1, that sum minus c vanishes only if it is empty,
+        # so c is its weight at angle 0.
+        rest, m = acc, q
+        for p in range(2, len(acc) + 2):
+            if m % p == 0:
+                classes, m = _split(rest, m, p)
+                row = classes.get(0, {})
+                rest = _difference(row.get(0, {}), row.get(1, {}))
+        c = rest.get(0, 0)
+        return Fraction(c, D) if _vanishes(_difference(acc, {0: c}), q) else None

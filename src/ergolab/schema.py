@@ -97,10 +97,10 @@ SPECS = {
     "measure": Spec(built=(MeasureHandle,), kinds={
         "haar": {"arity": Field("int", 1, minimum=1)},
         "atoms": {"atoms": Field(Field("atom"), REQUIRED)},
-        "cyclic-uniform": {"order": Field("int", REQUIRED)},
+        "cyclic-uniform": {"order": Field("int", REQUIRED, minimum=1)},
         "product": {"factors": Field(Field("measure"), REQUIRED)},
         "mixture": {"components": Field(Field("component"), REQUIRED)},
-        "power-law-sampled": {"exponent": Field("int", REQUIRED)},
+        "power-law-sampled": {"exponent": Field("int", REQUIRED, minimum=1)},
     }),
     "atom": Spec({None: {"point": Field(Field("scalar"), REQUIRED, minimum=1),
                          "weight": Field("scalar", "1")}}),
@@ -113,7 +113,7 @@ SPECS = {
     }),
     "entry": Spec({None: {"point": Field(Field("scalar"), REQUIRED),
                           "value": Field("scalar", "0")}}),
-    "group": Spec(kinds={"circle": {}, "cyclic": {"order": Field("int", REQUIRED)}}),
+    "group": Spec(kinds={"circle": {}, "cyclic": {"order": Field("int", REQUIRED, minimum=1)}}),
     "fiber": Spec(kinds={"rotation": {"angle": Field("cocycle", AFFINE)},
                          "rank1-parameter": {"depth": Field("int", 8)}}),
     "joining": Spec(envelope={}, kinds={

@@ -3,14 +3,14 @@
 import cmath
 import operator
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from functools import lru_cache, reduce
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergolab.exact import PhaseSum, _cyclotomic_coeffs, parse_scalar, scalar_str
+from ergolab.exact import PhaseSum, parse_scalar, scalar_str
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,16 @@ def test_parse_scalar_rejects_floats_and_junk():
         parse_scalar(0.5)
     with pytest.raises(ValueError, match="angle"):
         parse_scalar("one third", field="angle")
+
+
+def test_parse_scalar_refuses_an_exponent_past_the_int_digit_limit():
+    """Fraction("1e-100000000") builds 10**100000000 and takes minutes."""
+    assert parse_scalar("1e5") == 100000
+    assert parse_scalar("2.5e-3") == Fraction(1, 400)
+    assert parse_scalar("1E+3") == 1000
+    for raw in ["1e-100000000", "1e100000000", "-3.5E+1_000_000", " 2e9999999 "]:
+        with pytest.raises(ValueError, match="^angle: .*exponent"):
+            parse_scalar(raw, field="angle")
 
 
 def test_scalar_str_round_trip():
@@ -128,6 +138,7 @@ def test_as_rational():
     assert PhaseSum.unit(Fraction(1, 3)).as_rational() is None
     two = PhaseSum.unit(Fraction(1, 2)) * PhaseSum.unit(Fraction(1, 2))
     assert two.as_rational() == 1
+    assert PhaseSum([(Fraction(1, 2), Fraction(3, 7))]).as_rational() == Fraction(-3, 7)
 
 
 def test_rotated():
@@ -222,8 +233,80 @@ def test_product_cancellation_to_rational():
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and integer reduction
+# the dense reference: reduction modulo the q-th cyclotomic polynomial
 # ---------------------------------------------------------------------------
+
+def _prime_factors(n: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(q: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of the q-th cyclotomic polynomial.
+
+    Phi_q = prod_{d | q} (x^d - 1)^mu(q/d); only squarefree q/d contribute, so
+    d runs over q divided by products of distinct primes of q.  The factors
+    with mu = +1 are multiplied first, and those with mu = -1 then divide the
+    product exactly.
+    """
+    primes = _prime_factors(q)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        d = q
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                d //= p
+        (down if bin(mask).count("1") % 2 else up).append(d)
+    poly = [1]
+    for d in up:  # poly * (x^d - 1)
+        poly = [s - p for s, p in zip([0] * d + poly, poly + [0] * d)]
+    for d in down:  # poly / (x^d - 1), exact: poly[i] = quot[i - d] - quot[i]
+        quot = [0] * (len(poly) - d)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
+        poly = quot
+    return tuple(poly)
+
+
+def _reduce_mod_cyclotomic(coeffs: list[int], q: int) -> list[int]:
+    """Remainder of sum(coeffs[a] * x^a) modulo the q-th cyclotomic polynomial."""
+    phi = _cyclotomic_coeffs(q)
+    deg = len(phi) - 1  # phi is monic of degree deg
+    tail = [(j, pj) for j, pj in enumerate(phi[:deg]) if pj]
+    work = list(coeffs)
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            base = i - deg
+            for j, pj in tail:
+                work[base + j] -= c * pj
+    return work[:deg]
+
+
+def dense_verdicts(x: PhaseSum) -> tuple[bool, Fraction | None]:
+    """(is_zero, as_rational) of x by reducing D * x modulo Phi_q, where q and
+    D are the lcms of the angle and weight denominators."""
+    if not x.terms:
+        return True, Fraction(0)
+    q = lcm(*(a.denominator for a, _ in x.terms))
+    D = lcm(*(w.denominator for _, w in x.terms))
+    coeffs = [0] * q
+    for a, w in x.terms:
+        coeffs[a.numerator * (q // a.denominator)] = w.numerator * (D // w.denominator)
+    remainder = _reduce_mod_cyclotomic(coeffs, q)
+    rational = None if any(remainder[1:]) else Fraction(remainder[0], D)
+    return not any(remainder), rational
+
 
 def poly_mul(p, r):
     out = [0] * (len(p) + len(r) - 1)
@@ -268,3 +351,62 @@ def test_zero_and_rational_with_fractional_weights():
                       (Fraction(0), third)]) + (PhaseSum.one() + z1 + z2) * Fraction(2, 7)
     assert mixed.as_rational() == third
     assert (mixed - third).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the sparse zero test against the dense reference, and past q = 2048
+# ---------------------------------------------------------------------------
+
+def cycle(p: int, offset: Fraction, weight: Fraction) -> PhaseSum:
+    """weight * e(offset) * (1 + e(1/p) + ... + e((p-1)/p)), which is 0."""
+    return PhaseSum((offset + Fraction(t, p), weight) for t in range(p))
+
+
+small_weights = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2, 5]))
+
+
+@st.composite
+def planted_sums(draw):
+    """Sums over q <= 2048: planted p-cycles for primes p of q, rotated by
+    multiples of 1/q, plus an optional rational and a few stray terms."""
+    q = draw(st.integers(1, 2048))
+    primes = _prime_factors(q)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        if primes:
+            p = draw(st.sampled_from(primes))
+            terms += cycle(p, Fraction(draw(st.integers(0, q - 1)), q), draw(small_weights)).terms
+    if draw(st.booleans()):
+        terms.append((Fraction(0), draw(small_weights)))
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append((Fraction(draw(st.integers(0, q - 1)), q), draw(small_weights)))
+    return PhaseSum(terms)
+
+
+@given(planted_sums())
+def test_sparse_verdicts_equal_the_dense_reduction(x):
+    assert (x.is_zero(), x.as_rational()) == dense_verdicts(x)
+
+
+@pytest.mark.parametrize("modulus", [2049, 3 * 10**40, 6 * (10**9 + 7), 2**61 - 1])
+def test_planted_cycles_vanish_past_2048(modulus):
+    """Cycles of the small primes 2, 3, 5 and of the primes of the modulus up
+    to 683, rotated by multiples of 1/modulus, cancel; a stray term does not."""
+    primes = [p for p in (2, 3, 5, 683) if p < 100 or modulus % p == 0]
+    zero = PhaseSum.sum(cycle(p, Fraction(k * 7919 + 1, modulus), Fraction(k + 1, 3))
+                        for k, p in enumerate(primes))
+    assert len(zero.terms) > 1 and zero.value() == pytest.approx(0, abs=1e-9)
+    assert zero.is_zero() and zero.as_rational() == 0
+    assert (zero + Fraction(2, 7)).as_rational() == Fraction(2, 7)
+    stray = zero + PhaseSum.unit(Fraction(1, modulus))
+    assert not stray.is_zero() and stray.as_rational() is None
+    lone = PhaseSum.unit(Fraction(1, modulus))
+    assert not lone.is_zero() and (lone + Fraction(1, 3)).as_rational() is None
+
+
+def test_a_cancelling_pair_over_a_large_prime_leaves_the_rational():
+    P = 10**9 + 7
+    x = PhaseSum.unit(Fraction(1, P)) + PhaseSum.unit(Fraction(1, P) + Fraction(1, 2)) + Fraction(1, 3)
+    assert len(x.terms) == 3
+    assert x.as_rational() == Fraction(1, 3)
+    assert (x - Fraction(1, 3)).is_zero() and not x.is_zero()

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,6 +98,12 @@ MALFORMED_SYSTEMS = [
      "params.measure.order"),
     ({"kind": "rotation", "params": {"angel": "1/3"}}, "params.angel"),
     ({"kind": "rotation", "params": {"angle": "1/3"}, "precison": 40}, "precison"),
+    ({"kind": "group-extension", "params": {"base": ROT, "group": {"kind": "cyclic", "order": 0}}},
+     "params.group.order"),
+    ({"kind": "identity", "params": {"measure": {"kind": "cyclic-uniform", "order": 0}}},
+     "params.measure.order"),
+    ({"kind": "identity", "params": {"measure": {"kind": "power-law-sampled", "exponent": 0}}},
+     "params.measure.exponent"),
 ]
 
 
@@ -111,6 +118,14 @@ def test_malformed_system_exits_3_with_its_path_from_validate_and_run(doc, path,
                       "--out", str(tmp_path / "out")])
     assert code == 3 and f"config error: knobs.system.{path}: " in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_huge_decimal_exponent_is_refused_within_a_second(tmp_path):
+    """Parsing "1e-100000000" built 10**100000000, so ``spec validate`` hung."""
+    doc = {"kind": "rotation", "params": {"angle": "1e-100000000"}}
+    start = time.perf_counter()
+    test_malformed_system_exits_3_with_its_path_from_validate_and_run(doc, "params.angle", tmp_path)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("experiment, knobs, path", [
