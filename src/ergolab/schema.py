@@ -27,6 +27,10 @@ REQUIRED = object()
 #: largest |power| of an off-diagonal joining; T^power takes power steps per use
 MAX_OFF_DIAGONAL_POWER = 4096
 
+#: largest order of a cyclic group or ``cyclic-uniform`` measure; the measure
+#: builds one atom per element (about 25 us and 0.6 KB each)
+MAX_CYCLIC_ORDER = 2**16
+
 
 def check_factor_lists(factors, field: str = "factors") -> None:
     """Refuse rel-indep factors that are not two lists of int coordinates."""
@@ -97,7 +101,7 @@ SPECS = {
     "measure": Spec(built=(MeasureHandle,), kinds={
         "haar": {"arity": Field("int", 1, minimum=1)},
         "atoms": {"atoms": Field(Field("atom"), REQUIRED)},
-        "cyclic-uniform": {"order": Field("int", REQUIRED, minimum=1)},
+        "cyclic-uniform": {"order": Field("int", REQUIRED, minimum=1, maximum=MAX_CYCLIC_ORDER)},
         "product": {"factors": Field(Field("measure"), REQUIRED)},
         "mixture": {"components": Field(Field("component"), REQUIRED)},
         "power-law-sampled": {"exponent": Field("int", REQUIRED, minimum=1)},
@@ -113,7 +117,8 @@ SPECS = {
     }),
     "entry": Spec({None: {"point": Field(Field("scalar"), REQUIRED),
                           "value": Field("scalar", "0")}}),
-    "group": Spec(kinds={"circle": {}, "cyclic": {"order": Field("int", REQUIRED, minimum=1)}}),
+    "group": Spec(kinds={"circle": {}, "cyclic": {
+        "order": Field("int", REQUIRED, minimum=1, maximum=MAX_CYCLIC_ORDER)}}),
     "fiber": Spec(kinds={"rotation": {"angle": Field("cocycle", AFFINE)},
                          "rank1-parameter": {"depth": Field("int", 8)}}),
     "joining": Spec(envelope={}, kinds={

@@ -111,6 +111,46 @@ class CorrelationSeq:
             return PhaseSum.sum(self.phases[:N], angle)
         return None
 
+    def rotated_abs2(self, angle: Fraction, N: int,
+                     total: PhaseSum | None = None) -> PhaseSum | None:
+        """|rotated_sum(angle, N)|^2 exactly; None for a sampled sequence.
+        ``total`` is that rotated sum, if the caller has it already.
+
+        An eigenfunction has c_n = w * e(a + n * beta), and then
+        |sum_{n<N} e(n * angle) * c_n|^2 = w^2 * sum_{|d|<N} (N - |d|) * e(d * phi)
+        with phi = angle + beta: N times the Fejer kernel at phi (Katznelson,
+        *An Introduction to Harmonic Analysis*, I.2), 2N - 1 terms in O(N),
+        equal term for term to ``total.abs2()``.  The closed form is taken when
+        every phase is one term of one weight w, the angle numerators over the
+        lcm Q of all angle denominators step by one B mod Q, and the product
+        would have more than 2N - 1 terms.  Any other sequence, rational
+        numerators included, falls back to ``total.abs2()``."""
+        if total is None:
+            total = self.rotated_sum(angle, N)
+        if total is None:
+            return None
+        if self.numerators is not None:
+            return total.abs2()
+        phases = self.phases[:N]
+        N, size = len(phases), len(total.terms)
+        if size < 2 or size * size <= 2 * N - 1:
+            return total.abs2()
+        terms = [p.terms[0] for p in phases if len(p.terms) == 1]
+        if len(terms) < N or len({w for _, w in terms}) > 1:
+            return total.abs2()
+        w = terms[0][1]
+        Q = math.lcm(angle.denominator, *(a.denominator for a, _ in terms))
+        A = [a.numerator * (Q // a.denominator) for a, _ in terms]
+        B = (A[1] - A[0]) % Q
+        if any((A[n] - A[0] - n * B) % Q for n in range(2, N)):
+            return total.abs2()
+        step = (angle.numerator * (Q // angle.denominator) + B) % Q
+        W2, acc = w.numerator ** 2, {}
+        for d in range(1 - N, N):
+            key = d * step % Q
+            acc[key] = acc.get(key, 0) + W2 * (N - abs(d))
+        return PhaseSum._from_lattice(acc, Q, w.denominator ** 2)
+
     def value(self, n: int) -> complex:
         if abs(n) > self.N:
             raise SpecValidationError("n", f"|n| must be <= {self.N}")
@@ -520,6 +560,12 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
     angle a (the circle point e^(2*pi*i*a)).  The average converges to the mass
     of sigma_f at conj(alpha), which is exactly the extent to which f witnesses
     alpha as an eigenvalue; it equals 1 when f o T = alpha * f.
+
+    On an exact sequence the squared mass is also decided exactly, from
+    ``seq.rotated_abs2``: for an eigenfunction, c_n = w * e(b + n * beta), that is
+    w^2 * sum_{|d|<N} (N - |d|) * e(d * (a + beta)), N times the Fejer kernel,
+    built in O(N); any other sequence, or one whose sum has at most
+    sqrt(2N - 1) terms, takes the product of the sum with its conjugate.
     """
     angle = parse_scalar(alpha, field="alpha") % 1
     require_wiener_length(N)
@@ -532,7 +578,7 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
     total = seq.rotated_sum(angle, N)
     if total is not None:
         mass = float(abs(total.value()) / N)
-        ms = total.abs2().as_rational()
+        ms = seq.rotated_abs2(angle, N, total).as_rational()
         if ms is not None:
             mass_sq_exact = ms / (N * N)
             mass = math.sqrt(float(mass_sq_exact)) if mass_sq_exact >= 0 else mass

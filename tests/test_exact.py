@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: parsing and PhaseSum algebra."""
+"""Exact scalar arithmetic: parsing, PhaseSum algebra and exact |rotated sum|^2."""
 
 import cmath
 import operator
@@ -6,11 +6,13 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ergolab.exact import PhaseSum, parse_scalar, scalar_str
+from ergolab.spectral import CorrelationSeq
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,99 @@ def test_product_cancellation_to_rational():
     a = PhaseSum.one() + PhaseSum.unit(theta)
     b = PhaseSum.one() - PhaseSum.unit(theta)
     assert (a * b).terms == ((Fraction(0), Fraction(1)), (2 * theta, Fraction(-1)))
+
+
+# ---------------------------------------------------------------------------
+# |rotated sum|^2 of a correlation sequence: the Fejer closed form
+# ---------------------------------------------------------------------------
+
+digits40 = st.builds(Fraction, st.integers(min_value=-(10**41), max_value=10**41),
+                     st.sampled_from([10**40, 3 * 10**40]))
+small_steps = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                               Fraction(7, 12), Fraction(5, 64)])
+nonzero_weights = st.builds(Fraction, st.integers(min_value=-9, max_value=9).filter(bool),
+                            st.sampled_from([1, 2, 3, 7, 10**40]))
+
+
+@st.composite
+def geometric_phases(draw):
+    """(phases, angle, N): phases[n] = w * e(a0 + n * beta) for n <= N, with a0,
+    beta and the query angle over 40-digit denominators.  Half the draws put
+    angle + beta on a small denominator (0 included), so the 2N - 1 keys of
+    |sum|^2 collide and merge."""
+    N = draw(st.integers(min_value=2, max_value=64))
+    a0, beta, w = draw(digits40), draw(digits40), draw(nonzero_weights)
+    angle = draw(small_steps) - beta if draw(st.booleans()) else draw(digits40)
+    phases = [PhaseSum([(a0 + n * beta, w)]) for n in range(N + 1)]
+    return phases, angle % 1, N
+
+
+@st.composite
+def broken_phases(draw):
+    """A geometric sequence with one index n < N changed: its angle shifted,
+    its weight changed (possibly to 0), or a second term added."""
+    phases, angle, N = draw(geometric_phases())
+    n = draw(st.one_of(st.integers(min_value=0, max_value=2),
+                       st.integers(min_value=0, max_value=N - 1))) % N
+    (a, w), = phases[n].terms
+    how = draw(st.sampled_from(["angle", "weight", "term"]))
+    if how == "angle":
+        phases[n] = PhaseSum([(a + draw(wide_angles.filter(lambda t: t % 1)), w)])
+    elif how == "weight":
+        phases[n] = PhaseSum([(a, w + draw(nonzero_weights))])
+    else:
+        phases[n] = phases[n] + PhaseSum([(draw(wide_angles), draw(nonzero_weights))])
+    return phases, angle, N
+
+
+def rotated_abs2_and_products(phases, angle, N):
+    """Check seq.rotated_abs2(angle, N) against the reference |total|^2 and
+    return total and the number of ``PhaseSum.abs2`` calls it made."""
+    seq = CorrelationSeq(N=len(phases) - 1, observable=None, exact=True,
+                         _values=np.array([p.value() for p in phases]), _phases=phases)
+    total = seq.rotated_sum(angle, N)
+    calls = []
+    original = PhaseSum.abs2
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(PhaseSum, "abs2", lambda self: calls.append(self) or original(self))
+        square = seq.rotated_abs2(angle, N)
+    reference = reference_product(total, total.conjugate())
+    assert square.terms == reference
+    assert square.as_rational() == PhaseSum(reference).as_rational()
+    if square.as_rational() is not None:
+        assert float(square.as_rational()) == pytest.approx(abs(total.value()) ** 2, abs=1e-6)
+    return total, len(calls)
+
+
+@given(geometric_phases())
+def test_geometric_rotated_abs2_is_the_product(drawn):
+    phases, angle, N = drawn
+    total, products = rotated_abs2_and_products(phases, angle, N)
+    # the closed form replaces every product with more than 2N - 1 terms
+    assert products == (len(total.terms) ** 2 <= 2 * N - 1)
+
+
+@pytest.mark.parametrize("N, size, products", [(0, 0, 1), (4, 3, 0), (5, 3, 1)])
+def test_the_closed_form_starts_where_the_product_outgrows_it(N, size, products):
+    """With angle + beta = 1/3 the sum has 3 terms: a product of 9 against
+    2N - 1 = 7 closed-form terms at N = 4, and 9 at N = 5.  An empty sum
+    (N = 0) has nothing to square."""
+    beta = Fraction(1, 10**40)
+    phases = [PhaseSum([(n * beta, Fraction(-2, 3))]) for n in range(N + 2)]
+    total, calls = rotated_abs2_and_products(phases, Fraction(1, 3) - beta, N)
+    assert len(total.terms) == size and calls == products
+
+
+@given(broken_phases())
+def test_broken_sequences_fall_back_to_the_product(drawn):
+    phases, angle, N = drawn
+    total, products = rotated_abs2_and_products(phases, angle, N)
+    steps = [p.terms[0] if len(p.terms) == 1 else None for p in phases[:N]]
+    geometric = None not in steps and len({w for _, w in steps}) == 1 and all(
+        (a - steps[0][0] - n * (steps[1][0] - steps[0][0])) % 1 == 0
+        for n, (a, _) in enumerate(steps))
+    if not geometric:
+        assert products == 1
 
 
 # ---------------------------------------------------------------------------

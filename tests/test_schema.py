@@ -8,6 +8,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from ergolab.core import (
 from ergolab.experiments import DEFAULT_KNOBS, EXPERIMENTS, ExperimentConfig
 from ergolab.joinings import build_joining
 from ergolab.rank1 import Rank1Spec
-from ergolab.schema import KNOBS, REQUIRED, SPECS, Field, parse
+from ergolab.schema import KNOBS, MAX_CYCLIC_ORDER, REQUIRED, SPECS, Field, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 ROT = {"kind": "rotation", "params": {"angle": "1/3"}}
@@ -126,6 +127,26 @@ def test_a_huge_decimal_exponent_is_refused_within_a_second(tmp_path):
     start = time.perf_counter()
     test_malformed_system_exits_3_with_its_path_from_validate_and_run(doc, "params.angle", tmp_path)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": "identity", "params": {"measure": {"kind": "cyclic-uniform", "order": 10**8}}},
+     "params.measure.order"),
+    ({"kind": "group-extension", "params": {"base": ROT,
+                                            "group": {"kind": "cyclic", "order": 10**8}}},
+     "params.group.order"),
+])
+def test_a_huge_cyclic_order_is_refused_before_its_atoms_are_built(doc, path, tmp_path):
+    """``cyclic_uniform`` builds one atom per element, about 0.6 KB each."""
+    tracemalloc.start()
+    try:
+        test_malformed_system_exits_3_with_its_path_from_validate_and_run(doc, path, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    code, err = _cli(["spec", "validate", str(tmp_path / "spec.json")])
+    assert f"must be <= {MAX_CYCLIC_ORDER}, got {10**8}" in err
 
 
 @pytest.mark.parametrize("experiment, knobs, path", [

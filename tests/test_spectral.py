@@ -460,6 +460,26 @@ def test_detect_eigenvalue_via_second_frequency():
     assert verdict.witnessed
 
 
+def test_decimal_probe_at_4096_squares_no_product(monkeypatch):
+    """|sum|^2 of the 40-digit rotation's 4,096-term sum takes the Fejer closed
+    form; the N^2 lattice product it replaces is never entered.  The verdict is
+    the one the product gave."""
+    calls = []
+
+    def refuse(self, other):
+        calls.append(len(self.terms) * len(other.terms))
+        raise AssertionError("quadratic product")
+
+    monkeypatch.setattr(PhaseSum, "_lattice_product", refuse)
+    system = build_system({"kind": "rotation", "precision": 40,
+                           "params": {"angle": "0.4142135623730950488016887242096980785697"}})
+    verdict = detect_eigenvalue(system, Character((1,)), "1/3", 4096)
+    assert calls == []
+    assert repr(verdict.mass) == "0.0007587903021242287"
+    assert verdict.witnessed is False
+    assert verdict.mass_squared_exact is None
+
+
 def test_detect_eigenvalue_reports_exactness():
     verdict = detect_eigenvalue(rotation("1/3"), Character((1,)), "1/3", 64)
     assert verdict.exact
