@@ -18,11 +18,13 @@ is explicitly one-sided: disjointness quantifies over all joinings, which no
 finite procedure certifies.
 
 Sampled checks read every empirical character mean from one kernel,
-``_character_means``.  It splits the coordinates into two halves, tabulates
-each half's characters as broadcast outer products of per-coordinate power
-columns, and gets all means at once as one complex matrix product Aᵀ·B / n,
-accumulated over blocks of ``MEANS_BLOCK_ROWS`` samples so that memory does not
-grow with samples times characters.  Exact marginal integrals are computed once per joining and
+``_character_means``.  Since mean(e(<-k, x>)) = conj(mean(e(<k, x>))), it
+tabulates one key of each pair {k, -k} and reads the other as the conjugate.
+It splits the coordinates into two halves, tabulates each half's characters as
+broadcast outer products of per-coordinate power columns, and gets all means
+at once as one complex matrix product Aᵀ·B / n, accumulated over blocks of
+``MEANS_BLOCK_ROWS`` samples so that memory does not grow with samples times
+characters.  Exact marginal integrals are computed once per joining and
 component frequency and kept on the ``Joining``.
 """
 
@@ -168,14 +170,13 @@ class Joining:
         with ``ProductMeasure``'s rule (``core.product_of_integrals``).
 
         Each marginal integral is computed once per joining and reused."""
-        return product_of_integrals([self._memoized_marginal(i, ki)
-                                     for i, ki in enumerate(self.split_frequencies(k))])
-
-    def _memoized_marginal(self, index: int, k: FreqVector) -> Optional[PhaseSum]:
-        key = (index, k)
-        if key not in self._marginal_integrals:
-            self._marginal_integrals[key] = self.marginal_integrate(index, k)
-        return self._marginal_integrals[key]
+        k, memo, parts = tuple(k), self._marginal_integrals, []
+        for i, sl in enumerate(self.slices):
+            key = (i, k[sl])
+            if key not in memo:
+                memo[key] = self.marginal_integrate(i, key[1])
+            parts.append(memo[key])
+        return product_of_integrals(parts)
 
 
 def sample_joining(joining: Joining, seed: int, count: int, *,
@@ -702,6 +703,11 @@ def _character_means(points: np.ndarray, family: Sequence[FreqVector]
     """Empirical mean of e(<k, x>) over the rows x of ``points``, for every k in
     ``family``.
 
+    As mean(e(<-k, x>)) = conj(mean(e(<k, x>))), each key is read from the one
+    of k, -k whose first nonzero coordinate, reading the right half and then the
+    left, is positive (or from 0), conjugated if that is -k: a pair {k, -k} shares
+    one entry, and the right half's first coordinate needs no negative values.
+
     The coordinates are split into a left and a right half, so that
     e(<k, x>) = A[x, k_left] * B[x, k_right].  Each half's table is the
     broadcast outer product, coordinate by coordinate, of the power columns of
@@ -712,13 +718,17 @@ def _character_means(points: np.ndarray, family: Sequence[FreqVector]
     bounded by the block size times a small multiple of the table widths,
     whatever the number of samples.
     """
-    family = [tuple(k) for k in family]
     if not family:
         return {}
     n, arity = points.shape
     half = arity // 2
-    left_values, left_column = _half_plan([k[:half] for k in family])
-    right_values, right_column = _half_plan([k[half:] for k in family])
+    zero, canonical = (0,) * arity, {}  # key -> (the key tabulated, how to read its entry)
+    for k in map(tuple, family):
+        # a tuple sorts below zero exactly when its first nonzero entry is negative
+        flip = k[half:] + k[:half] < zero
+        canonical[k] = (tuple(-v for v in k), complex.conjugate) if flip else (k, complex)
+    left_values, left_column = _half_plan([c[:half] for c, _ in canonical.values()])
+    right_values, right_column = _half_plan([c[half:] for c, _ in canonical.values()])
     acc = np.zeros((math.prod(map(len, left_values)), math.prod(map(len, right_values))),
                    dtype=np.complex128)
     for lo in range(0, n, MEANS_BLOCK_ROWS):
@@ -727,8 +737,8 @@ def _character_means(points: np.ndarray, family: Sequence[FreqVector]
         acc += (_half_table(block[:, :half], left_values).T
                 @ _half_table(block[:, half:], right_values))
     acc /= n
-    return {k: complex(acc[left_column[k[:half]], right_column[k[half:]]])
-            for k in family}
+    return {k: read(acc[left_column[c[:half]], right_column[c[half:]]])
+            for k, (c, read) in canonical.items()}
 
 
 def _half_plan(keys: Sequence[FreqVector]

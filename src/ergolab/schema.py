@@ -159,14 +159,14 @@ KNOBS = {
         "max_freq": Field("int", 8, minimum=1),
         "N": Field("int", 4096, minimum=1),
         "samples": Field("int", 4096, minimum=1),
-        "consistency_degree": Field("int", 3),
+        "consistency_degree": Field("int", 3, minimum=1),
     },
     "example1": {
         "angle": Field("rational", "1/5"),
         "slope": Field("rational", "1"),
         "N": Field("int", 4096, minimum=1, check=require_wiener_length),
         "max_freq": Field("int", 8, minimum=1),
-        "invariance_degree": Field("int", 2),
+        "invariance_degree": Field("int", 2, minimum=1),
         "statistical": Field("bool", True),
         "statistical_exponent": Field("int", 2),
         "statistical_samples": Field("int", 20000, minimum=1),
@@ -175,7 +175,7 @@ KNOBS = {
         "rotation_angle": Field("rational", SQRT2_ANGLE_40),
         "precision": Field("int", 40, minimum=1),
         "samples": Field("int", 100000, minimum=1),
-        "degree": Field("int", 2),
+        "degree": Field("int", 2, minimum=1),
     },
     "rank1-family": {
         "parameters": Field(Field("scalar"), ["1/4", "3/4", "1/3"]),

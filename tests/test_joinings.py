@@ -1,6 +1,7 @@
 """The joining zoo: construction, marginals, invariance, product consistency."""
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -442,6 +443,38 @@ def test_box_means_equal_the_recursion_and_sub_families(arity, degree):
         assert max(abs(sub[k] - means[k]) for k in family) <= 1e-12
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+def test_a_key_and_its_negative_read_exact_conjugates(arity):
+    points = np.random.default_rng(arity).uniform(-2.0, 3.0, (MEANS_BLOCK_ROWS + 9, arity))
+    box = frequency_box(arity, 2)
+    means = _character_means(points, box)
+    for k in box:
+        assert means[tuple(-v for v in k)] == means[k].conjugate(), k
+    # every key's first right-half coordinate negative: every mean is read
+    # as the conjugate of its negative's, which is not in the family
+    half = arity // 2
+    family = [k for k in box if k[half] < 0]
+    means = _character_means(points, family)
+    assert set(means) == set(family)
+    for k in family:
+        assert abs(means[k] - complex(character_array(k, points).mean())) <= 1e-12
+
+
+def test_character_means_of_the_closure_box_peak_below_9_mib():
+    """One call on product-closure's shape: 30,000 samples, 3,124 characters.
+    The right table holds only the keys whose first right-half coordinate is
+    >= 0: 75 columns, not 125 (11.8 MiB peak with both signs tabulated)."""
+    points = np.random.default_rng(5).random((30000, 5))
+    box = frequency_box(5, 2, skip_zero=True)
+    tracemalloc.start()
+    try:
+        _character_means(points, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
+
+
 def _closure_joinings():
     twist_doc = {"kind": "twist", "params": {}}
     pair = build_system({"kind": "product", "params": {"factors": [twist_doc, twist_doc]}})
@@ -482,6 +515,34 @@ def test_product_integral_computes_each_marginal_once():
     second = [joining.product_integral(k).terms for k in characters]
     assert second == first
     assert len(calls) == 5**4 + 5
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_sampled_closure_rows_hold_the_exact_product(which):
+    """product-closure's sampled check: one product_integral call per row,
+    each marginal integrated once, and every row's product is its value."""
+    joining = _closure_joinings()[which]
+    product_calls, marginal_calls = [], []
+    product_integral, marginal_integrate = joining.product_integral, joining.marginal_integrate
+
+    def counted_product(k):
+        product_calls.append(k)
+        return product_integral(k)
+
+    def counted_marginal(i, k):
+        marginal_calls.append((i, tuple(k)))
+        return marginal_integrate(i, k)
+
+    joining.product_integral = counted_product
+    joining.marginal_integrate = counted_marginal
+    outcome = product_consistency_test(joining, degree=2, mode="sampled",
+                                       samples=257, seed=2024)
+    assert len(outcome.rows) == 5**5 - 1
+    assert len(product_calls) == len(outcome.rows)
+    assert len(marginal_calls) == len(set(marginal_calls)) == 5**4 + 5
+    for row in outcome.rows:
+        assert row.product == product_integral(row.character).value(), row.character
+    assert len(marginal_calls) == 5**4 + 5
 
 
 def _sampled_product_value_per_character(joining, k, seed, samples):

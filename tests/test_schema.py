@@ -165,6 +165,10 @@ def test_a_huge_cyclic_order_is_refused_before_its_atoms_are_built(doc, path, tm
     ("rank1-family", {"wm_stages": ["x"]}, "wm_stages[0]"),
     ("identity-disjoint", {"identity_measure": {"kind": "haar", "arity": 0}},
      "identity_measure.arity"),
+    # refused at resolve, not when the check runs after the earlier ones
+    ("product-closure", {"degree": 0}, "degree"),
+    ("identity-disjoint", {"consistency_degree": 0}, "consistency_degree"),
+    ("example1", {"invariance_degree": 0}, "invariance_degree"),
 ])
 def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path):
     config = tmp_path / "cfg.json"
