@@ -552,18 +552,19 @@ def _itinerary_coherent(m: Rank1Map, word: str) -> bool:
 
     x = m.level_interval(0)[0] + Fraction(1, 2 * m.total_units)
     is_base = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("T")
-    return (
+    ends_and_letters = (
         x == midpoint(units[0]) and m.level_of(x) == 0
         and m.apply(x) == midpoint(units[1])
-        and np.array_equal(levels, np.arange(m.length))
         and m.level_of(midpoint(units[-1])) == m.length - 1
         and np.array_equal(units < 3 ** m.depth, is_base)
     )
+    del units, is_base  # freed before the level order is compared
+    return ends_and_letters and np.array_equal(levels, np.arange(m.length))
 
 
 def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     from ergolab.rank1 import (Rank1Spec, dyadic_equivalence, rank1_map, rank1_word,
-                               refuse_oversized_tower, word_lengths)
+                               rank1_words, refuse_oversized_tower, word_lengths)
 
     knobs = config.knobs
     checks: list[Check] = []
@@ -586,13 +587,14 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         passed=table_ok,
     ))
 
-    # lengths and heights through the requested stage against the closed forms
+    # lengths and heights through the requested stage against the closed forms,
+    # in one walk over the stages
     rec_ok = True
     probe = Rank1Spec.from_rational(params[-1], knobs["word_stage_max"])
-    for n in range(1, knobs["word_stage_max"] + 1):
-        cur = rank1_word(probe, n)
-        rec_ok &= len(cur.word) == cur.length == word_lengths(n)
-        rec_ok &= cur.word.count("T") == cur.height == 3 ** n
+    for n, word in enumerate(rank1_words(probe, knobs["word_stage_max"])):
+        rec_ok &= len(word) == word_lengths(n)
+        rec_ok &= word.count("T") == 3 ** n
+    del word  # the last stage is the largest word of the run; no later check reads it
     checks.append(Check(
         check_id="word-recursion-invariants",
         anchor="rank1-cutting-and-stacking",
@@ -650,12 +652,14 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         return bool(np.all(np.diff(np.sort(units)) > 0))
 
     map_ok = True
-    for d in range(1, depth + 1):
+    words = rank1_words(first, depth)
+    next(words)  # maps start at depth 1
+    for d, word in enumerate(words, start=1):
         m = rank1_map(first, d)
         map_ok &= distinct(m.level_starts[:-1])  # sources
         map_ok &= distinct(m.level_starts[1:])  # images
         map_ok &= m.undefined_measure <= Fraction(1, 3) ** (d - 1) * Fraction(1, 3)
-        map_ok &= m.word == rank1_word(Rank1Spec.from_rational(first.a, d), d).word
+        map_ok &= m.word == word
     checks.append(Check(
         check_id="map-partition-exactness",
         anchor="rank1-cutting-and-stacking",
@@ -666,8 +670,8 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         details={"depths": list(range(1, depth + 1))},
     ))
 
-    m = rank1_map(first, depth)
-    itinerary_ok = _itinerary_coherent(m, rank1_word(first, depth).word)
+    # the loop left the depth-``depth`` map and word bound
+    itinerary_ok = _itinerary_coherent(m, word)
     checks.append(Check(
         check_id="itinerary-coherence",
         anchor="rank1-cutting-and-stacking",
@@ -675,6 +679,7 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
         observed="coherent" if itinerary_ok else "violated",
         passed=itinerary_ok,
     ))
+    del m, word
 
     # weak mixing consistency probe
     system = build_system({"kind": "rank1-family",

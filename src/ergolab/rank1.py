@@ -11,12 +11,18 @@ Bookkeeping is purely integral: at depth d every level is one unit of width
 with levels [j/L_d, (j+1)/L_d).  The map is the translation sending level i to
 level i+1; the top level stays undefined at a finite stage.
 
-Depth limit: ``rank1_word``, ``rank1_map`` and ``stage_level_positions`` raise
-DepthExceededError, before allocating anything, when they would hold more than
-``MAX_TOWER_LEVELS`` = L_14 = 7,174,453 entries; words and maps therefore stop
-at depth 14.  Tower-level correlations need no tower: ``level_lag_counts``
-counts level coincidences from the per-stage copy offsets alone, and runs at
-depth 30 and beyond.
+Words are built stage by stage: ``rank1_words`` makes B_{n+1} from B_n by one
+join of three copies and a spacer letter, so reaching stage n holds B_{n-1}
+and B_n at once, about 4/3 x L_n bytes.  ``rank1_map`` fills one preallocated
+array of level starts in place, stage by stage, and a map computes its
+unit-to-level table and its translations only when first read.
+
+Depth limit: ``rank1_word``, ``rank1_words``, ``rank1_map`` and
+``stage_level_positions`` raise DepthExceededError, before allocating anything,
+when they would hold more than ``MAX_TOWER_LEVELS`` = L_14 = 7,174,453 entries;
+words and maps therefore stop at depth 14.  Tower-level correlations need no
+tower: ``level_lag_counts`` counts level coincidences from the per-stage copy
+offsets alone, and runs at depth 30 and beyond.
 
 The binary-parameter dichotomy: two parameters whose difference is a dyadic
 rational give towers whose digit streams eventually agree, hence eventually
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +58,7 @@ __all__ = [
     "TowerStage",
     "Rank1Map",
     "rank1_word",
+    "rank1_words",
     "rank1_map",
     "binary_digits",
     "dyadic_equivalence",
@@ -171,18 +178,34 @@ def refuse_oversized_tower(levels: int, what: str) -> None:
         )
 
 
-def rank1_word(spec: Rank1Spec, n: int) -> TowerStage:
-    """The stage-n word: B_0 = "T"; B_{k+1} = B_k s B_k B_k when a_{k+1} = 0,
-    B_k B_k s B_k when a_{k+1} = 1."""
+def rank1_words(spec: Rank1Spec, n: int) -> Iterator[str]:
+    """The stage words B_0, ..., B_n: B_0 = "T"; B_{k+1} = B_k s B_k B_k when
+    a_{k+1} = 0, B_k B_k s B_k when a_{k+1} = 1.
+
+    Each stage is one join of the stage before it, which the generator then
+    drops, so a caller that keeps only the current word holds about 4/3 x L_n
+    bytes at stage n.  The stage is checked when this is called, before the
+    first word is made."""
     if n < 0:
         raise SpecValidationError("n", f"stage must be >= 0, got {n}")
     if n > spec.depth:
         raise DepthExceededError(f"stage {n} exceeds constructed depth {spec.depth}")
     refuse_oversized_tower(word_lengths(n), f"the stage-{n} word")
-    digits = spec.digit_stream(n)
+    return _stage_words(spec.digit_stream(n))
+
+
+def _stage_words(digits: tuple[int, ...]) -> Iterator[str]:
     word = "T"
+    yield word
     for d in digits:
-        word = word + "s" + word + word if d == 0 else word + word + "s" + word
+        word = "".join((word, "s", word, word) if d == 0 else (word, word, "s", word))
+        yield word
+
+
+def rank1_word(spec: Rank1Spec, n: int) -> TowerStage:
+    """The stage-n word, the last of ``rank1_words(spec, n)``."""
+    for word in rank1_words(spec, n):
+        pass
     return TowerStage(stage=n, word=word, height=word.count("T"), length=len(word))
 
 
@@ -281,10 +304,18 @@ class Rank1Map:
 
     def __post_init__(self):
         self.length = len(self.level_starts)
-        # raw unit index -> level index
-        self._level_of_unit = np.empty(self.length, dtype=np.int64)
-        self._level_of_unit[self.level_starts] = np.arange(self.length)
-        self._translations = self.level_starts[1:] - self.level_starts[:-1]
+
+    @cached_property
+    def _level_of_unit(self) -> np.ndarray:
+        """Raw unit index -> level index, built on first use."""
+        level_of_unit = np.empty(self.length, dtype=np.int64)
+        level_of_unit[self.level_starts] = np.arange(self.length)
+        return level_of_unit
+
+    @cached_property
+    def _translations(self) -> np.ndarray:
+        """Units by which level i moves onto level i+1, built on first use."""
+        return self.level_starts[1:] - self.level_starts[:-1]
 
     @property
     def total_units(self) -> int:
@@ -321,11 +352,15 @@ class Rank1Map:
         so the orbit is the integer walk u + cumsum(translations).  Entry i of
         the levels is the level holding T^i x, or -1 if the walk left the space.
         """
-        units = int(self.level_starts[0]) + np.concatenate(
-            ([0], np.cumsum(self._translations)))
-        inside = (units >= 0) & (units < self.length)
-        levels = np.full(self.length, -1, dtype=np.int64)
-        levels[inside] = self._level_of_unit[units[inside]]
+        units = np.empty(self.length, dtype=np.int64)
+        units[0] = 0
+        np.cumsum(self._translations, out=units[1:])
+        units += self.level_starts[0]
+        # the clipped gather reads a level for every entry; those of units
+        # outside the space are then overwritten
+        levels = self._level_of_unit.take(units, mode="clip")
+        levels[units < 0] = -1
+        levels[units >= self.length] = -1
         return units, levels
 
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
@@ -366,20 +401,21 @@ def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
         raise DepthExceededError(f"depth {depth} exceeds constructed depth {spec.depth}")
     refuse_oversized_tower(word_lengths(depth), f"the depth-{depth} map")
     digits = spec.digit_stream(depth)
-    starts = np.array([0], dtype=np.int64)
+    starts = np.empty(word_lengths(depth), dtype=np.int64)
+    starts[0] = 0
     word = "T"
-    units = 1
+    length = 1  # levels, and raw units, of the tower built so far
     for d in digits:
-        scaled = starts * 3
-        spacer = np.array([units * 3], dtype=np.int64)
-        cols = [scaled, scaled + 1, scaled + 2]
-        if d == 0:
-            starts = np.concatenate([cols[0], spacer, cols[1], cols[2]])
-            word = word + "s" + word + word
-        else:
-            starts = np.concatenate([cols[0], cols[1], spacer, cols[2]])
-            word = word + word + "s" + word
-        units = units * 3 + 1
+        # the three columns land at the copy offsets; the spacer comes from the
+        # reserve, raw unit 3 * length, between the first two or the last two
+        first = starts[:length]
+        np.multiply(first, 3, out=first)
+        _, second, third = copy_offsets(length, d)
+        np.add(first, 1, out=starts[second:second + length])
+        np.add(first, 2, out=starts[third:third + length])
+        starts[2 * length if d else length] = 3 * length
+        word = "".join((word, "s", word, word) if d == 0 else (word, word, "s", word))
+        length = 3 * length + 1
     return Rank1Map(depth=depth, level_starts=starts, word=word)
 
 

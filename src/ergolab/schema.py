@@ -31,6 +31,14 @@ MAX_OFF_DIAGONAL_POWER = 4096
 #: builds one atom per element (about 25 us and 0.6 KB each)
 MAX_CYCLIC_ORDER = 2**16
 
+#: largest product-closure ``degree``: (2d+1)^5 - 1 characters per joining;
+#: at 100,000 samples degree 4 took 2.6 s and 111 MiB, degree 5 6.7 s, 187 MiB
+MAX_CLOSURE_DEGREE = 4
+
+#: largest rank1-family ``prefix_length``: the continuity check builds 2^(p+1)
+#: towers, about 6x the time per step (0.66 s at p = 10)
+MAX_PREFIX_LENGTH = 10
+
 
 def check_factor_lists(factors, field: str = "factors") -> None:
     """Refuse rel-indep factors that are not two lists of int coordinates."""
@@ -175,14 +183,14 @@ KNOBS = {
         "rotation_angle": Field("rational", SQRT2_ANGLE_40),
         "precision": Field("int", 40, minimum=1),
         "samples": Field("int", 100000, minimum=1),
-        "degree": Field("int", 2, minimum=1),
+        "degree": Field("int", 2, minimum=1, maximum=MAX_CLOSURE_DEGREE),
     },
     "rank1-family": {
-        "parameters": Field(Field("scalar"), ["1/4", "3/4", "1/3"]),
-        "depth": Field("int", 12),
-        "word_stage_max": Field("int", 14),
-        "prefix_length": Field("int", 6, minimum=1),
-        "wm_stages": Field(Field("int"), [3, 4, 5]),
+        "parameters": Field(Field("scalar"), ["1/4", "3/4", "1/3"], minimum=1),
+        "depth": Field("int", 12, minimum=1),
+        "word_stage_max": Field("int", 14, minimum=1),
+        "prefix_length": Field("int", 6, minimum=1, maximum=MAX_PREFIX_LENGTH),
+        "wm_stages": Field(Field("int"), [3, 4, 5], minimum=1),
         "N": Field("int", 4096, minimum=1, check=require_wiener_length),
         "threshold": Field("number", 0.05),
     },

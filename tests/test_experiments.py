@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -135,24 +136,57 @@ def test_csv_quotes_commas_and_quotes():
 
 
 def test_word_recursion_check_fails_on_a_dropped_letter(monkeypatch):
-    """A rank1_word that loses one letter at one stage fails the check that
+    """A rank1_words that loses one letter at one stage fails the check that
     compares each word with the closed forms L_n and 3^n."""
     from ergolab import rank1
-    from ergolab.rank1 import TowerStage
 
-    real = rank1.rank1_word
+    real = rank1.rank1_words
 
     def dropping(spec, n):
-        stage = real(spec, n)
-        if n != 7:  # only the recursion check reaches stage 7 at these knobs
-            return stage
-        word = stage.word[1:]
-        return TowerStage(stage=n, word=word, height=word.count("T"), length=len(word))
+        for stage, word in enumerate(real(spec, n)):
+            # only the recursion check reaches stage 7 at these knobs
+            yield word[1:] if stage == 7 else word
 
-    monkeypatch.setattr(rank1, "rank1_word", dropping)  # read by the runner at call time
+    monkeypatch.setattr(rank1, "rank1_words", dropping)  # read by the runner at call time
     checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
     assert not checks["word-recursion-invariants"].passed
     assert [cid for cid, c in checks.items() if not c.passed] == ["word-recursion-invariants"]
+
+
+def test_map_partition_check_fails_on_a_map_whose_word_is_permuted(monkeypatch):
+    """A map whose word swaps one spacer with the base level above it, at a
+    depth only the map-partition check builds, fails that check alone."""
+    from ergolab import rank1
+
+    real = rank1.rank1_map
+
+    def swapping(spec, depth=None):
+        m = real(spec, depth)
+        if m.depth == 5:  # continuity builds depth 4, the itinerary depth 6
+            m.word = m.word.replace("sT", "Ts", 1)
+        return m
+
+    monkeypatch.setattr(rank1, "rank1_map", swapping)  # read by the runner at call time
+    checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
+    assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
+
+
+@pytest.mark.parametrize("depth, mib", [(10, 10), (12, 36)])
+def test_rank1_family_peaks_below_its_bound(depth, mib):
+    """At depth 10 the stage-14 word walk sets the peak, at about
+    4/3 x L_14 = 9.1 MiB; building each stage from scratch with three
+    temporaries took 16 MiB.  At depth 12 the itinerary check sets it, at
+    about 45 x L_12 = 34.3 MiB, with the stage-14 word freed and the last
+    map of the partition check reused (51.8 MiB before)."""
+    config = ExperimentConfig.resolve("rank1-family", 2024, {"depth": depth})
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in report.checks)
+    assert peak <= mib * 2**20
 
 
 def test_emit_markdown_sections(tmp_path):
@@ -436,6 +470,8 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     ("spectral-probe", "samples", -4),
     ("rank1-family", "prefix_length", -2),
     ("rank1-family", "prefix_length", 0),
+    ("rank1-family", "depth", 0),
+    ("rank1-family", "word_stage_max", 0),
     ("example1", "statistical_samples", 0),
     ("example1", "statistical_samples", -3),
 ])

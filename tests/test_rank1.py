@@ -30,6 +30,7 @@ from ergolab.rank1 import (
     make_Sa_system,
     rank1_map,
     rank1_word,
+    rank1_words,
     stage_level_positions,
     word_lengths,
 )
@@ -92,6 +93,8 @@ def test_word_first_stage_by_digit():
 @settings(max_examples=40, deadline=None)
 def test_word_recursion_invariants(digits):
     spec = Rank1Spec.from_digits(digits)
+    assert list(rank1_words(spec, len(digits))) == [
+        rank1_word(spec, n).word for n in range(len(digits) + 1)]
     prev = rank1_word(spec, 0)
     for n in range(1, len(digits) + 1):
         cur = rank1_word(spec, n)
@@ -119,6 +122,22 @@ def test_word_stage_max_14():
     assert stage.height == 3**14
 
 
+def test_walking_the_words_to_stage_14_holds_two_stages_at_most():
+    """Stage n is joined from stage n-1 alone, so the walk peaks near
+    L_13 + L_14 = 4/3 x L_14 bytes; three temporaries per stage took 2.33 x."""
+    spec = Rank1Spec.from_rational("1/3", 14)
+    tracemalloc.start()
+    try:
+        for n, word in enumerate(rank1_words(spec, 14)):
+            assert len(word) == word_lengths(n) and word.count("T") == 3**n
+        del word
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 14
+    assert peak < 1.5 * word_lengths(14)
+
+
 @pytest.mark.parametrize("depth", [20, 40])
 def test_oversized_towers_are_refused_before_allocating(depth, monkeypatch):
     def allocation_reached(self, n):
@@ -133,6 +152,8 @@ def test_oversized_towers_are_refused_before_allocating(depth, monkeypatch):
             rank1_map(spec)
         with pytest.raises(DepthExceededError, match="L_14"):
             rank1_word(spec, depth)
+        with pytest.raises(DepthExceededError, match="L_14"):
+            rank1_words(spec, depth)  # refused when called, before the first next()
         with pytest.raises(DepthExceededError, match="L_14"):
             stage_level_positions(spec, 3, 0, depth)
         _, peak = tracemalloc.get_traced_memory()
@@ -154,6 +175,44 @@ def test_depth1_map_structure():
     assert len(pieces) == 3
     total = sum(hi - lo for lo, hi, _ in pieces)
     assert total == F(3, 4)
+
+
+def concatenated_tower(digits):
+    """Reference: level starts and word rebuilt at every stage by concatenating
+    the three scaled columns and the spacer drawn from the reserve."""
+    starts = np.array([0], dtype=np.int64)
+    word = "T"
+    for d in digits:
+        scaled = starts * 3
+        spacer = np.array([3 * len(starts)], dtype=np.int64)
+        if d == 0:
+            starts = np.concatenate([scaled, spacer, scaled + 1, scaled + 2])
+            word = word + "s" + word + word
+        else:
+            starts = np.concatenate([scaled, scaled + 1, spacer, scaled + 2])
+            word = word + word + "s" + word
+    return starts, word
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_in_place_map_matches_the_concatenated_tower(depth):
+    """Every digit stream of the given length."""
+    for bits in range(2**depth):
+        digits = [(bits >> i) & 1 for i in range(depth)]
+        m = rank1_map(Rank1Spec.from_digits(digits))
+        starts, word = concatenated_tower(digits)
+        assert m.level_starts.dtype == np.int64
+        assert np.array_equal(m.level_starts, starts)
+        assert m.word == word
+
+
+def test_map_tables_are_built_on_first_use():
+    m = rank1_map(Rank1Spec.from_rational("1/3", 5))
+    assert "_level_of_unit" not in vars(m) and "_translations" not in vars(m)
+    assert m.level_of(F(0)) == 0
+    assert "_level_of_unit" in vars(m) and "_translations" not in vars(m)
+    m.apply(F(0))
+    assert np.array_equal(m._translations, np.diff(m.level_starts))
 
 
 def test_map_pieces_partition_support_exactly():

@@ -28,7 +28,16 @@ from ergolab.core import (
 from ergolab.experiments import DEFAULT_KNOBS, EXPERIMENTS, ExperimentConfig
 from ergolab.joinings import build_joining
 from ergolab.rank1 import Rank1Spec
-from ergolab.schema import KNOBS, MAX_CYCLIC_ORDER, REQUIRED, SPECS, Field, parse
+from ergolab.schema import (
+    KNOBS,
+    MAX_CLOSURE_DEGREE,
+    MAX_CYCLIC_ORDER,
+    MAX_PREFIX_LENGTH,
+    REQUIRED,
+    SPECS,
+    Field,
+    parse,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 ROT = {"kind": "rotation", "params": {"angle": "1/3"}}
@@ -169,6 +178,9 @@ def test_a_huge_cyclic_order_is_refused_before_its_atoms_are_built(doc, path, tm
     ("product-closure", {"degree": 0}, "degree"),
     ("identity-disjoint", {"consistency_degree": 0}, "consistency_degree"),
     ("example1", {"invariance_degree": 0}, "invariance_degree"),
+    # an empty list ended in a StopIteration traceback or failed when its check ran
+    ("rank1-family", {"parameters": []}, "parameters"),
+    ("rank1-family", {"wm_stages": []}, "wm_stages"),
 ])
 def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path):
     config = tmp_path / "cfg.json"
@@ -176,6 +188,36 @@ def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path)
     code, err = _cli(["run", experiment, "--config", str(config),
                       "--out", str(tmp_path / "out")])
     assert code == 3 and f"config error: knobs.{path}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, knob, bound, value", [
+    ("product-closure", "degree", MAX_CLOSURE_DEGREE, MAX_CLOSURE_DEGREE + 1),
+    ("product-closure", "degree", MAX_CLOSURE_DEGREE, 12),  # 25^5 - 1 characters
+    ("rank1-family", "prefix_length", MAX_PREFIX_LENGTH, MAX_PREFIX_LENGTH + 1),
+    ("rank1-family", "prefix_length", MAX_PREFIX_LENGTH, 30),
+])
+def test_a_costly_knob_is_refused_before_anything_is_built(experiment, knob, bound, value,
+                                                           tmp_path, monkeypatch):
+    from ergolab import experiments
+
+    def runner_reached(config):
+        raise AssertionError("the experiment started before the knob was refused")
+
+    ExperimentConfig.resolve(experiment, 1, {knob: bound})  # the bound itself is accepted
+    monkeypatch.setitem(experiments._RUNNERS, experiment, runner_reached)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "knobs": {knob: value}}))
+    tracemalloc.start()
+    try:
+        code, err = _cli(["run", experiment, "--config", str(config),
+                          "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"config error: knobs.{knob}: must be <= {bound}, got {value}" in err
+    assert peak < 2**20
     assert not (tmp_path / "out").exists()
 
 
