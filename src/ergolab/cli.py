@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from pathlib import Path
 
 from ergolab.core import ErgolabError, SpecValidationError, build_system
 from ergolab.experiments import (
@@ -89,44 +90,49 @@ def _resolve_seed(args, config_doc: dict) -> int | None:
     return None
 
 
+def _config_error(message: str) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return EXIT_CONFIG_ERROR
+
+
+def _read_json(path: str):
+    """The JSON document in a file; ValueError names the file if it cannot be
+    read, is not UTF-8 or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     config_doc: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as handle:
-                config_doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        if not isinstance(config_doc, dict):
-            print(f"config error: {args.config} must hold a JSON object", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        declared = config_doc.get("experiment")
-        if declared is not None and declared != args.experiment:
-            print(
-                f"config error: config is for {declared!r}, not {args.experiment!r}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG_ERROR
     try:
+        if args.config:
+            config_doc = _read_json(args.config)
+            if not isinstance(config_doc, dict):
+                return _config_error(f"{args.config} must hold a JSON object")
+            declared = config_doc.get("experiment")
+            if declared is not None and declared != args.experiment:
+                return _config_error(f"config is for {declared!r}, not {args.experiment!r}")
         seed = _resolve_seed(args, config_doc)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _config_error(str(exc))
     if seed is None:
-        print(
-            "config error: seed is mandatory (--seed, config 'seed', or ERGOLAB_SEED)",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
+        return _config_error("seed is mandatory (--seed, config 'seed', or ERGOLAB_SEED)")
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        return _config_error(f"cannot write {out}: not a directory")
     try:
         config = ExperimentConfig.resolve(args.experiment, seed,
                                           config_doc.get("knobs", {}))
         report = run_experiment(config)
     except (ErgolabError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    paths = emit_report(report, args.format, args.out)
+        return _config_error(str(exc))
+    try:
+        paths = emit_report(report, args.format, out)
+    except OSError as exc:
+        return _config_error(f"cannot write {out}: {exc}")
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.check_id}: {check.observed}")
@@ -141,11 +147,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.file) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        doc = _read_json(args.file)
+    except ValueError as exc:
+        return _config_error(str(exc))
     if not isinstance(doc, dict):
         print(f"invalid: {args.file} must hold a JSON object", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,10 +1,10 @@
 """Measure-preserving systems with exact character integrals and seeded samplers.
 
-A system bundles a declarative spec, a point map (exact on rational points), an
-invariant measure handle, and -- for the affine families -- a *character
-pullback*: composing the character with frequency vector k with the map yields
-a constant unit phase times another character.  That single fact is what makes
-correlation sequences, eigenvalue detection and joining checks exact.
+A system bundles a point map (exact on rational points), an invariant measure
+handle, and -- for the affine families -- a *character pullback*: composing the
+character with frequency vector k with the map yields a constant unit phase
+times another character.  That single fact is what makes correlation
+sequences, eigenvalue detection and joining checks exact.
 
 Measures are finite mixtures of Haar factors and rational Dirac atoms (plus a
 sampled-only continuous family for statistical runs).  Character integrals
@@ -862,16 +862,6 @@ class SkewProductSystem(System):
         return tuple(kb) + (k[b],), (P * (Q // self.cocycle.phase_modulus)
                                      + base_P * (Q // self.base.phase_modulus)) % Q
 
-    def fiber(self, base_point: Point) -> RotationSystem:
-        """The rotation by phi(base point) that the map induces on the circle
-        over that point; an identity base fixes the point, so the circle is
-        invariant."""
-        if not (isinstance(self.base, IdentitySystem) and self.group.kind == "circle"):
-            raise UnsupportedOperationError(
-                "only skew products over an identity base expose fibers structurally"
-            )
-        return RotationSystem(self.cocycle(base_point))
-
     def inverse(self):
         """The skew product over B^-1 with cocycle -phi(B^-1 x), written out
         exactly where it is affine or a table: over the identity, and over a
@@ -1048,33 +1038,6 @@ Observable = Character | LevelIndicator
 # declarative specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemSpec:
-    """Declarative description of a system; serializable as JSON.
-
-    ``params`` is a plain JSON-able dict whose rational entries are "p/q" or
-    decimal strings; ``precision`` records the declared decimal precision used
-    when parameters were derived by truncation.
-    """
-
-    kind: str
-    params: dict
-    precision: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            **({"precision": self.precision} if self.precision is not None else {}),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict, *, field: str = "system") -> "SystemSpec":
-        from ergolab.schema import parse
-        doc = parse(doc, "system", field)
-        return cls(kind=doc["kind"], params=doc["params"], precision=doc.get("precision"))
-
-
 def build_measure(doc: dict, *, path: str = "measure") -> MeasureHandle:
     """Build a MeasureHandle from its JSON description."""
     from ergolab.schema import parse
@@ -1114,8 +1077,8 @@ def make_cocycle(doc) -> Cocycle:
                               for e in doc["entries"]))
 
 
-def build_system(spec: SystemSpec | dict, *, path: str = "") -> System:
-    """Realize a SystemSpec as an executable System.
+def build_system(spec: dict, *, path: str = "") -> System:
+    """Realize a system spec document as an executable System.
 
     The point map matches the declared formula exactly on rational points;
     exact character integrals are available whenever the invariant measure is a
@@ -1123,8 +1086,6 @@ def build_system(spec: SystemSpec | dict, *, path: str = "") -> System:
     named by a validation error.
     """
     from ergolab.schema import parse
-    if isinstance(spec, SystemSpec):
-        spec = spec.to_json()
     return make_system(parse(spec, "system", path))
 
 
@@ -1154,13 +1115,6 @@ def make_system(doc) -> System:
             Coord("cyclic", group["order"]) if group["kind"] == "cyclic" else CIRCLE)
     if kind == "product":
         return ProductSystem([make_system(f) for f in params["factors"]])
-    if kind == "fibered":
-        base_measure, fiber = make_measure(params["base_measure"]), params["fiber"]
-        if fiber["kind"] == "rank1-parameter":
-            from ergolab.rank1 import make_Sa_system
-
-            return make_Sa_system(base_measure, fiber["depth"])
-        return SkewProductSystem(IdentitySystem(base_measure), make_cocycle(fiber["angle"]))
     from ergolab.rank1 import Rank1Spec, build_rank1_system  # rank1-family
 
     depth = params["depth"]

@@ -87,20 +87,6 @@ class JoiningConstructionError(ErgolabError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class JoiningSpec:
-    kind: str
-    params: dict
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": self.params}
-
-    @classmethod
-    def from_json(cls, doc: dict, *, field: str = "joining") -> "JoiningSpec":
-        doc = parse(doc, "joining", field)
-        return cls(kind=doc["kind"], params=doc["params"])
-
-
 # ---------------------------------------------------------------------------
 # joint measure and system
 # ---------------------------------------------------------------------------
@@ -194,10 +180,10 @@ def sample_joining(joining: Joining, seed: int, count: int, *,
 # construction
 # ---------------------------------------------------------------------------
 
-def build_joining(spec: JoiningSpec | dict, *, path: str = "") -> Joining:
-    """Realize a JoiningSpec; component entries may be spec documents or Systems.
-    ``path`` prefixes the field named by a validation error."""
-    doc = parse(spec.to_json() if isinstance(spec, JoiningSpec) else spec, "joining", path)
+def build_joining(spec: dict, *, path: str = "") -> Joining:
+    """Realize a joining spec document; component entries may be spec documents
+    or Systems.  ``path`` prefixes the field named by a validation error."""
+    doc = parse(spec, "joining", path)
     kind, params = doc["kind"], doc["params"]
     if kind == "product":
         return product_joining([make_system(c) for c in params["components"]])
@@ -488,9 +474,6 @@ class InvarianceReport:
     mode: str
     entries: list[dict]
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "mode": self.mode, "entries": self.entries}
-
 
 def invariance_check(joining: Joining, family: Sequence[Sequence[int]], *,
                      seed: int | None = None, samples: int = 4096) -> InvarianceReport:
@@ -580,33 +563,6 @@ class ConsistencyVerdict:
     @property
     def refuted(self) -> bool:
         return self.verdict == "refuted"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness else None,
-            "mode": self.mode,
-            "note": self.note,
-            "rows": [
-                {
-                    "character": list(r.character),
-                    "joint": [r.joint.real, r.joint.imag],
-                    "product": [r.product.real, r.product.imag],
-                    "sigma": r.sigma,
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_csv(self) -> str:
-        lines = ["character,joint_re,joint_im,product_re,product_im,sigma"]
-        for r in self.rows:
-            ch = " ".join(str(v) for v in r.character)
-            lines.append(
-                f"{ch},{r.joint.real!r},{r.joint.imag!r},"
-                f"{r.product.real!r},{r.product.imag!r},{r.sigma!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _product_characters(boxes: Sequence[list[FreqVector]]) -> list[FreqVector]:

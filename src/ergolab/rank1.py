@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,15 +43,12 @@ from ergolab.core import (
     INTERVAL,
     DepthExceededError,
     HaarMeasure,
-    IdentitySystem,
-    MeasureHandle,
     Point,
-    ProductMeasure,
     SpecValidationError,
     System,
     UndecidableInputError,
 )
-from ergolab.exact import parse_scalar, scalar_str
+from ergolab.exact import parse_scalar
 
 __all__ = [
     "Rank1Spec",
@@ -65,8 +62,6 @@ __all__ = [
     "DichotomyVerdict",
     "agreement_stage",
     "AgreementReport",
-    "make_Sa_system",
-    "Rank1Family",
     "build_rank1_system",
     "Rank1System",
     "stage_level_positions",
@@ -370,22 +365,6 @@ class Rank1Map:
             raise DepthExceededError("some points lie in the top level of the tower")
         return xs + self._translations[levels] / self.length
 
-    def pieces(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        """(source lo, source hi, translation) triples in normalized coordinates,
-        ordered by source position."""
-        out = []
-        for i in range(self.length - 1):
-            lo, hi = self.level_interval(i)
-            out.append((lo, hi, Fraction(int(self._translations[i]), self.length)))
-        out.sort()
-        return out
-
-    def pieces_csv(self) -> str:
-        lines = ["source_lo,source_hi,translation"]
-        for lo, hi, t in self.pieces():
-            lines.append(f"{scalar_str(lo)},{scalar_str(hi)},{scalar_str(t)}")
-        return "\n".join(lines) + "\n"
-
 
 def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
     """Build the stage-``depth`` tower map with exact rational bookkeeping.
@@ -541,45 +520,3 @@ class Rank1System(System):
 
 def build_rank1_system(r1spec: Rank1Spec) -> Rank1System:
     return Rank1System(r1spec)
-
-
-class Rank1Family(System):
-    """The family a -> T_a at one depth as one system, (a, x) -> (a, T_a x) over
-    base (x) Lebesgue; its fiber over a is T_a.  T_a reads only the first
-    ``depth`` binary digits of a, so towers are cached on floor(a 2^depth)."""
-
-    def __init__(self, base: MeasureHandle, depth: int):
-        if base.arity != 1:
-            raise SpecValidationError("base", "the parameter space has one coordinate")
-        if type(depth) is not int or depth < 1:
-            raise SpecValidationError("depth", f"depth must be an int >= 1, got {depth!r}")
-        self.depth = depth
-        self.base = IdentitySystem(base)
-        self.space = (base.space[0], INTERVAL)
-        self.measure = ProductMeasure([base, HaarMeasure((INTERVAL,))])
-        self._tower_for_prefix = lru_cache(maxsize=256)(
-            lambda prefix: rank1_map(Rank1Spec.from_rational(Fraction(prefix, 2**depth), depth)))
-
-    def fiber(self, point: Point) -> Rank1System:
-        return Rank1System(Rank1Spec.from_rational(point[0], self.depth))
-
-    def _tower(self, a: Fraction) -> Rank1Map:
-        if not 0 <= a <= 1:
-            raise SpecValidationError("a", f"parameter {a} is outside [0, 1]")
-        return self._tower_for_prefix(a * 2**self.depth // 1)
-
-    def apply(self, point):
-        a, x = point
-        return (a, self._tower(Fraction(a)).apply(Fraction(x)))
-
-    def apply_array(self, points):
-        # floats from our samplers are exact dyadics, so Fraction(float) is lossless
-        out = points.copy()
-        for i in range(points.shape[0]):
-            out[i, 1] = float(self._tower(Fraction(points[i, 0])).apply(Fraction(points[i, 1])))
-        return out
-
-
-def make_Sa_system(base: MeasureHandle, depth: int) -> Rank1Family:
-    """The parameterized family a -> T_a over the base measure, at one depth."""
-    return Rank1Family(base, depth)

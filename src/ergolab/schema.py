@@ -39,6 +39,16 @@ MAX_CLOSURE_DEGREE = 4
 #: towers, about 6x the time per step (0.66 s at p = 10)
 MAX_PREFIX_LENGTH = 10
 
+#: largest Wiener length ``N``: at 2^16 an exact probe took 1.4 s and a sampled
+#: one, at 4,096 samples, about 18 s (its cost is samples x N)
+MAX_N = 2**16
+
+#: largest ``samples`` and ``statistical_samples``: product-closure took 4.1 s
+#: and 129 MiB at 10^6 (degree 2); a sampled spectral probe took 21 s at 2^16
+#: samples and N = 4,096
+MAX_SAMPLES = 10**6
+MAX_PROBE_SAMPLES = 2**16
+
 
 def check_factor_lists(factors, field: str = "factors") -> None:
     """Refuse rel-indep factors that are not two lists of int coordinates."""
@@ -102,7 +112,6 @@ SPECS = {
                             "cocycle": Field("cocycle", AFFINE),
                             "group": Field("group", {"kind": "circle"})},
         "product": {"factors": Field(Field("system"), REQUIRED)},
-        "fibered": {"base_measure": Field("measure", HAAR), "fiber": Field("fiber", REQUIRED)},
         "rank1-family": {"a": Field("scalar", "0"), "digits": Field(Field("int")),
                          "depth": Field("int", 8)},
     }),
@@ -127,8 +136,6 @@ SPECS = {
                           "value": Field("scalar", "0")}}),
     "group": Spec(kinds={"circle": {}, "cyclic": {
         "order": Field("int", REQUIRED, minimum=1, maximum=MAX_CYCLIC_ORDER)}}),
-    "fiber": Spec(kinds={"rotation": {"angle": Field("cocycle", AFFINE)},
-                         "rank1-parameter": {"depth": Field("int", 8)}}),
     "joining": Spec(envelope={}, kinds={
         "product": {"components": Field(Field("system"), REQUIRED, minimum=2)},
         "diagonal": {"component": Field("system", REQUIRED)},
@@ -165,24 +172,24 @@ KNOBS = {
             {"point": ["1/2"], "weight": "1/2"},
         ]}),
         "max_freq": Field("int", 8, minimum=1),
-        "N": Field("int", 4096, minimum=1),
-        "samples": Field("int", 4096, minimum=1),
+        "N": Field("int", 4096, minimum=1, maximum=MAX_N),
+        "samples": Field("int", 4096, minimum=1, maximum=MAX_SAMPLES),
         "consistency_degree": Field("int", 3, minimum=1),
     },
     "example1": {
         "angle": Field("rational", "1/5"),
         "slope": Field("rational", "1"),
-        "N": Field("int", 4096, minimum=1, check=require_wiener_length),
+        "N": Field("int", 4096, minimum=1, maximum=MAX_N, check=require_wiener_length),
         "max_freq": Field("int", 8, minimum=1),
         "invariance_degree": Field("int", 2, minimum=1),
         "statistical": Field("bool", True),
         "statistical_exponent": Field("int", 2),
-        "statistical_samples": Field("int", 20000, minimum=1),
+        "statistical_samples": Field("int", 20000, minimum=1, maximum=MAX_SAMPLES),
     },
     "product-closure": {
         "rotation_angle": Field("rational", SQRT2_ANGLE_40),
         "precision": Field("int", 40, minimum=1),
-        "samples": Field("int", 100000, minimum=1),
+        "samples": Field("int", 100000, minimum=1, maximum=MAX_SAMPLES),
         "degree": Field("int", 2, minimum=1, maximum=MAX_CLOSURE_DEGREE),
     },
     "rank1-family": {
@@ -191,14 +198,14 @@ KNOBS = {
         "word_stage_max": Field("int", 14, minimum=1),
         "prefix_length": Field("int", 6, minimum=1, maximum=MAX_PREFIX_LENGTH),
         "wm_stages": Field(Field("int"), [3, 4, 5], minimum=1),
-        "N": Field("int", 4096, minimum=1, check=require_wiener_length),
+        "N": Field("int", 4096, minimum=1, maximum=MAX_N, check=require_wiener_length),
         "threshold": Field("number", 0.05),
     },
     "spectral-probe": {
         "system": Field("system", {"kind": "rotation", "params": {"angle": "1/3"}}),
         "observable": Field("observable", {"freqs": [1], "centered": False}),
-        "N": Field("int", 4096, minimum=1, check=require_wiener_length),
-        "samples": Field("int", 4096, minimum=1),
+        "N": Field("int", 4096, minimum=1, maximum=MAX_N, check=require_wiener_length),
+        "samples": Field("int", 4096, minimum=1, maximum=MAX_PROBE_SAMPLES),
         "candidates": Field(Field("scalar"), []),
         "eigenvalue_queries": Field(Field("query"), []),
         "toeplitz_size": Field("int", 64, minimum=1),

@@ -38,11 +38,8 @@ import numpy as np
 
 from ergolab.core import (
     Character,
-    DepthExceededError,
-    ErgolabError,
     FreqVector,
     LevelIndicator,
-    Observable,
     SpecValidationError,
     System,
     UnsupportedOperationError,
@@ -157,12 +154,6 @@ class CorrelationSeq:
         v = self._values[abs(n)]
         return complex(v) if n >= 0 else complex(v).conjugate()
 
-    def phase_value(self, n: int) -> PhaseSum | None:
-        if self.phases is None:
-            return None
-        ps = self.phases[abs(n)]
-        return ps if n >= 0 else ps.conjugate()
-
     def values_nonnegative(self) -> np.ndarray:
         return self._values.copy()
 
@@ -177,28 +168,6 @@ class CorrelationSeq:
 
     def toeplitz_min_eigenvalue(self, size: int) -> float:
         return float(np.linalg.eigvalsh(self.toeplitz(size))[0])
-
-    def to_json(self) -> dict:
-        doc = {
-            "N": self.N,
-            "observable": describe_observable(self.observable),
-            "exact": self.exact,
-            "values": [[self.value(n).real, self.value(n).imag]
-                       for n in range(-self.N, self.N + 1)],
-            "seed": self.seed,
-            "provenance": self.provenance,
-        }
-        if self.std_errors is not None:
-            doc["std_errors"] = [float(s) for s in self.std_errors]
-            doc["n_samples"] = self.n_samples
-        return doc
-
-    def to_csv(self) -> str:
-        lines = ["n,re,im"]
-        for n in range(-self.N, self.N + 1):
-            v = self.value(n)
-            lines.append(f"{n},{v.real!r},{v.imag!r}")
-        return "\n".join(lines) + "\n"
 
 
 def describe_observable(f: object) -> str:
@@ -612,15 +581,6 @@ class WeakMixingReport:
     def no_atoms_detected(self) -> bool:
         return self.verdict == "no-atoms-detected"
 
-    def to_json(self) -> dict:
-        return {
-            "masses": [[label, m] for label, m in self.masses],
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "N": self.N,
-            "caveat": self.caveat,
-        }
-
 
 def weak_mixing_test(system: System, family: Sequence, N: int = DEFAULT_ORDER,
                      threshold: float = WEAK_MIXING_THRESHOLD, *,
@@ -645,85 +605,4 @@ def weak_mixing_test(system: System, family: Sequence, N: int = DEFAULT_ORDER,
         verdict="no-atoms-detected" if ok else "atoms-detected",
         threshold=threshold,
         N=N,
-    )
-
-
-# ---------------------------------------------------------------------------
-# fiber scans
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiberScanReport:
-    witness_fraction: float
-    sampled: int
-    failures: int
-    per_fiber: list[dict]
-    flat_verdict: EigenvalueVerdict | None
-    coherent: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "witness_fraction": self.witness_fraction,
-            "sampled": self.sampled,
-            "failures": self.failures,
-            "per_fiber": self.per_fiber,
-            "flat": self.flat_verdict.to_json() if self.flat_verdict else None,
-            "coherent": self.coherent,
-        }
-
-
-def fiber_eigenvalue_scan(system: System, alpha, samples: int, N: int, *, seed: int,
-                          fiber_observable: Observable,
-                          flat_observable: Observable | None = None,
-                          threshold: float = EIGENVALUE_THRESHOLD) -> FiberScanReport:
-    """Fraction of sampled fibers witnessing alpha, juxtaposed with the flat system.
-
-    ``system`` acts fiberwise over an identity base: base points are drawn
-    from ``system.base.measure`` and ``system.fiber(point)`` is the system on
-    the fiber over a point.  An eigenvalue of a positive-measure set of fibers
-    shows up in the flat system and conversely; with ``flat_observable`` the
-    report states both sides, or leaves the flat side None when the flat
-    system has no exact path or a sampled point leaves its towers.  Fibers
-    whose construction or probe raises an ``ErgolabError`` are excluded from
-    the fraction and counted as failures; any other exception propagates.
-    """
-    angle = parse_scalar(alpha, field="alpha") % 1
-    entries = []
-    witnessed = 0
-    failures = 0
-    usable = 0
-    base_points = system.base.measure.sample_rationals(rng_from_seed(seed), samples)
-    for point in base_points:
-        try:
-            verdict = detect_eigenvalue(system.fiber(point), fiber_observable, angle, N,
-                                        threshold=threshold,
-                                        seed=seed, samples=1024)
-        except ErgolabError as exc:  # per-fiber failures are data
-            failures += 1
-            entries.append({"base_point": [scalar_str(c) for c in point],
-                            "error": str(exc)})
-            continue
-        usable += 1
-        witnessed += int(verdict.witnessed)
-        entries.append({"base_point": [scalar_str(c) for c in point],
-                        "mass": verdict.mass, "witnessed": verdict.witnessed})
-    fraction = witnessed / usable if usable else 0.0
-
-    flat_verdict = None
-    coherent = None
-    if flat_observable is not None:
-        try:
-            flat_verdict = detect_eigenvalue(system, flat_observable,
-                                             angle, N, threshold=threshold,
-                                             seed=seed, samples=4096)
-            coherent = (not flat_verdict.witnessed) or fraction > 0
-        except (UnsupportedOperationError, DepthExceededError):
-            flat_verdict = None
-    return FiberScanReport(
-        witness_fraction=fraction,
-        sampled=samples,
-        failures=failures,
-        per_fiber=entries,
-        flat_verdict=flat_verdict,
-        coherent=coherent,
     )

@@ -138,8 +138,8 @@ def test_spectral_engine():
                                "params": {"angle": "1/2", "measure": measure}})
         seqs[w] = correlation_sequence(system, Character((2,)), 32)
     affine_ok = all(
-        (seqs[w].phase_value(n)
-         - (seqs[F(1)].phase_value(n) * w + seqs[F(0)].phase_value(n) * (1 - w))
+        (seqs[w].phases[n]
+         - (seqs[F(1)].phases[n] * w + seqs[F(0)].phases[n] * (1 - w))
          ).is_zero()
         for w in (F(1, 4), F(1, 2)) for n in range(33)
     )

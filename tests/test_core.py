@@ -1,5 +1,6 @@
 """Systems, measures, orbits, exact integrals, and their invariants."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,10 @@ from ergolab.core import (
     IdentitySystem,
     MixtureMeasure,
     ProductMeasure,
+    RotationSystem,
     SampledPowerMeasure,
     SkewProductSystem,
     SpecValidationError,
-    SystemSpec,
     UnsupportedOperationError,
     build_measure,
     build_system,
@@ -32,6 +33,7 @@ from ergolab.core import (
 )
 from ergolab.exact import PhaseSum
 from ergolab.rank1 import Rank1Spec, rank1_map
+from ergolab.schema import parse
 
 F = Fraction
 
@@ -139,10 +141,11 @@ def test_malformed_specs_name_the_field(doc, field_bit):
 
 
 def test_spec_json_round_trip():
-    spec = SystemSpec.from_json(
-        {"kind": "rotation", "params": {"angle": "1/3"}, "precision": 40}
-    )
-    assert SystemSpec.from_json(spec.to_json()) == spec
+    """A parsed document is a complete spec: parsing it again changes nothing."""
+    spec = parse({"kind": "rotation", "params": {"angle": "1/3"}, "precision": 40}, "system")
+    assert spec == {"kind": "rotation", "precision": 40,
+                    "params": {"angle": "1/3", "measure": {"kind": "haar", "arity": 1}}}
+    assert parse(json.loads(json.dumps(spec)), "system") == spec
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +396,19 @@ def test_fibered_consistency_for_finite_support_twist():
         kb, kf = k[:1], k[1:]
         via_fibers = PhaseSum.zero()
         for w, p in system.base.measure.atoms:
-            part = system.fiber(p).measure.integrate_character(kf)
+            part = RotationSystem(system.cocycle(p)).measure.integrate_character(kf)
             via_fibers = via_fibers + character_at(kb, p) * part * w
         flat = system.measure.integrate_character(k)
         assert (via_fibers - flat).is_zero(), f"fibered mismatch at {k}"
 
 
 def test_fibered_fibers_are_rotations_by_the_cocycle():
+    """Over an identity base the twist moves the circle over a base point by
+    the rotation the cocycle takes there."""
     system = twist(slope="1", intercept="1/7")
-    fiber = system.fiber((F(1, 3),))
+    fiber = RotationSystem(system.cocycle((F(1, 3),)))
+    assert system.apply((F(1, 3), F(0))) == (F(1, 3),) + fiber.apply((F(0),))
     assert fiber.apply((F(0),)) == (F(1, 3) + F(1, 7),)
-
-
-def test_fibered_requires_structural_fibers():
-    """Fibers are rotations only over an identity base and on the circle."""
-    over_rotation = {"kind": "group-extension", "params": {
-        "base": {"kind": "rotation", "params": {"angle": "1/3"}}}}
-    cyclic = {"kind": "group-extension", "params": {
-        "base": {"kind": "identity", "params": {}},
-        "cocycle": {"kind": "affine", "slope": "0", "intercept": "1/2"},
-        "group": {"kind": "cyclic", "order": 2}}}
-    for spec in (over_rotation, cyclic):
-        with pytest.raises(UnsupportedOperationError, match="identity base"):
-            build_system(spec).fiber((F(0),))
 
 
 def test_character_observable_labels():

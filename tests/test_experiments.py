@@ -575,3 +575,46 @@ def test_cli_help_exits_0(args, capsys):
         main(args)
     assert stop.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_file_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
+    """The bytes ff fe ended in a UnicodeDecodeError traceback with exit 1."""
+    from ergolab.cli import main
+
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe")
+    args = {"run": ["run", "spectral-probe", "--seed", "1", "--config", str(path),
+                    "--out", str(tmp_path / "out")],
+            "validate": ["spec", "validate", str(path)]}[command]
+    assert main(args) == 3
+    assert f"config error: cannot read {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_naming_an_existing_file_is_refused_before_the_run(tmp_path, capsys,
+                                                                   monkeypatch):
+    """It ran the whole experiment and then ended in a FileExistsError traceback."""
+    from ergolab import experiments
+    from ergolab.cli import main
+
+    def runner_reached(config):
+        raise AssertionError("the experiment started although --out cannot be written")
+
+    monkeypatch.setitem(experiments._RUNNERS, "spectral-probe", runner_reached)
+    out = tmp_path / "out"
+    out.write_text("kept")
+    assert main(["run", "spectral-probe", "--seed", "1", "--out", str(out)]) == 3
+    assert f"config error: cannot write {out}: " in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+def test_cli_out_below_an_existing_file_is_config_error(tmp_path, capsys):
+    from ergolab.cli import main
+
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / "file" / "out"
+    config = _config_file(tmp_path, {"seed": 1, "knobs": {"N": 64}})
+    assert main(["run", "spectral-probe", "--config", config, "--out", str(out)]) == 3
+    assert f"config error: cannot write {out}: " in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "kept"

@@ -1,6 +1,7 @@
 """The joining zoo: construction, marginals, invariance, product consistency."""
 
 import cmath
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from ergolab.experiments import SQRT2_ANGLE_40
 from ergolab.joinings import (
     MEANS_BLOCK_ROWS,
     JoiningConstructionError,
-    JoiningSpec,
     _character_means,
     _product_characters,
     build_joining,
@@ -37,6 +37,7 @@ from ergolab.joinings import (
     rel_indep_joining,
     sample_joining,
 )
+from ergolab.schema import parse
 from ergolab.spectral import correlation_sequence, detect_eigenvalue
 
 F = Fraction
@@ -136,10 +137,10 @@ def test_off_diagonal_powers_and_negative_powers():
 
 
 def test_joining_spec_round_trip_and_validation():
-    spec = JoiningSpec.from_json({"kind": "diagonal", "params": {"component": ROT_THIRD}})
-    assert JoiningSpec.from_json(spec.to_json()) == spec
+    spec = parse({"kind": "diagonal", "params": {"component": ROT_THIRD}}, "joining")
+    assert parse(json.loads(json.dumps(spec)), "joining") == spec
     with pytest.raises(SpecValidationError):
-        JoiningSpec.from_json({"kind": "nope", "params": {}})
+        parse({"kind": "nope", "params": {}}, "joining")
     with pytest.raises(SpecValidationError):
         build_joining({"kind": "custom-sampler", "params": {}})
 
@@ -309,9 +310,9 @@ def test_consistency_sampled_detects_diagonal():
 
 
 def test_consistency_csv_row_count():
+    """One row per nonzero character of the degree-1 box, in box order."""
     outcome = product_consistency_test(diag_third(), degree=1)
-    csv = outcome.to_csv()
-    assert len(csv.splitlines()) == len(outcome.rows) + 1
+    assert [r.character for r in outcome.rows] == frequency_box(2, 1, skip_zero=True)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,9 @@ def test_sampled_consistency_of_the_product_joining_equals_the_hand_built_one():
                                        mode="sampled", samples=2048, seed=seed)
         old = product_consistency_test(hand_built, degree=2, mode="sampled",
                                        samples=2048, seed=seed)
-        assert new.to_json() == old.to_json()
+        assert (new.verdict, new.witness, new.mode, new.note) == \
+            (old.verdict, old.witness, old.mode, old.note)
+        assert new.rows == old.rows
 
 
 # ---------------------------------------------------------------------------

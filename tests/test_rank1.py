@@ -27,7 +27,6 @@ from ergolab.rank1 import (
     build_rank1_system,
     dyadic_equivalence,
     level_lag_counts,
-    make_Sa_system,
     rank1_map,
     rank1_word,
     rank1_words,
@@ -171,10 +170,10 @@ def test_depth1_map_structure():
     m = rank1_map(Rank1Spec.from_digits([0]))
     assert m.length == 4
     assert m.undefined_measure == F(1, 4)
-    pieces = m.pieces()
-    assert len(pieces) == 3
-    total = sum(hi - lo for lo, hi, _ in pieces)
-    assert total == F(3, 4)
+    # three levels carry a unit translation each; the top level has none
+    translations = np.diff(m.level_starts)
+    assert len(translations) == 3
+    assert list(m.level_starts) == [0, 3, 1, 2]
 
 
 def concatenated_tower(digits):
@@ -230,9 +229,10 @@ def test_map_pieces_partition_support_exactly():
 
 def test_map_measure_preservation_is_translation():
     m = rank1_map(Rank1Spec.from_rational("2/5", 6))
-    for lo, hi, t in m.pieces():
+    for i, t in enumerate(np.diff(m.level_starts)):
+        lo, hi = m.level_interval(i)
         assert hi - lo == F(1, m.length)
-        assert 0 <= lo + t and hi + t <= 1
+        assert 0 <= lo + F(int(t), m.length) and hi + F(int(t), m.length) <= 1
 
 
 def test_map_word_coherence():
@@ -398,13 +398,6 @@ def test_level_lag_counts_validate_their_inputs():
         level_lag_counts(spec, 3, 0, 5, 8)
 
 
-def test_pieces_csv_is_exact_rationals():
-    m = rank1_map(Rank1Spec.from_digits([1]))
-    csv = m.pieces_csv()
-    assert csv.splitlines()[0] == "source_lo,source_hi,translation"
-    assert "1/4" in csv or "1/2" in csv
-
-
 # ---------------------------------------------------------------------------
 # dichotomy and continuity
 # ---------------------------------------------------------------------------
@@ -479,28 +472,28 @@ def test_continuity_prefix_agreement_forces_identical_stages():
 
 
 # ---------------------------------------------------------------------------
-# the parameterized family
+# sampled parameters
 # ---------------------------------------------------------------------------
 
-def sampled_fibers(family, seed, n):
-    points = family.base.measure.sample_rationals(rng_from_seed(seed), n)
-    return [(p, family.fiber(p)) for p in points]
+def sampled_systems(base, depth, seed, n):
+    """(a, T_a) at the given depth for parameters a drawn from the base measure."""
+    points = base.sample_rationals(rng_from_seed(seed), n)
+    return [(a, build_rank1_system(Rank1Spec.from_rational(a, depth))) for (a,) in points]
 
 
 def test_make_sa_haar_base_fiber_invariants():
-    family = make_Sa_system(HaarMeasure(1), depth=4)
-    for point, fiber in sampled_fibers(family, seed=9, n=3):
-        m = fiber.map
+    for _, system in sampled_systems(HaarMeasure(1), depth=4, seed=9, n=3):
+        m = system.map
         assert sorted(int(s) for s in m.level_starts) == list(range(m.length))
         assert m.undefined_measure == F(1, m.length)
 
 
 def test_make_sa_dirac_base_single_fiber():
     base = DiracMixture((CIRCLE,), [(F(1), (F(1, 3),))])
-    family = make_Sa_system(base, depth=6)
     direct = rank1_map(Rank1Spec.from_rational("1/3", 6))
-    _, fiber = sampled_fibers(family, seed=0, n=1)[0]
-    assert np.array_equal(fiber.map.level_starts, direct.level_starts)
+    [(a, system)] = sampled_systems(base, depth=6, seed=0, n=1)
+    assert a == F(1, 3)
+    assert np.array_equal(system.map.level_starts, direct.level_starts)
 
 
 def test_make_sa_sampled_fibers_nondyadic_difference_disjoint():
@@ -508,48 +501,10 @@ def test_make_sa_sampled_fibers_nondyadic_difference_disjoint():
         (F(1, 2), (F(1, 3),)),
         (F(1, 2), (F(1, 4),)),
     ])
-    family = make_Sa_system(base, depth=4)
-    fibers = sampled_fibers(family, seed=3, n=16)
-    params = {p[0] for p, _ in fibers}
-    assert params == {F(1, 3), F(1, 4)}
-    verdict = dyadic_equivalence(Rank1Spec.from_rational(F(1, 3), 4),
-                                 Rank1Spec.from_rational(F(1, 4), 4))
+    systems = dict(sampled_systems(base, depth=4, seed=3, n=16))
+    assert set(systems) == {F(1, 3), F(1, 4)}
+    verdict = dyadic_equivalence(systems[F(1, 3)].r1spec, systems[F(1, 4)].r1spec)
     assert verdict.verdict == "disjoint-family"
-
-
-def test_make_sa_flat_system_applies_fiberwise():
-    flat = make_Sa_system(HaarMeasure(1), depth=3)
-    a = F(1, 3)
-    m = rank1_map(Rank1Spec.from_rational(a, 3))
-    out = flat.apply((a, F(0)))
-    assert out == (a, m.apply(F(0)))
-    assert flat.apply((F(1), F(0))) == (F(1), rank1_map(Rank1Spec.from_rational(1, 3)).apply(F(0)))
-    with pytest.raises(SpecValidationError, match="outside"):
-        flat.apply((F(1001, 1000), F(0)))  # its digit prefix is that of 1
-
-
-def test_make_sa_builds_one_tower_per_digit_prefix(monkeypatch):
-    """``apply_array`` equals the per-point ``apply`` and 1,000 Haar points
-    at depth 8 build at most 2^8 towers."""
-    import ergolab.rank1 as rank1_module
-
-    builds = []
-
-    def counting_rank1_map(spec, depth=None):
-        builds.append(spec)
-        return rank1_map(spec, depth)
-
-    monkeypatch.setattr(rank1_module, "rank1_map", counting_rank1_map)
-    family = make_Sa_system(HaarMeasure(1), depth=8)
-    # the top level (measure 1/L_8) has no image; no point of this draw lies in it
-    points = family.measure.sample_floats(rng_from_seed(11), 1000)
-    out = family.apply_array(points)
-    assert 0 < len(builds) <= 2**8
-    assert np.array_equal(out[:, 0], points[:, 0])
-    for (a, x), y in zip(points, out[:, 1]):
-        expected = family.apply((F(a), F(x)))[1]
-        assert y == float(expected)
-        assert expected == rank1_map(Rank1Spec.from_rational(F(a), 8)).apply(F(x))
 
 
 @pytest.mark.parametrize("a", ["1/4", "3/4", "1/3"])

@@ -1,21 +1,19 @@
-"""Serialization surfaces: spectral JSON/CSV, verdict JSON, fiber-failure data."""
+"""Report surfaces: atom and verdict JSON, result records, pinned canonical bytes."""
 
 import hashlib
 import json
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ergolab.core import Character, ErgolabError, HaarMeasure, IdentitySystem, build_system
+from ergolab.core import Character, SpecValidationError, build_system
 from ergolab.experiments import ExperimentConfig, run_experiment
 from ergolab.joinings import build_joining, product_consistency_test
 from ergolab.spectral import (
     correlation_sequence,
     detect_eigenvalue,
-    fiber_eigenvalue_scan,
     weak_mixing_test,
     wiener_atomic_mass,
 )
@@ -26,25 +24,6 @@ F = Fraction
 def rotation_seq(N=32):
     system = build_system({"kind": "rotation", "params": {"angle": "1/3"}})
     return correlation_sequence(system, Character((1,)), N)
-
-
-def test_correlation_csv_shape():
-    seq = rotation_seq(8)
-    lines = seq.to_csv().strip().splitlines()
-    assert lines[0] == "n,re,im"
-    assert len(lines) == 2 * 8 + 1 + 1  # header + n in [-8, 8]
-    first = lines[1].split(",")
-    assert first[0] == "-8"
-
-
-def test_correlation_json_values_are_re_im_pairs():
-    seq = rotation_seq(4)
-    doc = seq.to_json()
-    assert doc["N"] == 4
-    assert len(doc["values"]) == 9
-    assert all(len(v) == 2 for v in doc["values"])
-    assert doc["exact"] is True
-    json.dumps(doc)  # must be serializable
 
 
 def test_atom_report_json():
@@ -64,62 +43,30 @@ def test_eigenvalue_verdict_json():
 
 def test_weak_mixing_report_json():
     system = build_system({"kind": "rotation", "params": {"angle": "1/3"}})
-    doc = weak_mixing_test(system, [Character((1,))], N=64).to_json()
-    assert doc["verdict"] == "atoms-detected"
-    json.dumps(doc)
+    report = weak_mixing_test(system, [Character((1,))], N=64)
+    assert report.verdict == "atoms-detected"
 
 
 def test_consistency_verdict_json_witness_as_frequency_vector():
     diag = build_joining({"kind": "diagonal", "params": {
         "component": {"kind": "rotation", "params": {"angle": "1/3"}}}})
-    doc = product_consistency_test(diag, degree=1).to_json()
-    assert doc["verdict"] == "refuted"
-    assert isinstance(doc["witness"], list) and len(doc["witness"]) == 2
-    json.dumps(doc)
-
-
-def test_fiber_scan_counts_failures():
-    calls = {"n": 0}
-
-    def flaky_fiber(point):
-        calls["n"] += 1
-        if calls["n"] % 2 == 0:
-            raise ErgolabError("fiber construction failed")
-        return build_system({"kind": "rotation", "params": {"angle": "1/3"}})
-
-    fibered = SimpleNamespace(base=IdentitySystem(HaarMeasure(1)), fiber=flaky_fiber)
-    report = fiber_eigenvalue_scan(fibered, "1/3", samples=10, N=64, seed=0,
-                                   fiber_observable=Character((1,)))
-    assert report.failures == 5
-    assert report.witness_fraction == 1.0  # the surviving fibers all witness
-    doc = report.to_json()
-    assert doc["failures"] == 5
-    json.dumps(doc)
-
-
-def test_fiber_scan_propagates_programming_errors():
-    def broken_fiber(point):
-        raise TypeError("not a fiber failure")
-
-    fibered = SimpleNamespace(base=IdentitySystem(HaarMeasure(1)), fiber=broken_fiber)
-    with pytest.raises(TypeError, match="not a fiber failure"):
-        fiber_eigenvalue_scan(fibered, "1/3", samples=3, N=64, seed=0,
-                              fiber_observable=Character((1,)))
+    report = product_consistency_test(diag, degree=1)
+    assert report.verdict == "refuted"
+    assert isinstance(report.witness, tuple) and len(report.witness) == 2
+    assert all(type(v) is int for v in report.witness)
 
 
 def test_fibered_rank1_parameter_spec_kind():
-    from ergolab.core import rng_from_seed
-
-    system = build_system({
-        "kind": "fibered",
-        "params": {
-            "base_measure": {"kind": "haar", "arity": 1},
-            "fiber": {"kind": "rank1-parameter", "depth": 3},
-        },
-    })
-    pts = system.measure.sample_rationals(rng_from_seed(4), 2)
-    out = system.apply(pts[0])
-    assert len(out) == 2 and out[0] == pts[0][0]
+    """The fibered kind is gone: its rotation fiber is a twist with that
+    cocycle, and its rank-one parameter fiber is refused as an unknown kind."""
+    with pytest.raises(SpecValidationError, match="unknown system kind 'fibered'"):
+        build_system({
+            "kind": "fibered",
+            "params": {
+                "base_measure": {"kind": "haar", "arity": 1},
+                "fiber": {"kind": "rank1-parameter", "depth": 3},
+            },
+        })
 
 
 RANK1_DEPTH_6 = {"depth": 6, "word_stage_max": 8, "prefix_length": 4,

@@ -32,7 +32,10 @@ from ergolab.schema import (
     KNOBS,
     MAX_CLOSURE_DEGREE,
     MAX_CYCLIC_ORDER,
+    MAX_N,
     MAX_PREFIX_LENGTH,
+    MAX_PROBE_SAMPLES,
+    MAX_SAMPLES,
     REQUIRED,
     SPECS,
     Field,
@@ -97,7 +100,7 @@ def test_readme_tables_list_the_schema_kinds():
 MALFORMED_SYSTEMS = [
     ({"kind": "group-extension", "params": {"base": ROT, "group": 5}}, "params.group"),
     ({"kind": "group-extension", "params": {}}, "params.base"),
-    ({"kind": "fibered", "params": {"fiber": 5}}, "params.fiber"),
+    ({"kind": "fibered"}, "kind"),  # the kind was removed, so it is unknown
     ({"kind": "identity", "params": {"measure": {"kind": "atoms", "atoms": [5]}}},
      "params.measure.atoms[0]"),
     ({"kind": "identity", "params": {"measure": {"kind": "mixture", "components": [5]}}},
@@ -196,6 +199,15 @@ def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path)
     ("product-closure", "degree", MAX_CLOSURE_DEGREE, 12),  # 25^5 - 1 characters
     ("rank1-family", "prefix_length", MAX_PREFIX_LENGTH, MAX_PREFIX_LENGTH + 1),
     ("rank1-family", "prefix_length", MAX_PREFIX_LENGTH, 30),
+    # 10^9 samples asked sample_floats for a 10^9 x 5 float64 array
+    ("product-closure", "samples", MAX_SAMPLES, 10**9),
+    ("identity-disjoint", "samples", MAX_SAMPLES, MAX_SAMPLES + 1),
+    ("example1", "statistical_samples", MAX_SAMPLES, 10**9),
+    ("spectral-probe", "samples", MAX_PROBE_SAMPLES, MAX_PROBE_SAMPLES + 1),
+    ("identity-disjoint", "N", MAX_N, 10**9),
+    ("example1", "N", MAX_N, MAX_N + 1),
+    ("rank1-family", "N", MAX_N, 10**9),
+    ("spectral-probe", "N", MAX_N, 2**40),
 ])
 def test_a_costly_knob_is_refused_before_anything_is_built(experiment, knob, bound, value,
                                                            tmp_path, monkeypatch):

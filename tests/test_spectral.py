@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from ergolab.core import (
     Character,
-    DiracMixture,
-    HaarMeasure,
     IdentitySystem,
     LevelIndicator,
+    RotationSystem,
     SpecValidationError,
     build_measure,
     build_system,
@@ -29,7 +28,6 @@ from ergolab.core import (
 from ergolab.rank1 import (
     Rank1Spec,
     build_rank1_system,
-    make_Sa_system,
     stage_level_positions,
     word_lengths,
 )
@@ -40,7 +38,6 @@ from ergolab.spectral import (
     _rotated_average,
     correlation_sequence,
     detect_eigenvalue,
-    fiber_eigenvalue_scan,
     weak_mixing_test,
     wiener_atomic_mass,
 )
@@ -132,9 +129,9 @@ def test_rotation_correlation_frozen_values():
 def test_twist_correlation_is_base_fourier():
     seq = correlation_sequence(twist(), Character((0, 1)), 16)
     assert seq.exact
-    assert seq.phase_value(0).as_rational() == 1
+    assert seq.phases[0].as_rational() == 1
     for n in range(1, 17):
-        assert seq.phase_value(n).is_zero()
+        assert seq.phases[n].is_zero()
 
     def apply_n(p, n):
         return [p[0], (p[1] + n * p[0]) % 1.0]
@@ -156,7 +153,7 @@ def test_centered_correlation_subtracts_squared_mean():
     seq = correlation_sequence(sys_, Character((2,)), 8, center=True)
     # e(2x) has mean 1 on the two-atom mixture, so the centered sequence vanishes
     for n in range(9):
-        assert seq.phase_value(n).is_zero()
+        assert seq.phases[n].is_zero()
     seq1 = correlation_sequence(sys_, Character((1,)), 8, center=True)
     # e(x) has mean 0 there, so centering changes nothing
     for n in range(9):
@@ -201,7 +198,7 @@ def test_atom_orbit_path_matches_pushed_atoms():
             expected = PhaseSum(
                 (sum(ki * (a - b) for ki, a, b in zip(k, p, q)), w)
                 for (w, p), q in zip(atoms, points)) - shift
-            assert (seq.phase_value(n) - expected).is_zero()
+            assert (seq.phases[n] - expected).is_zero()
             assert seq.value(n) == pytest.approx(expected.value(), abs=1e-14)
             points = [sys_.apply(q) for q in points]
 
@@ -257,10 +254,10 @@ def test_mixture_affinity_of_coefficients():
         sys_ = rotation("1/2", measure=measure)
         seq_ends[w] = correlation_sequence(sys_, Character((2,)), 16)
     for n in range(17):
-        p0 = seq_ends[F(0)].phase_value(n)
-        p1 = seq_ends[F(1)].phase_value(n)
+        p0 = seq_ends[F(0)].phases[n]
+        p1 = seq_ends[F(1)].phases[n]
         for w in (F(1, 4), F(1, 2)):
-            pw = seq_ends[w].phase_value(n)
+            pw = seq_ends[w].phases[n]
             assert (pw - (p1 * w + p0 * (1 - w))).is_zero()
 
 
@@ -567,104 +564,48 @@ def test_tower_correlation_at_depth_30_needs_no_tower():
     assert peak < 8 * 1024 * 1024
     assert "map" not in vars(system)  # the depth-30 tower was never built
     assert seq.exact and all(p.as_rational() is not None for p in seq.phases)
-    assert seq.phase_value(0).as_rational() == F(3**27, word_lengths(30))
-    assert centered.phase_value(0).as_rational() == 1
+    assert seq.phases[0].as_rational() == F(3**27, word_lengths(30))
+    assert centered.phases[0].as_rational() == 1
 
 
 def test_weak_mixing_caveat_serialized():
     report = weak_mixing_test(rotation("1/3"), [Character((1,))], N=64)
-    assert "does not certify" in report.to_json()["caveat"]
+    assert "does not certify" in report.caveat
 
 
 # ---------------------------------------------------------------------------
-# fiber scans
+# fibers of a twist
 # ---------------------------------------------------------------------------
 
 TWIST_FIBER, TWIST_FLAT = Character((1,)), Character((0, 1))
 
 
+def fiber_verdicts(system, alpha, samples, seed):
+    """Probe alpha on the rotation by phi(p) that a twist induces on the circle
+    over each sampled base point p."""
+    points = system.base.measure.sample_rationals(rng_from_seed(seed), samples)
+    return [detect_eigenvalue(RotationSystem(system.cocycle(p)), TWIST_FIBER, alpha, 64)
+            for p in points]
+
+
 def test_fiber_scan_twist_over_haar_measure_zero_witness():
-    report = fiber_eigenvalue_scan(twist(), "1/7", samples=20, N=64, seed=101,
-                                   fiber_observable=TWIST_FIBER, flat_observable=TWIST_FLAT)
-    assert report.witness_fraction == 0.0
-    assert report.flat_verdict is not None and not report.flat_verdict.witnessed
-    assert report.coherent
+    system = twist()
+    assert not any(v.witnessed for v in fiber_verdicts(system, "1/7", 20, seed=101))
+    assert not detect_eigenvalue(system, TWIST_FLAT, "1/7", 64).witnessed
 
 
 def test_fiber_scan_constant_fiber():
-    sys_ = build_system({
-        "kind": "fibered",
-        "params": {
-            "base_measure": {"kind": "haar", "arity": 1},
-            "fiber": {"kind": "rotation",
-                      "angle": {"kind": "affine", "slope": "0", "intercept": "1/3"}},
-        },
-    })
-    report = fiber_eigenvalue_scan(sys_, "1/3", samples=10, N=64, seed=5,
-                                   fiber_observable=TWIST_FIBER, flat_observable=TWIST_FLAT)
-    assert report.witness_fraction == 1.0
-    assert report.flat_verdict.witnessed and report.coherent
+    system = build_system({"kind": "twist", "params": {
+        "cocycle": {"kind": "affine", "slope": "0", "intercept": "1/3"}}})
+    assert all(v.witnessed for v in fiber_verdicts(system, "1/3", 10, seed=5))
+    assert detect_eigenvalue(system, TWIST_FLAT, "1/3", 64).witnessed
 
 
 def test_fiber_scan_dirac_base():
-    sys_ = build_system({
+    system = build_system({
         "kind": "twist",
         "params": {"base_measure": {
             "kind": "atoms", "atoms": [{"point": ["1/3"], "weight": "1"}]}},
     })
-    report = fiber_eigenvalue_scan(sys_, "1/3", samples=10, N=64, seed=5,
-                                   fiber_observable=TWIST_FIBER, flat_observable=TWIST_FLAT)
-    assert report.witness_fraction == 1.0
-    assert report.flat_verdict.witnessed
-
-
-def test_fiber_scan_without_flat_observable_probes_no_flat_system():
-    report = fiber_eigenvalue_scan(twist(), "1/7", samples=4, N=64, seed=101,
-                                   fiber_observable=TWIST_FIBER)
-    assert report.flat_verdict is None and report.coherent is None
-    assert report.sampled == 4 and report.failures == 0
-
-
-def test_fiber_scan_rank1_family():
-    from ergolab.core import CIRCLE
-
-    base = DiracMixture((CIRCLE,), [(F(1), (F(1, 3),))])
-    family = make_Sa_system(base, depth=8)
-    point = base.sample_rationals(rng_from_seed(1), 1)[0]
-    fiber = family.fiber(point)
-    assert point == (F(1, 3),)
-    # single fiber equals the rank-one map at the same parameter
-    direct = build_rank1_system(Rank1Spec.from_rational("1/3", 8))
-    assert np.array_equal(fiber.map.level_starts, direct.map.level_starts)
-
-
-def test_fiber_scan_over_rank1_family_atoms_matches_direct_probes():
-    """Each fiber's mass is the mass of the rank-one system built directly."""
-    from ergolab.core import CIRCLE
-
-    base = DiracMixture((CIRCLE,), [(F(1, 2), (F(1, 3),)), (F(1, 2), (F(1, 4),))])
-    observable = LevelIndicator(stage=3, level=0)
-    report = fiber_eigenvalue_scan(make_Sa_system(base, depth=6), "1/40", samples=8, N=128,
-                                   seed=7, fiber_observable=observable)
-    assert report.failures == 0 and report.flat_verdict is None
-    drawn = base.sample_rationals(rng_from_seed(7), 8)
-    assert [entry["base_point"] for entry in report.per_fiber] == \
-        [[scalar_str(a)] for (a,) in drawn]
-    seen = set()
-    for entry in report.per_fiber:
-        (a,) = entry["base_point"]
-        seen.add(a)
-        direct = detect_eigenvalue(build_rank1_system(Rank1Spec.from_rational(a, 6)),
-                                   observable, "1/40", 128, seed=7, samples=1024)
-        assert entry["mass"] == direct.mass and entry["witnessed"] == direct.witnessed
-    assert seen == {"1/3", "1/4"}
-
-
-def test_fiber_scan_flat_probe_leaving_the_towers_reports_no_flat_side():
-    """The flat probe of a rank-one family samples points in a tower's top
-    level, where the map is undefined: the flat side is left out."""
-    report = fiber_eigenvalue_scan(make_Sa_system(HaarMeasure(1), 6), "1/3", samples=2, N=16,
-                                   seed=0, fiber_observable=LevelIndicator(3, 0),
-                                   flat_observable=Character((0, 1)))
-    assert report.flat_verdict is None and report.coherent is None
-    assert report.sampled == 2 and report.failures == 0
+    assert all(v.witnessed for v in fiber_verdicts(system, "1/3", 10, seed=5))
+    assert detect_eigenvalue(system, TWIST_FLAT, "1/3", 64).witnessed
