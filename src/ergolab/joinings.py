@@ -20,12 +20,14 @@ finite procedure certifies.
 Sampled checks read every empirical character mean from one kernel,
 ``_character_means``.  Since mean(e(<-k, x>)) = conj(mean(e(<k, x>))), it
 tabulates one key of each pair {k, -k} and reads the other as the conjugate.
-It splits the coordinates into two halves, tabulates each half's characters as
-broadcast outer products of per-coordinate power columns, and gets all means
-at once as one complex matrix product Aᵀ·B / n, accumulated over blocks of
+It splits the coordinates into two halves and lays each half's characters out
+as a (columns, samples) table, built as outer products of per-coordinate power
+rows broadcast along the contiguous samples axis.  All means come at once from
+one complex matrix product A·Bᵀ / n, accumulated over blocks of
 ``MEANS_BLOCK_ROWS`` samples so that memory does not grow with samples times
-characters.  Exact marginal integrals are computed once per joining and
-component frequency and kept on the ``Joining``.
+characters, and are read back for the whole family by one integer-array gather
+at the keys' mixed-radix indices.  Exact marginal integrals are computed once
+per joining and component frequency and kept on the ``Joining``.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ from ergolab.schema import MAX_OFF_DIAGONAL_POWER, check_factor_lists, parse  # 
 DEFAULT_CHECK_FAMILY_MAX_FREQ = 2
 SIGMA_FACTOR = 4.0
 #: samples per block of the character-mean kernel; bounds its working memory
-MEANS_BLOCK_ROWS = 4096
+MEANS_BLOCK_ROWS = 1024
+#: marks a marginal integral not yet in a joining's memo (None is a memoized value)
+_MISSING = object()
 
 
 class JoiningConstructionError(ErgolabError):
@@ -157,11 +161,12 @@ class Joining:
 
         Each marginal integral is computed once per joining and reused."""
         k, memo, parts = tuple(k), self._marginal_integrals, []
-        for i, sl in enumerate(self.slices):
+        for i, sl in enumerate(self.system._slices):
             key = (i, k[sl])
-            if key not in memo:
-                memo[key] = self.marginal_integrate(i, key[1])
-            parts.append(memo[key])
+            part = memo.get(key, _MISSING)
+            if part is _MISSING:
+                part = memo[key] = self.marginal_integrate(i, key[1])
+            parts.append(part)
         return product_of_integrals(parts)
 
 
@@ -501,13 +506,14 @@ def invariance_check(joining: Joining, family: Sequence[Sequence[int]], *,
             if after is None:
                 exact_ok = False
                 break
-            same = (after.rotated(ph) - before).is_zero()
+            pushed = after.rotated(ph)
+            same = (pushed - before).is_zero()
             passed &= same
+            value, pushforward = before.value(), pushed.value()
             entries.append({
                 "character": list(k),
-                "value": [before.value().real, before.value().imag],
-                "pushforward": [(after.rotated(ph)).value().real,
-                                (after.rotated(ph)).value().imag],
+                "value": [value.real, value.imag],
+                "pushforward": [pushforward.real, pushforward.imag],
                 "equal": same,
             })
         if exact_ok:
@@ -567,12 +573,8 @@ class ConsistencyVerdict:
 
 def _product_characters(boxes: Sequence[list[FreqVector]]) -> list[FreqVector]:
     """Every nonzero concatenation of one frequency vector from each box."""
-    out = []
-    for parts in itertools.product(*boxes):
-        k = tuple(v for part in parts for v in part)
-        if any(k):
-            out.append(k)
-    return out
+    keys = map(tuple, map(itertools.chain.from_iterable, itertools.product(*boxes)))
+    return [k for k in keys if any(k)]
 
 
 def product_consistency_test(joining: Joining, degree: int = 2, *,
@@ -665,79 +667,75 @@ def _character_means(points: np.ndarray, family: Sequence[FreqVector]
     one entry, and the right half's first coordinate needs no negative values.
 
     The coordinates are split into a left and a right half, so that
-    e(<k, x>) = A[x, k_left] * B[x, k_right].  Each half's table is the
-    broadcast outer product, coordinate by coordinate, of the power columns of
-    the values that occur there (see ``_power_columns``), so every mean is an
-    entry of one complex matrix product Aᵀ·B / n, read at the mixed-radix
-    indices of the key's two halves.  The samples are processed in blocks of
-    ``MEANS_BLOCK_ROWS`` rows and the blocks' Aᵀ·B are added up, so memory is
-    bounded by the block size times a small multiple of the table widths,
+    e(<k, x>) = A[k_left, x] * B[k_right, x].  Each half's table is laid out as
+    (columns, samples): the outer product, coordinate by coordinate, of the
+    power rows of the values that occur there (see ``_power_rows``), each
+    product broadcast along the contiguous samples axis.  Every mean is then an
+    entry of one complex matrix product A·Bᵀ / n, gathered for the whole family
+    at once at the mixed-radix indices of the keys' two halves.  The samples
+    are processed in blocks of ``MEANS_BLOCK_ROWS`` and the blocks' A·Bᵀ are
+    added up, so memory is bounded by the block size times the table widths,
     whatever the number of samples.
     """
     if not family:
         return {}
     n, arity = points.shape
     half = arity // 2
-    zero, canonical = (0,) * arity, {}  # key -> (the key tabulated, how to read its entry)
-    for k in map(tuple, family):
-        # a tuple sorts below zero exactly when its first nonzero entry is negative
-        flip = k[half:] + k[:half] < zero
-        canonical[k] = (tuple(-v for v in k), complex.conjugate) if flip else (k, complex)
-    left_values, left_column = _half_plan([c[:half] for c, _ in canonical.values()])
-    right_values, right_column = _half_plan([c[half:] for c, _ in canonical.values()])
+    keys = [tuple(k) for k in family]
+    signed = np.array(keys, dtype=np.int64)
+    ordered = np.roll(signed, -half, axis=1)  # the right half, then the left
+    flip = ordered[np.arange(len(keys)), (ordered != 0).argmax(axis=1)] < 0
+    canonical = np.where(flip[:, None], -signed, signed)
+    left_values, left_index = _half_plan(canonical[:, :half])
+    right_values, right_index = _half_plan(canonical[:, half:])
     acc = np.zeros((math.prod(map(len, left_values)), math.prod(map(len, right_values))),
                    dtype=np.complex128)
     for lo in range(0, n, MEANS_BLOCK_ROWS):
         block = points[lo:lo + MEANS_BLOCK_ROWS]
         # one expression, so the previous block's tables are freed before these are built
-        acc += (_half_table(block[:, :half], left_values).T
-                @ _half_table(block[:, half:], right_values))
-    acc /= n
-    return {k: read(acc[left_column[c[:half]], right_column[c[half:]]])
-            for k, (c, read) in canonical.items()}
+        acc += (_half_table(block[:, :half], left_values)
+                @ _half_table(block[:, half:], right_values).T)
+    means = acc[left_index, right_index] / n
+    np.conjugate(means, out=means, where=flip)
+    return dict(zip(keys, means.tolist()))
 
 
-def _half_plan(keys: Sequence[FreqVector]
-               ) -> tuple[list[list[int]], dict[FreqVector, int]]:
-    """The sorted values that occur at each coordinate of one half's ``keys``,
-    and each key's column in the outer-product table of those values: its
-    mixed-radix index, the last coordinate varying fastest."""
-    keys = set(keys)
-    width = len(next(iter(keys)))
-    values = [sorted({key[c] for key in keys}) for c in range(width)]
-    index = [{v: j for j, v in enumerate(vs)} for vs in values]
-    column = {}
-    for key in keys:
-        j = 0
-        for c in range(width):
-            j = j * len(values[c]) + index[c][key[c]]
-        column[key] = j
-    return values, column
+def _half_plan(keys: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """The sorted values that occur at each coordinate of one half's ``keys``
+    (one key per row), and each key's column in the outer-product table of
+    those values: its mixed-radix index, the last coordinate varying fastest."""
+    values = [sorted(set(column)) for column in keys.T.tolist()]
+    index = np.zeros(len(keys), dtype=np.intp)
+    for column, vs in zip(keys.T, values):
+        index = index * len(vs) + np.searchsorted(vs, column)
+    return values, index
 
 
 def _half_table(coords: np.ndarray, values: list[list[int]]) -> np.ndarray:
-    """(rows, columns) table of e(<key, x>) for every combination of the
-    per-coordinate ``values``, as broadcast outer products of power columns."""
-    rows = coords.shape[0]
-    table = np.ones((rows, 1), dtype=np.complex128)
+    """(columns, samples) table of e(<key, x>), one column for every combination
+    of the per-coordinate ``values`` in mixed-radix order, as outer products of
+    power rows broadcast along the samples."""
+    n = coords.shape[0]
+    table = np.ones((1, n), dtype=np.complex128)
     for c, vs in enumerate(values):
-        powers = _power_columns(coords[:, c], vs)
-        table = (table[:, :, None] * powers[:, None, :]).reshape(rows, -1)
+        out = np.empty((len(table), len(vs), n), dtype=np.complex128)
+        np.multiply(table[:, None, :], _power_rows(coords[:, c], vs), out=out)
+        table = out.reshape(-1, n)
     return table
 
 
-def _power_columns(x: np.ndarray, values: Sequence[int]) -> np.ndarray:
-    """Columns e(v x) for v in ``values``, from a single ``np.exp``: positive
+def _power_rows(x: np.ndarray, values: Sequence[int]) -> np.ndarray:
+    """Rows e(v x) for v in ``values``, from a single ``np.exp``: positive
     powers by repeated multiplication, negative ones as their conjugates."""
-    out = np.empty((x.shape[0], len(values)), dtype=np.complex128)
-    column = {v: j for j, v in enumerate(values)}
+    out = np.empty((len(values), x.shape[0]), dtype=np.complex128)
+    row = {v: j for j, v in enumerate(values)}
     base = np.exp(2j * np.pi * x)
     power = np.ones(x.shape[0], dtype=np.complex128)
     for v in range(max(abs(v) for v in values) + 1):
         if v:
-            power = power * base
-        if v in column:
-            out[:, column[v]] = power
-        if -v in column:
-            out[:, column[-v]] = np.conj(power)
+            np.multiply(power, base, out=power)
+        if v in row:
+            out[row[v]] = power
+        if -v in row:
+            np.conjugate(power, out=out[row[-v]])
     return out

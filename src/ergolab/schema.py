@@ -49,6 +49,22 @@ MAX_N = 2**16
 MAX_SAMPLES = 10**6
 MAX_PROBE_SAMPLES = 2**16
 
+#: largest spectral-probe ``toeplitz_size``: ``eigvalsh`` of a size^2 complex
+#: matrix took 2.1 s and 263 MiB at 2,048; cubic time, so about 17 s at 4,096
+MAX_TOEPLITZ_SIZE = 2048
+
+#: largest identity-disjoint ``consistency_degree``: (2d+1)^2 - 1 characters per
+#: joining; 3.5 s and 74 MiB at 128, 14.6 s and 167 MiB at 256
+MAX_CONSISTENCY_DEGREE = 128
+
+#: largest example1 ``invariance_degree``: (2d+1)^4 - 1 characters, each
+#: integrated exactly twice; 4.1 s and 96 MiB at 8, 8.4 s and 168 MiB at 10
+MAX_INVARIANCE_DEGREE = 8
+
+#: largest ``max_freq``: (2m+1)^2 characters per joining; identity-disjoint took
+#: 2.3 s at 64 (2.9 s at N = 2^16) and 9.0 s at 128, example1 1.2 s at 64
+MAX_FREQ = 64
+
 
 def check_factor_lists(factors, field: str = "factors") -> None:
     """Refuse rel-indep factors that are not two lists of int coordinates."""
@@ -171,17 +187,17 @@ KNOBS = {
             {"point": ["0"], "weight": "1/2"},
             {"point": ["1/2"], "weight": "1/2"},
         ]}),
-        "max_freq": Field("int", 8, minimum=1),
+        "max_freq": Field("int", 8, minimum=1, maximum=MAX_FREQ),
         "N": Field("int", 4096, minimum=1, maximum=MAX_N),
         "samples": Field("int", 4096, minimum=1, maximum=MAX_SAMPLES),
-        "consistency_degree": Field("int", 3, minimum=1),
+        "consistency_degree": Field("int", 3, minimum=1, maximum=MAX_CONSISTENCY_DEGREE),
     },
     "example1": {
         "angle": Field("rational", "1/5"),
         "slope": Field("rational", "1"),
         "N": Field("int", 4096, minimum=1, maximum=MAX_N, check=require_wiener_length),
-        "max_freq": Field("int", 8, minimum=1),
-        "invariance_degree": Field("int", 2, minimum=1),
+        "max_freq": Field("int", 8, minimum=1, maximum=MAX_FREQ),
+        "invariance_degree": Field("int", 2, minimum=1, maximum=MAX_INVARIANCE_DEGREE),
         "statistical": Field("bool", True),
         "statistical_exponent": Field("int", 2),
         "statistical_samples": Field("int", 20000, minimum=1, maximum=MAX_SAMPLES),
@@ -208,7 +224,7 @@ KNOBS = {
         "samples": Field("int", 4096, minimum=1, maximum=MAX_PROBE_SAMPLES),
         "candidates": Field(Field("scalar"), []),
         "eigenvalue_queries": Field(Field("query"), []),
-        "toeplitz_size": Field("int", 64, minimum=1),
+        "toeplitz_size": Field("int", 64, minimum=1, maximum=MAX_TOEPLITZ_SIZE),
     },
 }
 

@@ -5,6 +5,8 @@ statistical checks use the 4-sigma protocol with the stated sample counts.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import json
+import re
 import time
 from fractions import Fraction
 
@@ -288,6 +290,22 @@ def test_rank1_family():
 # criterion 7: determinism
 # ---------------------------------------------------------------------------
 
+#: product-closure writes wall time into its ``consistency-*`` checks'
+#: observed text, "... (242 characters, 0.1s)" (ROADMAP O1)
+ELAPSED_TOKEN = re.compile(r", [0-9]+\.[0-9]+s\)$")
+
+
+def _elapsed_masked(canonical: bytes) -> tuple[bytes, int]:
+    """The report with each ``consistency-*`` elapsed-seconds token masked, as
+    the benchmark's digest masks it, and the number of tokens masked."""
+    doc, masked = json.loads(canonical), 0
+    for check in doc["checks"]:
+        if check["check_id"].startswith("consistency-"):
+            check["observed"], hits = ELAPSED_TOKEN.subn(", <elapsed>s)", check["observed"])
+            masked += hits
+    return (json.dumps(doc, sort_keys=True).encode() if masked else canonical), masked
+
+
 def test_report_determinism():
     ok = True
     for experiment, overrides in [
@@ -303,10 +321,13 @@ def test_report_determinism():
             "observable": {"freqs": [0, 1], "centered": True}, "N": 256,
             "samples": 1024, "toeplitz_size": 16,
             "eigenvalue_queries": [{"angle": "0"}]}),
+        ("product-closure", {"samples": 2048, "degree": 1}),
     ]:
         config_a = ExperimentConfig.resolve(experiment, 99, overrides)
         config_b = ExperimentConfig.resolve(experiment, 99, overrides)
-        bytes_a = run_experiment(config_a).canonical_bytes()
-        bytes_b = run_experiment(config_b).canonical_bytes()
+        bytes_a, masked_a = _elapsed_masked(run_experiment(config_a).canonical_bytes())
+        bytes_b, masked_b = _elapsed_masked(run_experiment(config_b).canonical_bytes())
         ok &= bytes_a == bytes_b
+        # only product-closure's two consistency checks carry the token
+        ok &= masked_a == masked_b == (2 if experiment == "product-closure" else 0)
     record("determinism (byte-identical reports modulo wall clock)", ok)

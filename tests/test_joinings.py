@@ -2,8 +2,12 @@
 
 import cmath
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from ergolab.schema import parse
 from ergolab.spectral import correlation_sequence, detect_eigenvalue
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ROT_THIRD = {"kind": "rotation", "params": {"angle": "1/3"}}
 TWIST = {"kind": "twist", "params": {}}
@@ -461,10 +466,11 @@ def test_a_key_and_its_negative_read_exact_conjugates(arity):
         assert abs(means[k] - complex(character_array(k, points).mean())) <= 1e-12
 
 
-def test_character_means_of_the_closure_box_peak_below_9_mib():
+def test_character_means_of_the_closure_box_peak_below_3_mib():
     """One call on product-closure's shape: 30,000 samples, 3,124 characters.
-    The right table holds only the keys whose first right-half coordinate is
-    >= 0: 75 columns, not 125 (11.8 MiB peak with both signs tabulated)."""
+    Per block of ``MEANS_BLOCK_ROWS`` samples the tables are (columns, samples):
+    25 left columns, and 75 right ones, as the right table holds only the keys
+    whose first right-half coordinate is >= 0.  Measured peak: 2.5 MiB."""
     points = np.random.default_rng(5).random((30000, 5))
     box = frequency_box(5, 2, skip_zero=True)
     tracemalloc.start()
@@ -473,7 +479,34 @@ def test_character_means_of_the_closure_box_peak_below_9_mib():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 2**20
+    assert peak <= 3 * 2**20
+
+
+#: prints the bytes that one kernel call on product-closure's shape leaves allocated
+FIRST_CALL = """
+import tracemalloc
+import numpy as np
+from ergolab.core import frequency_box
+from ergolab.joinings import _character_means
+points = np.random.default_rng(5).random((30000, 5))
+box = frequency_box(5, 2, skip_zero=True)
+tracemalloc.start()
+before, _ = tracemalloc.get_traced_memory()
+_character_means(points, box)
+after, _ = tracemalloc.get_traced_memory()
+print(after - before)
+"""
+
+
+def test_a_first_character_means_call_leaves_at_most_64_kib_allocated():
+    """In a fresh interpreter, so that a module the kernel's first call imports
+    lazily (``np.unique`` keeps about 1 MiB so) is counted."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FIRST_CALL], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) <= 64 * 2**10
 
 
 def _closure_joinings():

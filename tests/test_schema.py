@@ -31,11 +31,15 @@ from ergolab.rank1 import Rank1Spec
 from ergolab.schema import (
     KNOBS,
     MAX_CLOSURE_DEGREE,
+    MAX_CONSISTENCY_DEGREE,
     MAX_CYCLIC_ORDER,
+    MAX_FREQ,
+    MAX_INVARIANCE_DEGREE,
     MAX_N,
     MAX_PREFIX_LENGTH,
     MAX_PROBE_SAMPLES,
     MAX_SAMPLES,
+    MAX_TOEPLITZ_SIZE,
     REQUIRED,
     SPECS,
     Field,
@@ -208,6 +212,14 @@ def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path)
     ("example1", "N", MAX_N, MAX_N + 1),
     ("rank1-family", "N", MAX_N, 10**9),
     ("spectral-probe", "N", MAX_N, 2**40),
+    # eigvalsh of a 65,537^2 complex matrix, about 64 GiB, at N = 65,536
+    ("spectral-probe", "toeplitz_size", MAX_TOEPLITZ_SIZE, 65537),
+    ("spectral-probe", "toeplitz_size", MAX_TOEPLITZ_SIZE, MAX_TOEPLITZ_SIZE + 1),
+    ("identity-disjoint", "consistency_degree", MAX_CONSISTENCY_DEGREE,
+     MAX_CONSISTENCY_DEGREE + 1),
+    ("example1", "invariance_degree", MAX_INVARIANCE_DEGREE, MAX_INVARIANCE_DEGREE + 1),
+    ("identity-disjoint", "max_freq", MAX_FREQ, MAX_FREQ + 1),
+    ("example1", "max_freq", MAX_FREQ, 10**6),
 ])
 def test_a_costly_knob_is_refused_before_anything_is_built(experiment, knob, bound, value,
                                                            tmp_path, monkeypatch):
