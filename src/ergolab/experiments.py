@@ -540,26 +540,34 @@ def _run_product_closure(config: ExperimentConfig) -> list[Check]:
     return checks
 
 
-def _itinerary_coherent(m: Rank1Map, word: str) -> bool:
+def _itinerary_coherent(m: Rank1Map, word: int) -> bool:
     """The base point's orbit at the map's full depth, walked on integer units
     and tied to normalized coordinates by the exact map at both ends: it
-    climbs levels 0, 1, ..., L - 1 in order, and its letters, 'T' on the
-    3**depth base units and 's' on spacer units, spell ``word``."""
+    climbs levels 0, 1, ..., L - 1 in order, and its letters, T on the
+    3**depth base units and s on spacer units, spell the bit string ``word``
+    (T = 1, first letter most significant)."""
+    if word.bit_length() != m.length:
+        return False
     units, levels = m.base_orbit()
 
     def midpoint(unit) -> Fraction:
         return Fraction(2 * int(unit) + 1, 2 * m.length)
 
     x = m.level_interval(0)[0] + Fraction(1, 2 * m.total_units)
-    is_base = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("T")
+    pad = -m.length % 8  # the word's bits, left-aligned in whole bytes
+    letters = (word << pad).to_bytes((m.length + pad) // 8, "big")
+    is_base = np.unpackbits(np.frombuffer(letters, dtype=np.uint8), count=m.length)
     ends_and_letters = (
         x == midpoint(units[0]) and m.level_of(x) == 0
         and m.apply(x) == midpoint(units[1])
         and m.level_of(midpoint(units[-1])) == m.length - 1
-        and np.array_equal(units < 3 ** m.depth, is_base)
+        and np.array_equal(units < 3 ** m.depth, is_base.view(bool))
     )
-    del units, is_base  # freed before the level order is compared
-    return ends_and_letters and np.array_equal(levels, np.arange(m.length))
+    del letters, is_base
+    # the level order, compared step by step in the units' buffer: levels
+    # 0, 1, ..., L - 1 exactly when the first is 0 and every step is +1
+    steps = np.subtract(levels[1:], levels[:-1], out=units[1:])
+    return bool(ends_and_letters and levels[0] == 0 and steps.min() == 1 == steps.max())
 
 
 def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
@@ -592,8 +600,8 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     rec_ok = True
     probe = Rank1Spec.from_rational(params[-1], knobs["word_stage_max"])
     for n, word in enumerate(rank1_words(probe, knobs["word_stage_max"])):
-        rec_ok &= len(word) == word_lengths(n)
-        rec_ok &= word.count("T") == 3 ** n
+        rec_ok &= word.bit_length() == word_lengths(n)
+        rec_ok &= word.bit_count() == 3 ** n
     del word  # the last stage is the largest word of the run; no later check reads it
     checks.append(Check(
         check_id="word-recursion-invariants",
@@ -648,16 +656,21 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     ))
 
     # exact map bookkeeping per depth
-    def distinct(units: np.ndarray) -> bool:
-        return bool(np.all(np.diff(np.sort(units)) > 0))
+    def distinct(units: np.ndarray, length: int) -> bool:
+        """No unit of [0, length) is listed twice, by one mark per unit."""
+        if units.min() < 0 or units.max() >= length:
+            return False
+        marks = np.zeros(length, dtype=bool)
+        marks[units] = True
+        return bool(np.count_nonzero(marks) == len(units))
 
     map_ok = True
     words = rank1_words(first, depth)
     next(words)  # maps start at depth 1
     for d, word in enumerate(words, start=1):
         m = rank1_map(first, d)
-        map_ok &= distinct(m.level_starts[:-1])  # sources
-        map_ok &= distinct(m.level_starts[1:])  # images
+        map_ok &= distinct(m.level_starts[:-1], m.length)  # sources
+        map_ok &= distinct(m.level_starts[1:], m.length)  # images
         map_ok &= m.undefined_measure <= Fraction(1, 3) ** (d - 1) * Fraction(1, 3)
         map_ok &= m.word == word
     checks.append(Check(

@@ -11,11 +11,14 @@ Bookkeeping is purely integral: at depth d every level is one unit of width
 with levels [j/L_d, (j+1)/L_d).  The map is the translation sending level i to
 level i+1; the top level stays undefined at a finite stage.
 
-Words are built stage by stage: ``rank1_words`` makes B_{n+1} from B_n by one
-join of three copies and a spacer letter, so reaching stage n holds B_{n-1}
-and B_n at once, about 4/3 x L_n bytes.  ``rank1_map`` fills one preallocated
-array of level starts in place, stage by stage, and a map computes its
-unit-to-level table and its translations only when first read.
+A word is a bit string held in a Python int, letters most significant first,
+T = 1 and s = 0; every word starts with T, so its length is ``bit_length()``
+and its height ``bit_count()``.  ``rank1_words`` makes B_{n+1} from B_n by
+shifts and ors, so reaching stage n holds B_{n-1}, B_n and a shifted copy, about
+L_n / 3 bytes at stage n.  ``rank1_map`` fills one preallocated int32 array of
+level starts in place, stage by stage (every level index is below L_14 < 2^31),
+and a map computes its int32 unit-to-level table and translations only when
+first read.
 
 Depth limit: ``rank1_word``, ``rank1_words``, ``rank1_map`` and
 ``stage_level_positions`` raise DepthExceededError, before allocating anything,
@@ -150,7 +153,7 @@ class TowerStage:
     """Stage-n tower word over {T, s}: T marks base mass, s marks spacer mass."""
 
     stage: int
-    word: str
+    word: int  # bit string, first letter most significant, T = 1, s = 0
     height: int  # number of T letters
     length: int  # total number of levels
 
@@ -173,14 +176,15 @@ def refuse_oversized_tower(levels: int, what: str) -> None:
         )
 
 
-def rank1_words(spec: Rank1Spec, n: int) -> Iterator[str]:
-    """The stage words B_0, ..., B_n: B_0 = "T"; B_{k+1} = B_k s B_k B_k when
-    a_{k+1} = 0, B_k B_k s B_k when a_{k+1} = 1.
+def rank1_words(spec: Rank1Spec, n: int) -> Iterator[int]:
+    """The stage words B_0, ..., B_n as bit strings (T = 1, s = 0, first letter
+    most significant): B_0 = T; B_{k+1} = B_k s B_k B_k when a_{k+1} = 0,
+    B_k B_k s B_k when a_{k+1} = 1.
 
-    Each stage is one join of the stage before it, which the generator then
-    drops, so a caller that keeps only the current word holds about 4/3 x L_n
-    bytes at stage n.  The stage is checked when this is called, before the
-    first word is made."""
+    Each stage is made from the stage before it by shifts and ors, and the
+    generator then drops that stage, so a caller that keeps only the current
+    word holds about L_n / 3 bytes at stage n.  The stage is checked when this
+    is called, before the first word is made."""
     if n < 0:
         raise SpecValidationError("n", f"stage must be >= 0, got {n}")
     if n > spec.depth:
@@ -189,11 +193,18 @@ def rank1_words(spec: Rank1Spec, n: int) -> Iterator[str]:
     return _stage_words(spec.digit_stream(n))
 
 
-def _stage_words(digits: tuple[int, ...]) -> Iterator[str]:
-    word = "T"
+def _next_word(word: int, length: int, digit: int) -> int:
+    """B s B B (digit 0) or B B s B (digit 1) for the stage word B of ``length``
+    letters, as (B s B or B B) then s B or B: no temporary is longer than the
+    result, so at most 7 x ``length`` bits are held at once."""
+    return (word << (length + 1 - digit) | word) << (length + digit) | word
+
+
+def _stage_words(digits: tuple[int, ...]) -> Iterator[int]:
+    word = 1
     yield word
     for d in digits:
-        word = "".join((word, "s", word, word) if d == 0 else (word, word, "s", word))
+        word = _next_word(word, word.bit_length(), d)
         yield word
 
 
@@ -201,7 +212,7 @@ def rank1_word(spec: Rank1Spec, n: int) -> TowerStage:
     """The stage-n word, the last of ``rank1_words(spec, n)``."""
     for word in rank1_words(spec, n):
         pass
-    return TowerStage(stage=n, word=word, height=word.count("T"), length=len(word))
+    return TowerStage(stage=n, word=word, height=word.bit_count(), length=word.bit_length())
 
 
 def copy_offsets(prev_length: int, digit: int) -> tuple[int, int, int]:
@@ -294,22 +305,22 @@ class Rank1Map:
     """
 
     depth: int
-    level_starts: np.ndarray  # int64, length L_d
-    word: str
+    level_starts: np.ndarray  # int32, length L_d
+    word: int  # the stage-d word as a bit string, as ``rank1_word`` gives it
 
     def __post_init__(self):
         self.length = len(self.level_starts)
 
     @cached_property
     def _level_of_unit(self) -> np.ndarray:
-        """Raw unit index -> level index, built on first use."""
-        level_of_unit = np.empty(self.length, dtype=np.int64)
-        level_of_unit[self.level_starts] = np.arange(self.length)
+        """Raw unit index -> level index (int32), built on first use."""
+        level_of_unit = np.empty(self.length, dtype=np.int32)
+        level_of_unit[self.level_starts] = np.arange(self.length, dtype=np.int32)
         return level_of_unit
 
     @cached_property
     def _translations(self) -> np.ndarray:
-        """Units by which level i moves onto level i+1, built on first use."""
+        """Units by which level i moves onto level i+1 (int32), built on first use."""
         return self.level_starts[1:] - self.level_starts[:-1]
 
     @property
@@ -325,11 +336,12 @@ class Rank1Map:
         lo = Fraction(int(self.level_starts[i]), self.length)
         return lo, lo + Fraction(1, self.length)
 
-    def level_of(self, x: Fraction) -> int:
-        if not 0 <= x < 1:
+    def level_of(self, x: Fraction | int) -> int:
+        # floor(x L) in integers; the denominator is positive
+        num, den = x.numerator, x.denominator
+        if not 0 <= num < den:
             raise SpecValidationError("x", f"{x} is outside [0, 1)")
-        unit = int(x * self.length)
-        return int(self._level_of_unit[unit])
+        return int(self._level_of_unit[num * self.length // den])
 
     def apply(self, x: Fraction) -> Fraction:
         level = self.level_of(x)
@@ -337,7 +349,10 @@ class Rank1Map:
             raise DepthExceededError(
                 f"point {x} lies in the top level of the depth-{self.depth} tower"
             )
-        return x + Fraction(int(self._translations[level]), self.length)
+        # x + t / L as one fraction, normalized once
+        den = x.denominator
+        return Fraction(x.numerator * self.length + int(self._translations[level]) * den,
+                        den * self.length)
 
     def base_orbit(self) -> tuple[np.ndarray, np.ndarray]:
         """Units and levels of the orbit x, Tx, ..., T^(L-1) x of the base point.
@@ -346,14 +361,15 @@ class Rank1Map:
         u = level_starts[0], and every translation is a whole number of units,
         so the orbit is the integer walk u + cumsum(translations).  Entry i of
         the levels is the level holding T^i x, or -1 if the walk left the space.
+        Both arrays are int32, as the tables they are read from.
         """
-        units = np.empty(self.length, dtype=np.int64)
+        units = np.empty(self.length, dtype=np.int32)
         units[0] = 0
-        np.cumsum(self._translations, out=units[1:])
+        np.cumsum(self._translations, dtype=np.int32, out=units[1:])
         units += self.level_starts[0]
         # the clipped gather reads a level for every entry; those of units
         # outside the space are then overwritten
-        levels = self._level_of_unit.take(units, mode="clip")
+        levels = self._level_of_unit[np.clip(units, 0, self.length - 1)]
         levels[units < 0] = -1
         levels[units >= self.length] = -1
         return units, levels
@@ -380,9 +396,9 @@ def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
         raise DepthExceededError(f"depth {depth} exceeds constructed depth {spec.depth}")
     refuse_oversized_tower(word_lengths(depth), f"the depth-{depth} map")
     digits = spec.digit_stream(depth)
-    starts = np.empty(word_lengths(depth), dtype=np.int64)
+    starts = np.empty(word_lengths(depth), dtype=np.int32)
     starts[0] = 0
-    word = "T"
+    word = 1  # T
     length = 1  # levels, and raw units, of the tower built so far
     for d in digits:
         # the three columns land at the copy offsets; the spacer comes from the
@@ -393,7 +409,7 @@ def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
         np.add(first, 1, out=starts[second:second + length])
         np.add(first, 2, out=starts[third:third + length])
         starts[2 * length if d else length] = 3 * length
-        word = "".join((word, "s", word, word) if d == 0 else (word, word, "s", word))
+        word = _next_word(word, length, d)
         length = 3 * length + 1
     return Rank1Map(depth=depth, level_starts=starts, word=word)
 

@@ -35,6 +35,12 @@ MAX_CYCLIC_ORDER = 2**16
 #: at 100,000 samples degree 4 took 2.6 s and 111 MiB, degree 5 6.7 s, 187 MiB
 MAX_CLOSURE_DEGREE = 4
 
+#: largest product-closure samples x ((2 degree + 1)^5 - 1), the character values
+#: one joining's sampled test reads: at 5.9e9, degree 4 with 100,000 samples took
+#: 1.7 s and 90 MiB, degree 3 with 350,000 samples 3.0 s and 78 MiB; degree 2 at
+#: MAX_SAMPLES is 3.1e9 (2.5 s, 130 MiB), degree 4 at MAX_SAMPLES 5.9e10 (~26 s)
+MAX_CLOSURE_WORK = 6 * 10**9
+
 #: largest rank1-family ``prefix_length``: the continuity check builds 2^(p+1)
 #: towers, about 6x the time per step (0.66 s at p = 10)
 MAX_PREFIX_LENGTH = 10
@@ -66,6 +72,17 @@ MAX_INVARIANCE_DEGREE = 8
 MAX_FREQ = 64
 
 
+def check_closure_budget(knobs: dict, path: str) -> None:
+    """Refuse product-closure knobs whose samples x characters exceed MAX_CLOSURE_WORK."""
+    characters = (2 * knobs["degree"] + 1) ** 5 - 1
+    work = knobs["samples"] * characters
+    if work > MAX_CLOSURE_WORK:
+        raise SpecValidationError(path, f"samples x characters must be <= {MAX_CLOSURE_WORK}, "
+                                        f"got {work} ({path}.samples = {knobs['samples']} x "
+                                        f"{characters} characters at {path}.degree = "
+                                        f"{knobs['degree']})")
+
+
 def check_factor_lists(factors, field: str = "factors") -> None:
     """Refuse rel-indep factors that are not two lists of int coordinates."""
     if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
@@ -77,7 +94,8 @@ class Field(NamedTuple):
     """One key of a table.  ``type`` is a scalar type of ``TYPES``, the name of
     a spec in ``SPECS``, an inline table, or the Field of an array's items.  A
     ``default`` of None lets the key be left out; ``minimum`` and ``maximum``
-    bound a number or an array's length."""
+    bound a number or an array's length; ``check`` sees the value once parsed,
+    a record with its defaults filled in."""
 
     type: "str | dict | Field"
     default: object = None
@@ -250,9 +268,14 @@ def parse(doc, name: str, path: str = ""):
     return _record(doc, {"kind": Field("json"), **fields}, path)
 
 
+#: checks that read several knobs of one experiment at once
+KNOB_CHECKS = {"product-closure": check_closure_budget}
+
+
 def parse_knobs(experiment: str, overrides: Mapping) -> dict:
     """Check an experiment's knob overrides; returns every knob, defaults filled in."""
-    return _value(overrides, Field(KNOBS[experiment]), "knobs")
+    return _value(overrides, Field(KNOBS[experiment], check=KNOB_CHECKS.get(experiment)),
+                  "knobs")
 
 
 def _at(path: str, key) -> str:
@@ -289,12 +312,14 @@ def _value(value, f: Field, path: str):
         raise SpecValidationError(path, f"{what}must be >= {f.minimum}, got {size}")
     if f.maximum is not None and size > f.maximum:
         raise SpecValidationError(path, f"{what}must be <= {f.maximum}, got {size}")
-    if f.check is not None:
-        f.check(value, path)
     if is_array:
-        return [_value(v, kind, f"{path}[{i}]") for i, v in enumerate(value)]
-    if isinstance(kind, dict):
+        value = [_value(v, kind, f"{path}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(kind, dict):
         if not isinstance(value, Mapping):
             raise SpecValidationError(path, f"expected an object, got {value!r}")
-        return _record(value, kind, path)
-    return parse(value, kind, path) if kind in SPECS else value
+        value = _record(value, kind, path)
+    elif kind in SPECS:
+        value = parse(value, kind, path)
+    if f.check is not None:
+        f.check(value, path)
+    return value

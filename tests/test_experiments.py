@@ -33,6 +33,15 @@ def small_config(experiment: str, seed: int = 31415) -> ExperimentConfig:
     return ExperimentConfig.resolve(experiment, seed, overrides)
 
 
+def as_text(word: int) -> str:
+    """A rank-one bit word as letters: first letter most significant, T = 1, s = 0."""
+    return format(word, "b").replace("1", "T").replace("0", "s")
+
+
+def as_bits(letters: str) -> int:
+    return int(letters.replace("T", "1").replace("s", "0"), 2)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ def test_word_recursion_check_fails_on_a_dropped_letter(monkeypatch):
     def dropping(spec, n):
         for stage, word in enumerate(real(spec, n)):
             # only the recursion check reaches stage 7 at these knobs
-            yield word[1:] if stage == 7 else word
+            yield as_bits(as_text(word)[1:]) if stage == 7 else word
 
     monkeypatch.setattr(rank1, "rank1_words", dropping)  # read by the runner at call time
     checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
@@ -163,7 +172,7 @@ def test_map_partition_check_fails_on_a_map_whose_word_is_permuted(monkeypatch):
     def swapping(spec, depth=None):
         m = real(spec, depth)
         if m.depth == 5:  # continuity builds depth 4, the itinerary depth 6
-            m.word = m.word.replace("sT", "Ts", 1)
+            m.word = as_bits(as_text(m.word).replace("sT", "Ts", 1))
         return m
 
     monkeypatch.setattr(rank1, "rank1_map", swapping)  # read by the runner at call time
@@ -171,13 +180,15 @@ def test_map_partition_check_fails_on_a_map_whose_word_is_permuted(monkeypatch):
     assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
 
 
-@pytest.mark.parametrize("depth, mib", [(10, 10), (12, 36)])
+@pytest.mark.parametrize("depth, mib", [(10, 3), (12, 21)])
 def test_rank1_family_peaks_below_its_bound(depth, mib):
-    """At depth 10 the stage-14 word walk sets the peak, at about
-    4/3 x L_14 = 9.1 MiB; building each stage from scratch with three
-    temporaries took 16 MiB.  At depth 12 the itinerary check sets it, at
-    about 45 x L_12 = 34.3 MiB, with the stage-14 word freed and the last
-    map of the partition check reused (51.8 MiB before)."""
+    """The itinerary check sets the peak at both depths, at about 24 x L_d
+    bytes: the map's int32 level starts and two int32 tables, the int32 orbit
+    units and levels, and the clipped copy of the units the levels are
+    gathered through, 2.2 MiB at depth 10 and 18.6 MiB at depth 12.  The
+    stage-14 bit word walk peaks at 2.1 MiB.  With text words and int64
+    towers the word walk set the depth-10 peak at 9.1 MiB and the itinerary
+    check the depth-12 peak at 34.3 MiB."""
     config = ExperimentConfig.resolve("rank1-family", 2024, {"depth": depth})
     tracemalloc.start()
     try:

@@ -37,6 +37,20 @@ from ergolab.rank1 import (
 F = Fraction
 
 
+def text(word: int) -> str:
+    """A bit-string word as letters: first letter most significant, T = 1, s = 0."""
+    return format(word, "b").replace("1", "T").replace("0", "s")
+
+
+def letter_words(digits):
+    """Reference: the stage words B_0..B_n as text, by the letter recursion."""
+    words = ["T"]
+    for d in digits:
+        b = words[-1]
+        words.append(b + "s" + b + b if d == 0 else b + b + "s" + b)
+    return words
+
+
 # ---------------------------------------------------------------------------
 # digits
 # ---------------------------------------------------------------------------
@@ -72,7 +86,7 @@ def test_dyadic_rationals_terminate_in_zeros():
 def test_word_stage_zero():
     spec = Rank1Spec.from_rational("2/3", 4)
     stage = rank1_word(spec, 0)
-    assert stage.word == "T" and stage.height == 1 and stage.length == 1
+    assert stage.word == 0b1 and stage.height == 1 and stage.length == 1
 
 
 def test_word_lengths_and_heights_table():
@@ -84,8 +98,8 @@ def test_word_lengths_and_heights_table():
 
 
 def test_word_first_stage_by_digit():
-    assert rank1_word(Rank1Spec.from_digits([0]), 1).word == "TsTT"
-    assert rank1_word(Rank1Spec.from_digits([1]), 1).word == "TTsT"
+    assert rank1_word(Rank1Spec.from_digits([0]), 1).word == 0b1011  # TsTT
+    assert rank1_word(Rank1Spec.from_digits([1]), 1).word == 0b1101  # TTsT
 
 
 @given(digits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=9))
@@ -99,13 +113,29 @@ def test_word_recursion_invariants(digits):
         cur = rank1_word(spec, n)
         assert cur.length == 3 * prev.length + 1
         assert cur.height == 3 * prev.height
-        assert cur.word.count("s") == cur.length - cur.height
+        assert text(cur.word).count("s") == cur.length - cur.height
         # exactly three block copies of the previous word plus one new spacer
         if digits[n - 1] == 0:
-            assert cur.word == prev.word + "s" + prev.word + prev.word
+            assert text(cur.word) == text(prev.word) + "s" + text(prev.word) * 2
         else:
-            assert cur.word == prev.word + prev.word + "s" + prev.word
+            assert text(cur.word) == text(prev.word) * 2 + "s" + text(prev.word)
         prev = cur
+
+
+@given(digits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_bit_words_spell_the_letter_recursion(digits):
+    """Each walked bit word, read as letters, is the letter recursion's word;
+    its bit length and bit count are that word's length and number of T; and
+    the map of every depth carries the word walked to that stage."""
+    spec = Rank1Spec.from_digits(digits)
+    walked = list(rank1_words(spec, len(digits)))
+    for d, (word, letters) in enumerate(zip(walked, letter_words(digits), strict=True)):
+        assert text(word) == letters
+        assert word.bit_length() == len(letters) == word_lengths(d)
+        assert word.bit_count() == letters.count("T") == 3**d
+        if d >= 1:
+            assert rank1_map(spec, d).word == word
 
 
 def test_word_depth_exceeded():
@@ -122,19 +152,21 @@ def test_word_stage_max_14():
 
 
 def test_walking_the_words_to_stage_14_holds_two_stages_at_most():
-    """Stage n is joined from stage n-1 alone, so the walk peaks near
-    L_13 + L_14 = 4/3 x L_14 bytes; three temporaries per stage took 2.33 x."""
+    """Stage n is shifted and or-ed from stage n-1 alone: B_13 (L_13 bits),
+    the two-copy and the three-copy temporaries and the result (2, 3 and 3 x
+    L_13 bits) peak at 7 x L_13 bits in 30-bit digits of 4 bytes, about
+    0.31 x L_14 bytes.  Text words, one byte per letter, peaked at 4/3 x L_14."""
     spec = Rank1Spec.from_rational("1/3", 14)
     tracemalloc.start()
     try:
         for n, word in enumerate(rank1_words(spec, 14)):
-            assert len(word) == word_lengths(n) and word.count("T") == 3**n
+            assert word.bit_length() == word_lengths(n) and word.bit_count() == 3**n
         del word
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert n == 14
-    assert peak < 1.5 * word_lengths(14)
+    assert peak < 0.35 * word_lengths(14)
 
 
 @pytest.mark.parametrize("depth", [20, 40])
@@ -177,8 +209,8 @@ def test_depth1_map_structure():
 
 
 def concatenated_tower(digits):
-    """Reference: level starts and word rebuilt at every stage by concatenating
-    the three scaled columns and the spacer drawn from the reserve."""
+    """Reference: int64 level starts and text word rebuilt at every stage by
+    concatenating the three scaled columns and the spacer drawn from the reserve."""
     starts = np.array([0], dtype=np.int64)
     word = "T"
     for d in digits:
@@ -200,9 +232,9 @@ def test_in_place_map_matches_the_concatenated_tower(depth):
         digits = [(bits >> i) & 1 for i in range(depth)]
         m = rank1_map(Rank1Spec.from_digits(digits))
         starts, word = concatenated_tower(digits)
-        assert m.level_starts.dtype == np.int64
+        assert m.level_starts.dtype == np.int32
         assert np.array_equal(m.level_starts, starts)
-        assert m.word == word
+        assert text(m.word) == word
 
 
 def test_map_tables_are_built_on_first_use():
@@ -212,6 +244,21 @@ def test_map_tables_are_built_on_first_use():
     assert "_level_of_unit" in vars(m) and "_translations" not in vars(m)
     m.apply(F(0))
     assert np.array_equal(m._translations, np.diff(m.level_starts))
+    assert m._level_of_unit.dtype == m._translations.dtype == np.int32
+
+
+def test_level_of_floors_x_times_the_length_exactly():
+    """Every unit's left end and midpoint, and the point just below its right
+    end, lie in the level that holds the unit; an int argument reads as x."""
+    m = rank1_map(Rank1Spec.from_digits([0, 1, 1]))
+    L = m.length
+    for level, unit in enumerate(int(u) for u in m.level_starts):
+        assert m.level_of(F(unit, L)) == level
+        assert m.level_of(F(2 * unit + 1, 2 * L)) == level
+        assert m.level_of(F(unit + 1, L) - F(1, 10**30)) == level
+    assert m.level_of(0) == m.level_of(F(0)) == 0
+    with pytest.raises(SpecValidationError):
+        m.level_of(1)
 
 
 def test_map_pieces_partition_support_exactly():
@@ -245,7 +292,7 @@ def test_map_word_coherence():
 def test_itinerary_spells_word_small_depth():
     spec = Rank1Spec.from_digits([0, 1, 0])
     m = rank1_map(spec)
-    word = rank1_word(spec, 3).word
+    word = text(rank1_word(spec, 3).word)
     x = m.level_interval(0)[0] + F(1, 3 * m.length)
     letters = []
     for step in range(m.length):
@@ -260,6 +307,7 @@ def test_itinerary_spells_word_small_depth():
 def test_base_orbit_matches_the_fraction_walk():
     m = rank1_map(Rank1Spec.from_digits([0, 1, 1, 0]))
     units, levels = m.base_orbit()
+    assert units.dtype == levels.dtype == np.int32
     assert np.array_equal(levels, np.arange(m.length))
     x = m.level_interval(0)[0] + F(1, 2 * m.length)
     for step in range(m.length):
@@ -334,7 +382,7 @@ def test_stage_level_positions_consistency():
 def test_level_zero_positions_are_base_mass():
     spec = Rank1Spec.from_digits([0, 0])
     pos = stage_level_positions(spec, 0, 0, 2)
-    word = rank1_word(spec, 2).word
+    word = text(rank1_word(spec, 2).word)
     assert all(word[p] == "T" for p in pos)
     assert pos.size == 9
 
@@ -523,9 +571,36 @@ def test_itinerary_coherence_fails_when_a_base_and_a_spacer_level_swap():
 
     spec = Rank1Spec.from_rational("1/4", 10)
     m = rank1_map(spec, 10)
-    assert (m.word[3], m.word[10]) == ("T", "s")
+    assert (text(m.word)[3], text(m.word)[10]) == ("T", "s")
     starts = m.level_starts.copy()
     starts[[3, 10]] = starts[[10, 3]]
     swapped = Rank1Map(depth=10, level_starts=starts, word=m.word)
     assert np.array_equal(swapped.base_orbit()[1], np.arange(swapped.length))
     assert not _itinerary_coherent(swapped, rank1_word(spec, 10).word)
+
+
+def test_itinerary_coherence_fails_when_only_the_level_order_breaks():
+    """A partition with two levels swapped, walked with the good tower's
+    translations: the ends and letters hold, and only the level order fails."""
+    from ergolab.experiments import _itinerary_coherent
+
+    spec = Rank1Spec.from_rational("1/3", 6)
+    good = rank1_map(spec, 6)
+    swapped = good.level_starts.copy()
+    swapped[[3, 10]] = swapped[[10, 3]]
+    bad = Rank1Map(depth=6, level_starts=swapped, word=good.word)
+    bad._translations = good._translations
+    assert _itinerary_coherent(good, good.word)
+    assert not _itinerary_coherent(bad, good.word)
+
+
+@pytest.mark.parametrize("edit", ["drop", "flip", "append"])
+def test_itinerary_coherence_fails_on_a_wrong_word(edit):
+    from ergolab.experiments import _itinerary_coherent
+
+    spec = Rank1Spec.from_rational("1/4", 5)
+    m = rank1_map(spec, 5)
+    letters = text(m.word)
+    wrong = {"drop": letters[:-1], "flip": letters.replace("sT", "Ts", 1),
+             "append": letters + "T"}[edit]
+    assert not _itinerary_coherent(m, int(wrong.replace("T", "1").replace("s", "0"), 2))

@@ -31,6 +31,7 @@ from ergolab.rank1 import Rank1Spec
 from ergolab.schema import (
     KNOBS,
     MAX_CLOSURE_DEGREE,
+    MAX_CLOSURE_WORK,
     MAX_CONSISTENCY_DEGREE,
     MAX_CYCLIC_ORDER,
     MAX_FREQ,
@@ -243,6 +244,48 @@ def test_a_costly_knob_is_refused_before_anything_is_built(experiment, knob, bou
     assert f"config error: knobs.{knob}: must be <= {bound}, got {value}" in err
     assert peak < 2**20
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("knobs", [
+    {"degree": 4, "samples": 1000000},  # 59,048 characters: about 26 s
+    {"degree": 3, "samples": 400000},
+    {"degree": 4, "samples": 101613},  # the first sample count over the bound at degree 4
+])
+def test_a_costly_product_closure_is_refused_before_anything_is_built(knobs, tmp_path,
+                                                                      monkeypatch):
+    """Each knob within its own maximum, their product over MAX_CLOSURE_WORK."""
+    from ergolab import experiments
+
+    def runner_reached(config):
+        raise AssertionError("the experiment started before the knobs were refused")
+
+    monkeypatch.setitem(experiments._RUNNERS, "product-closure", runner_reached)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "knobs": knobs}))
+    tracemalloc.start()
+    try:
+        code, err = _cli(["run", "product-closure", "--config", str(config),
+                          "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    work = knobs["samples"] * ((2 * knobs["degree"] + 1) ** 5 - 1)
+    assert code == 3
+    assert (f"config error: knobs: samples x characters must be <= {MAX_CLOSURE_WORK}, "
+            f"got {work} (knobs.samples = {knobs['samples']}") in err
+    assert f"at knobs.degree = {knobs['degree']})" in err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("knobs", [
+    {"degree": 4, "samples": 101612}, {"degree": 3, "samples": 357015},
+    {"degree": 2, "samples": MAX_SAMPLES}, {"degree": 1, "samples": MAX_SAMPLES},
+])
+def test_product_closure_within_the_budget_resolves(knobs):
+    work = knobs["samples"] * ((2 * knobs["degree"] + 1) ** 5 - 1)
+    assert work <= MAX_CLOSURE_WORK
+    assert ExperimentConfig.resolve("product-closure", 1, knobs).knobs["samples"] == knobs["samples"]
 
 
 def test_an_affine_cocycle_on_a_missing_base_coordinate_is_refused(tmp_path):
