@@ -14,8 +14,8 @@ level i+1; the top level stays undefined at a finite stage.
 A word is a bit string held in a Python int, letters most significant first,
 T = 1 and s = 0; every word starts with T, so its length is ``bit_length()``
 and its height ``bit_count()``.  ``rank1_words`` makes B_{n+1} from B_n by
-shifts and ors, so reaching stage n holds B_{n-1}, B_n and a shifted copy, about
-L_n / 3 bytes at stage n.  ``rank1_map`` fills one preallocated int32 array of
+shifts and ors, so reaching stage n holds at most 7 x L_{n-1} bits at once,
+about L_n / 3 bytes.  ``rank1_map`` fills one preallocated int32 array of
 level starts in place, stage by stage (every level index is below L_14 < 2^31),
 and a map computes its int32 unit-to-level table and translations only when
 first read.
@@ -193,18 +193,14 @@ def rank1_words(spec: Rank1Spec, n: int) -> Iterator[int]:
     return _stage_words(spec.digit_stream(n))
 
 
-def _next_word(word: int, length: int, digit: int) -> int:
-    """B s B B (digit 0) or B B s B (digit 1) for the stage word B of ``length``
-    letters, as (B s B or B B) then s B or B: no temporary is longer than the
-    result, so at most 7 x ``length`` bits are held at once."""
-    return (word << (length + 1 - digit) | word) << (length + digit) | word
-
-
 def _stage_words(digits: tuple[int, ...]) -> Iterator[int]:
-    word = 1
+    word = 1  # T
     yield word
     for d in digits:
-        word = _next_word(word, word.bit_length(), d)
+        # B s B (d = 0) or B B, then B or s B: no temporary is longer than
+        # the result, so at most 7 x L_k bits are held at once
+        length = word.bit_length()
+        word = (word << (length + 1 - d) | word) << (length + d) | word
         yield word
 
 
@@ -409,7 +405,9 @@ def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
         np.add(first, 1, out=starts[second:second + length])
         np.add(first, 2, out=starts[third:third + length])
         starts[2 * length if d else length] = 3 * length
-        word = _next_word(word, length, d)
+        # the word's copies at the same offsets, apart from the recursion of
+        # ``rank1_words`` that map-partition-exactness compares it with
+        word = (word << second | word) << (third - second) | word
         length = 3 * length + 1
     return Rank1Map(depth=depth, level_starts=starts, word=word)
 

@@ -38,7 +38,8 @@ MAX_CLOSURE_DEGREE = 4
 #: largest product-closure samples x ((2 degree + 1)^5 - 1), the character values
 #: one joining's sampled test reads: at 5.9e9, degree 4 with 100,000 samples took
 #: 1.7 s and 90 MiB, degree 3 with 350,000 samples 3.0 s and 78 MiB; degree 2 at
-#: MAX_SAMPLES is 3.1e9 (2.5 s, 130 MiB), degree 4 at MAX_SAMPLES 5.9e10 (~26 s)
+#: MAX_SAMPLES is 3.1e9 (2.5 s, 130 MiB); degree 4 at MAX_SAMPLES, 5.9e10, would
+#: take about 26 s (extrapolated, not run)
 MAX_CLOSURE_WORK = 6 * 10**9
 
 #: largest rank1-family ``prefix_length``: the continuity check builds 2^(p+1)

@@ -180,6 +180,25 @@ def test_map_partition_check_fails_on_a_map_whose_word_is_permuted(monkeypatch):
     assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
 
 
+@pytest.mark.parametrize("plant", ["repeat", "outside"])
+def test_map_partition_check_fails_on_a_map_that_repeats_or_leaves_a_unit(plant, monkeypatch):
+    """A depth-5 map whose level starts list one unit twice, or a unit past
+    the space, fails the map-partition check alone."""
+    from ergolab import rank1
+
+    real = rank1.rank1_map
+
+    def corrupting(spec, depth=None):
+        m = real(spec, depth)
+        if m.depth == 5:
+            m.level_starts[7] = m.level_starts[8] if plant == "repeat" else m.length
+        return m
+
+    monkeypatch.setattr(rank1, "rank1_map", corrupting)
+    checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
+    assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
+
+
 @pytest.mark.parametrize("depth, mib", [(10, 3), (12, 21)])
 def test_rank1_family_peaks_below_its_bound(depth, mib):
     """The itinerary check sets the peak at both depths, at about 24 x L_d
