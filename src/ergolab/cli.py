@@ -21,6 +21,7 @@ from pathlib import Path
 from ergolab.core import ErgolabError, SpecValidationError, build_system
 from ergolab.experiments import (
     EXPERIMENTS,
+    SEED_LIMIT,
     ExperimentConfig,
     emit_report,
     run_experiment,
@@ -59,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = spec_sub.add_parser("validate", help="validate a system or joining spec")
     validate.add_argument("file")
     return parser
-
-
-SEED_LIMIT = 2**64
 
 
 def _check_seed(value, source: str) -> int:

@@ -882,10 +882,14 @@ class SkewProductSystem(System):
         return SkewProductSystem(base_inv, inv_cocycle, self.group)
 
 
+#: marks a factor integral not yet in a product system's memo (None is a memoized value)
+_MISSING = object()
+
+
 class ProductSystem(System):
     """The product map of the factors.  Its measure is the product of theirs
     unless a joint ``measure`` is given: an invariant measure of the map with
-    those marginals, i.e. a joining."""
+    those marginals, i.e. a joining, which every joining constructor returns."""
 
     def __init__(self, factors: Sequence[System], measure: MeasureHandle | None = None):
         if not factors:
@@ -900,6 +904,26 @@ class ProductSystem(System):
             )
         self._slices = factor_slices(self.factors)
         self.phase_modulus = lcm(*(f.phase_modulus for f in self.factors))
+        #: (factor index, factor frequency) -> the factor's exact integral or None
+        self._factor_integrals: dict = {}
+
+    def integrate(self, k: Sequence[int]) -> Optional[PhaseSum]:
+        """Integral of the character ``k`` against the system's (joint) measure."""
+        return self.measure.integrate_character(tuple(k))
+
+    def product_integral(self, k: Sequence[int]) -> Optional[PhaseSum]:
+        """Integral of the same character against the product of the factors'
+        measures, with ``ProductMeasure``'s rule (``product_of_integrals``).
+
+        Each factor integral is computed once per system and reused."""
+        k, memo, parts = tuple(k), self._factor_integrals, []
+        for i, (f, sl) in enumerate(zip(self.factors, self._slices)):
+            key = (i, k[sl])
+            part = memo.get(key, _MISSING)
+            if part is _MISSING:
+                part = memo[key] = f.measure.integrate_character(key[1])
+            parts.append(part)
+        return product_of_integrals(parts)
 
     def apply(self, point):
         point = validate_point(self.space, point)

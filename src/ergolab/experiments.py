@@ -32,6 +32,7 @@ from ergolab.core import (
     Character,
     IdentitySystem,
     LevelIndicator,
+    ProductSystem,
     SampledPowerMeasure,
     SpecValidationError,
     build_measure,
@@ -51,11 +52,12 @@ from ergolab.spectral import (
     wiener_atomic_mass,
 )
 
-if TYPE_CHECKING:  # joinings and rank1 load in the runners that use them
-    from ergolab.joinings import Joining
+if TYPE_CHECKING:  # rank1 loads in the runner that uses it
     from ergolab.rank1 import Rank1Map
 
 EXPERIMENTS = tuple(KNOBS)
+#: master seeds lie in [0, SEED_LIMIT)
+SEED_LIMIT = 2**64
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +73,11 @@ DEFAULT_KNOBS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run depends on: experiment name, master seed, resolved knobs."""
+    """Everything a run depends on: experiment name, master seed, resolved knobs.
+
+    ``resolve`` is the one way to make one: it refuses an unknown experiment,
+    a seed that is not an int in [0, 2^64) (a bool is not), and knob
+    overrides that do not parse, and fills in every default knob."""
 
     experiment: str
     seed: int
@@ -85,22 +91,12 @@ class ExperimentConfig:
             raise SpecValidationError(
                 "experiment", f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if not isinstance(seed, int) or seed < 0:
-            raise SpecValidationError("seed", "seed is mandatory and must be a nonnegative int")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+            raise SpecValidationError("seed", f"seed must be an integer in [0, 2^64), got {seed!r}")
         parse_knobs(experiment, overrides)
         knobs = json.loads(json.dumps(DEFAULT_KNOBS[experiment]))  # deep copy
         knobs.update(overrides)
         return cls(experiment=experiment, seed=seed, knobs=knobs)
-
-    @classmethod
-    def from_json(cls, doc: dict, *, seed_override: int | None = None) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise SpecValidationError("config", "config must be an object")
-        experiment = doc.get("experiment")
-        seed = seed_override if seed_override is not None else doc.get("seed")
-        if seed is None:
-            raise SpecValidationError("seed", "seed is mandatory (config, --seed, or ERGOLAB_SEED)")
-        return cls.resolve(experiment, int(seed), doc.get("knobs", {}))
 
     def to_json(self) -> dict:
         return {"experiment": self.experiment, "seed": self.seed, "knobs": self.knobs}
@@ -197,14 +193,14 @@ class ExperimentReport:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _stationary_time_average(joining: Joining, k: tuple[int, ...], N: int) -> PhaseSum | None:
+def _stationary_time_average(joining: ProductSystem, k: tuple[int, ...], N: int) -> PhaseSum | None:
     """(1/N) sum_{n<N} integral(char_k o P^n) for the joint map P, exact path.
 
     Fast when the pullback fixes k (our affine product maps): the average is
     integral(char_k) times a geometric mean of unit phases.  Otherwise the
     integrals along the pullback orbit are summed.
     """
-    step = joining.system.char_pullback(k)
+    step = joining.char_pullback(k)
     base = joining.integrate(k)
     if step is None or base is None:
         return None
@@ -213,9 +209,9 @@ def _stationary_time_average(joining: Joining, k: tuple[int, ...], N: int) -> Ph
         if base.is_zero():
             return PhaseSum.zero()
         return base * PhaseSum.sum([PhaseSum.from_rational(Fraction(1, N))] * N, phase)
-    Q = joining.system.phase_modulus
+    Q = joining.phase_modulus
     parts = []
-    for kn, P in pullback_orbit(joining.system, k, N):
+    for kn, P in pullback_orbit(joining, k, N):
         part = joining.integrate(kn)
         if part is None:
             return None
@@ -348,7 +344,7 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
     })
 
     # precondition: the cocycle pushforward of the base measure is atomless
-    base = triple.components[0].measure.factors[0]
+    base = triple.factors[0].measure.factors[0]
     slope_fr = parse_scalar(slope)
     wiener_vals = []
     for n in range(N):
@@ -369,13 +365,13 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
 
     # marginal exactness of the coupled triple
     ok = True
-    for comp, offset in ((0, 0), (1, 2)):
+    for factor, offset in zip(triple.factors, (0, 2)):
         for k1 in range(-max_freq, max_freq + 1):
             for k2 in range(-max_freq, max_freq + 1):
                 k = [0, 0, 0, 0]
                 k[offset], k[offset + 1] = k1, k2
                 joint = triple.integrate(tuple(k))
-                marginal = triple.marginal_integrate(comp, (k1, k2))
+                marginal = factor.measure.integrate_character((k1, k2))
                 ok &= (joint - marginal).is_zero()
     checks.append(Check(
         check_id="triple-marginal-exactness",
@@ -390,7 +386,7 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
     family = frequency_box(4, knobs["invariance_degree"], skip_zero=True)
     inv = invariance_check(triple, family)
     f_before = triple.integrate((0, -1, 0, 1))
-    step = triple.system.char_pullback((0, -1, 0, 1))
+    step = triple.char_pullback((0, -1, 0, 1))
     f_after = triple.integrate(step[0]).rotated(step[1])
     modulus_equal = (f_before.abs2() - f_after.abs2()).is_zero()
     checks.append(Check(
@@ -404,9 +400,8 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
 
     # the rotation factor: eigenvalue mass 1 on the triple, ~0 on the product
     F = Character((0, -1, 0, 1))
-    verdict = detect_eigenvalue(triple.system, F, angle, N)
-    product = product_joining(triple.components)
-    verdict_prod = detect_eigenvalue(product.system, F, angle, N)
+    verdict = detect_eigenvalue(triple, F, angle, N)
+    verdict_prod = detect_eigenvalue(product_joining(triple.factors), F, angle, N)
     eig_ok = abs(verdict.mass - 1.0) <= 1e-9 and verdict.witnessed
     prod_ok = verdict_prod.mass <= 2.0 / N and not verdict_prod.witnessed
     checks.append(Check(
@@ -425,7 +420,7 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
                          rationals=True)
     evo_ok = True
     for p in pts:
-        path = orbit(triple.system, p, 4)
+        path = orbit(triple, p, 4)
         for a, b in zip(path, path[1:]):
             expected_z = (a[3] + slope_fr * a[0] + angle) % 1
             evo_ok &= b[3] == expected_z
@@ -465,7 +460,7 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
                      "base": rho.description},
         ))
         verdict_stat = detect_eigenvalue(
-            stat_triple.system, F, angle, min(N, 256),
+            stat_triple, F, angle, min(N, 256),
             seed=derive_seed(config.seed, "statistical-eigenvalue"),
             samples=knobs["statistical_samples"],
         )
@@ -721,7 +716,7 @@ def _run_spectral_probe(config: ExperimentConfig) -> list[Check]:
     N = knobs["N"]
     seed = derive_seed(config.seed, "probe-correlation")
     seq = correlation_sequence(system, observable, N, seed=seed,
-                               samples=knobs["samples"])
+                               samples=knobs["samples"], path="knobs")
     size = min(knobs["toeplitz_size"], N + 1)
     min_eig = seq.toeplitz_min_eigenvalue(size)
     checks.append(Check(

@@ -1,18 +1,20 @@
 """Joinings: measures on product spaces with prescribed marginals.
 
-A joining is an invariant measure of the components' product map whose
+A joining is an invariant measure of the factors' product map whose
 marginals are their measures, realized as a sampler over the product space plus
-an optional exact character integrator.  It is carried as the measure of a
-``core.ProductSystem`` (the product joining is that map's default measure), so
-the spectral engine applies verbatim to joined systems.  Every claim about a
-joining is made through character integrals.
+an optional exact character integrator.  Every constructor returns the
+``core.ProductSystem`` of the factors carrying the joining as its measure (the
+product joining is that map's default measure), so the spectral engine applies
+verbatim to joined systems.  Every claim about a joining is made through
+character integrals: ``ProductSystem.integrate`` against the joining and
+``ProductSystem.product_integral`` against the product of its marginals.
 
 Construction kinds: product, diagonal, graph (including off-diagonal powers),
-the relatively independent extension over declared factors, the coupled triple
-of a twist and its shifted copy, and programmatic custom samplers.  All but
-the last are images of product measures under coordinate or graph maps
-(``core.ImageMeasure``); custom samplers, and fibers that depend on the drawn
-base point, are given by callables (``JoiningMeasure``).
+the relatively independent extension over declared factors, and the coupled
+triple of a twist and its shifted copy.  All are images of product measures
+under coordinate or graph maps (``core.ImageMeasure``), except relatively
+independent extensions whose fibers depend on the drawn base point: those are
+given by callables (``JoiningMeasure``).
 ``product_consistency_test`` refutes product structure of one given joining and
 is explicitly one-sided: disjointness quantifies over all joinings, which no
 finite procedure certifies.
@@ -27,14 +29,14 @@ one complex matrix product A·Bᵀ / n, accumulated over blocks of
 ``MEANS_BLOCK_ROWS`` samples so that memory does not grow with samples times
 characters, and are read back for the whole family by one integer-array gather
 at the keys' mixed-radix indices.  Exact marginal integrals are computed once
-per joining and component frequency and kept on the ``Joining``.
+per joining and factor frequency and kept on its ``ProductSystem``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -67,7 +69,6 @@ from ergolab.core import (
     make_cocycle,
     make_measure,
     make_system,
-    product_of_integrals,
     rng_from_seed,
     validate_frequencies,
     wrap_unit,
@@ -79,8 +80,6 @@ DEFAULT_CHECK_FAMILY_MAX_FREQ = 2
 SIGMA_FACTOR = 4.0
 #: samples per block of the character-mean kernel; bounds its working memory
 MEANS_BLOCK_ROWS = 1024
-#: marks a marginal integral not yet in a joining's memo (None is a memoized value)
-_MISSING = object()
 
 
 class JoiningConstructionError(ErgolabError):
@@ -97,7 +96,7 @@ class JoiningConstructionError(ErgolabError):
 
 class JoiningMeasure(MeasureHandle):
     """MeasureHandle from callables: integrator + samplers over the product
-    space (custom joinings, and fibers that depend on the base point)."""
+    space (fibers that depend on the base point)."""
 
     def __init__(self, space, integrator, sample_rationals_fn, sample_floats_fn,
                  description: str, exact_flag: bool):
@@ -122,70 +121,27 @@ class JoiningMeasure(MeasureHandle):
         return self._sample_floats(rng, n)
 
 
-@dataclass
-class Joining:
-    """A joining of the component systems: their product map, carrying the
-    joining as its invariant measure, exposed as sampler + integrator."""
-
-    components: list[System]
-    system: ProductSystem
-    #: (component index, component frequency) -> exact marginal integral or None
-    _marginal_integrals: dict = field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
-
-    @property
-    def space(self):
-        return self.system.space
-
-    @property
-    def slices(self) -> list[slice]:
-        return self.system._slices
-
-    @property
-    def exact(self) -> bool:
-        return self.system.measure.exact
-
-    def integrate(self, k: Sequence[int]) -> Optional[PhaseSum]:
-        return self.system.measure.integrate_character(tuple(k))
-
-    def marginal_integrate(self, index: int, k: Sequence[int]) -> Optional[PhaseSum]:
-        return self.components[index].measure.integrate_character(tuple(k))
-
-    def split_frequencies(self, k: Sequence[int]) -> list[FreqVector]:
-        k = tuple(k)
-        return [tuple(k[sl]) for sl in self.slices]
-
-    def product_integral(self, k: Sequence[int]) -> Optional[PhaseSum]:
-        """Integral of the same character against the product of the marginals,
-        with ``ProductMeasure``'s rule (``core.product_of_integrals``).
-
-        Each marginal integral is computed once per joining and reused."""
-        k, memo, parts = tuple(k), self._marginal_integrals, []
-        for i, sl in enumerate(self.system._slices):
-            key = (i, k[sl])
-            part = memo.get(key, _MISSING)
-            if part is _MISSING:
-                part = memo[key] = self.marginal_integrate(i, key[1])
-            parts.append(part)
-        return product_of_integrals(parts)
+#: a joining is the ``ProductSystem`` carrying it; ``perfbench/tracer.py`` wraps
+#: ``product_integral`` and ``integrate`` under this name
+Joining = ProductSystem
 
 
-def sample_joining(joining: Joining, seed: int, count: int, *,
+def sample_joining(joining: ProductSystem, seed: int, count: int, *,
                    rationals: bool = False):
     """Deterministic point stream from the joining (floats, or exact rationals)."""
     if count < 1:
         raise SpecValidationError("count", f"count must be >= 1, got {count}")
     rng = rng_from_seed(seed)
     if rationals:
-        return joining.system.measure.sample_rationals(rng, count)
-    return joining.system.measure.sample_floats(rng, count)
+        return joining.measure.sample_rationals(rng, count)
+    return joining.measure.sample_floats(rng, count)
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-def build_joining(spec: dict, *, path: str = "") -> Joining:
+def build_joining(spec: dict, *, path: str = "") -> ProductSystem:
     """Realize a joining spec document; component entries may be spec documents
     or Systems.  ``path`` prefixes the field named by a validation error."""
     doc = parse(spec, "joining", path)
@@ -206,11 +162,8 @@ def build_joining(spec: dict, *, path: str = "") -> Joining:
     if kind == "rel-indep":
         systems = [make_system(c) for c in params["components"]]
         return rel_indep_joining(systems, params["factors"], params["base"])
-    if kind == "example1-triple":
-        return example1_triple(make_measure(params["base_measure"]),
-                               make_cocycle(params["cocycle"]), parse_scalar(params["angle"]))
-    raise SpecValidationError(
-        "kind", "custom-sampler joinings are programmatic: use custom_joining()")
+    return example1_triple(make_measure(params["base_measure"]),
+                           make_cocycle(params["cocycle"]), parse_scalar(params["angle"]))
 
 
 class _ComposedSystem(System):
@@ -244,13 +197,12 @@ class _ComposedSystem(System):
         return k, P % Q
 
 
-def product_joining(systems: Sequence[System]) -> Joining:
-    systems = list(systems)
-    return Joining(components=systems, system=ProductSystem(systems))
+def product_joining(systems: Sequence[System]) -> ProductSystem:
+    return ProductSystem(systems)
 
 
 def graph_joining(system: System, graph_map: System, *,
-                  check_max_freq: int = DEFAULT_CHECK_FAMILY_MAX_FREQ) -> Joining:
+                  check_max_freq: int = DEFAULT_CHECK_FAMILY_MAX_FREQ) -> ProductSystem:
     """(Id, R)-pushforward of the component measure: the graph of R.
 
     R must preserve the measure and commute with the dynamics; both are checked
@@ -265,8 +217,7 @@ def graph_joining(system: System, graph_map: System, *,
     doubled = ImageMeasure(system.measure, CoordinateMap(arity, tuple(range(arity)) * 2))
     measure = ImageMeasure(doubled, ProductSystem([IdentitySystem(system.measure), graph_map]),
                            description="graph joining")
-    return Joining(components=[system, system],
-                   system=ProductSystem([system, system], measure=measure))
+    return ProductSystem([system, system], measure=measure)
 
 
 def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> None:
@@ -327,7 +278,7 @@ def _factor_system(system: System, coords: Sequence[int]) -> System:
 
 
 def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]],
-                      base: dict | Joining) -> Joining:
+                      base: dict | ProductSystem) -> ProductSystem:
     """Couple two systems through a joining of declared coordinate factors and
     draw the fibers independently.
 
@@ -337,7 +288,7 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     if len(systems) != 2:
         raise SpecValidationError("components", "rel-indep joins two systems")
     check_factor_lists(factors)
-    if not isinstance(base, Joining):
+    if not isinstance(base, ProductSystem):
         base = parse(base, "rel-indep-base", "base")
     s1, s2 = systems
     f1, f2 = tuple(factors[0]), tuple(factors[1])
@@ -352,7 +303,7 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     fac1, fac2 = _factor_system(s1, f1), _factor_system(s2, f2)
     split1, split2 = s1.measure.split(f1), s2.measure.split(f2)
 
-    if isinstance(base, Joining):
+    if isinstance(base, ProductSystem):
         base_joining = base
     elif base["kind"] == "product":
         base_joining = product_joining([fac1, fac2])
@@ -360,11 +311,11 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
         base_joining = graph_joining(fac1, IdentitySystem(fac1.measure))
     else:
         base_joining = graph_joining(fac1, make_system(base["map"]))
-    if [len(c.space) for c in base_joining.components] != [len(f1), len(f2)]:
+    if [len(c.space) for c in base_joining.factors] != [len(f1), len(f2)]:
         raise SpecValidationError("base", "base joining does not match the factor arities")
 
     scatter = CoordinateMap(a1 + a2, sorted(range(a1 + a2), key=order.__getitem__))
-    base_measure, fiber1, fiber2 = base_joining.system.measure, split1.fiber, split2.fiber
+    base_measure, fiber1, fiber2 = base_joining.measure, split1.fiber, split2.fiber
     if isinstance(fiber1, IndependentFiber) and isinstance(fiber2, IndependentFiber):
         source: MeasureHandle = ProductMeasure([base_measure, fiber1.measure, fiber2.measure])
     else:
@@ -393,7 +344,7 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
         def sample_floats(rng, n):
             return np.array([[float(c) for c in p] for p in sample_rationals(rng, n)])
 
-        exact_flag = base_joining.exact and all(
+        exact_flag = base_measure.exact and all(
             isinstance(fiber, ConditionalAtomsFiber) or fiber.measure.exact
             for fiber in (fiber1, fiber2))
         joined_space = s1.space + s2.space
@@ -401,12 +352,11 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
                                 sample_rationals, sample_floats,
                                 description="base point and fibers", exact_flag=exact_flag)
     measure = ImageMeasure(source, scatter, description="relatively independent extension")
-    return Joining(components=[s1, s2],
-                   system=ProductSystem([s1, s2], measure=measure))
+    return ProductSystem([s1, s2], measure=measure)
 
 
 def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle,
-                    angle: Fraction) -> Joining:
+                    angle: Fraction) -> ProductSystem:
     """The coupled triple: a twist and its shifted copy glued along the base.
 
     Components are T(x, y) = (x, y + beta(x)) and R(x, z) = (x, z + beta(x) + angle)
@@ -447,26 +397,7 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle,
     # (x, y, z) -> (x, y, x, z), with y and z drawn independently from Haar
     measure = ImageMeasure(ProductMeasure([base_measure, HaarMeasure(2)]),
                            CoordinateMap(3, (0, 1, 0, 2)), description="coupled twist triple")
-    return Joining(components=[twist, shifted],
-                   system=ProductSystem([twist, shifted], measure=measure))
-
-
-def custom_joining(components: Sequence[System],
-                   sample_rationals_fn, sample_floats_fn,
-                   integrator=None, description: str = "custom joining") -> Joining:
-    """Programmatic joining from user-supplied samplers (and optional integrator)."""
-    systems = list(components)
-    space = tuple(c for s in systems for c in s.space)
-    measure = JoiningMeasure(
-        space,
-        integrator if integrator is not None else (lambda k: None),
-        sample_rationals_fn,
-        sample_floats_fn,
-        description=description,
-        exact_flag=integrator is not None,
-    )
-    return Joining(components=systems,
-                   system=ProductSystem(systems, measure=measure))
+    return ProductSystem([twist, shifted], measure=measure)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +411,7 @@ class InvarianceReport:
     entries: list[dict]
 
 
-def invariance_check(joining: Joining, family: Sequence[Sequence[int]], *,
+def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
                      seed: int | None = None, samples: int = 4096) -> InvarianceReport:
     """Verify that the joining is invariant under the product dynamics.
 
@@ -491,12 +422,12 @@ def invariance_check(joining: Joining, family: Sequence[Sequence[int]], *,
     if not family:
         raise SpecValidationError("family", "character family must be nonempty")
     entries = []
-    exact_ok = joining.exact
+    exact_ok = joining.measure.exact
     if exact_ok:
         passed = True
         for k in family:
             k = validate_frequencies(joining.space, tuple(k))
-            step = joining.system.char_pullback(k)
+            step = joining.char_pullback(k)
             before = joining.integrate(k)
             if step is None or before is None:
                 exact_ok = False
@@ -525,8 +456,8 @@ def invariance_check(joining: Joining, family: Sequence[Sequence[int]], *,
     if samples < 1:
         raise SpecValidationError("samples", f"samples must be >= 1, got {samples}")
     rng = rng_from_seed(seed)
-    points = joining.system.measure.sample_floats(rng, samples)
-    image = joining.system.apply_array(points)
+    points = joining.measure.sample_floats(rng, samples)
+    image = joining.apply_array(points)
     family = [validate_frequencies(joining.space, tuple(k)) for k in family]
     before = _character_means(points, family)
     after = _character_means(image, family)
@@ -577,7 +508,7 @@ def _product_characters(boxes: Sequence[list[FreqVector]]) -> list[FreqVector]:
     return [k for k in keys if any(k)]
 
 
-def product_consistency_test(joining: Joining, degree: int = 2, *,
+def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
                              samples: int = 4096, mode: str = "auto",
                              seed: int | None = None) -> ConsistencyVerdict:
     """Compare the joining's character integrals against the product of marginals.
@@ -592,13 +523,13 @@ def product_consistency_test(joining: Joining, degree: int = 2, *,
         raise SpecValidationError("degree", f"degree must be >= 1, got {degree}")
     if mode not in ("auto", "exact", "sampled"):
         raise SpecValidationError("mode", f"unknown mode {mode!r}")
-    boxes = [frequency_box(len(c.space), degree) for c in joining.components]
+    boxes = [frequency_box(len(c.space), degree) for c in joining.factors]
     characters = _product_characters(boxes)
     note = ("one-sided: only the tested characters of this one joining were "
             "compared; no disjointness claim is implied")
 
-    use_exact = mode != "sampled" and joining.exact and all(
-        c.measure.exact for c in joining.components
+    use_exact = mode != "sampled" and joining.measure.exact and all(
+        c.measure.exact for c in joining.factors
     )
     if mode == "exact" and not use_exact:
         raise UnsupportedOperationError("exact mode requested but not available")
@@ -624,18 +555,19 @@ def product_consistency_test(joining: Joining, degree: int = 2, *,
     if samples < 1:
         raise SpecValidationError("samples", f"samples must be >= 1, got {samples}")
     rng = rng_from_seed(seed)
-    points = joining.system.measure.sample_floats(rng, samples)
+    points = joining.measure.sample_floats(rng, samples)
     sigma = 1.0 / math.sqrt(samples)
     means = _character_means(points, characters)
     marginal_means: dict[int, dict[FreqVector, complex]] = {}
 
     def sampled_product(k: FreqVector) -> complex:
-        # drawn once per component, on its whole box, when first needed
+        # drawn once per factor, on its whole box, when first needed
         total = 1.0 + 0j
-        for i, ki in enumerate(joining.split_frequencies(k)):
+        for i, (factor, sl) in enumerate(zip(joining.factors, joining._slices)):
+            ki = k[sl]
             if i not in marginal_means:
                 rng_i = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
-                pts = joining.components[i].measure.sample_floats(rng_i, samples)
+                pts = factor.measure.sample_floats(rng_i, samples)
                 marginal_means[i] = _character_means(pts, boxes[i])
             total *= marginal_means[i][ki]
         return total

@@ -183,7 +183,6 @@ SPECS = {
                       "base": Field("rel-indep-base", {"kind": "product"})},
         "example1-triple": {"base_measure": Field("measure", HAAR),
                             "cocycle": Field("cocycle", AFFINE), "angle": Field("scalar", "0")},
-        "custom-sampler": {},
     }),
     "rel-indep-base": Spec(kinds={"product": {}, "diagonal": {},
                                   "graph": {"map": Field("system", REQUIRED)}}),

@@ -55,6 +55,11 @@ EIGENVALUE_THRESHOLD = 0.5
 WEAK_MIXING_THRESHOLD = 0.05
 ATOM_GRID_MAX_DENOMINATOR = 64
 PSD_TOLERANCE = 1e-9
+#: largest samples x (N + 1) of a sampled correlation sequence: 55-80 ns each
+#: (4,096 x 4,097 took 0.98 s, 16,384 x 4,097 3.7 s, 1,024 x 16,385 1.4 s), so
+#: 15-21 s at the bound, about example1's statistical part at MAX_SAMPLES
+#: (10^6 x 257); 2^16 x 65,537 would take about 5 minutes
+MAX_SAMPLED_WORK = 2**28
 
 FINITE_FAMILY_CAVEAT = (
     "finite-family, finite-N approximation: absence of detected atoms among the "
@@ -185,13 +190,16 @@ def _as_observable(f) -> Character | LevelIndicator:
 
 
 def correlation_sequence(system: System, f, N: int, center: bool = False, *,
-                         seed: int | None = None, samples: int = 4096) -> CorrelationSeq:
+                         seed: int | None = None, samples: int = 4096,
+                         path: str = "") -> CorrelationSeq:
     """Compute values(n) = <f o T^(-n), f> for n = 0..N (negatives by symmetry).
 
     Exact whenever the system supports exact integration of the relevant
     characters (affine pullback or finite-support orbit sums); the rank-one
     level-indicator path is exact by tower-level counting.  Otherwise a seeded
-    Monte Carlo estimate with per-entry standard errors.
+    Monte Carlo estimate with per-entry standard errors, refused before any
+    point is drawn if samples x (N + 1) exceeds ``MAX_SAMPLED_WORK``; ``path``
+    prefixes the fields that refusal names.
     """
     if N < 1:
         raise SpecValidationError("N", f"order must be >= 1, got {N}")
@@ -208,6 +216,10 @@ def correlation_sequence(system: System, f, N: int, center: bool = False, *,
         raise UnsupportedOperationError(
             "system has no exact path for this observable; pass a seed to sample"
         )
+    if samples * (N + 1) > MAX_SAMPLED_WORK:
+        at = f"{path}." if path else ""
+        raise SpecValidationError(f"{at}samples", f"a sampled sequence needs samples x ({at}N + 1) "
+                                                  f"<= {MAX_SAMPLED_WORK}, got {samples} x {N + 1}")
     return _sampled_sequence(system, k, N, center, seed, samples)
 
 

@@ -68,26 +68,26 @@ def test_example1_chain():
 
     # (a) marginals exact
     marginals_ok = True
-    for comp, offset in ((0, 0), (1, 2)):
+    for factor, offset in zip(triple.factors, (0, 2)):
         for k in frequency_box(2, 8):
             joint_k = [0, 0, 0, 0]
             joint_k[offset], joint_k[offset + 1] = k
             joint = triple.integrate(tuple(joint_k))
-            marginal = triple.marginal_integrate(comp, k)
+            marginal = factor.measure.integrate_character(k)
             marginals_ok &= (joint - marginal).is_zero()
 
     # (b) invariance of F = e(z - y): modulus exactly preserved
     F_freqs = (0, -1, 0, 1)
-    k2, phase = triple.system.char_pullback(F_freqs)
+    k2, phase = triple.char_pullback(F_freqs)
     before = triple.integrate(F_freqs)
     after = triple.integrate(k2).rotated(phase)
     invariance_ok = (before.abs2() - after.abs2()).is_zero() \
         and invariance_check(triple, [F_freqs]).passed
 
     # (c) eigenvalue mass 1 exactly on the triple, <= 2/N on the product
-    verdict = detect_eigenvalue(triple.system, Character(F_freqs), "1/5", N)
-    prod = product_joining(triple.components)
-    verdict_prod = detect_eigenvalue(prod.system, Character(F_freqs), "1/5", N)
+    verdict = detect_eigenvalue(triple, Character(F_freqs), "1/5", N)
+    prod = product_joining(triple.factors)
+    verdict_prod = detect_eigenvalue(prod, Character(F_freqs), "1/5", N)
     eig_ok = (abs(verdict.mass - 1.0) <= 1e-9
               and verdict.mass_squared_exact == 1
               and verdict_prod.mass <= 2.0 / N)

@@ -57,16 +57,37 @@ def test_unknown_knob_rejected():
 
 
 @pytest.mark.parametrize("overrides", [None, [["N", 512]], "N=512"])
-def test_overrides_that_are_not_a_mapping_rejected(overrides):
+def test_overrides_that_are_not_a_mapping_rejected(overrides, tmp_path, capsys):
+    from ergolab.cli import main
+
     with pytest.raises(SpecValidationError):
         ExperimentConfig.resolve("example1", 1, overrides)
-    with pytest.raises(SpecValidationError):
-        ExperimentConfig.from_json({"experiment": "example1", "seed": 1, "knobs": overrides})
+    config = _config_file(tmp_path, {"experiment": "example1", "seed": 1, "knobs": overrides})
+    assert main(["run", "example1", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert "config error: knobs: expected an object" in capsys.readouterr().err
 
 
-def test_seed_is_mandatory():
-    with pytest.raises(SpecValidationError):
-        ExperimentConfig.from_json({"experiment": "example1"})
+def test_seed_is_mandatory(tmp_path, monkeypatch, capsys):
+    from ergolab.cli import main
+
+    with pytest.raises(SpecValidationError, match="seed"):
+        ExperimentConfig.resolve("example1", None)
+    monkeypatch.delenv("ERGOLAB_SEED", raising=False)
+    config = _config_file(tmp_path, {"experiment": "example1"})
+    assert main(["run", "example1", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert "config error: seed is mandatory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed, accepted", [
+    (True, False), (-1, False), (2**64, False), (2**70, False), (0, True), (2**64 - 1, True),
+])
+def test_resolve_accepts_exactly_the_u64_seeds(seed, accepted):
+    if accepted:
+        assert ExperimentConfig.resolve("example1", seed).seed == seed
+    else:
+        with pytest.raises(SpecValidationError, match="seed"):
+            ExperimentConfig.resolve("example1", seed)
 
 
 def test_defaults_are_echoed():

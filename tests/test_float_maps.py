@@ -132,9 +132,9 @@ SYSTEMS = {
     "skew-over-rotation": lambda: SkewProductSystem(
         RotationSystem(F(2, 7)), AffineCocycle(F(5, 2), F(1, 9)), CIRCLE),
     "product": lambda: ProductSystem([RotationSystem(F(1, 5)), twist("2", "1/3")]),
-    "triple": lambda: build_joining(HAAR_TRIPLE).system,
-    "power-triple": lambda: build_joining(POWER_TRIPLE).system,
-    "product-joining": lambda: product_joining([RotationSystem(F(1, 3)), twist()]).system,
+    "triple": lambda: build_joining(HAAR_TRIPLE),
+    "power-triple": lambda: build_joining(POWER_TRIPLE),
+    "product-joining": lambda: product_joining([RotationSystem(F(1, 3)), twist()]),
 }
 
 
@@ -177,7 +177,7 @@ def test_shifted_table_cocycle_is_wrapped_sum():
     base = DiracMixture((CIRCLE,), [(F(1, 2), (F(0),)), (F(1, 2), (F(1, 4),))])
     table = TableCocycle((((F(0),), F(7, 8)), ((F(1, 4),), F(1, 3))))
     triple = example1_triple(base, table, F(2, 5))
-    shifted = triple.components[1].cocycle
+    shifted = triple.factors[1].cocycle
     pts = np.array([[0.0], [0.25], [0.25], [0.0]])
     assert_same_bits(shifted.evaluate_array(pts),
                      (table.evaluate_array(pts) + float(F(2, 5))) % 1.0)
@@ -220,7 +220,7 @@ def reference_sampled(system, k, N, center, seed, samples):
 @pytest.mark.parametrize("k", [(0, -1, 0, 1), (1, 2, -3, 1)])
 @pytest.mark.parametrize("center", [False, True])
 def test_sampled_sequence_bitwise_equal_to_reference_loop(samples, k, center):
-    system = build_joining(POWER_TRIPLE).system
+    system = build_joining(POWER_TRIPLE)
     seq = correlation_sequence(system, k, 20, center=center, seed=99, samples=samples)
     assert seq.provenance == "monte-carlo"
     values, errors = reference_sampled(system, k, 20, center, 99, samples)

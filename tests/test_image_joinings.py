@@ -201,7 +201,7 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
             if base_part is None or p1 is None or p2 is None:
                 return None
             return base_part * p1 * p2
-        base_atoms = base_joining.system.measure.enumerate_atoms()
+        base_atoms = base_joining.measure.enumerate_atoms()
         if base_atoms is None:
             return None
         total = PhaseSum.zero()
@@ -215,7 +215,7 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
         return total
 
     def sample_rationals(rng, n):
-        base_pts = base_joining.system.measure.sample_rationals(rng, n)
+        base_pts = base_joining.measure.sample_rationals(rng, n)
         out = []
         for bp in base_pts:
             bp1, bp2 = bp[:b1_arity], bp[b1_arity:]
@@ -225,7 +225,7 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
         return out
 
     def sample_rationals_blockwise(rng, n):
-        base_pts = base_joining.system.measure.sample_rationals(rng, n)
+        base_pts = base_joining.measure.sample_rationals(rng, n)
         fib1 = split1.fiber.measure.sample_rationals(rng, n)
         fib2 = split2.fiber.measure.sample_rationals(rng, n)
         return [assemble(bp[:b1_arity], fp1, bp[b1_arity:], fp2)
@@ -233,7 +233,7 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
 
     def sample_floats(rng, n):
         if independent:
-            base_pts = base_joining.system.measure.sample_floats(rng, n)
+            base_pts = base_joining.measure.sample_floats(rng, n)
             fib1 = split1.fiber.measure.sample_floats(rng, n)
             fib2 = split2.fiber.measure.sample_floats(rng, n)
             out = np.empty((n, a1 + a2))
@@ -249,7 +249,7 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
         pts = sample_rationals(rng, n)
         return np.array([[float(c) for c in p] for p in pts])
 
-    exact_flag = base_joining.exact and all(
+    exact_flag = base_joining.measure.exact and all(
         (isinstance(sp.fiber, IndependentFiber) and sp.fiber.measure.exact)
         or isinstance(sp.fiber, ConditionalAtomsFiber)
         for sp in (split1, split2)
@@ -333,12 +333,12 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_image_joining_equals_its_former_closures(name):
     joining, (integrator, sample_rationals, sample_floats, atoms_fn, exact) = CASES[name]()
-    measure = joining.system.measure
+    measure = joining.measure
     conditional = name == "rel-indep-conditional"
     assert isinstance(measure, ImageMeasure)
     # only fibers that depend on the base point are given by callables
     assert isinstance(measure.source, JoiningMeasure) == conditional
-    assert joining.exact == exact
+    assert joining.measure.exact == exact
     for k in frequency_box(len(joining.space), 2):
         new, old = joining.integrate(k), integrator(k)
         assert (new is None) == (old is None), k
@@ -357,7 +357,7 @@ def test_image_joining_equals_its_former_closures(name):
         # with trivial factors they are the product joining's
         assert atoms_fn() is None
         product = product_joining([build_system(IDENTITY_ATOMS)] * 2)
-        expected = product.system.measure.enumerate_atoms() if name == "rel-indep-atoms" \
+        expected = product.measure.enumerate_atoms() if name == "rel-indep-atoms" \
             else None
         assert measure.enumerate_atoms() == expected
     else:
@@ -485,7 +485,7 @@ def test_large_off_diagonal_powers_validate_and_reduce_mod_the_rotation(
     for k in frequency_box(2, 3):
         assert large.integrate(k) == small.integrate(k), k
     point = (F(1, 7), F(2, 9))
-    assert large.system.apply(point) == small.system.apply(point)
+    assert large.apply(point) == small.apply(point)
 
 
 @pytest.mark.parametrize("power", [MAX_OFF_DIAGONAL_POWER + 1, -MAX_OFF_DIAGONAL_POWER - 1])

@@ -18,6 +18,7 @@ from ergolab.core import (
     Character,
     HaarMeasure,
     IdentitySystem,
+    ProductSystem,
     SpecValidationError,
     build_measure,
     build_system,
@@ -33,8 +34,8 @@ from ergolab.joinings import (
     JoiningConstructionError,
     _character_means,
     _product_characters,
+    JoiningMeasure,
     build_joining,
-    custom_joining,
     invariance_check,
     product_consistency_test,
     product_joining,
@@ -146,8 +147,6 @@ def test_joining_spec_round_trip_and_validation():
     assert parse(json.loads(json.dumps(spec)), "joining") == spec
     with pytest.raises(SpecValidationError):
         parse({"kind": "nope", "params": {}}, "joining")
-    with pytest.raises(SpecValidationError):
-        build_joining({"kind": "custom-sampler", "params": {}})
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +161,14 @@ def test_joining_spec_round_trip_and_validation():
 def test_marginal_exactness(builder):
     joining = builder()
     lo = 0
-    for i, comp in enumerate(joining.components):
-        arity = len(comp.space)
+    for i, factor in enumerate(joining.factors):
+        arity = len(factor.space)
         for k in frequency_box(arity, 3):
             joint_k = [0] * len(joining.space)
             joint_k[lo:lo + arity] = list(k)
             joint = joining.integrate(tuple(joint_k))
-            marginal = joining.marginal_integrate(i, k)
-            assert (joint - marginal).is_zero(), f"component {i}, character {k}"
+            marginal = factor.measure.integrate_character(k)
+            assert (joint - marginal).is_zero(), f"factor {i}, character {k}"
         lo += arity
 
 
@@ -253,7 +252,7 @@ def test_invariance_example1_modulus_preserved():
     triple = build_joining({"kind": "example1-triple", "params": {"angle": "1/5"}})
     report = invariance_check(triple, [(0, -1, 0, 1)])
     assert report.passed
-    step = triple.system.char_pullback((0, -1, 0, 1))
+    step = triple.char_pullback((0, -1, 0, 1))
     # e(z - y) o P = e(z - y + x2 - x1 + 1/5) with slope 1
     assert step == ((-1, -1, 1, 1), F(1, 5))
     k2, phase = step
@@ -265,15 +264,14 @@ def test_invariance_example1_modulus_preserved():
 def test_invariance_sampled_path():
     identity = IdentitySystem(HaarMeasure(1))
     rotation = build_system(ROT_THIRD)
-    sampled = custom_joining(
-        [identity, rotation],
-        sample_rationals_fn=lambda rng, n: [
-            p + q for p, q in zip(identity.measure.sample_rationals(rng, n),
-                                  rotation.measure.sample_rationals(rng, n))],
-        sample_floats_fn=lambda rng, n: np.concatenate(
-            [identity.measure.sample_floats(rng, n),
-             rotation.measure.sample_floats(rng, n)], axis=1),
-    )
+    # the product joining, given only by its samplers
+    sampled = ProductSystem([identity, rotation], measure=JoiningMeasure(
+        identity.space + rotation.space, lambda k: None,
+        lambda rng, n: [p + q for p, q in zip(identity.measure.sample_rationals(rng, n),
+                                              rotation.measure.sample_rationals(rng, n))],
+        lambda rng, n: np.concatenate([identity.measure.sample_floats(rng, n),
+                                       rotation.measure.sample_floats(rng, n)], axis=1),
+        description="sampled product", exact_flag=False))
     report = invariance_check(sampled, [(1, 0), (0, 1), (1, -1)],
                               seed=21, samples=8192)
     assert report.passed and report.mode == "sampled"
@@ -330,7 +328,7 @@ def test_example1_triple_z_evolution_exact_at_declared_precision():
     pts = sample_joining(triple, seed=31, count=4, rationals=True)
     alpha = F(7071067811865475244008443621048490392848, 10**40)
     for p in pts:
-        q = triple.system.apply(p)
+        q = triple.apply(p)
         assert q[3] == (p[3] + p[0] + alpha) % 1
         assert q[1] == (p[1] + p[0]) % 1
         assert q[0] == p[0] and q[2] == p[2]
@@ -346,17 +344,16 @@ def test_example1_eigenvalue_route_refutes_product():
     none on the product: the refutation route for the coupled joining."""
     triple = build_joining({"kind": "example1-triple", "params": {"angle": "1/5"}})
     F_obs = Character((0, -1, 0, 1))
-    mass_triple = detect_eigenvalue(triple.system, F_obs, "1/5", 4096)
+    mass_triple = detect_eigenvalue(triple, F_obs, "1/5", 4096)
     assert mass_triple.mass_squared_exact == 1 and mass_triple.witnessed
-    prod = product_joining(triple.components)
-    mass_prod = detect_eigenvalue(prod.system, F_obs, "1/5", 4096)
+    mass_prod = detect_eigenvalue(product_joining(triple.factors), F_obs, "1/5", 4096)
     assert mass_prod.mass <= 2 / 4096
     assert not mass_prod.witnessed
 
 
 def test_example1_correlation_sequence_is_rotation_like():
     triple = build_joining({"kind": "example1-triple", "params": {"angle": "1/5"}})
-    seq = correlation_sequence(triple.system, Character((0, -1, 0, 1)), 10)
+    seq = correlation_sequence(triple, Character((0, -1, 0, 1)), 10)
     for n in range(11):
         assert seq.value(n) == pytest.approx(
             cmath.exp(-2j * cmath.pi * n / 5), abs=1e-12)
@@ -368,7 +365,7 @@ def test_example1_statistical_base_sampler():
         "params": {"base_measure": {"kind": "power-law-sampled", "exponent": 2},
                    "angle": "1/5"},
     })
-    assert not triple.exact
+    assert not triple.measure.exact
     pts = sample_joining(triple, seed=11, count=100)
     assert np.array_equal(pts[:, 0], pts[:, 2])
     report = invariance_check(triple, [(1, 0, -1, 0), (0, 1, 0, -1)],
@@ -518,32 +515,36 @@ def _closure_joinings():
             rel_indep_joining([pair, rotation], [[0, 2], []], {"kind": "product"})]
 
 
+def _count_factor_integrals(joining, calls: list) -> None:
+    """Append (factor index, frequency) to ``calls`` at every integral of a
+    factor's measure."""
+    for i, factor in enumerate(joining.factors):
+        def counted(k, i=i, integrate=factor.measure.integrate_character):
+            calls.append((i, tuple(k)))
+            return integrate(k)
+        factor.measure.integrate_character = counted
+
+
 def test_memoized_product_integral_equals_uncached_product():
-    # the last joining's components share an arity but not their integrals
+    # the last joining's factors share an arity but not their integrals
     joinings = _closure_joinings() + [product_joining(
         [IdentitySystem(build_measure(MIX_HALVES)), build_system(ROT_THIRD)])]
     for joining in joinings:
-        boxes = [frequency_box(len(c.space), 2) for c in joining.components]
+        boxes = [frequency_box(len(c.space), 2) for c in joining.factors]
         characters = _product_characters(boxes)
         for k in characters:
             uncached = PhaseSum.one()
-            for i, ki in enumerate(joining.split_frequencies(k)):
-                uncached = uncached * joining.marginal_integrate(i, ki)
+            for factor, sl in zip(joining.factors, joining._slices):
+                uncached = uncached * factor.measure.integrate_character(k[sl])
             assert joining.product_integral(k).terms == uncached.terms, k
 
 
 def test_product_integral_computes_each_marginal_once():
     joining = _closure_joinings()[0]
     calls = []
-    uncounted = joining.marginal_integrate
-
-    def counted(i, k):
-        calls.append((i, tuple(k)))
-        return uncounted(i, k)
-
-    joining.marginal_integrate = counted
+    _count_factor_integrals(joining, calls)
     characters = _product_characters([frequency_box(len(c.space), 2)
-                                      for c in joining.components])
+                                      for c in joining.factors])
     first = [joining.product_integral(k).terms for k in characters]
     assert len(calls) == len(set(calls)) == 5**4 + 5
     second = [joining.product_integral(k).terms for k in characters]
@@ -557,18 +558,14 @@ def test_sampled_closure_rows_hold_the_exact_product(which):
     each marginal integrated once, and every row's product is its value."""
     joining = _closure_joinings()[which]
     product_calls, marginal_calls = [], []
-    product_integral, marginal_integrate = joining.product_integral, joining.marginal_integrate
+    product_integral = joining.product_integral
 
     def counted_product(k):
         product_calls.append(k)
         return product_integral(k)
 
-    def counted_marginal(i, k):
-        marginal_calls.append((i, tuple(k)))
-        return marginal_integrate(i, k)
-
     joining.product_integral = counted_product
-    joining.marginal_integrate = counted_marginal
+    _count_factor_integrals(joining, marginal_calls)
     outcome = product_consistency_test(joining, degree=2, mode="sampled",
                                        samples=257, seed=2024)
     assert len(outcome.rows) == 5**5 - 1
@@ -582,10 +579,10 @@ def test_sampled_closure_rows_hold_the_exact_product(which):
 def _sampled_product_value_per_character(joining, k, seed, samples):
     """Reference: draw every marginal sample again for each character."""
     total = 1.0 + 0j
-    for i, ki in enumerate(joining.split_frequencies(k)):
+    for i, (factor, sl) in enumerate(zip(joining.factors, joining._slices)):
         rng = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
-        pts = joining.components[i].measure.sample_floats(rng, samples)
-        total *= complex(character_array(ki, pts).mean())
+        pts = factor.measure.sample_floats(rng, samples)
+        total *= complex(character_array(k[sl], pts).mean())
     return total
 
 
@@ -596,11 +593,11 @@ def test_sampled_marginals_drawn_once_and_match_per_character_draws():
                    "angle": "1/5"},
     })
     draws = []
-    for i, comp in enumerate(triple.components):
-        def counted(rng, n, i=i, sample=comp.measure.sample_floats):
+    for i, factor in enumerate(triple.factors):
+        def counted(rng, n, i=i, sample=factor.measure.sample_floats):
             draws.append(i)
             return sample(rng, n)
-        comp.measure.sample_floats = counted
+        factor.measure.sample_floats = counted
     seed, samples = 41, MEANS_BLOCK_ROWS + 11
     outcome = product_consistency_test(triple, degree=1, mode="sampled",
                                        samples=samples, seed=seed)
@@ -643,7 +640,7 @@ def test_negative_power_over_a_rotation_is_exact():
     for power in (-1, -2, 1):
         joining = build_joining({"kind": "off-diagonal",
                                  "params": {"component": component, "power": power}})
-        assert joining.exact
+        assert joining.measure.exact
         step = system.inverse() if power < 0 else system
         images = grid
         for _ in range(abs(power)):

@@ -255,7 +255,7 @@ def old_time_average(joining, k, N):
     total, current, phase = PhaseSum.zero(), tuple(k), F(0)
     for _ in range(N):
         total = total + old_rotated(joining.integrate(current), phase)
-        current, step_phase = old_pullback(joining.system, current)
+        current, step_phase = old_pullback(joining, current)
         phase = (phase + step_phase) % 1
     return total * F(1, N)
 
@@ -274,7 +274,7 @@ def test_time_average_along_a_moving_pullback_orbit():
     rotation = build_system({"kind": "rotation", "params": {"angle": "2/7"}})
     extension = product_joining([build_system(EXTENSION_OVER_ATOMS), rotation])
     # nonzero integrals along the orbit, turned by nonzero phases
-    assert any(P for _, P in pullback_orbit(extension.system, (2, 2, 0), 4))
+    assert any(P for _, P in pullback_orbit(extension, (2, 2, 0), 4))
     cases = [
         (extension, (2, 2, 0)),
         (product_joining([twist, rotation]), (1, 1, 2)),
@@ -282,7 +282,7 @@ def test_time_average_along_a_moving_pullback_orbit():
         (build_joining({"kind": "diagonal", "params": {"component": twist}}), (2, -1, 0, 1)),
     ]
     for joining, k in cases:
-        assert joining.system.char_pullback(k)[0] != k  # the orbit branch
+        assert joining.char_pullback(k)[0] != k  # the orbit branch
         average = _stationary_time_average(joining, k, 37)
         assert average.terms == old_time_average(joining, k, 37).terms
         # an invariant measure: every term of the average is integral(char_k)

@@ -31,8 +31,8 @@ from ergolab.core import (
 )
 from ergolab.exact import PhaseSum
 from ergolab.joinings import (
+    JoiningMeasure,
     build_joining,
-    custom_joining,
     product_consistency_test,
     product_joining,
     sample_joining,
@@ -128,8 +128,8 @@ def test_product_joining_equals_its_former_closures(name):
     integrator, sample_rationals, sample_floats, atoms_fn, exact = \
         old_product_closures(systems)
 
-    assert joining.exact == exact
-    assert joining.system.factors == systems
+    assert joining.measure.exact == exact
+    assert joining.factors == systems
     for k in frequency_box(len(joining.space), 2):
         new, old = joining.integrate(k), integrator(k)
         assert (new is None) == (old is None), k
@@ -142,13 +142,15 @@ def test_product_joining_equals_its_former_closures(name):
         assert np.array_equal(floats.view(np.uint64), reference.view(np.uint64))
         assert sample_joining(joining, seed, 40, rationals=True) == \
             sample_rationals(rng_from_seed(seed), 40)
-    assert joining.system.measure.enumerate_atoms() == atoms_fn()
+    assert joining.measure.enumerate_atoms() == atoms_fn()
 
 
 def test_sampled_consistency_of_the_product_joining_equals_the_hand_built_one():
     identity, rotation = build_system(IDENTITY_ATOMS), build_system(ROT_THIRD)
     _, sample_rationals, sample_floats, _, _ = old_product_closures([identity, rotation])
-    hand_built = custom_joining([identity, rotation], sample_rationals, sample_floats)
+    hand_built = ProductSystem([identity, rotation], measure=JoiningMeasure(
+        identity.space + rotation.space, lambda k: None, sample_rationals, sample_floats,
+        description="hand-built product", exact_flag=False))
     for seed in (3, 2024):
         new = product_consistency_test(product_joining([identity, rotation]), degree=2,
                                        mode="sampled", samples=2048, seed=seed)
@@ -203,12 +205,11 @@ JOININGS = {
 
 @pytest.mark.parametrize("name", sorted(JOININGS))
 def test_joined_inverse_keeps_the_joining_and_inverts_the_map(name):
-    joining = build_joining(JOININGS[name])
-    system = joining.system
+    system = build_joining(JOININGS[name])
     inverse = system.inverse()
     assert inverse.measure is system.measure
     assert inverse.space == system.space
-    for point in sample_joining(joining, 5, 25, rationals=True):
+    for point in sample_joining(system, 5, 25, rationals=True):
         assert inverse.apply(system.apply(point)) == point
         assert system.apply(inverse.apply(point)) == point
 

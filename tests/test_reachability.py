@@ -67,7 +67,6 @@ JOININGS = {
     "off-diagonal": {"component": ROT, "power": 2},
     "rel-indep": {"components": [TWIST, TWIST], "factors": [[0], [0]]},
     "example1-triple": {"angle": "1/5"},
-    "custom-sampler": {},  # refused: programmatic only
 }
 DOCUMENTS = (
     [{"system": {"kind": kind, "params": params}} for kind, params in SYSTEMS.items()]
@@ -79,8 +78,6 @@ DOCUMENTS = (
 
 #: functions that stay although no run or validation reaches them, and why
 ALLOWLIST = {
-    "ergolab.joinings.custom_joining":
-        "README: the programmatic constructor of custom-sampler joinings",
     "ergolab.core.integrate_character":
         "README library tour: the exact or seeded Monte Carlo integral of one character",
     "ergolab.core.character_at":
@@ -132,7 +129,7 @@ def test_every_public_function_is_reached_or_allowlisted(tmp_path, capsys):
         sys.setprofile(previous)
     capsys.readouterr()
 
-    assert codes == [0] * (3 * len(RUNS) + len(DOCUMENTS) - 1) + [3]
+    assert codes == [0] * (3 * len(RUNS) + len(DOCUMENTS))
     for table, spec in ((SYSTEMS, "system"), (MEASURES, "measure"), (COCYCLES, "cocycle"),
                         (JOININGS, "joining")):
         assert set(table) == set(SPECS[spec].kinds), spec

@@ -46,6 +46,7 @@ from ergolab.schema import (
     Field,
     parse,
 )
+from ergolab.spectral import MAX_SAMPLED_WORK
 
 ROOT = Path(__file__).resolve().parents[1]
 ROT = {"kind": "rotation", "params": {"angle": "1/3"}}
@@ -286,6 +287,54 @@ def test_product_closure_within_the_budget_resolves(knobs):
     work = knobs["samples"] * ((2 * knobs["degree"] + 1) ** 5 - 1)
     assert work <= MAX_CLOSURE_WORK
     assert ExperimentConfig.resolve("product-closure", 1, knobs).knobs["samples"] == knobs["samples"]
+
+
+POWER_TWIST = {"kind": "twist", "params": {
+    "base_measure": {"kind": "power-law-sampled", "exponent": 2}}}
+
+
+@pytest.mark.parametrize("knobs", [
+    {"N": 65536, "samples": 65536},  # about 5 minutes at 55-80 ns per sample and lag
+    {"N": 65536},  # the default 4,096 samples: 2^28 + 4,096
+])
+def test_a_costly_sampled_probe_is_refused_before_a_point_is_drawn(knobs, tmp_path,
+                                                                   monkeypatch):
+    from ergolab import spectral
+
+    def sampling_reached(*args):
+        raise AssertionError("points were drawn before the budget was checked")
+
+    monkeypatch.setattr(spectral, "_sampled_sequence", sampling_reached)
+    knobs = {"system": POWER_TWIST, "observable": {"freqs": [0, 1]}, **knobs}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "knobs": knobs}))
+    tracemalloc.start()
+    try:
+        code, err = _cli(["run", "spectral-probe", "--config", str(config),
+                          "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = knobs.get("samples", DEFAULT_KNOBS["spectral-probe"]["samples"])
+    assert code == 3
+    assert ("config error: knobs.samples: a sampled sequence needs samples x (knobs.N + 1) "
+            f"<= {MAX_SAMPLED_WORK}, got {samples} x 65537") in err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_sampling_budget_spares_exact_sequences_and_admits_its_bound(monkeypatch):
+    from ergolab import spectral
+
+    rotation = build_system(ROT)
+    seq = spectral.correlation_sequence(rotation, (1,), 64, seed=1, samples=MAX_SAMPLED_WORK)
+    assert seq.exact
+    monkeypatch.setattr(spectral, "_sampled_sequence", lambda *args: "sampled")
+    twist = build_system(POWER_TWIST)
+    assert spectral.correlation_sequence(twist, (0, 1), 2**16 - 1, seed=1,
+                                         samples=2**12) == "sampled"
+    with pytest.raises(SpecValidationError, match=r"^samples: .* got 4096 x 65537$"):
+        spectral.correlation_sequence(twist, (0, 1), 2**16, seed=1, samples=2**12)
 
 
 def test_an_affine_cocycle_on_a_missing_base_coordinate_is_refused(tmp_path):
