@@ -730,10 +730,6 @@ class System:
     space: Space
     measure: MeasureHandle
 
-    @property
-    def exact_integrals_available(self) -> bool:
-        return self.measure.exact
-
     def apply(self, point: Point) -> Point:
         raise NotImplementedError
 

@@ -535,39 +535,35 @@ def _run_product_closure(config: ExperimentConfig) -> list[Check]:
     return checks
 
 
-def _itinerary_coherent(m: Rank1Map, word: int) -> bool:
-    """The base point's orbit at the map's full depth, walked on integer units
-    and tied to normalized coordinates by the exact map at both ends: it
-    climbs levels 0, 1, ..., L - 1 in order, and its letters, T on the
-    3**depth base units and s on spacer units, spell the bit string ``word``
-    (T = 1, first letter most significant)."""
+def _itinerary_coherent(m: Rank1Map, word: int, base_levels: np.ndarray) -> bool:
+    """Three independent descriptions of the depth-d levels that carry base
+    mass agree: the T letters of the bit string ``word`` (T = 1, first letter
+    most significant), the levels whose start is one of the map's 3**depth
+    base units, and ``base_levels``, the sorted positions of the stage-0 level
+    by copy offsets.  The exact map then ties the levels to normalized
+    coordinates at both ends: the midpoint of level 0 lies in level 0 and moves
+    onto the midpoint of level 1, and the midpoint of the top level lies in it."""
     if word.bit_length() != m.length:
         return False
-    units, levels = m.base_orbit()
-
-    def midpoint(unit) -> Fraction:
-        return Fraction(2 * int(unit) + 1, 2 * m.length)
-
-    x = m.level_interval(0)[0] + Fraction(1, 2 * m.total_units)
     pad = -m.length % 8  # the word's bits, left-aligned in whole bytes
     letters = (word << pad).to_bytes((m.length + pad) // 8, "big")
-    is_base = np.unpackbits(np.frombuffer(letters, dtype=np.uint8), count=m.length)
-    ends_and_letters = (
-        x == midpoint(units[0]) and m.level_of(x) == 0
-        and m.apply(x) == midpoint(units[1])
-        and m.level_of(midpoint(units[-1])) == m.length - 1
-        and np.array_equal(units < 3 ** m.depth, is_base.view(bool))
-    )
-    del letters, is_base
-    # the level order, compared step by step in the units' buffer: levels
-    # 0, 1, ..., L - 1 exactly when the first is 0 and every step is +1
-    steps = np.subtract(levels[1:], levels[:-1], out=units[1:])
-    return bool(ends_and_letters and levels[0] == 0 and steps.min() == 1 == steps.max())
+    is_base = np.unpackbits(np.frombuffer(letters, dtype=np.uint8), count=m.length).view(bool)
+    levels_agree = (np.array_equal(m.level_starts < 3 ** m.depth, is_base)
+                    and np.array_equal(np.flatnonzero(is_base), base_levels))
+    del letters, is_base  # freed before level_of builds its table
+
+    def midpoint(level: int) -> Fraction:
+        return Fraction(2 * int(m.level_starts[level]) + 1, 2 * m.length)
+
+    x = m.level_interval(0)[0] + Fraction(1, 2 * m.length)
+    return bool(levels_agree and m.level_of(x) == 0 and m.apply(x) == midpoint(1)
+                and m.level_of(midpoint(m.length - 1)) == m.length - 1)
 
 
 def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     from ergolab.rank1 import (Rank1Spec, dyadic_equivalence, rank1_map, rank1_word,
-                               rank1_words, refuse_oversized_tower, word_lengths)
+                               rank1_words, refuse_oversized_tower, stage_level_positions,
+                               word_lengths)
 
     knobs = config.knobs
     checks: list[Check] = []
@@ -679,7 +675,7 @@ def _run_rank1_family(config: ExperimentConfig) -> list[Check]:
     ))
 
     # the loop left the depth-``depth`` map and word bound
-    itinerary_ok = _itinerary_coherent(m, word)
+    itinerary_ok = _itinerary_coherent(m, word, stage_level_positions(first, 0, 0, depth))
     checks.append(Check(
         check_id="itinerary-coherence",
         anchor="rank1-cutting-and-stacking",

@@ -484,10 +484,6 @@ class ConsistencyRow:
     product: complex
     sigma: float
 
-    @property
-    def deviation(self) -> float:
-        return abs(self.joint - self.product)
-
 
 @dataclass
 class ConsistencyVerdict:
@@ -496,10 +492,6 @@ class ConsistencyVerdict:
     mode: str
     rows: list[ConsistencyRow]
     note: str
-
-    @property
-    def refuted(self) -> bool:
-        return self.verdict == "refuted"
 
 
 def _product_characters(boxes: Sequence[list[FreqVector]]) -> list[FreqVector]:

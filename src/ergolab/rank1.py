@@ -17,15 +17,15 @@ and its height ``bit_count()``.  ``rank1_words`` makes B_{n+1} from B_n by
 shifts and ors, so reaching stage n holds at most 7 x L_{n-1} bits at once,
 about L_n / 3 bytes.  ``rank1_map`` fills one preallocated int32 array of
 level starts in place, stage by stage (every level index is below L_14 < 2^31),
-and a map computes its int32 unit-to-level table and translations only when
-first read.
+and a map computes its one table, int32 unit-to-level, only when first read.
 
 Depth limit: ``rank1_word``, ``rank1_words``, ``rank1_map`` and
 ``stage_level_positions`` raise DepthExceededError, before allocating anything,
-when they would hold more than ``MAX_TOWER_LEVELS`` = L_14 = 7,174,453 entries;
-words and maps therefore stop at depth 14.  Tower-level correlations need no
-tower: ``level_lag_counts`` counts level coincidences from the per-stage copy
-offsets alone, and runs at depth 30 and beyond.
+when they would hold or index more than ``MAX_TOWER_LEVELS`` = L_14 = 7,174,453
+levels; words, maps and level positions therefore stop at depth 14.
+Tower-level correlations need no tower: ``level_lag_counts`` counts level
+coincidences from the per-stage copy offsets alone, and runs at depth 30 and
+beyond.
 
 The binary-parameter dichotomy: two parameters whose difference is a dyadic
 rational give towers whose digit streams eventually agree, hence eventually
@@ -228,14 +228,17 @@ def _check_stage_level(spec: Rank1Spec, stage: int, level: int, depth: int) -> N
 
 
 def stage_level_positions(spec: Rank1Spec, stage: int, level: int, depth: int) -> np.ndarray:
-    """Indices of the depth-d levels that make up the given stage-k level."""
+    """Indices of the depth-d levels that make up the given stage-k level, sorted,
+    as int32 like the towers they index: the depth-d tower is refused above
+    L_14 < 2^31 levels, whatever the stage."""
     _check_stage_level(spec, stage, level, depth)
-    refuse_oversized_tower(3 ** (depth - stage), f"a stage-{stage} level at depth {depth}")
+    refuse_oversized_tower(word_lengths(depth),
+                           f"the depth-{depth} tower of a stage-{stage} level")
     digits = spec.digit_stream(depth)
-    positions = np.array([level], dtype=np.int64)
+    positions = np.array([level], dtype=np.int32)
     length = word_lengths(stage)
     for d in digits[stage:]:
-        offs = np.array(copy_offsets(length, d), dtype=np.int64)
+        offs = np.array(copy_offsets(length, d), dtype=np.int32)
         positions = (positions[:, None] + offs[None, :]).ravel()
         length = 3 * length + 1
     positions.sort()
@@ -297,7 +300,9 @@ class Rank1Map:
 
     ``level_starts[i]`` is the raw unit index of level i (bottom to top); raw
     unit j is the normalized interval [j/L, (j+1)/L).  The map translates level
-    i onto level i+1 and is undefined on the top level.
+    i onto level i+1, by ``level_starts[i + 1] - level_starts[i]`` units, and
+    is undefined on the top level.  Its one table, unit to level, is built on
+    first use.
     """
 
     depth: int
@@ -313,15 +318,6 @@ class Rank1Map:
         level_of_unit = np.empty(self.length, dtype=np.int32)
         level_of_unit[self.level_starts] = np.arange(self.length, dtype=np.int32)
         return level_of_unit
-
-    @cached_property
-    def _translations(self) -> np.ndarray:
-        """Units by which level i moves onto level i+1 (int32), built on first use."""
-        return self.level_starts[1:] - self.level_starts[:-1]
-
-    @property
-    def total_units(self) -> int:
-        return self.length
 
     @property
     def undefined_measure(self) -> Fraction:
@@ -347,35 +343,16 @@ class Rank1Map:
             )
         # x + t / L as one fraction, normalized once
         den = x.denominator
-        return Fraction(x.numerator * self.length + int(self._translations[level]) * den,
-                        den * self.length)
-
-    def base_orbit(self) -> tuple[np.ndarray, np.ndarray]:
-        """Units and levels of the orbit x, Tx, ..., T^(L-1) x of the base point.
-
-        The base point x = (u + 1/2) / L sits in the middle of unit
-        u = level_starts[0], and every translation is a whole number of units,
-        so the orbit is the integer walk u + cumsum(translations).  Entry i of
-        the levels is the level holding T^i x, or -1 if the walk left the space.
-        Both arrays are int32, as the tables they are read from.
-        """
-        units = np.empty(self.length, dtype=np.int32)
-        units[0] = 0
-        np.cumsum(self._translations, dtype=np.int32, out=units[1:])
-        units += self.level_starts[0]
-        # the clipped gather reads a level for every entry; those of units
-        # outside the space are then overwritten
-        levels = self._level_of_unit[np.clip(units, 0, self.length - 1)]
-        levels[units < 0] = -1
-        levels[units >= self.length] = -1
-        return units, levels
+        t = int(self.level_starts[level + 1]) - int(self.level_starts[level])
+        return Fraction(x.numerator * self.length + t * den, den * self.length)
 
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         units = np.floor(xs * self.length).astype(np.int64)
         levels = self._level_of_unit[units]
         if np.any(levels == self.length - 1):
             raise DepthExceededError("some points lie in the top level of the tower")
-        return xs + self._translations[levels] / self.length
+        starts = self.level_starts
+        return xs + (starts[levels + 1] - starts[levels]) / self.length
 
 
 def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
@@ -421,10 +398,6 @@ class DichotomyVerdict:
     verdict: str  # "isomorphic-family" | "disjoint-family"
     difference: Fraction
     reason: str
-
-    @property
-    def isomorphic(self) -> bool:
-        return self.verdict == "isomorphic-family"
 
 
 def _is_dyadic(x: Fraction) -> bool:

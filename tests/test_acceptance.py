@@ -178,7 +178,7 @@ def test_joinings_exactness():
     # graph joining of the rotation with itself refuted, witness e(x - y): 1 vs 0
     outcome = product_consistency_test(diag, degree=1)
     row = next(r for r in outcome.rows if r.character == (1, -1))
-    graph_ok = (outcome.refuted
+    graph_ok = (outcome.verdict == "refuted"
                 and abs(row.joint - 1.0) == 0.0
                 and abs(row.product) == 0.0)
 
@@ -244,7 +244,7 @@ def test_rank1_family():
         sub = Rank1Spec.from_rational("1/3", depth)
         coherence_ok &= rank1_map(sub).word == rank1_word(sub, depth).word
     deep = rank1_map(spec)
-    x = deep.level_interval(0)[0] + F(1, 2 * deep.total_units)
+    x = deep.level_interval(0)[0] + F(1, 2 * deep.length)
     for step in range(deep.length - 1):
         if deep.level_of(x) != step:
             coherence_ok = False

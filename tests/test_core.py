@@ -98,16 +98,6 @@ def test_product_of_rotation_with_one_point_identity():
     assert sys_.apply((F(1, 8), F(0))) == (F(3, 8), F(0))
 
 
-def test_exact_integrals_available_flag():
-    assert rotation("1/3").exact_integrals_available
-    assert twist().exact_integrals_available
-    sampled = build_system({
-        "kind": "twist",
-        "params": {"base_measure": {"kind": "power-law-sampled", "exponent": 2}},
-    })
-    assert not sampled.exact_integrals_available
-
-
 def test_group_extension_cyclic():
     sys_ = build_system({
         "kind": "group-extension",

@@ -201,6 +201,40 @@ def test_map_partition_check_fails_on_a_map_whose_word_is_permuted(monkeypatch):
     assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
 
 
+def test_itinerary_check_fails_on_a_map_with_a_base_and_a_spacer_level_swapped(monkeypatch):
+    """A depth-6 map whose level starts swap a T level with the s level below
+    it still partitions the space and keeps its word, so only the itinerary
+    check, which reads the map at that depth, fails."""
+    from ergolab import rank1
+
+    real = rank1.rank1_map
+
+    def swapping(spec, depth=None):
+        m = real(spec, depth)
+        if m.depth == 6:
+            letters = as_text(m.word)
+            spacer = letters.index("s")
+            base = letters.index("T", spacer)
+            m.level_starts[[spacer, base]] = m.level_starts[[base, spacer]]
+        return m
+
+    monkeypatch.setattr(rank1, "rank1_map", swapping)
+    checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
+    assert [cid for cid, c in checks.items() if not c.passed] == ["itinerary-coherence"]
+    assert checks["itinerary-coherence"].observed == "violated"
+
+
+def test_itinerary_check_fails_on_base_levels_shifted_by_one(monkeypatch):
+    """The copy-offset positions of the base levels, one level up, disagree
+    with the word and the map, which still agree with each other."""
+    from ergolab import rank1
+
+    real = rank1.stage_level_positions
+    monkeypatch.setattr(rank1, "stage_level_positions", lambda *args: real(*args) + 1)
+    checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
+    assert [cid for cid, c in checks.items() if not c.passed] == ["itinerary-coherence"]
+
+
 @pytest.mark.parametrize("plant", ["repeat", "outside"])
 def test_map_partition_check_fails_on_a_map_that_repeats_or_leaves_a_unit(plant, monkeypatch):
     """A depth-5 map whose level starts list one unit twice, or a unit past
@@ -220,15 +254,17 @@ def test_map_partition_check_fails_on_a_map_that_repeats_or_leaves_a_unit(plant,
     assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
 
 
-@pytest.mark.parametrize("depth, mib", [(10, 3), (12, 21)])
+@pytest.mark.parametrize("depth, mib", [(10, 3), (12, 13)])
 def test_rank1_family_peaks_below_its_bound(depth, mib):
-    """The itinerary check sets the peak at both depths, at about 24 x L_d
-    bytes: the map's int32 level starts and two int32 tables, the int32 orbit
-    units and levels, and the clipped copy of the units the levels are
-    gathered through, 2.2 MiB at depth 10 and 18.6 MiB at depth 12.  The
-    stage-14 bit word walk peaks at 2.1 MiB.  With text words and int64
-    towers the word walk set the depth-10 peak at 9.1 MiB and the itinerary
-    check the depth-12 peak at 34.3 MiB."""
+    """At depth 12 the itinerary check sets the peak, 11.5 MiB: the map's
+    int32 level starts (4 x L_d bytes), the int32 copy-offset base levels
+    (4 x 3^d), the word's letters as bools (L_d) and the int64 indices of its
+    T letters (8 x 3^d), compared while all are held.  At depth 10 these are
+    1.1 MiB, and the stage-14 bit word walk sets the peak at 2.2 MiB.  Walking
+    the base point's orbit through int32 units, levels and a clipped copy of
+    the units, with a translation table, peaked at 18.6 MiB at depth 12; with
+    text words and int64 towers the word walk set the depth-10 peak at 9.1 MiB
+    and that walk the depth-12 peak at 34.3 MiB."""
     config = ExperimentConfig.resolve("rank1-family", 2024, {"depth": depth})
     tracemalloc.start()
     try:

@@ -283,7 +283,7 @@ def test_invariance_sampled_path():
 
 def test_consistency_graph_of_rotation_refuted_with_witness():
     outcome = product_consistency_test(diag_third(), degree=1)
-    assert outcome.refuted
+    assert outcome.verdict == "refuted"
     assert outcome.witness in ((1, -1), (-1, 1))
     row = next(r for r in outcome.rows if r.character == (1, -1))
     assert row.joint == pytest.approx(1.0)
@@ -309,7 +309,7 @@ def test_consistency_sampled_mode():
 def test_consistency_sampled_detects_diagonal():
     outcome = product_consistency_test(diag_third(), degree=1, mode="sampled",
                                        samples=4096, seed=5)
-    assert outcome.refuted
+    assert outcome.verdict == "refuted"
 
 
 def test_consistency_csv_row_count():

@@ -239,12 +239,11 @@ def test_in_place_map_matches_the_concatenated_tower(depth):
 
 def test_map_tables_are_built_on_first_use():
     m = rank1_map(Rank1Spec.from_rational("1/3", 5))
-    assert "_level_of_unit" not in vars(m) and "_translations" not in vars(m)
+    assert "_level_of_unit" not in vars(m)
     assert m.level_of(F(0)) == 0
-    assert "_level_of_unit" in vars(m) and "_translations" not in vars(m)
-    m.apply(F(0))
-    assert np.array_equal(m._translations, np.diff(m.level_starts))
-    assert m._level_of_unit.dtype == m._translations.dtype == np.int32
+    assert m._level_of_unit.dtype == np.int32
+    assert np.array_equal(m._level_of_unit[m.level_starts], np.arange(m.length))
+    assert m.apply(F(0)) == F(int(m.level_starts[1]), m.length)
 
 
 def test_level_of_floors_x_times_the_length_exactly():
@@ -304,36 +303,6 @@ def test_itinerary_spells_word_small_depth():
     assert "".join(letters) == word
 
 
-def test_base_orbit_matches_the_fraction_walk():
-    m = rank1_map(Rank1Spec.from_digits([0, 1, 1, 0]))
-    units, levels = m.base_orbit()
-    assert units.dtype == levels.dtype == np.int32
-    assert np.array_equal(levels, np.arange(m.length))
-    x = m.level_interval(0)[0] + F(1, 2 * m.length)
-    for step in range(m.length):
-        assert x == F(2 * int(units[step]) + 1, 2 * m.length)
-        assert m.level_of(x) == step
-        if step < m.length - 1:
-            x = m.apply(x)
-
-
-def test_base_orbit_reports_a_corrupted_map():
-    good = rank1_map(Rank1Spec.from_rational("1/3", 4))
-    swapped = good.level_starts.copy()
-    swapped[[3, 10]] = swapped[[10, 3]]
-    bad = Rank1Map(depth=good.depth, level_starts=swapped, word=good.word)
-    # the partition has two levels swapped; the translations are the good tower's
-    bad._translations = good._translations
-    _, levels = bad.base_orbit()
-    expected = np.arange(bad.length)
-    expected[[3, 10]] = [10, 3]
-    assert np.array_equal(levels, expected)
-    # a translation that leaves the space is reported as level -1
-    bad._translations = good._translations.copy()
-    bad._translations[0] += 2 * bad.length
-    assert bad.base_orbit()[1][1] == -1
-
-
 def test_map_apply_exact_and_depth_exceeded():
     m = rank1_map(Rank1Spec.from_digits([0]))
     # depth-1, digit 0 tower: levels are [0,1/4) -> [1,5/4)/raw... normalized:
@@ -377,6 +346,17 @@ def test_stage_level_positions_consistency():
             seen.update(pos.tolist())
         # stage-k levels cover exactly the levels whose mass predates stage k+1
         assert len(seen) == word_lengths(stage) * width
+
+
+def test_level_positions_are_int32_and_stop_with_the_towers_at_depth_14():
+    """Positions index a depth-d tower, so even three of them are refused past
+    depth 14; int32 indices would wrap at depth 20."""
+    spec = Rank1Spec.from_rational("1/3", 20)
+    top = stage_level_positions(spec, 13, 0, 14)
+    assert top.dtype == np.int32
+    assert top.tolist() == [0, word_lengths(13), 2 * word_lengths(13) + 1]
+    with pytest.raises(DepthExceededError, match="L_14"):
+        stage_level_positions(spec, 18, 0, 20)
 
 
 def test_level_zero_positions_are_base_mass():
@@ -484,7 +464,7 @@ def test_dichotomy_dyadic_shift_is_isomorphic(num, den_pow, base_num, base_den):
         other -= 1
     a = Rank1Spec.from_rational(base, 2)
     b = Rank1Spec.from_rational(other, 2)
-    assert dyadic_equivalence(a, b).isomorphic
+    assert dyadic_equivalence(a, b).verdict == "isomorphic-family"
 
 
 def test_dichotomy_rejects_digit_streams():
@@ -555,18 +535,23 @@ def test_make_sa_sampled_fibers_nondyadic_difference_disjoint():
     assert verdict.verdict == "disjoint-family"
 
 
+def base_levels(spec, depth):
+    return stage_level_positions(spec, 0, 0, depth)
+
+
 @pytest.mark.parametrize("a", ["1/4", "3/4", "1/3"])
 @pytest.mark.parametrize("depth", [1, 2, 5, 10])
 def test_itinerary_coherence_holds_on_the_built_tower(a, depth):
     from ergolab.experiments import _itinerary_coherent
 
     spec = Rank1Spec.from_rational(a, depth)
-    assert _itinerary_coherent(rank1_map(spec, depth), rank1_word(spec, depth).word)
+    assert _itinerary_coherent(rank1_map(spec, depth), rank1_word(spec, depth).word,
+                               base_levels(spec, depth))
 
 
 def test_itinerary_coherence_fails_when_a_base_and_a_spacer_level_swap():
-    """Swapping a T level with an s level still walks levels 0..L-1 in order,
-    so only the letters of the orbit catch it."""
+    """Swapping a T level with an s level keeps the map a partition of the
+    space, but moves a base unit onto a spacer letter."""
     from ergolab.experiments import _itinerary_coherent
 
     spec = Rank1Spec.from_rational("1/4", 10)
@@ -575,23 +560,20 @@ def test_itinerary_coherence_fails_when_a_base_and_a_spacer_level_swap():
     starts = m.level_starts.copy()
     starts[[3, 10]] = starts[[10, 3]]
     swapped = Rank1Map(depth=10, level_starts=starts, word=m.word)
-    assert np.array_equal(swapped.base_orbit()[1], np.arange(swapped.length))
-    assert not _itinerary_coherent(swapped, rank1_word(spec, 10).word)
+    assert sorted(starts.tolist()) == list(range(m.length))
+    assert not _itinerary_coherent(swapped, rank1_word(spec, 10).word, base_levels(spec, 10))
 
 
-def test_itinerary_coherence_fails_when_only_the_level_order_breaks():
-    """A partition with two levels swapped, walked with the good tower's
-    translations: the ends and letters hold, and only the level order fails."""
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_itinerary_coherence_fails_on_shifted_base_levels(shift):
+    """The map and the word agree; the copy-offset positions one level off do not."""
     from ergolab.experiments import _itinerary_coherent
 
     spec = Rank1Spec.from_rational("1/3", 6)
-    good = rank1_map(spec, 6)
-    swapped = good.level_starts.copy()
-    swapped[[3, 10]] = swapped[[10, 3]]
-    bad = Rank1Map(depth=6, level_starts=swapped, word=good.word)
-    bad._translations = good._translations
-    assert _itinerary_coherent(good, good.word)
-    assert not _itinerary_coherent(bad, good.word)
+    m = rank1_map(spec, 6)
+    positions = base_levels(spec, 6)
+    assert _itinerary_coherent(m, m.word, positions)
+    assert not _itinerary_coherent(m, m.word, positions + shift)
 
 
 @pytest.mark.parametrize("edit", ["drop", "flip", "append"])
@@ -603,4 +585,5 @@ def test_itinerary_coherence_fails_on_a_wrong_word(edit):
     letters = text(m.word)
     wrong = {"drop": letters[:-1], "flip": letters.replace("sT", "Ts", 1),
              "append": letters + "T"}[edit]
-    assert not _itinerary_coherent(m, int(wrong.replace("T", "1").replace("s", "0"), 2))
+    assert not _itinerary_coherent(m, int(wrong.replace("T", "1").replace("s", "0"), 2),
+                                   base_levels(spec, 5))

@@ -1,10 +1,11 @@
-"""Every public module-level function of ergolab is reached by a run or by
-``spec validate``, or is on an allowlist that says why it stays.
+"""Every public module-level function of ergolab, and every public property
+of its public classes, is reached by a run or by ``spec validate``, or is on an
+allowlist that says why it stays.
 
 The five experiments run through ``ergolab.cli.main`` on small knobs, in every
 ``--format``, and ``spec validate`` reads one document per kind of the
-README's spec tables, all under ``sys.setprofile``; a function counts as
-reached when its code object is entered."""
+README's spec tables, all under ``sys.setprofile``; a function or property
+counts as reached when its code object (a property's getter) is entered."""
 
 import importlib
 import inspect
@@ -76,7 +77,7 @@ DOCUMENTS = (
     + [{"joining": {"kind": kind, "params": params}} for kind, params in JOININGS.items()]
 )
 
-#: functions that stay although no run or validation reaches them, and why
+#: functions and properties that stay although no run or validation reaches them, and why
 ALLOWLIST = {
     "ergolab.core.integrate_character":
         "README library tour: the exact or seeded Monte Carlo integral of one character",
@@ -84,18 +85,27 @@ ALLOWLIST = {
         "rel-indep integrals over atomic conditional fibers; validation builds, never integrates",
     "ergolab.rank1.agreement_stage":
         "the digit-stream side of the rank-one dichotomy (ROADMAP O17)",
-    "ergolab.rank1.stage_level_positions":
-        "the tower side of the rank-one dichotomy (ROADMAP O17)",
+    "ergolab.experiments.ExperimentReport.failing_check_ids":
+        "the CLI's exit-2 message; the default runs all pass",
+    "ergolab.rank1.AgreementReport.agrees_through":
+        "the stages a digit-spec dichotomy refusal reports; the runs give rationals",
 }
 
 
 def _public_functions():
+    """Public functions defined in each module, and the getters of the public
+    properties that its public classes define, by dotted name."""
     for info in pkgutil.iter_modules(ergolab.__path__):
         module = importlib.import_module(f"ergolab.{info.name}")
         for name, obj in vars(module).items():
-            if (not name.startswith("_") and inspect.isfunction(obj)
-                    and obj.__module__ == module.__name__):
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
                 yield f"{module.__name__}.{name}", obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and isinstance(member, property):
+                        yield f"{module.__name__}.{name}.{attr}", member.fget.__code__
 
 
 def test_every_public_function_is_reached_or_allowlisted(tmp_path, capsys):
