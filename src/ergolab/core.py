@@ -79,9 +79,6 @@ class Coord:
     kind: str
     order: int | None = None
 
-    def label(self) -> str:
-        return f"cyclic({self.order})" if self.kind == "cyclic" else self.kind
-
 
 CIRCLE = Coord("circle")
 INTERVAL = Coord("interval")
@@ -707,19 +704,6 @@ class TableCocycle(Cocycle):
         return out
 
 
-class _InverseShift(Cocycle):
-    """-phi(B^-1 x): the cocycle of the inverse of a skew product over B."""
-
-    def __init__(self, cocycle: Cocycle, base_inv: "System"):
-        self.cocycle, self.base_inv = cocycle, base_inv
-
-    def __call__(self, point):
-        return (-self.cocycle(self.base_inv.apply(point))) % 1
-
-    def evaluate_array(self, points):
-        return wrap_unit(-self.cocycle.evaluate_array(self.base_inv.apply_array(points)))
-
-
 # ---------------------------------------------------------------------------
 # systems
 # ---------------------------------------------------------------------------
@@ -749,11 +733,6 @@ class System:
         step = self.pullback_step(validate_frequencies(self.space, k))
         return None if step is None else (step[0], Fraction(step[1], self.phase_modulus))
 
-    def inverse(self) -> "System":
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} does not expose an inverse map"
-        )
-
 
 class IdentitySystem(System):
     def __init__(self, measure: MeasureHandle):
@@ -768,9 +747,6 @@ class IdentitySystem(System):
 
     def pullback_step(self, k):
         return k, 0
-
-    def inverse(self):
-        return self
 
 
 class RotationSystem(System):
@@ -793,9 +769,6 @@ class RotationSystem(System):
 
     def pullback_step(self, k):
         return k, k[0] * self.angle.numerator % self.phase_modulus
-
-    def inverse(self):
-        return RotationSystem(-self.angle, self.measure)
 
 
 class SkewProductSystem(System):
@@ -857,25 +830,6 @@ class SkewProductSystem(System):
         Q = self.phase_modulus
         return tuple(kb) + (k[b],), (P * (Q // self.cocycle.phase_modulus)
                                      + base_P * (Q // self.base.phase_modulus)) % Q
-
-    def inverse(self):
-        """The skew product over B^-1 with cocycle -phi(B^-1 x), written out
-        exactly where it is affine or a table: over the identity, and over a
-        rotation by alpha with phi = s x + c, s an integer, where it is
-        -s x + (s alpha - c) mod 1."""
-        phi, base_inv = self.cocycle, self.base.inverse()
-        over_identity = isinstance(self.base, IdentitySystem)
-        if over_identity and isinstance(phi, AffineCocycle):
-            inv_cocycle: Cocycle = AffineCocycle(-phi.slope, -phi.intercept, phi.coord)
-        elif over_identity and isinstance(phi, TableCocycle):
-            inv_cocycle = TableCocycle(tuple((p, (-v) % 1) for p, v in phi.table))
-        elif isinstance(self.base, RotationSystem) and isinstance(phi, AffineCocycle) \
-                and phi.slope.denominator == 1:
-            inv_cocycle = AffineCocycle(
-                -phi.slope, (phi.slope * self.base.angle - phi.intercept) % 1, phi.coord)
-        else:
-            inv_cocycle = _InverseShift(phi, base_inv)
-        return SkewProductSystem(base_inv, inv_cocycle, self.group)
 
 
 #: marks a factor integral not yet in a product system's memo (None is a memoized value)
@@ -944,10 +898,6 @@ class ProductSystem(System):
             out += step[0]
             P += step[1] * (Q // f.phase_modulus)
         return out, P % Q
-
-    def inverse(self):
-        # a measure preserved by the product map is preserved by its inverse
-        return ProductSystem([f.inverse() for f in self.factors], measure=self.measure)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ the relatively independent extension over declared factors, and the coupled
 triple of a twist and its shifted copy.  All are images of product measures
 under coordinate or graph maps (``core.ImageMeasure``), except relatively
 independent extensions whose fibers depend on the drawn base point: those are
-given by callables (``JoiningMeasure``).
+given by callables (``JoiningMeasure``).  A negative power -p is never built
+from an inverse map: the transpose of a joining is a joining, so the graph of
+T^-p is the graph of T^p with its two halves swapped, y -> (T^p y, y).
 ``product_consistency_test`` refutes product structure of one given joining and
 is explicitly one-sided: disjointness quantifies over all joinings, which no
 finite procedure certifies.
@@ -156,9 +158,15 @@ def build_joining(spec: dict, *, path: str = "") -> ProductSystem:
     if kind == "off-diagonal":
         power = params["power"]
         sys_ = make_system(params["component"])
-        step = sys_ if power >= 0 else sys_.inverse()
-        maps = [step] * abs(power) or [IdentitySystem(sys_.measure)]
-        return graph_joining(sys_, _ComposedSystem(*maps, measure=sys_.measure))
+        maps = [sys_] * abs(power) or [IdentitySystem(sys_.measure)]
+        graph = graph_joining(sys_, _ComposedSystem(*maps, measure=sys_.measure))
+        if power >= 0:
+            return graph
+        # the graph of T^-p is that of T^p with its halves swapped: y -> (T^p y, y)
+        arity = len(sys_.space)
+        swap = CoordinateMap(2 * arity, [*range(arity, 2 * arity), *range(arity)])
+        return ProductSystem([sys_, sys_], measure=ImageMeasure(
+            graph.measure, swap, description="graph joining"))
     if kind == "rel-indep":
         systems = [make_system(c) for c in params["components"]]
         return rel_indep_joining(systems, params["factors"], params["base"])

@@ -9,17 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.core import (
-    CIRCLE,
-    AffineCocycle,
     Character,
-    Cocycle,
     HaarMeasure,
     IdentitySystem,
     MixtureMeasure,
     ProductMeasure,
     RotationSystem,
     SampledPowerMeasure,
-    SkewProductSystem,
     SpecValidationError,
     UnsupportedOperationError,
     build_measure,
@@ -153,44 +149,6 @@ def test_orbit_twist():
 
 def test_orbit_rotation_quarter():
     assert orbit(rotation("1/4"), ("1/8",), 2) == [(F(1, 8),), (F(3, 8),)]
-
-
-def test_inverse_skew_products_undo_the_map_on_rational_points():
-    """The inverse's cocycle is -phi(B^-1 x), over a rotation base (affine for
-    an integer slope, the shift for a half-integer one) and, for a cocycle that
-    is neither affine nor a table, over an identity base."""
-    class Squared(Cocycle):
-        def __call__(self, point):
-            return point[0] ** 2 % 1
-
-    over_rotation = [build_system({"kind": "group-extension", "params": {
-        "base": {"kind": "rotation", "params": {"angle": "2/7"}},
-        "cocycle": {"kind": "affine", "slope": slope, "intercept": "1/5"}}})
-        for slope in ("3", "1/2")]
-    over_identity = SkewProductSystem(IdentitySystem(HaarMeasure(1)),
-                                      Squared(), CIRCLE)
-    for system in (*over_rotation, over_identity):
-        inverse = system.inverse()
-        for point in [(F(0), F(0)), (F(1, 3), F(5, 6)), (F(6, 7), F(1, 9))]:
-            assert inverse.apply(system.apply(point)) == point
-            assert system.apply(inverse.apply(point)) == point
-
-
-@pytest.mark.parametrize("slope, intercept", [("3", "1/5"), ("-2", "0"), ("1", "4/9")])
-def test_inverse_over_a_rotation_is_affine(slope, intercept):
-    """phi = s x + c over the rotation by alpha inverts to -s x + (s alpha - c)
-    over the rotation by -alpha, and undoes the map on sampled rational points."""
-    system = build_system({"kind": "group-extension", "params": {
-        "base": {"kind": "rotation", "params": {"angle": "2/7"}},
-        "cocycle": {"kind": "affine", "slope": slope, "intercept": intercept}}})
-    inverse = system.inverse()
-    s, c = F(slope), F(intercept)
-    assert inverse.cocycle == AffineCocycle(-s, (s * F(2, 7) - c) % 1)
-    assert inverse.base.angle == F(5, 7)
-    points = system.measure.sample_rationals(rng_from_seed(7), 40)
-    for point in points + [(F(0), F(0)), (F(2, 7), F(1, 2)), (F(1, 7), F(13, 14))]:
-        assert inverse.apply(system.apply(point)) == point
-        assert system.apply(inverse.apply(point)) == point
 
 
 def test_orbit_validates_start():

@@ -159,20 +159,6 @@ def test_apply_array_bitwise_equal_to_concatenate_formula(name, order):
         assert out.flags.f_contiguous
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_inverse_shift_cocycle_is_negated_wrap(order):
-    # a half-integer slope sees the wrap of x - 2/7, so the inverse's cocycle
-    # stays the shift -phi(B^-1 x) (an integer slope inverts to an affine one)
-    system = SkewProductSystem(RotationSystem(F(2, 7)), AffineCocycle(F(1, 2), F(1, 3)), CIRCLE)
-    inv = system.inverse()
-    assert type(inv.cocycle).__name__ == "_InverseShift"
-    pts = np.asarray(float_points(2), order=order)
-    base_pts = pts[:, :1]
-    expected = (-old_evaluate(system.cocycle,
-                              old_apply_array(system.base.inverse(), base_pts))) % 1.0
-    assert_same_bits(inv.cocycle.evaluate_array(base_pts), expected)
-
-
 def test_shifted_table_cocycle_is_wrapped_sum():
     base = DiracMixture((CIRCLE,), [(F(1, 2), (F(0),)), (F(1, 2), (F(1, 4),))])
     table = TableCocycle((((F(0),), F(7, 8)), ((F(1, 4),), F(1, 3))))

@@ -263,6 +263,27 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
 # the cases
 # ---------------------------------------------------------------------------
 
+def swapped_halves(closures, arity):
+    """The closures of the transposed joining: the same draws and atoms with
+    their two halves swapped, and each character read with its halves swapped."""
+    integrator, sample_rationals, sample_floats, atoms_fn, exact = closures
+
+    def swap(p):
+        return tuple(p[arity:]) + tuple(p[:arity])
+
+    def swapped_floats(rng, n):
+        pts = sample_floats(rng, n)
+        return np.concatenate([pts[:, arity:], pts[:, :arity]], axis=1)
+
+    def swapped_atoms():
+        atoms = atoms_fn()
+        return None if atoms is None else [(w, swap(p)) for w, p in atoms]
+
+    return (lambda k: integrator(swap(k)),
+            lambda rng, n: [swap(p) for p in sample_rationals(rng, n)],
+            swapped_floats, swapped_atoms, exact)
+
+
 def graph_case(component, graph_map=None, power=None):
     def build():
         system = build_system(component)
@@ -270,11 +291,14 @@ def graph_case(component, graph_map=None, power=None):
             joining = build_joining({"kind": "off-diagonal",
                                      "params": {"component": component, "power": power}})
             # the former power: one composition per step, around the identity
-            step = system if power >= 0 else system.inverse()
             old_map = IdentitySystem(system.measure)
             for _ in range(abs(power)):
-                old_map = TwoMapComposition(step, old_map)
-        elif graph_map is None:
+                old_map = TwoMapComposition(system, old_map)
+            closures = old_graph_closures(system, old_map)
+            # the graph of T^-p is the graph of T^p with its halves swapped
+            return joining, closures if power >= 0 else \
+                swapped_halves(closures, len(system.space))
+        if graph_map is None:
             joining = build_joining({"kind": "diagonal", "params": {"component": component}})
             old_map = IdentitySystem(system.measure)
         else:
@@ -486,6 +510,30 @@ def test_large_off_diagonal_powers_validate_and_reduce_mod_the_rotation(
         assert large.integrate(k) == small.integrate(k), k
     point = (F(1, 7), F(2, 9))
     assert large.apply(point) == small.apply(point)
+
+
+ROT_THIRD_OVER_ZERO = {"kind": "rotation", "params": {
+    "angle": "1/3", "measure": {"kind": "atoms", "atoms": [{"point": ["0"]}]}}}
+
+
+@pytest.mark.parametrize("component, code, message", [
+    ({"kind": "rank1-family", "params": {"a": "1/3", "depth": 4}}, 0, "valid off-diagonal spec"),
+    (ROT_THIRD_OVER_ZERO, 3, "graph map does not preserve the measure at character (-2,)"),
+])
+@pytest.mark.parametrize("power", [1, -1])
+def test_a_negative_power_validates_exactly_when_the_positive_one_does(
+        component, code, message, power, tmp_path, capsys):
+    """T^-p is never built: its graph is the graph of T^p with its halves
+    swapped, so a rank-one tower takes a negative power, and a map that does not
+    preserve its measure is refused at either sign."""
+    from ergolab.cli import main
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"joining": {"kind": "off-diagonal", "params": {
+        "component": component, "power": power}}}))
+    assert main(["spec", "validate", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert message in out + err
 
 
 @pytest.mark.parametrize("power", [MAX_OFF_DIAGONAL_POWER + 1, -MAX_OFF_DIAGONAL_POWER - 1])

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -626,31 +627,61 @@ def test_sampled_checks_refuse_an_empty_sample():
         invariance_check(triple, [(1, 0, -1, 0)], seed=1, samples=0)
 
 
-def test_negative_power_over_a_rotation_is_exact():
-    """The off-diagonal joining of a group extension over the rotation 2/7
-    with its inverse integrates exactly.  Oracle: the mean of the character
-    over an M x M grid of rational points (x, g) and their images, which is
-    the Haar integral for every frequency below M."""
-    component = {"kind": "group-extension", "params": {
+def extension_over_two_sevenths(slope, intercept):
+    return {"kind": "group-extension", "params": {
         "base": {"kind": "rotation", "params": {"angle": "2/7"}},
-        "cocycle": {"kind": "affine", "slope": "3", "intercept": "1/5"}}}
+        "cocycle": {"kind": "affine", "slope": slope, "intercept": intercept}}}
+
+
+def check_off_diagonal_powers_on_a_grid(component, decided):
+    """At powers -1, -2 and 1, ``decided`` characters of the degree-2 box
+    integrate exactly; a value at -p is the +p joining's at the character with
+    its halves swapped.  Oracle: the mean of the character over the pairs
+    (q, T^p q), or (T^p q, q) for -p, q on an M x M grid of rational points,
+    which is the Haar integral for every frequency below M."""
     system = build_system(component)
-    M = 16
+    M = 17
     grid = [(Fraction(i, M), Fraction(j, M)) for i in range(M) for j in range(M)]
+    box = frequency_box(4, 2)
     for power in (-1, -2, 1):
         joining = build_joining({"kind": "off-diagonal",
                                  "params": {"component": component, "power": power}})
         assert joining.measure.exact
-        step = system.inverse() if power < 0 else system
         images = grid
         for _ in range(abs(power)):
-            images = [step.apply(p) for p in images]
-        for k in [(1, 1, 0, 0), (-3, 1, 0, -1), (-6, 1, 0, -1), (3, 1, 0, -1),
-                  (0, 1, 0, -1), (2, -1, 1, 1), (1, 0, -1, 0)]:
-            brute = PhaseSum((sum(a * b for a, b in zip(k, p + q)), Fraction(1, M * M))
-                             for p, q in zip(grid, images))
-            assert joining.integrate(k) == brute
+            images = [system.apply(p) for p in images]
+        pairs = [q + image if power > 0 else image + q for q, image in zip(grid, images)]
+        # each pair's coordinates as numerators over one denominator D
+        D = math.lcm(*(c.denominator for pair in pairs for c in pair))
+        numerators = np.array([[int(c * D) for c in pair] for pair in pairs], dtype=np.int64)
+        values = [joining.integrate(k) for k in box]
+        assert sum(value is not None for value in values) == decided
+        if power < 0:
+            positive = build_joining({"kind": "off-diagonal",
+                                      "params": {"component": component, "power": -power}})
+            for k, value in zip(box, values):
+                assert value == positive.integrate(k[2:] + k[:2]), k
+        for k, value in zip(box, values):
+            if value is not None:
+                phases, counts = np.unique(numerators @ np.array(k) % D, return_counts=True)
+                brute = PhaseSum((Fraction(int(n), D), Fraction(int(c), M * M))
+                                 for n, c in zip(phases, counts))
+                assert value == brute, k
+
+
+def test_negative_power_over_a_rotation_is_exact():
+    """The off-diagonal joining of a group extension over the rotation 2/7
+    with T^-p, the graph of T^p with its halves swapped, integrates exactly."""
+    component = extension_over_two_sevenths("3", "1/5")
+    check_off_diagonal_powers_on_a_grid(component, decided=625)
     off = build_joining({"kind": "off-diagonal",
                          "params": {"component": component, "power": -1}})
     # the graph of T^-1: e(-3x + g - g') integrates to e(-(3 * 2/7 - 1/5))
     assert off.integrate((-3, 1, 0, -1)) == PhaseSum.unit(Fraction(-23, 35))
+
+
+def test_negative_power_of_a_half_integer_slope_is_decided_where_the_positive_one_is():
+    """A slope of 1/2 pulls a character back exactly when the group frequency
+    of the half that T^p moves is even: 3 in 5 of the degree-2 box, at either
+    sign of the power."""
+    check_off_diagonal_powers_on_a_grid(extension_over_two_sevenths("1/2", "1/3"), decided=375)

@@ -32,7 +32,6 @@ from ergolab.core import (
 from ergolab.exact import PhaseSum
 from ergolab.joinings import (
     JoiningMeasure,
-    build_joining,
     product_consistency_test,
     product_joining,
     sample_joining,
@@ -187,31 +186,6 @@ def test_product_system_accepts_a_measure_on_its_space():
     rotation = build_system(ROT_THIRD)
     measure = HaarMeasure(2)
     assert ProductSystem([rotation, rotation], measure=measure).measure is measure
-
-
-JOININGS = {
-    "diagonal": {"kind": "diagonal", "params": {"component": ROT_THIRD}},
-    "graph": {"kind": "graph", "params": {
-        "component": ROT_THIRD,
-        "map": {"kind": "rotation", "params": {"angle": "1/6"}},
-    }},
-    "example1-triple": {"kind": "example1-triple", "params": {
-        "base_measure": {"kind": "haar", "arity": 1},
-        "cocycle": {"kind": "affine", "slope": "3", "intercept": "1/7"},
-        "angle": "1/5",
-    }},
-}
-
-
-@pytest.mark.parametrize("name", sorted(JOININGS))
-def test_joined_inverse_keeps_the_joining_and_inverts_the_map(name):
-    system = build_joining(JOININGS[name])
-    inverse = system.inverse()
-    assert inverse.measure is system.measure
-    assert inverse.space == system.space
-    for point in sample_joining(system, 5, 25, rationals=True):
-        assert inverse.apply(system.apply(point)) == point
-        assert system.apply(inverse.apply(point)) == point
 
 
 def test_factor_slices_tile_the_concatenated_space():

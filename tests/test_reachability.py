@@ -1,12 +1,16 @@
-"""Every public module-level function of ergolab, and every public property
-of its public classes, is reached by a run or by ``spec validate``, or is on an
-allowlist that says why it stays.
+"""Every public module-level function of ergolab, and every public method,
+static method, class method, property and cached property of its public
+classes, is reached by a run or by ``spec validate``, or is on an allowlist
+that says why it stays; an allowlisted name that a run reaches, or that is
+gone, fails the test too.
 
 The five experiments run through ``ergolab.cli.main`` on small knobs, in every
 ``--format``, and ``spec validate`` reads one document per kind of the
-README's spec tables, all under ``sys.setprofile``; a function or property
-counts as reached when its code object (a property's getter) is entered."""
+README's spec tables, plus a negative off-diagonal power, all under
+``sys.setprofile``; a function or method counts as reached when its code object
+(a property's getter, a cached property's function) is entered."""
 
+import functools
 import importlib
 import inspect
 import json
@@ -32,6 +36,11 @@ RUNS = [
         "base_measure": {"kind": "power-law-sampled", "exponent": 2}}},
         "observable": {"freqs": [0, 1], "centered": True}, "N": 256,
         "samples": 1024, "toeplitz_size": 16, "eigenvalue_queries": [{"angle": "0"}]}),
+    ("spectral-probe", {"system": {"kind": "identity", "params": {"measure": {
+        "kind": "mixture", "components": [
+            {"weight": "1/2", "measure": {"kind": "haar"}},
+            {"weight": "1/2", "measure": {"kind": "atoms", "atoms": [{"point": ["1/3"]}]}}]}}},
+        "N": 64, "toeplitz_size": 8, "eigenvalue_queries": [{"angle": "0"}]}),
 ]
 
 ROT = {"kind": "rotation", "params": {"angle": "1/3"}}
@@ -75,9 +84,22 @@ DOCUMENTS = (
     + [{"system": {"kind": "twist", "params": {"base_measure": ATOM, "cocycle": c}}}
        for c in COCYCLES.values()]
     + [{"joining": {"kind": kind, "params": params}} for kind, params in JOININGS.items()]
+    # the swapped graph of T^2; a tower has no pullback, so this enters the default
+    + [{"joining": {"kind": "off-diagonal", "params": {
+        "component": {"kind": "rank1-family", "params": SYSTEMS["rank1-family"]},
+        "power": -2}}}]
 )
 
-#: functions and properties that stay although no run or validation reaches them, and why
+STUB = "interface stub or default; the subclasses the runs use override it"
+DRAWS = ("a measure's rational draws and atoms, which sample_joining(rationals=True), "
+         "image measures and atom sums call on any measure; no run asks them of this one")
+FLOAT_MAPS = "a float map of sampled points; no run samples a rotation or a table cocycle"
+TOWER_MAP = ("the rank-one tower as a pointwise map (build_rank1_system); the runs "
+             "correlate towers by tower-level counting and never build the map")
+CONDITIONAL = ("rel-indep fibers that depend on the base point (README JoiningSpec); "
+               "validation builds them, never integrates or samples")
+
+#: functions and methods that stay although no run or validation reaches them, and why
 ALLOWLIST = {
     "ergolab.core.integrate_character":
         "README library tour: the exact or seeded Monte Carlo integral of one character",
@@ -89,12 +111,67 @@ ALLOWLIST = {
         "the CLI's exit-2 message; the default runs all pass",
     "ergolab.rank1.AgreementReport.agrees_through":
         "the stages a digit-spec dichotomy refusal reports; the runs give rationals",
+    "ergolab.experiments.ExperimentReport.canonical_bytes":
+        "the regression oracle that perfbench/child.py hashes; the CLI writes formatted reports",
+    "ergolab.exact.PhaseSum.unit": "an exact constructor; character_at calls it",
+    "ergolab.exact.PhaseSum.from_rational":
+        "an exact constructor; arithmetic with an int or Fraction operand calls it",
+    "ergolab.core.RotationSystem.apply":
+        "the exact map of a rotation (orbit); the runs pull rotations back instead",
+    **dict.fromkeys([
+        "ergolab.core.MeasureHandle.integrate_character",
+        "ergolab.core.MeasureHandle.sample_rationals",
+        "ergolab.core.MeasureHandle.sample_floats",
+        "ergolab.core.Cocycle.evaluate_array",
+        "ergolab.core.Cocycle.frequency_shift",
+        "ergolab.core.System.apply",
+        "ergolab.core.System.apply_array",
+    ], STUB),
+    **dict.fromkeys([
+        "ergolab.core.PointMeasure.sample_rationals",
+        "ergolab.core.PointMeasure.enumerate_atoms",
+        "ergolab.core.DiracMixture.sample_rationals",
+        "ergolab.core.DiracMixture.enumerate_atoms",
+        "ergolab.core.MixtureMeasure.sample_rationals",
+        "ergolab.core.MixtureMeasure.sample_floats",
+        "ergolab.core.MixtureMeasure.enumerate_atoms",
+        "ergolab.core.SampledPowerMeasure.sample_rationals",
+    ], DRAWS),
+    **dict.fromkeys([
+        "ergolab.core.RotationSystem.apply_array",
+        "ergolab.core.TableCocycle.evaluate_array",
+    ], FLOAT_MAPS),
+    **dict.fromkeys([
+        "ergolab.rank1.Rank1System.map",
+        "ergolab.rank1.Rank1System.apply",
+        "ergolab.rank1.Rank1System.apply_array",
+        "ergolab.rank1.Rank1Map.apply_array",
+    ], TOWER_MAP),
+    **dict.fromkeys([
+        "ergolab.core.IndependentFiber.at",
+        "ergolab.core.ConditionalAtomsFiber.at",
+        "ergolab.joinings.JoiningMeasure.integrate_character",
+        "ergolab.joinings.JoiningMeasure.sample_rationals",
+        "ergolab.joinings.JoiningMeasure.sample_floats",
+    ], CONDITIONAL),
 }
 
 
+def _code(member):
+    """The code object a call of a class member enters, or None for data."""
+    if isinstance(member, (staticmethod, classmethod)):
+        member = member.__func__
+    elif isinstance(member, property):
+        member = member.fget
+    elif isinstance(member, functools.cached_property):
+        member = member.func
+    return member.__code__ if inspect.isfunction(member) else None
+
+
 def _public_functions():
-    """Public functions defined in each module, and the getters of the public
-    properties that its public classes define, by dotted name."""
+    """Public functions defined in each module, and the public methods, static
+    and class methods, properties and cached properties that its public classes
+    define, by dotted name."""
     for info in pkgutil.iter_modules(ergolab.__path__):
         module = importlib.import_module(f"ergolab.{info.name}")
         for name, obj in vars(module).items():
@@ -104,8 +181,9 @@ def _public_functions():
                 yield f"{module.__name__}.{name}", obj.__code__
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    if not attr.startswith("_") and isinstance(member, property):
-                        yield f"{module.__name__}.{name}.{attr}", member.fget.__code__
+                    code = None if attr.startswith("_") else _code(member)
+                    if code is not None:
+                        yield f"{module.__name__}.{name}.{attr}", code
 
 
 def test_every_public_function_is_reached_or_allowlisted(tmp_path, capsys):
