@@ -125,12 +125,6 @@ def validate_frequencies(space: Space, k: Sequence[int], *, field: str = "k") ->
     return tuple(int(v) for v in k)
 
 
-def character_at(k: FreqVector, point: Point) -> PhaseSum:
-    """Exact value of e^(2*pi*i*<k, point>)."""
-    angle = sum((Fraction(ki) * ti for ki, ti in zip(k, point)), Fraction(0))
-    return PhaseSum.unit(angle)
-
-
 def character_array(k: FreqVector, points: np.ndarray) -> np.ndarray:
     """Values of the character on an (n, arity) float array.
 
@@ -250,12 +244,15 @@ class MeasureHandle:
     def sample_floats(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def split(self, coords: tuple[int, ...]) -> "MeasureSplit":
-        """Disintegrate over the given coordinates; see MeasureSplit."""
+    def split(self, coords: tuple[int, ...]
+              ) -> "tuple[MeasureHandle, MeasureHandle | dict[Point, MeasureHandle]]":
+        """Disintegrate over the given coordinates: (base marginal, fiber).  The
+        fiber is the measure on the other coordinates when it does not depend on
+        the base point, else a dict from each base atom to its fiber measure."""
         if coords == ():
-            return MeasureSplit(PointMeasure(), IndependentFiber(self), ())
+            return PointMeasure(), self
         if coords == tuple(range(self.arity)):
-            return MeasureSplit(self, IndependentFiber(PointMeasure()), coords)
+            return self, PointMeasure()
         raise UnsupportedOperationError(
             f"{type(self).__name__} cannot be disintegrated over coordinates {coords}"
         )
@@ -263,40 +260,6 @@ class MeasureHandle:
     def enumerate_atoms(self) -> Optional[list[tuple[Fraction, Point]]]:
         """(weight, point) pairs when the measure has finite support, else None."""
         return None
-
-
-@dataclass
-class MeasureSplit:
-    """A disintegration: base marginal over `coords` plus a fiber model."""
-
-    base: MeasureHandle
-    fiber: "IndependentFiber | ConditionalAtomsFiber"
-    coords: tuple[int, ...]
-
-
-@dataclass
-class IndependentFiber:
-    """Fiber measure that does not depend on the base point (product structure)."""
-
-    measure: MeasureHandle
-
-    def at(self, base_point: Point) -> MeasureHandle:
-        return self.measure
-
-
-@dataclass
-class ConditionalAtomsFiber:
-    """Fiber measures looked up per base atom (finite-support bases only)."""
-
-    table: dict[Point, MeasureHandle]
-
-    def at(self, base_point: Point) -> MeasureHandle:
-        try:
-            return self.table[tuple(base_point)]
-        except KeyError:
-            raise SpecValidationError(
-                "base_point", f"{base_point} is not an atom of the disintegrated base"
-            ) from None
 
 
 class PointMeasure(MeasureHandle):
@@ -344,15 +307,9 @@ class HaarMeasure(MeasureHandle):
         return _units_to_floats(units)
 
     def split(self, coords):
-        coords = tuple(coords)
         rest = tuple(i for i in range(self.arity) if i not in coords)
-        base = HaarMeasure(tuple(self.space[i] for i in coords))
-        fiber = HaarMeasure(tuple(self.space[i] for i in rest))
-        if not coords:
-            base = PointMeasure()
-        if not rest:
-            return MeasureSplit(base, IndependentFiber(PointMeasure()), coords)
-        return MeasureSplit(base, IndependentFiber(fiber), coords)
+        return tuple(HaarMeasure(tuple(self.space[i] for i in part)) if part else PointMeasure()
+                     for part in (coords, rest))
 
 
 class DiracMixture(MeasureHandle):
@@ -427,7 +384,7 @@ class DiracMixture(MeasureHandle):
                 )
             else:
                 table[bp] = PointMeasure()
-        return MeasureSplit(base, ConditionalAtomsFiber(table), coords)
+        return base, table
 
 
 def cyclic_uniform(order: int) -> DiracMixture:
@@ -509,20 +466,20 @@ class ProductMeasure(MeasureHandle):
             elif not local:
                 fibers.append(f)
             else:
-                sub = f.split(local)
-                if not isinstance(sub.fiber, IndependentFiber):
+                base, fiber = f.split(local)
+                if isinstance(fiber, dict):
                     raise UnsupportedOperationError(
                         f"coordinates {coords} require a conditional split inside a "
                         "product factor; only independent splits compose"
                     )
-                bases.append(sub.base)
-                fibers.append(sub.fiber.measure)
+                bases.append(base)
+                fibers.append(fiber)
         def assemble(parts: list[MeasureHandle]) -> MeasureHandle:
             parts = [p for p in parts if p.arity]
             if not parts:
                 return PointMeasure()
             return parts[0] if len(parts) == 1 else ProductMeasure(parts)
-        return MeasureSplit(assemble(bases), IndependentFiber(assemble(fibers)), coords)
+        return assemble(bases), assemble(fibers)
 
 
 class MixtureMeasure(MeasureHandle):

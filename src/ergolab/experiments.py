@@ -539,8 +539,9 @@ def _itinerary_coherent(m: Rank1Map, word: int, base_levels: np.ndarray) -> bool
     """Three independent descriptions of the depth-d levels that carry base
     mass agree: the T letters of the bit string ``word`` (T = 1, first letter
     most significant), the levels whose start is one of the map's 3**depth
-    base units, and ``base_levels``, the sorted positions of the stage-0 level
-    by copy offsets.  The exact map then ties the levels to normalized
+    base units, and ``base_levels``, the positions of the stage-0 level by copy
+    offsets, marked on a mask of the levels (a position out of range or repeated
+    fails the check).  The exact map then ties the levels to normalized
     coordinates at both ends: the midpoint of level 0 lies in level 0 and moves
     onto the midpoint of level 1, and the midpoint of the top level lies in it."""
     if word.bit_length() != m.length:
@@ -548,9 +549,13 @@ def _itinerary_coherent(m: Rank1Map, word: int, base_levels: np.ndarray) -> bool
     pad = -m.length % 8  # the word's bits, left-aligned in whole bytes
     letters = (word << pad).to_bytes((m.length + pad) // 8, "big")
     is_base = np.unpackbits(np.frombuffer(letters, dtype=np.uint8), count=m.length).view(bool)
+    marked = np.zeros_like(is_base)
+    if base_levels.size and 0 <= base_levels.min() <= base_levels.max() < m.length:
+        marked[base_levels] = True
     levels_agree = (np.array_equal(m.level_starts < 3 ** m.depth, is_base)
-                    and np.array_equal(np.flatnonzero(is_base), base_levels))
-    del letters, is_base  # freed before level_of builds its table
+                    and base_levels.size == np.count_nonzero(is_base)
+                    and np.array_equal(marked, is_base))
+    del letters, is_base, marked  # freed before level_of builds its table
 
     def midpoint(level: int) -> Fraction:
         return Fraction(2 * int(m.level_starts[level]) + 1, 2 * m.length)

@@ -1,8 +1,7 @@
 """Joinings: measures on product spaces with prescribed marginals.
 
 A joining is an invariant measure of the factors' product map whose
-marginals are their measures, realized as a sampler over the product space plus
-an optional exact character integrator.  Every constructor returns the
+marginals are their measures.  Every constructor returns the
 ``core.ProductSystem`` of the factors carrying the joining as its measure (the
 product joining is that map's default measure), so the spectral engine applies
 verbatim to joined systems.  Every claim about a joining is made through
@@ -11,15 +10,15 @@ character integrals: ``ProductSystem.integrate`` against the joining and
 
 Construction kinds: product, diagonal, graph (including off-diagonal powers),
 the relatively independent extension over declared factors, and the coupled
-triple of a twist and its shifted copy.  All are images of product measures
-under coordinate or graph maps (``core.ImageMeasure``), except relatively
-independent extensions whose fibers depend on the drawn base point: those are
-given by callables (``JoiningMeasure``).  A negative power -p is never built
-from an inverse map: the transpose of a joining is a joining, so the graph of
-T^-p is the graph of T^p with its two halves swapped, y -> (T^p y, y).
-``product_consistency_test`` refutes product structure of one given joining and
-is explicitly one-sided: disjointness quantifies over all joinings, which no
-finite procedure certifies.
+triple of a twist and its shifted copy.  Each is an image of a product measure
+under coordinate or graph maps (``core.ImageMeasure``); a relatively
+independent extension whose fibers depend on the base point is the image of a
+mixture of products, one per atom of the base joining.  A negative power -p
+is never built from an inverse map: the transpose of a joining is a joining,
+so the graph of T^-p is the graph of T^p with its two halves swapped,
+y -> (T^p y, y).  ``product_consistency_test`` refutes product structure of
+one given joining and is explicitly one-sided: disjointness quantifies over
+all joinings, which no finite procedure certifies.
 
 Sampled checks read every empirical character mean from one kernel,
 ``_character_means``.  Since mean(e(<-k, x>)) = conj(mean(e(<k, x>))), it
@@ -40,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +47,15 @@ from ergolab.core import (
     CIRCLE,
     AffineCocycle,
     Cocycle,
-    ConditionalAtomsFiber,
     CoordinateMap,
+    DiracMixture,
     ErgolabError,
     FreqVector,
     HaarMeasure,
     IdentitySystem,
     ImageMeasure,
-    IndependentFiber,
     MeasureHandle,
+    MixtureMeasure,
     PointMeasure,
     ProductMeasure,
     ProductSystem,
@@ -64,7 +63,6 @@ from ergolab.core import (
     SpecValidationError,
     System,
     UnsupportedOperationError,
-    character_at,
     derive_seed,
     factor_slices,
     frequency_box,
@@ -75,7 +73,7 @@ from ergolab.core import (
     validate_frequencies,
     wrap_unit,
 )
-from ergolab.exact import PhaseSum, parse_scalar
+from ergolab.exact import parse_scalar
 from ergolab.schema import MAX_OFF_DIAGONAL_POWER, check_factor_lists, parse  # noqa: F401
 
 DEFAULT_CHECK_FAMILY_MAX_FREQ = 2
@@ -93,35 +91,8 @@ class JoiningConstructionError(ErgolabError):
 
 
 # ---------------------------------------------------------------------------
-# joint measure and system
+# joint system
 # ---------------------------------------------------------------------------
-
-class JoiningMeasure(MeasureHandle):
-    """MeasureHandle from callables: integrator + samplers over the product
-    space (fibers that depend on the base point)."""
-
-    def __init__(self, space, integrator, sample_rationals_fn, sample_floats_fn,
-                 description: str, exact_flag: bool):
-        self.space = space
-        self.description = description
-        self._integrator = integrator
-        self._sample_rationals = sample_rationals_fn
-        self._sample_floats = sample_floats_fn
-        self._exact_flag = exact_flag
-
-    def _fully_exact(self) -> bool:
-        return self._exact_flag
-
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        k = validate_frequencies(self.space, k)
-        return self._integrator(k)
-
-    def sample_rationals(self, rng, n):
-        return self._sample_rationals(rng, n)
-
-    def sample_floats(self, rng, n):
-        return self._sample_floats(rng, n)
-
 
 #: a joining is the ``ProductSystem`` carrying it; ``perfbench/tracer.py`` wraps
 #: ``product_integral`` and ``integrate`` under this name
@@ -229,34 +200,44 @@ def graph_joining(system: System, graph_map: System, *,
 
 
 def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> None:
+    """R must preserve the measure and commute with the dynamics, checked on the
+    exact character family, or pointwise on the atoms where a character has no
+    pullback.  A map composed of the component and the identity commutes by
+    construction; any other map whose commutation neither check decides is refused."""
     measure = system.measure
     image = ImageMeasure(measure, graph_map)
-    family = frequency_box(len(system.space), max_freq, skip_zero=True)
     atoms = measure.enumerate_atoms()
-    for k in family:
-        # measure preservation of R
+    maps = graph_map.maps if isinstance(graph_map, _ComposedSystem) else (graph_map,)
+    by_construction = all(m is system or isinstance(m, IdentitySystem) for m in maps)
+    for k in frequency_box(len(system.space), max_freq, skip_zero=True):
         expected, actual = measure.integrate_character(k), image.integrate_character(k)
         if expected is not None and actual is not None and not (actual - expected).is_zero():
             raise JoiningConstructionError(
                 f"graph map does not preserve the measure at character {k}",
                 character=k,
             )
-        # commutation with the dynamics on the exact family
+        if by_construction:
+            continue
         via_tr = _ComposedSystem(system, graph_map).char_pullback(k)
         via_rt = _ComposedSystem(graph_map, system).char_pullback(k)
-        if via_tr is not None and via_rt is not None and via_tr != via_rt:
+        if via_tr is not None and via_rt is not None:
+            if via_tr != via_rt:
+                raise JoiningConstructionError(
+                    f"graph map does not commute with the dynamics at character {k}",
+                    character=k,
+                )
+        elif atoms is None:
             raise JoiningConstructionError(
-                f"graph map does not commute with the dynamics at character {k}",
-                character=k,
-            )
-        if via_tr is None and atoms is not None:
+                f"cannot decide whether the graph map commutes with the dynamics at "
+                f"character {k}: no character pullback and no atoms", character=k)
+        else:
             for _, p in atoms:
                 if system.apply(graph_map.apply(p)) != graph_map.apply(system.apply(p)):
                     raise JoiningConstructionError(
                         f"graph map does not commute with the dynamics at atom {p}",
                         character=k,
                     )
-            break  # pointwise check on atoms does not depend on k
+            atoms = []  # the pointwise check on atoms does not depend on k
 
 
 def _factor_system(system: System, coords: Sequence[int]) -> System:
@@ -267,7 +248,7 @@ def _factor_system(system: System, coords: Sequence[int]) -> System:
     if coords == tuple(range(len(system.space))):
         return system
     if isinstance(system, IdentitySystem):
-        return IdentitySystem(system.measure.split(coords).base)
+        return IdentitySystem(system.measure.split(coords)[0])
     if isinstance(system, SkewProductSystem) and isinstance(system.base, IdentitySystem):
         if coords == tuple(range(system.base_arity)):
             return IdentitySystem(system.base.measure)
@@ -286,18 +267,21 @@ def _factor_system(system: System, coords: Sequence[int]) -> System:
 
 
 def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]],
-                      base: dict | ProductSystem) -> ProductSystem:
-    """Couple two systems through a joining of declared coordinate factors and
-    draw the fibers independently.
+                      base: dict) -> ProductSystem:
+    """Couple two systems through a joining λ of declared coordinate factors and
+    draw the fibers independently: the image of λ ⊗ fiber 1 ⊗ fiber 2, or, when
+    a fiber depends on the base point, of the mixture over λ's atoms b of
+    δ_b ⊗ fiber 1(b1) ⊗ fiber 2(b2).
 
-    With trivial factors this is exactly the product joining.  The base joining
-    is built over the derived factor systems (kinds: product, diagonal, graph).
+    Over the product base this is the product joining, since
+    ∫ μ1^b1 ⊗ μ2^b2 d(λ1 ⊗ λ2) = μ1 ⊗ μ2.  A diagonal or graph base is built
+    over the derived factor systems and must have the second factor's measure
+    as its second marginal on the exact character family.
     """
     if len(systems) != 2:
         raise SpecValidationError("components", "rel-indep joins two systems")
     check_factor_lists(factors)
-    if not isinstance(base, ProductSystem):
-        base = parse(base, "rel-indep-base", "base")
+    base = parse(base, "rel-indep-base", "base")
     s1, s2 = systems
     f1, f2 = tuple(factors[0]), tuple(factors[1])
     a1, a2 = len(s1.space), len(s2.space)
@@ -309,56 +293,41 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     if sorted(order) != list(range(a1 + a2)):
         raise SpecValidationError("factors", "factors must be distinct component coordinates")
     fac1, fac2 = _factor_system(s1, f1), _factor_system(s2, f2)
-    split1, split2 = s1.measure.split(f1), s2.measure.split(f2)
-
-    if isinstance(base, ProductSystem):
-        base_joining = base
-    elif base["kind"] == "product":
-        base_joining = product_joining([fac1, fac2])
-    elif base["kind"] == "diagonal":
-        base_joining = graph_joining(fac1, IdentitySystem(fac1.measure))
-    else:
-        base_joining = graph_joining(fac1, make_system(base["map"]))
-    if [len(c.space) for c in base_joining.factors] != [len(f1), len(f2)]:
+    if base["kind"] == "product":
+        return ProductSystem([s1, s2])
+    if len(f1) != len(f2):
         raise SpecValidationError("base", "base joining does not match the factor arities")
+    graph_map = IdentitySystem(fac1.measure) if base["kind"] == "diagonal" \
+        else make_system(base["map"])
+    base_measure = graph_joining(fac1, graph_map).measure
+    for k in frequency_box(len(f2), DEFAULT_CHECK_FAMILY_MAX_FREQ, skip_zero=True):
+        joint = base_measure.integrate_character((0,) * len(f1) + k)
+        marginal = fac2.measure.integrate_character(k)
+        if joint is not None and marginal is not None and not (joint - marginal).is_zero():
+            raise JoiningConstructionError(
+                f"base joining's second marginal differs from the second factor's "
+                f"measure at character {k}", character=k)
 
-    scatter = CoordinateMap(a1 + a2, sorted(range(a1 + a2), key=order.__getitem__))
-    base_measure, fiber1, fiber2 = base_joining.measure, split1.fiber, split2.fiber
-    if isinstance(fiber1, IndependentFiber) and isinstance(fiber2, IndependentFiber):
-        source: MeasureHandle = ProductMeasure([base_measure, fiber1.measure, fiber2.measure])
+    (_, fiber1), (_, fiber2) = s1.measure.split(f1), s2.measure.split(f2)
+    if isinstance(fiber1, dict) or isinstance(fiber2, dict):
+        # a fiber depends on the base point: one product component per base atom
+        atoms = base_measure.enumerate_atoms()
+        if atoms is None:
+            raise JoiningConstructionError("fibers that depend on the base point need "
+                                           "a base joining with atoms")
+        components = []
+        for w, b in atoms:
+            parts = [DiracMixture(base_measure.space, [(1, b)])]
+            for fiber, half in ((fiber1, b[:len(f1)]), (fiber2, b[len(f1):])):
+                if isinstance(fiber, dict) and half not in fiber:
+                    raise JoiningConstructionError(
+                        f"half {half} of base atom {b} is not an atom of its split")
+                parts.append(fiber[half] if isinstance(fiber, dict) else fiber)
+            components.append((w, ProductMeasure(parts)))
+        source: MeasureHandle = MixtureMeasure(components)
     else:
-        # a fiber depends on the base point: summed over base atoms, drawn per point
-        b1, b, r1 = len(f1), len(f1) + len(f2), len(rest1)
-
-        def integrator(k):
-            kb, kr1, kr2 = k[:b], k[b:b + r1], k[b + r1:]
-            base_atoms = base_measure.enumerate_atoms()
-            if base_atoms is None:
-                return None
-            total = PhaseSum.zero()
-            for w, bp in base_atoms:
-                p1 = fiber1.at(bp[:b1]).integrate_character(kr1)
-                p2 = fiber2.at(bp[b1:]).integrate_character(kr2)
-                if p1 is None or p2 is None:
-                    return None
-                total = total + character_at(kb, bp) * p1 * p2 * w
-            return total
-
-        def sample_rationals(rng, n):
-            return [bp + fiber1.at(bp[:b1]).sample_rationals(rng, 1)[0]
-                    + fiber2.at(bp[b1:]).sample_rationals(rng, 1)[0]
-                    for bp in base_measure.sample_rationals(rng, n)]
-
-        def sample_floats(rng, n):
-            return np.array([[float(c) for c in p] for p in sample_rationals(rng, n)])
-
-        exact_flag = base_measure.exact and all(
-            isinstance(fiber, ConditionalAtomsFiber) or fiber.measure.exact
-            for fiber in (fiber1, fiber2))
-        joined_space = s1.space + s2.space
-        source = JoiningMeasure(tuple(joined_space[c] for c in order), integrator,
-                                sample_rationals, sample_floats,
-                                description="base point and fibers", exact_flag=exact_flag)
+        source = ProductMeasure([base_measure, fiber1, fiber2])
+    scatter = CoordinateMap(a1 + a2, sorted(range(a1 + a2), key=order.__getitem__))
     measure = ImageMeasure(source, scatter, description="relatively independent extension")
     return ProductSystem([s1, s2], measure=measure)
 
@@ -514,10 +483,11 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
     """Compare the joining's character integrals against the product of marginals.
 
     Exact path: any nonzero exact difference refutes with the witnessing
-    character.  Sampled path: any standardized difference beyond 4 sigma
-    (sigma = 1/sqrt(samples)) refutes.  A pass is explicitly one-sided: it says
-    this one joining looked like the product on the tested characters, nothing
-    more.
+    character; in ``auto`` mode, a character with no exact integral sends the
+    test to the sampled path when a seed is given.  Sampled path: any
+    standardized difference beyond 4 sigma (sigma = 1/sqrt(samples)) refutes.
+    A pass is explicitly one-sided: it says this one joining looked like the
+    product on the tested characters, nothing more.
     """
     if degree < 1:
         raise SpecValidationError("degree", f"degree must be >= 1, got {degree}")
@@ -541,14 +511,18 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
             joint = joining.integrate(k)
             prod = joining.product_integral(k)
             if joint is None or prod is None:
-                raise UnsupportedOperationError(f"exact integral unavailable at {k}")
+                if mode == "exact" or seed is None:
+                    raise UnsupportedOperationError(f"exact integral unavailable at {k}")
+                rows = []  # fall back to the sampled path
+                break
             rows.append(ConsistencyRow(k, joint.value(), prod.value(), 0.0))
             if witness is None and not (joint - prod).is_zero():
                 witness = k
-        return ConsistencyVerdict(
-            verdict="refuted" if witness else "consistent-with-product",
-            witness=witness, mode="exact", rows=rows, note=note,
-        )
+        else:
+            return ConsistencyVerdict(
+                verdict="refuted" if witness else "consistent-with-product",
+                witness=witness, mode="exact", rows=rows, note=note,
+            )
 
     if seed is None:
         raise UnsupportedOperationError("sampled mode needs a seed")

@@ -314,9 +314,11 @@ class Rank1Map:
 
     @cached_property
     def _level_of_unit(self) -> np.ndarray:
-        """Raw unit index -> level index (int32), built on first use."""
+        """Raw unit index -> level index (int32), built on first use, 2^16 levels at a time."""
         level_of_unit = np.empty(self.length, dtype=np.int32)
-        level_of_unit[self.level_starts] = np.arange(self.length, dtype=np.int32)
+        for lo in range(0, self.length, 1 << 16):
+            starts = self.level_starts[lo:lo + (1 << 16)]
+            level_of_unit[starts] = np.arange(lo, lo + len(starts), dtype=np.int32)
         return level_of_unit
 
     @property

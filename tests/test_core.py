@@ -20,7 +20,6 @@ from ergolab.core import (
     UnsupportedOperationError,
     build_measure,
     build_system,
-    character_at,
     cyclic_uniform,
     frequency_box,
     integrate_character,
@@ -32,6 +31,11 @@ from ergolab.rank1 import Rank1Spec, rank1_map
 from ergolab.schema import parse
 
 F = Fraction
+
+
+def character_at(k, point):
+    """Exact e(<k, point>) at a rational point: the oracle for atom sums."""
+    return PhaseSum.unit(sum((ki * ti for ki, ti in zip(k, point)), Fraction(0)))
 
 
 def rotation(angle):

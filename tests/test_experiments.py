@@ -235,6 +235,26 @@ def test_itinerary_check_fails_on_base_levels_shifted_by_one(monkeypatch):
     assert [cid for cid, c in checks.items() if not c.passed] == ["itinerary-coherence"]
 
 
+@pytest.mark.parametrize("plant", ["past-the-top", "negative", "repeat"])
+def test_itinerary_check_fails_on_base_levels_out_of_range_or_repeated(plant, monkeypatch):
+    """A base level past the top of the tower, below it, or listed twice fails
+    the itinerary check alone instead of raising: the levels are marked on a
+    mask only when all are in range, and their count must be the word's."""
+    from ergolab import rank1
+
+    real = rank1.stage_level_positions
+
+    def planting(spec, stage, level, depth):
+        positions = real(spec, stage, level, depth)
+        positions[-1] = {"past-the-top": rank1.word_lengths(depth), "negative": -1,
+                         "repeat": positions[0]}[plant]
+        return positions
+
+    monkeypatch.setattr(rank1, "stage_level_positions", planting)
+    checks = {c.check_id: c for c in run_experiment(small_config("rank1-family")).checks}
+    assert [cid for cid, c in checks.items() if not c.passed] == ["itinerary-coherence"]
+
+
 @pytest.mark.parametrize("plant", ["repeat", "outside"])
 def test_map_partition_check_fails_on_a_map_that_repeats_or_leaves_a_unit(plant, monkeypatch):
     """A depth-5 map whose level starts list one unit twice, or a unit past
@@ -254,17 +274,20 @@ def test_map_partition_check_fails_on_a_map_that_repeats_or_leaves_a_unit(plant,
     assert [cid for cid, c in checks.items() if not c.passed] == ["map-partition-exactness"]
 
 
-@pytest.mark.parametrize("depth, mib", [(10, 3), (12, 13)])
+@pytest.mark.parametrize("depth, mib", [(10, 3), (12, 9)])
 def test_rank1_family_peaks_below_its_bound(depth, mib):
-    """At depth 12 the itinerary check sets the peak, 11.5 MiB: the map's
-    int32 level starts (4 x L_d bytes), the int32 copy-offset base levels
-    (4 x 3^d), the word's letters as bools (L_d) and the int64 indices of its
-    T letters (8 x 3^d), compared while all are held.  At depth 10 these are
-    1.1 MiB, and the stage-14 bit word walk sets the peak at 2.2 MiB.  Walking
-    the base point's orbit through int32 units, levels and a clipped copy of
-    the units, with a translation table, peaked at 18.6 MiB at depth 12; with
-    text words and int64 towers the word walk set the depth-10 peak at 9.1 MiB
-    and that walk the depth-12 peak at 34.3 MiB."""
+    """At depth 12 the itinerary check sets the peak, 8.7 MiB: the map's int32
+    level starts (4 x L_d bytes) and the int32 copy-offset base levels
+    (4 x 3^d) are held while ``level_of`` builds its int32 unit-to-level table
+    (4 x L_d), 2^16 levels at a time; before it, the word's letters and a mask
+    of the base levels are compared as bools (L_d each).  At depth 10 these are
+    1.1 MiB, and the stage-14 bit word walk sets the peak at 2.2 MiB.  Comparing
+    the int64 indices of the T letters (8 x 3^d) and building the table beside
+    a whole int32 range peaked at 11.5 MiB at depth 12.  Walking the base
+    point's orbit through int32 units, levels and a clipped copy of the units,
+    with a translation table, peaked at 18.6 MiB at depth 12; with text words
+    and int64 towers the word walk set the depth-10 peak at 9.1 MiB and that
+    walk the depth-12 peak at 34.3 MiB."""
     config = ExperimentConfig.resolve("rank1-family", 2024, {"depth": depth})
     tracemalloc.start()
     try:

@@ -4,6 +4,8 @@ relatively independent joinings.
 
 Oracles: the integrators, samplers and atom enumerators these joinings were
 built from by hand before they became image measures, kept here as references.
+Over the product base a relatively independent extension is the product
+joining itself, and is checked against it.
 """
 
 import json
@@ -14,18 +16,16 @@ import numpy as np
 import pytest
 
 from ergolab.core import (
-    ConditionalAtomsFiber,
     CoordinateMap,
     HaarMeasure,
     IdentitySystem,
     ImageMeasure,
-    IndependentFiber,
+    MixtureMeasure,
     ProductMeasure,
     SpecValidationError,
     System,
     build_measure,
     build_system,
-    character_at,
     frequency_box,
     product_of_integrals,
     rng_from_seed,
@@ -33,7 +33,6 @@ from ergolab.core import (
 from ergolab.exact import PhaseSum
 from ergolab.joinings import (
     MAX_OFF_DIAGONAL_POWER,
-    JoiningMeasure,
     _ComposedSystem,
     _factor_system,
     build_joining,
@@ -44,6 +43,11 @@ from ergolab.joinings import (
 )
 
 F = Fraction
+
+
+def character_at(k, point):
+    """Exact e(<k, point>) at a rational point: the oracle for atom sums."""
+    return PhaseSum.unit(sum((ki * ti for ki, ti in zip(k, point)), Fraction(0)))
 
 ROT_THIRD = {"kind": "rotation", "params": {"angle": "1/3"}}
 HAAR = {"kind": "haar", "arity": 1}
@@ -61,12 +65,12 @@ PAIR_ATOMS = {"kind": "atoms", "atoms": [
     {"point": ["1/2", "0"], "weight": "1/3"},
     {"point": ["1/2", "1/4"], "weight": "1/6"},
 ]}
+IDENTITY_PAIR_ATOMS = {"kind": "identity", "params": {"measure": PAIR_ATOMS}}
 TABLE = {"kind": "table", "entries": [{"point": ["0"], "value": "1/2"},
                                       {"point": ["1/2"], "value": "0"}]}
-TABLE_TWIST = {"kind": "twist", "params": {
-    "base_measure": {"kind": "atoms", "atoms": [{"point": ["0"], "weight": "1/2"},
-                                                {"point": ["1/2"], "weight": "1/2"}]},
-    "cocycle": TABLE}}
+HALVES = {"kind": "atoms", "atoms": [{"point": ["0"], "weight": "1/2"},
+                                     {"point": ["1/2"], "weight": "1/2"}]}
+TABLE_TWIST = {"kind": "twist", "params": {"base_measure": HALVES, "cocycle": TABLE}}
 EXTENSION = {"kind": "group-extension", "params": {
     "base": {"kind": "rotation", "params": {"angle": "2/7"}},
     "cocycle": {"kind": "affine", "slope": "3", "intercept": "1/5"}}}
@@ -165,16 +169,20 @@ def old_triple_closures(base_measure):
 
 
 def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
-    """What ``rel_indep_joining`` built by hand, with both rational samplers:
-    the former one, which drew the fibers point by point, and the blockwise
-    draw of its float sampler (base, then fiber 1, then fiber 2)."""
-    split1, split2 = s1.measure.split(f1), s2.measure.split(f2)
+    """What ``rel_indep_joining`` built by hand over a diagonal or graph base:
+    the integrator, summed over the base joining's atoms when a fiber depends
+    on the base point, and, for independent fibers, the blockwise draw of its
+    float sampler (base, then fiber 1, then fiber 2) and its rational twin.
+    Fibers that depend on the base point have no reference draw (None)."""
+    (_, fiber1), (_, fiber2) = s1.measure.split(f1), s2.measure.split(f2)
     a1, a2 = len(s1.space), len(s2.space)
     rest1 = tuple(i for i in range(a1) if i not in f1)
     rest2 = tuple(i for i in range(a2) if i not in f2)
     b1_arity = len(f1)
-    independent = isinstance(split1.fiber, IndependentFiber) and \
-        isinstance(split2.fiber, IndependentFiber)
+    independent = not isinstance(fiber1, dict) and not isinstance(fiber2, dict)
+
+    def at(fiber, half):
+        return fiber[half] if isinstance(fiber, dict) else fiber
 
     def assemble(base_pt1, fiber_pt1, base_pt2, fiber_pt2):
         pt1 = [None] * a1
@@ -196,8 +204,8 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
         kr2 = tuple(k2[c] for c in rest2)
         if independent:
             base_part = base_joining.integrate(kb)
-            p1 = split1.fiber.measure.integrate_character(kr1)
-            p2 = split2.fiber.measure.integrate_character(kr2)
+            p1 = fiber1.integrate_character(kr1)
+            p2 = fiber2.integrate_character(kr2)
             if base_part is None or p1 is None or p2 is None:
                 return None
             return base_part * p1 * p2
@@ -206,57 +214,61 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
             return None
         total = PhaseSum.zero()
         for w, bp in base_atoms:
-            bp1, bp2 = bp[:b1_arity], bp[b1_arity:]
-            p1 = split1.fiber.at(bp1).integrate_character(kr1)
-            p2 = split2.fiber.at(bp2).integrate_character(kr2)
+            p1 = at(fiber1, bp[:b1_arity]).integrate_character(kr1)
+            p2 = at(fiber2, bp[b1_arity:]).integrate_character(kr2)
             if p1 is None or p2 is None:
                 return None
             total = total + character_at(kb, bp) * p1 * p2 * w
         return total
 
-    def sample_rationals(rng, n):
-        base_pts = base_joining.measure.sample_rationals(rng, n)
-        out = []
-        for bp in base_pts:
-            bp1, bp2 = bp[:b1_arity], bp[b1_arity:]
-            fp1 = split1.fiber.at(bp1).sample_rationals(rng, 1)[0]
-            fp2 = split2.fiber.at(bp2).sample_rationals(rng, 1)[0]
-            out.append(assemble(bp1, fp1, bp2, fp2))
-        return out
-
     def sample_rationals_blockwise(rng, n):
         base_pts = base_joining.measure.sample_rationals(rng, n)
-        fib1 = split1.fiber.measure.sample_rationals(rng, n)
-        fib2 = split2.fiber.measure.sample_rationals(rng, n)
+        fib1 = fiber1.sample_rationals(rng, n)
+        fib2 = fiber2.sample_rationals(rng, n)
         return [assemble(bp[:b1_arity], fp1, bp[b1_arity:], fp2)
                 for bp, fp1, fp2 in zip(base_pts, fib1, fib2)]
 
     def sample_floats(rng, n):
-        if independent:
-            base_pts = base_joining.measure.sample_floats(rng, n)
-            fib1 = split1.fiber.measure.sample_floats(rng, n)
-            fib2 = split2.fiber.measure.sample_floats(rng, n)
-            out = np.empty((n, a1 + a2))
-            for j, c in enumerate(f1):
-                out[:, c] = base_pts[:, j]
-            for j, c in enumerate(rest1):
-                out[:, c] = fib1[:, j]
-            for j, c in enumerate(f2):
-                out[:, a1 + c] = base_pts[:, b1_arity + j]
-            for j, c in enumerate(rest2):
-                out[:, a1 + c] = fib2[:, j]
-            return out
-        pts = sample_rationals(rng, n)
-        return np.array([[float(c) for c in p] for p in pts])
+        base_pts = base_joining.measure.sample_floats(rng, n)
+        fib1 = fiber1.sample_floats(rng, n)
+        fib2 = fiber2.sample_floats(rng, n)
+        out = np.empty((n, a1 + a2))
+        for j, c in enumerate(f1):
+            out[:, c] = base_pts[:, j]
+        for j, c in enumerate(rest1):
+            out[:, c] = fib1[:, j]
+        for j, c in enumerate(f2):
+            out[:, a1 + c] = base_pts[:, b1_arity + j]
+        for j, c in enumerate(rest2):
+            out[:, a1 + c] = fib2[:, j]
+        return out
+
+    def atoms_fn():
+        base_atoms = base_joining.measure.enumerate_atoms()
+        if independent or base_atoms is None:
+            return None
+        out = []
+        for w, bp in base_atoms:
+            atoms1 = at(fiber1, bp[:b1_arity]).enumerate_atoms()
+            atoms2 = at(fiber2, bp[b1_arity:]).enumerate_atoms()
+            if atoms1 is None or atoms2 is None:
+                return None
+            out += [(w * w1 * w2, assemble(bp[:b1_arity], p1, bp[b1_arity:], p2))
+                    for w1, p1 in atoms1 for w2, p2 in atoms2]
+        return out
 
     exact_flag = base_joining.measure.exact and all(
-        (isinstance(sp.fiber, IndependentFiber) and sp.fiber.measure.exact)
-        or isinstance(sp.fiber, ConditionalAtomsFiber)
-        for sp in (split1, split2)
-    )
+        isinstance(fiber, dict) or fiber.exact for fiber in (fiber1, fiber2))
     exact = integrator((0,) * (a1 + a2)) is not None and exact_flag
-    return (integrator, sample_rationals_blockwise if independent else sample_rationals,
-            sample_floats, lambda: None, exact)
+    if not independent:
+        return integrator, None, None, atoms_fn, exact
+    return integrator, sample_rationals_blockwise, sample_floats, atoms_fn, exact
+
+
+def product_closures(joining):
+    """The product joining's own integrals, draws and atoms."""
+    m = joining.measure
+    return joining.integrate, m.sample_rationals, m.sample_floats, m.enumerate_atoms, m.exact
 
 
 # ---------------------------------------------------------------------------
@@ -317,51 +329,67 @@ def triple_case(base_measure, cocycle):
     return build
 
 
-def rel_indep_case(components, factors, base_kind):
+def rel_indep_case(components, factors, base):
     def build():
         systems = [build_system(c) for c in components]
-        joining = rel_indep_joining(systems, factors, {"kind": base_kind})
-        fac1, fac2 = (_factor_system(s, f) for s, f in zip(systems, factors))
-        base = product_joining([fac1, fac2]) if base_kind == "product" else \
-            graph_joining(fac1, IdentitySystem(fac1.measure))
-        return joining, old_rel_indep_closures(*systems, *map(tuple, factors), base)
+        joining = rel_indep_joining(systems, factors, base)
+        if base["kind"] == "product":
+            # over the product base the extension is the product joining
+            return joining, product_closures(product_joining(
+                [build_system(c) for c in components]))
+        fac1 = _factor_system(systems[0], factors[0])
+        graph_map = IdentitySystem(fac1.measure) if base["kind"] == "diagonal" else \
+            build_system(base["map"])
+        return joining, old_rel_indep_closures(*systems, *map(tuple, factors),
+                                               graph_joining(fac1, graph_map))
     return build
 
 
+PRODUCT_BASE = {"kind": "product"}
+DIAGONAL_BASE = {"kind": "diagonal"}
 CASES = {
     "diagonal-atoms": graph_case(IDENTITY_ATOMS),
     "diagonal-haar": graph_case(ROT_THIRD),
     "graph-rotation": graph_case(ROT_THIRD, {"kind": "rotation", "params": {"angle": "1/6"}}),
     "off-diagonal+2": graph_case(EXTENSION, power=2),
     "off-diagonal-2": graph_case(EXTENSION, power=-2),
-    "graph-atoms-no-pullback": graph_case(
-        {"kind": "identity", "params": {"measure": PAIR_ATOMS}}, TABLE_TWIST),
+    "graph-atoms-no-pullback": graph_case(IDENTITY_PAIR_ATOMS, TABLE_TWIST),
     "triple-haar": triple_case(HAAR, {"kind": "affine", "slope": "3", "intercept": "1/7"}),
-    "triple-table-atoms": triple_case(
-        {"kind": "atoms", "atoms": [{"point": ["0"], "weight": "1/2"},
-                                    {"point": ["1/2"], "weight": "1/2"}]}, TABLE),
+    "triple-table-atoms": triple_case(HALVES, TABLE),
     "triple-power-law": triple_case({"kind": "power-law-sampled", "exponent": 2},
                                     {"kind": "affine", "slope": "1", "intercept": "0"}),
-    "rel-indep-trivial": rel_indep_case([IDENTITY_ATOMS, ROT_THIRD], [[], []], "product"),
-    "rel-indep-atoms": rel_indep_case([IDENTITY_ATOMS, IDENTITY_ATOMS], [[], []], "product"),
-    "rel-indep-closure": rel_indep_case([TWIST_PAIR, ROT_THIRD], [[0, 2], []], "product"),
-    "rel-indep-diagonal-bases": rel_indep_case([TWIST, TWIST], [[0], [0]], "diagonal"),
+    "rel-indep-trivial": rel_indep_case([IDENTITY_ATOMS, ROT_THIRD], [[], []], PRODUCT_BASE),
+    "rel-indep-atoms": rel_indep_case([IDENTITY_ATOMS, IDENTITY_ATOMS], [[], []], PRODUCT_BASE),
+    "rel-indep-closure": rel_indep_case([TWIST_PAIR, ROT_THIRD], [[0, 2], []], PRODUCT_BASE),
+    "rel-indep-diagonal-bases": rel_indep_case([TWIST, TWIST], [[0], [0]], DIAGONAL_BASE),
     # the pair's second base coordinate is a factor: the scatter is not its own inverse
-    "rel-indep-scattered": rel_indep_case([TWIST_PAIR, TWIST], [[2], [0]], "diagonal"),
+    "rel-indep-scattered": rel_indep_case([TWIST_PAIR, TWIST], [[2], [0]], DIAGONAL_BASE),
+    # the first fiber depends on the base point, the second (Haar) does not
     "rel-indep-conditional": rel_indep_case(
-        [{"kind": "identity", "params": {"measure": PAIR_ATOMS}}, ROT_THIRD], [[0], []],
-        "product"),
+        [IDENTITY_PAIR_ATOMS, {"kind": "twist", "params": {"base_measure": HALVES}}],
+        [[0], [0]], DIAGONAL_BASE),
+    # both fibers depend on the base point, coupled by the rotation by 1/2
+    "rel-indep-conditional-graph": rel_indep_case(
+        [IDENTITY_PAIR_ATOMS, IDENTITY_PAIR_ATOMS], [[0], [0]],
+        {"kind": "graph", "map": {"kind": "rotation", "params": {"angle": "1/2",
+                                                                 "measure": HALVES}}}),
+    "rel-indep-conditional-product": rel_indep_case(
+        [IDENTITY_PAIR_ATOMS, ROT_THIRD], [[0], []], PRODUCT_BASE),
 }
+PRODUCT_BASE_CASES = {"rel-indep-trivial", "rel-indep-atoms", "rel-indep-closure",
+                      "rel-indep-conditional-product"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_image_joining_equals_its_former_closures(name):
     joining, (integrator, sample_rationals, sample_floats, atoms_fn, exact) = CASES[name]()
     measure = joining.measure
-    conditional = name == "rel-indep-conditional"
-    assert isinstance(measure, ImageMeasure)
-    # only fibers that depend on the base point are given by callables
-    assert isinstance(measure.source, JoiningMeasure) == conditional
+    if name in PRODUCT_BASE_CASES:
+        assert isinstance(measure, ProductMeasure)
+    else:
+        assert isinstance(measure, ImageMeasure)
+        # fibers that depend on the base point make a mixture over the base atoms
+        assert isinstance(measure.source, MixtureMeasure) == (sample_floats is None)
     assert joining.measure.exact == exact
     for k in frequency_box(len(joining.space), 2):
         new, old = joining.integrate(k), integrator(k)
@@ -369,6 +397,9 @@ def test_image_joining_equals_its_former_closures(name):
         if new is not None:
             assert new.terms == old.terms, k
     for seed in (0, 7, 2024):
+        if sample_floats is None:
+            assert_draws_follow_the_integrals(joining, seed)
+            continue
         floats = sample_joining(joining, seed, 300)
         reference = sample_floats(rng_from_seed(seed), 300)
         assert floats.flags.c_contiguous
@@ -376,22 +407,28 @@ def test_image_joining_equals_its_former_closures(name):
         assert np.array_equal(floats.view(np.uint64), reference.view(np.uint64))
         assert sample_joining(joining, seed, 40, rationals=True) == \
             sample_rationals(rng_from_seed(seed), 40)
-    if name.startswith("rel-indep") and not conditional:
-        # the independent extension now pushes its source's atoms forward;
-        # with trivial factors they are the product joining's
-        assert atoms_fn() is None
-        product = product_joining([build_system(IDENTITY_ATOMS)] * 2)
-        expected = product.measure.enumerate_atoms() if name == "rel-indep-atoms" \
-            else None
-        assert measure.enumerate_atoms() == expected
-    else:
-        assert measure.enumerate_atoms() == atoms_fn()
+    assert measure.enumerate_atoms() == atoms_fn()
+
+
+def assert_draws_follow_the_integrals(joining, seed, n=4096):
+    """Rational draws lie on the joining's support (the exact integral of each
+    character is the mean over it), and the float draws' character means are
+    within 4 sigma of the exact integrals on the degree-1 box."""
+    atoms = joining.measure.enumerate_atoms()
+    rationals = sample_joining(joining, seed, 64, rationals=True)
+    if atoms is not None:
+        assert set(rationals) <= {p for _, p in atoms}
+    floats = sample_joining(joining, seed, n)
+    assert floats.shape == (n, len(joining.space))
+    for k in frequency_box(len(joining.space), 1):
+        mean = np.exp(2j * np.pi * (floats @ np.array(k))).mean()
+        assert abs(mean - joining.integrate(k).value()) <= 4 / math.sqrt(n), k
 
 
 def test_independent_rel_indep_draws_rationals_in_blocks_like_its_floats():
     """The rational draw follows the float draw's order, so one seed gives the
     same points in both (up to rounding)."""
-    joining, _ = CASES["rel-indep-closure"]()
+    joining, _ = CASES["rel-indep-scattered"]()
     rationals = sample_joining(joining, 11, 64, rationals=True)
     floats = sample_joining(joining, 11, 64)
     assert np.array_equal(np.array([[float(c) for c in p] for p in rationals]), floats)
@@ -583,3 +620,31 @@ def test_rel_indep_refuses_factors_that_are_not_distinct_coordinates(factors, tm
     path.write_text(json.dumps(doc))
     assert main(["spec", "validate", str(path)]) == 3
     assert "factors: factors must be distinct component coordinates" in capsys.readouterr().err
+
+
+def test_rel_indep_base_with_another_second_marginal_is_a_config_error(tmp_path, capsys):
+    """The diagonal base over atoms at 0 and 1/2 and the twist's Haar base
+    integrated e(2 x2) to 1, where the twist gives 0; it validated."""
+    from ergolab.cli import main
+
+    doc = {"joining": {"kind": "rel-indep", "params": {
+        "components": [{"kind": "identity", "params": {"measure": HALVES}}, TWIST],
+        "factors": [[0], [0]], "base": {"kind": "diagonal"}}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spec", "validate", str(path)]) == 3
+    assert "second marginal differs from the second factor's measure at character (-2,)" \
+        in capsys.readouterr().err
+
+
+def test_rel_indep_over_the_product_base_still_derives_the_factors(tmp_path, capsys):
+    """The product base returns the product joining, but only after both
+    factor systems are derived: a twist exposes no factor on its fiber."""
+    from ergolab.cli import main
+
+    doc = {"joining": {"kind": "rel-indep", "params": {
+        "components": [TWIST, ROT_THIRD], "factors": [[1], []]}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spec", "validate", str(path)]) == 3
+    assert "SkewProductSystem exposes no factor on coordinates (1,)" in capsys.readouterr().err

@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from ergolab.core import (
     Character,
+    DepthExceededError,
     HaarMeasure,
     IdentitySystem,
+    MeasureHandle,
     ProductSystem,
     SpecValidationError,
+    UnsupportedOperationError,
     build_measure,
     build_system,
     character_array,
@@ -35,7 +38,6 @@ from ergolab.joinings import (
     JoiningConstructionError,
     _character_means,
     _product_characters,
-    JoiningMeasure,
     build_joining,
     invariance_check,
     product_consistency_test,
@@ -58,6 +60,18 @@ MIX_HALVES = {
         {"point": ["1/2"], "weight": "1/2"},
     ],
 }
+
+
+class SamplerOnlyMeasure(MeasureHandle):
+    """A measure given only by its two samplers: no character has an exact
+    integral, so every check on it takes the sampled path."""
+
+    def __init__(self, space, sample_rationals, sample_floats):
+        self.space, self.description = space, "sampler only"
+        self.sample_rationals, self.sample_floats = sample_rationals, sample_floats
+
+    def integrate_character(self, k):
+        return None
 
 
 def diag_third():
@@ -125,6 +139,28 @@ def test_graph_joining_rejects_non_commuting_map():
         build_joining({"kind": "graph",
                        "params": {"component": TWIST, "map": base_rot}})
     assert err.value.character is not None
+
+
+def test_graph_joining_refuses_a_map_whose_commutation_cannot_be_checked():
+    """Two rank-one towers have no character pullback and no atoms, so nothing
+    decides whether they commute; they do not, at many rational points."""
+    tower_a = {"kind": "rank1-family", "params": {"a": "1/3", "depth": 4}}
+    tower_b = {"kind": "rank1-family", "params": {"a": "0", "depth": 4}}
+    with pytest.raises(JoiningConstructionError, match="cannot decide") as err:
+        build_joining({"kind": "graph", "params": {"component": tower_a, "map": tower_b}})
+    assert err.value.character is not None
+    a, b = build_system(tower_a), build_system(tower_b)
+    apart = 0
+    for i in range(401):
+        x = (F(i, 401),)
+        try:
+            apart += a.apply(b.apply(x)) != b.apply(a.apply(x))
+        except DepthExceededError:  # a point or its image lies in a top level
+            pass
+    assert apart > 0
+    # the powers of the tower itself commute with it by construction
+    for power in (-2, 0, 1, 2):
+        build_joining({"kind": "off-diagonal", "params": {"component": tower_a, "power": power}})
 
 
 def test_off_diagonal_zero_equals_diagonal():
@@ -235,6 +271,26 @@ def test_rel_indep_conditional_atom_fibers():
         assert (joint - marginal).is_zero()
 
 
+def fifths(offset):
+    """Atoms on (x, g): x uniform on the fifths shifted by ``offset``, g = x."""
+    return {"kind": "atoms", "atoms": [
+        {"point": [str(F(j, 5) + offset)] * 2, "weight": "1/5"} for j in range(5)]}
+
+
+@pytest.mark.parametrize("first, message", [
+    ({"kind": "haar", "arity": 1}, "with atoms"),
+    (fifths(F(0)), "is not an atom of its split"),
+], ids=["no-atoms", "unknown-atom"])
+def test_rel_indep_conditional_fibers_refuse_a_base_they_cannot_follow(first, message):
+    """The fifths shifted by 1/10 agree with Haar and with the unshifted fifths
+    on every character up to degree 2, so the marginal check passes; then a
+    base with no atoms, or with an atom the fibers do not know, is refused."""
+    shifted = IdentitySystem(build_measure(fifths(F(1, 10))))
+    with pytest.raises(JoiningConstructionError, match=message):
+        rel_indep_joining([IdentitySystem(build_measure(first)), shifted], [[0], [0]],
+                          {"kind": "diagonal"})
+
+
 # ---------------------------------------------------------------------------
 # invariance
 # ---------------------------------------------------------------------------
@@ -266,13 +322,12 @@ def test_invariance_sampled_path():
     identity = IdentitySystem(HaarMeasure(1))
     rotation = build_system(ROT_THIRD)
     # the product joining, given only by its samplers
-    sampled = ProductSystem([identity, rotation], measure=JoiningMeasure(
-        identity.space + rotation.space, lambda k: None,
+    sampled = ProductSystem([identity, rotation], measure=SamplerOnlyMeasure(
+        identity.space + rotation.space,
         lambda rng, n: [p + q for p, q in zip(identity.measure.sample_rationals(rng, n),
                                               rotation.measure.sample_rationals(rng, n))],
         lambda rng, n: np.concatenate([identity.measure.sample_floats(rng, n),
-                                       rotation.measure.sample_floats(rng, n)], axis=1),
-        description="sampled product", exact_flag=False))
+                                       rotation.measure.sample_floats(rng, n)], axis=1)))
     report = invariance_check(sampled, [(1, 0), (0, 1), (1, -1)],
                               seed=21, samples=8192)
     assert report.passed and report.mode == "sampled"
@@ -311,6 +366,22 @@ def test_consistency_sampled_detects_diagonal():
     outcome = product_consistency_test(diag_third(), degree=1, mode="sampled",
                                        samples=4096, seed=5)
     assert outcome.verdict == "refuted"
+
+
+def test_consistency_auto_mode_falls_back_to_sampling():
+    """The off-diagonal joining of a slope-1/2 extension has no exact integral
+    at (-1, -1, -1, -1): with a seed, auto mode samples; without, it refuses."""
+    joining = build_joining({"kind": "off-diagonal", "params": {
+        "component": extension_over_two_sevenths("1/2", "1/3"), "power": 1}})
+    assert joining.integrate((-1, -1, -1, -1)) is None
+    outcome = product_consistency_test(joining, degree=1, seed=5, samples=4096)
+    assert outcome.mode == "sampled"
+    assert len(outcome.rows) == 80
+    # the base coordinates are tied, x2 = x1 + 2/7, which no product allows
+    assert outcome.verdict == "refuted"
+    for kwargs in ({}, {"mode": "exact", "seed": 5}):
+        with pytest.raises(UnsupportedOperationError):
+            product_consistency_test(joining, degree=1, **kwargs)
 
 
 def test_consistency_csv_row_count():

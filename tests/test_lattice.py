@@ -26,7 +26,6 @@ from ergolab.core import (
     SkewProductSystem,
     TableCocycle,
     build_system,
-    character_at,
     factor_slices,
     pullback_orbit,
 )
@@ -36,6 +35,11 @@ from ergolab.joinings import _ComposedSystem, build_joining, product_joining
 from ergolab.spectral import correlation_sequence
 
 F = Fraction
+
+
+def character_at(k, point):
+    """Exact e(<k, point>) at a rational point: the oracle for atom sums."""
+    return PhaseSum.unit(sum((ki * ti for ki, ti in zip(k, point)), Fraction(0)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ gone, fails the test too.
 
 The five experiments run through ``ergolab.cli.main`` on small knobs, in every
 ``--format``, and ``spec validate`` reads one document per kind of the
-README's spec tables, plus a negative off-diagonal power, all under
+README's spec tables, plus a negative off-diagonal power and three
+relatively independent extensions over a diagonal base, all under
 ``sys.setprofile``; a function or method counts as reached when its code object
 (a property's getter, a cached property's function) is entered."""
 
@@ -47,6 +48,8 @@ ROT = {"kind": "rotation", "params": {"angle": "1/3"}}
 ROT5 = {"kind": "rotation", "params": {"angle": "1/5"}}
 TWIST = {"kind": "twist", "params": {}}
 ATOM = {"kind": "atoms", "atoms": [{"point": ["1/3"]}]}
+IDENTITY_PAIR_ATOMS = {"kind": "identity", "params": {"measure": {"kind": "atoms", "atoms": [
+    {"point": ["0", "0"], "weight": "1/2"}, {"point": ["1/2", "1/4"], "weight": "1/2"}]}}}
 
 #: one params document per kind of each README table
 SYSTEMS = {
@@ -88,6 +91,15 @@ DOCUMENTS = (
     + [{"joining": {"kind": "off-diagonal", "params": {
         "component": {"kind": "rank1-family", "params": SYSTEMS["rank1-family"]},
         "power": -2}}}]
+    # rel-indep over a diagonal base: split the twists' product measures, two atom
+    # measures whose fibers depend on the base point, and Haar and a mixture over ()
+    + [{"joining": {"kind": "rel-indep", "params": {
+        "components": components, "factors": factors, "base": {"kind": "diagonal"}}}}
+       for components, factors in [
+           ([TWIST, TWIST], [[0], [0]]),
+           ([IDENTITY_PAIR_ATOMS, IDENTITY_PAIR_ATOMS], [[0], [0]]),
+           ([{"kind": "identity", "params": {"measure": {"kind": "haar", "arity": 2}}},
+             {"kind": "identity", "params": {"measure": MEASURES["mixture"]}}], [[], []])]]
 )
 
 STUB = "interface stub or default; the subclasses the runs use override it"
@@ -96,15 +108,13 @@ DRAWS = ("a measure's rational draws and atoms, which sample_joining(rationals=T
 FLOAT_MAPS = "a float map of sampled points; no run samples a rotation or a table cocycle"
 TOWER_MAP = ("the rank-one tower as a pointwise map (build_rank1_system); the runs "
              "correlate towers by tower-level counting and never build the map")
-CONDITIONAL = ("rel-indep fibers that depend on the base point (README JoiningSpec); "
-               "validation builds them, never integrates or samples")
+TRIVIAL = ("the measure of a trivial factor; over the product base rel-indep is the "
+           "product joining, so no run integrates or samples one")
 
 #: functions and methods that stay although no run or validation reaches them, and why
 ALLOWLIST = {
     "ergolab.core.integrate_character":
         "README library tour: the exact or seeded Monte Carlo integral of one character",
-    "ergolab.core.character_at":
-        "rel-indep integrals over atomic conditional fibers; validation builds, never integrates",
     "ergolab.rank1.agreement_stage":
         "the digit-stream side of the rank-one dichotomy (ROADMAP O17)",
     "ergolab.experiments.ExperimentReport.failing_check_ids":
@@ -113,7 +123,8 @@ ALLOWLIST = {
         "the stages a digit-spec dichotomy refusal reports; the runs give rationals",
     "ergolab.experiments.ExperimentReport.canonical_bytes":
         "the regression oracle that perfbench/child.py hashes; the CLI writes formatted reports",
-    "ergolab.exact.PhaseSum.unit": "an exact constructor; character_at calls it",
+    "ergolab.exact.PhaseSum.unit":
+        "an exact constructor; perfbench/test_harness.py builds a PhaseSum with it",
     "ergolab.exact.PhaseSum.from_rational":
         "an exact constructor; arithmetic with an int or Fraction operand calls it",
     "ergolab.core.RotationSystem.apply":
@@ -129,9 +140,7 @@ ALLOWLIST = {
     ], STUB),
     **dict.fromkeys([
         "ergolab.core.PointMeasure.sample_rationals",
-        "ergolab.core.PointMeasure.enumerate_atoms",
         "ergolab.core.DiracMixture.sample_rationals",
-        "ergolab.core.DiracMixture.enumerate_atoms",
         "ergolab.core.MixtureMeasure.sample_rationals",
         "ergolab.core.MixtureMeasure.sample_floats",
         "ergolab.core.MixtureMeasure.enumerate_atoms",
@@ -148,12 +157,9 @@ ALLOWLIST = {
         "ergolab.rank1.Rank1Map.apply_array",
     ], TOWER_MAP),
     **dict.fromkeys([
-        "ergolab.core.IndependentFiber.at",
-        "ergolab.core.ConditionalAtomsFiber.at",
-        "ergolab.joinings.JoiningMeasure.integrate_character",
-        "ergolab.joinings.JoiningMeasure.sample_rationals",
-        "ergolab.joinings.JoiningMeasure.sample_floats",
-    ], CONDITIONAL),
+        "ergolab.core.PointMeasure.integrate_character",
+        "ergolab.core.PointMeasure.sample_floats",
+    ], TRIVIAL),
 }
 
 
