@@ -14,16 +14,33 @@ against them are `PhaseSum`s; sampling is seeded and deterministic.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
+import numbers
 import operator
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from ergolab.exact import PhaseSum, parse_scalar
+
+
+def _lazy_import(name: str):
+    """``name`` as already imported, or else executed on its first attribute access."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+#: numpy for every layer, loaded on first use: building and validating touch no array
+np = _lazy_import("numpy")
 
 TWO64 = 2**64
 
@@ -120,7 +137,7 @@ def validate_frequencies(space: Space, k: Sequence[int], *, field: str = "k") ->
         raise SpecValidationError(
             field, f"frequency vector has arity {len(k)}, space has arity {len(space)}"
         )
-    if not all(isinstance(v, (int, np.integer)) for v in k):
+    if not all(isinstance(v, numbers.Integral) for v in k):
         raise SpecValidationError(field, "frequencies must be integers")
     return tuple(int(v) for v in k)
 
@@ -169,7 +186,7 @@ def _draw_units(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, TWO64, size=n, dtype=np.uint64)
 
 
-def _weight_thresholds(weights: Sequence[Fraction], field: str) -> np.ndarray:
+def _weight_thresholds(weights: Sequence[Fraction], field: str) -> list[int]:
     """Integer thresholds on the raw 64-bit draw for choosing index i with
     probability weights[i]: the cumulative weights times 2^64 up to the last
     positive weight, which is left out (so no threshold reaches 2^64).
@@ -181,7 +198,7 @@ def _weight_thresholds(weights: Sequence[Fraction], field: str) -> np.ndarray:
         raise SpecValidationError(field, "weights must be nonnegative")
     last = max(i for i, w in enumerate(weights) if w)
     cumulative = itertools.accumulate(map(Fraction, weights[:last]))
-    return np.asarray([int(c * TWO64) for c in cumulative], dtype=np.uint64)
+    return [int(c * TWO64) for c in cumulative]
 
 
 def _choose(thresholds: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -214,10 +231,11 @@ def _units_to_floats(units: np.ndarray) -> np.ndarray:
 class MeasureHandle:
     """A probability measure: optional exact character integrator plus a sampler.
 
-    Subclasses set ``space`` and ``description`` and implement
-    ``integrate_character`` (returning None when no exact value exists),
-    ``sample_rationals`` and ``sample_floats``.  Both sampling paths are
-    deterministic given the generator state; they are *separate* streams.
+    Subclasses set ``space`` and ``description`` and implement ``_integrate``
+    (the character integral of an already validated frequency tuple, or None
+    when no exact value exists), ``sample_rationals`` and ``sample_floats``.
+    Both sampling paths are deterministic given the generator state; they are
+    *separate* streams.
     """
 
     space: Space
@@ -235,7 +253,12 @@ class MeasureHandle:
     def _fully_exact(self) -> bool:
         return True
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
+    def integrate_character(self, k: Sequence[int]) -> Optional[PhaseSum]:
+        """The exact integral of the character ``k``, or None; ``k`` is validated
+        here once, and nested measures receive the validated tuple."""
+        return self._integrate(validate_frequencies(self.space, k))
+
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         raise NotImplementedError
 
     def sample_rationals(self, rng: np.random.Generator, n: int) -> list[Point]:
@@ -269,8 +292,7 @@ class PointMeasure(MeasureHandle):
         self.space = ()
         self.description = "point"
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        validate_frequencies(self.space, k)
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         return PhaseSum.one()
 
     def sample_rationals(self, rng, n):
@@ -292,8 +314,7 @@ class HaarMeasure(MeasureHandle):
         self.space = space
         self.description = description
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        k = validate_frequencies(self.space, k)
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         return PhaseSum.one() if not any(k) else PhaseSum.zero()
 
     def sample_rationals(self, rng, n):
@@ -321,7 +342,7 @@ class DiracMixture(MeasureHandle):
         self.description = description
         if not atoms:
             raise SpecValidationError("atoms", "atom list must be nonempty")
-        self._thresholds = _weight_thresholds([w for w, _ in atoms], "atoms")
+        self._cuts = _weight_thresholds([w for w, _ in atoms], "atoms")
         self.atoms = [
             (Fraction(w), validate_point(space, p, field=f"atoms[{i}].point"))
             for i, (w, p) in enumerate(atoms)
@@ -333,9 +354,12 @@ class DiracMixture(MeasureHandle):
                           tuple(c.numerator * (self._Q // c.denominator) for c in p))
                          for w, p in self.atoms]
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
+    @cached_property
+    def _thresholds(self) -> np.ndarray:  # built on the first draw
+        return np.asarray(self._cuts, dtype=np.uint64)
+
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         """Weights summed per angle <k, p> mod 1, all in integer numerators."""
-        k = validate_frequencies(self.space, k)
         Q, acc = self._Q, {}
         for W, p in self._lattice:
             A = sum(map(operator.mul, k, p)) % Q
@@ -431,10 +455,9 @@ class ProductMeasure(MeasureHandle):
     def _fully_exact(self) -> bool:
         return all(f.exact for f in self.factors)
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        k = validate_frequencies(self.space, k)
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         return product_of_integrals(
-            f.integrate_character(k[sl]) for f, sl in zip(self.factors, self._slices))
+            f._integrate(k[sl]) for f, sl in zip(self.factors, self._slices))
 
     def sample_rationals(self, rng, n):
         cols = [f.sample_rationals(rng, n) for f in self.factors]
@@ -489,7 +512,7 @@ class MixtureMeasure(MeasureHandle):
                  description: str | None = None):
         if not components:
             raise SpecValidationError("components", "mixture requires components")
-        self._thresholds = _weight_thresholds([w for w, _ in components], "components")
+        self._cuts = _weight_thresholds([w for w, _ in components], "components")
         space = components[0][1].space
         for i, (_, m) in enumerate(components):
             if m.space != space:
@@ -502,14 +525,17 @@ class MixtureMeasure(MeasureHandle):
             f"{w}*{m.description}" for w, m in self.components
         )
 
+    @cached_property
+    def _thresholds(self) -> np.ndarray:  # built on the first draw
+        return np.asarray(self._cuts, dtype=np.uint64)
+
     def _fully_exact(self) -> bool:
         return all(m.exact for _, m in self.components)
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        k = validate_frequencies(self.space, k)
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         total = PhaseSum.zero()
         for w, m in self.components:
-            part = m.integrate_character(k)
+            part = m._integrate(k)
             if part is None:
                 return None
             total = total + part * w
@@ -556,8 +582,7 @@ class SampledPowerMeasure(MeasureHandle):
     def _fully_exact(self) -> bool:
         return self.exponent == 1
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        k = validate_frequencies(self.space, k)
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         if not any(k):
             return PhaseSum.one()
         if self.exponent == 1:
@@ -816,19 +841,19 @@ class ProductSystem(System):
 
     def integrate(self, k: Sequence[int]) -> Optional[PhaseSum]:
         """Integral of the character ``k`` against the system's (joint) measure."""
-        return self.measure.integrate_character(tuple(k))
+        return self.measure.integrate_character(k)
 
     def product_integral(self, k: Sequence[int]) -> Optional[PhaseSum]:
         """Integral of the same character against the product of the factors'
         measures, with ``ProductMeasure``'s rule (``product_of_integrals``).
 
         Each factor integral is computed once per system and reused."""
-        k, memo, parts = tuple(k), self._factor_integrals, []
+        k, memo, parts = validate_frequencies(self.space, k), self._factor_integrals, []
         for i, (f, sl) in enumerate(zip(self.factors, self._slices)):
             key = (i, k[sl])
             part = memo.get(key, _MISSING)
             if part is _MISSING:
-                part = memo[key] = f.measure.integrate_character(key[1])
+                part = memo[key] = f.measure._integrate(key[1])
             parts.append(part)
         return product_of_integrals(parts)
 
@@ -905,11 +930,10 @@ class ImageMeasure(MeasureHandle):
     def _fully_exact(self) -> bool:
         return self.source.exact
 
-    def integrate_character(self, k: FreqVector) -> Optional[PhaseSum]:
-        k = validate_frequencies(self.space, k)
+    def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         step = self.f.pullback_step(k)
         if step is not None:
-            part = self.source.integrate_character(step[0])
+            part = self.source._integrate(step[0])
             return None if part is None else part.rotated(step[1], self.f.phase_modulus)
         atoms = self.source.enumerate_atoms()
         if atoms is None:
@@ -1022,7 +1046,9 @@ def make_system(doc) -> System:
         return doc
     kind, params = doc["kind"], doc["params"]
     if kind == "rotation":
-        return RotationSystem(parse_scalar(params["angle"]), make_measure(params["measure"]))
+        rotation = RotationSystem(parse_scalar(params["angle"]), make_measure(params["measure"]))
+        _check_atoms_preserved(rotation)
+        return rotation
     if kind == "identity":
         return IdentitySystem(make_measure(params["measure"]))
     if kind == "twist":
@@ -1047,6 +1073,25 @@ def make_system(doc) -> System:
     depth = params["depth"]
     return build_rank1_system(Rank1Spec.from_digits(params["digits"], depth) if "digits" in params
                               else Rank1Spec.from_rational(params["a"], depth))
+
+
+def _check_atoms_preserved(system: System) -> None:
+    """Refuses a finite atomic measure that the system's exact map does not
+    preserve: the weighted atom sets before and after the map must agree."""
+    atoms = system.measure.enumerate_atoms()
+    if atoms is None:
+        return
+    before: Counter = Counter()
+    after: Counter = Counter()
+    for w, p in atoms:
+        before[p] += w
+        after[system.apply(p)] += w
+    for p in sorted(before.keys() | after.keys()):
+        if before[p] != after[p]:
+            raise SpecValidationError(
+                "params.measure", f"the map does not preserve the atomic measure: the point "
+                f"({', '.join(map(str, p))}) carries weight {before[p]} before the map "
+                f"and {after[p]} after")
 
 
 def build_observable(doc: dict, *, path: str = "observable") -> Observable:

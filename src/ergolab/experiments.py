@@ -25,8 +25,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from ergolab import __version__
 from ergolab.core import (
     Character,
@@ -40,6 +38,7 @@ from ergolab.core import (
     build_system,
     derive_seed,
     frequency_box,
+    np,
     orbit,
     pullback_orbit,
 )

@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from ergolab.core import (
     CIRCLE,
     AffineCocycle,
@@ -69,6 +67,7 @@ from ergolab.core import (
     make_cocycle,
     make_measure,
     make_system,
+    np,
     rng_from_seed,
     validate_frequencies,
     wrap_unit,
@@ -300,13 +299,22 @@ def rel_indep_joining(systems: Sequence[System], factors: Sequence[Sequence[int]
     graph_map = IdentitySystem(fac1.measure) if base["kind"] == "diagonal" \
         else make_system(base["map"])
     base_measure = graph_joining(fac1, graph_map).measure
-    for k in frequency_box(len(f2), DEFAULT_CHECK_FAMILY_MAX_FREQ, skip_zero=True):
+    family = frequency_box(len(f2), DEFAULT_CHECK_FAMILY_MAX_FREQ, skip_zero=True)
+    compared = False
+    for k in family:
         joint = base_measure.integrate_character((0,) * len(f1) + k)
         marginal = fac2.measure.integrate_character(k)
-        if joint is not None and marginal is not None and not (joint - marginal).is_zero():
+        if joint is None or marginal is None:
+            continue
+        if not (joint - marginal).is_zero():
             raise JoiningConstructionError(
                 f"base joining's second marginal differs from the second factor's "
                 f"measure at character {k}", character=k)
+        compared = True
+    if family and not compared:
+        raise JoiningConstructionError(
+            "cannot decide whether the base joining's second marginal is the second "
+            "factor's measure: no character of the family has an exact integral on both sides")
 
     (_, fiber1), (_, fiber2) = s1.measure.split(f1), s2.measure.split(f2)
     if isinstance(fiber1, dict) or isinstance(fiber2, dict):

@@ -40,8 +40,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ergolab.core import (
     INTERVAL,
     DepthExceededError,
@@ -50,6 +48,7 @@ from ergolab.core import (
     SpecValidationError,
     System,
     UndecidableInputError,
+    np,
 )
 from ergolab.exact import parse_scalar
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from ergolab.core import (
     Character,
     FreqVector,
@@ -44,6 +42,7 @@ from ergolab.core import (
     System,
     UnsupportedOperationError,
     character_array,
+    np,
     pullback_orbit,
     rng_from_seed,
     validate_frequencies,

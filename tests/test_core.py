@@ -12,6 +12,7 @@ from ergolab.core import (
     Character,
     HaarMeasure,
     IdentitySystem,
+    ImageMeasure,
     MixtureMeasure,
     ProductMeasure,
     RotationSystem,
@@ -128,6 +129,81 @@ def test_malformed_specs_name_the_field(doc, field_bit):
     with pytest.raises((SpecValidationError, ValueError)) as err:
         build_system(doc)
     assert field_bit in str(err.value)
+
+
+ROT_THIRD_OVER_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
+    "kind": "atoms", "atoms": [{"weight": "1", "point": ["0"]}]}}}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_rotation_that_moves_its_atomic_measure_is_a_config_error(command, tmp_path, capsys):
+    """The rotation by 1/3 moves δ₀ to δ_{1/3}; it used to validate and run."""
+    from ergolab.cli import main
+
+    path = tmp_path / "doc.json"
+    if command == "validate":
+        path.write_text(json.dumps({"system": ROT_THIRD_OVER_ZERO}))
+        argv = ["spec", "validate", str(path)]
+    else:
+        path.write_text(json.dumps({"knobs": {"system": ROT_THIRD_OVER_ZERO, "N": 16}}))
+        argv = ["run", "spectral-probe", "--config", str(path), "--seed", "1",
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert ("params.measure: the map does not preserve the atomic measure: the point (0) "
+            "carries weight 1 before the map and 0 after") in capsys.readouterr().err
+
+
+def test_a_rotation_of_the_uniform_thirds_is_accepted():
+    thirds = {"kind": "atoms", "atoms": [{"weight": "1/3", "point": [p]}
+                                         for p in ("0", "1/3", "2/3")]}
+    system = build_system({"kind": "rotation", "params": {"angle": "2/3", "measure": thirds}})
+    assert system.apply((F(2, 3),)) == (F(1, 3),)
+
+
+@st.composite
+def rotations_over_atoms(draw):
+    """A rational rotation and a finite atom set on the points j/grid, often a
+    union of its orbits with one weight per orbit, and sometimes with zero
+    weights, which move nothing."""
+    q = draw(st.integers(1, 6))
+    a, m = draw(st.integers(0, q - 1)), draw(st.integers(1, 12))
+    grid = m * q
+    starts = draw(st.lists(st.integers(0, grid - 1), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(starts), max_size=len(starts)))
+    if sum(weights) == 0:
+        weights[0] = 1
+    atoms: dict[int, int] = {}
+    closed = draw(st.booleans())
+    for j, w in zip(starts, weights):
+        orbit_length = q if closed else 1
+        for i in range(orbit_length):
+            point = (j + i * a * m) % grid
+            atoms[point] = atoms.get(point, 0) + w
+    total = sum(atoms.values())
+    return F(a, q), grid, {j: F(w, total) for j, w in atoms.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotations_over_atoms())
+def test_a_rotation_is_accepted_exactly_over_the_atom_sets_it_preserves(case):
+    """Oracle: a measure on the cyclic group {j/grid} is invariant under the
+    rotation exactly when every Fourier coefficient k < grid of its image
+    equals its own."""
+    angle, grid, atoms = case
+    doc = {"kind": "rotation", "params": {"angle": str(angle), "measure": {
+        "kind": "atoms", "atoms": [{"weight": str(w), "point": [str(F(j, grid))]}
+                                   for j, w in atoms.items()]}}}
+    measure = build_measure(doc["params"]["measure"])
+    image = ImageMeasure(measure, RotationSystem(angle, measure))
+    invariant = all((image.integrate_character((k,)) - measure.integrate_character((k,))).is_zero()
+                    for k in range(grid))
+    try:
+        build_system(doc)
+    except SpecValidationError as err:
+        assert err.field == "params.measure"
+        assert not invariant
+    else:
+        assert invariant
 
 
 def test_spec_json_round_trip():

@@ -549,13 +549,17 @@ def test_large_off_diagonal_powers_validate_and_reduce_mod_the_rotation(
     assert large.apply(point) == small.apply(point)
 
 
-ROT_THIRD_OVER_ZERO = {"kind": "rotation", "params": {
-    "angle": "1/3", "measure": {"kind": "atoms", "atoms": [{"point": ["0"]}]}}}
+#: not invariant, but a mixture with a Haar part, which building the rotation does
+#: not decide (a rotation over δ₀ alone is refused when it is built)
+ROT_THIRD_OVER_HALF_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
+    "kind": "mixture", "components": [
+        {"weight": "1/2", "measure": {"kind": "haar", "arity": 1}},
+        {"weight": "1/2", "measure": {"kind": "atoms", "atoms": [{"point": ["0"]}]}}]}}}
 
 
 @pytest.mark.parametrize("component, code, message", [
     ({"kind": "rank1-family", "params": {"a": "1/3", "depth": 4}}, 0, "valid off-diagonal spec"),
-    (ROT_THIRD_OVER_ZERO, 3, "graph map does not preserve the measure at character (-2,)"),
+    (ROT_THIRD_OVER_HALF_ZERO, 3, "graph map does not preserve the measure at character (-2,)"),
 ])
 @pytest.mark.parametrize("power", [1, -1])
 def test_a_negative_power_validates_exactly_when_the_positive_one_does(
@@ -635,6 +639,24 @@ def test_rel_indep_base_with_another_second_marginal_is_a_config_error(tmp_path,
     assert main(["spec", "validate", str(path)]) == 3
     assert "second marginal differs from the second factor's measure at character (-2,)" \
         in capsys.readouterr().err
+
+
+def test_rel_indep_base_whose_second_marginal_cannot_be_checked_is_a_config_error(
+        tmp_path, capsys):
+    """No character of the u^2 pushforward has an exact integral, so the check
+    compared none; the diagonal base, whose second marginal is Haar, validated."""
+    from ergolab.cli import main
+
+    power = {"kind": "identity", "params": {"measure": {"kind": "power-law-sampled",
+                                                         "exponent": 2}}}
+    doc = {"joining": {"kind": "rel-indep", "params": {
+        "components": [{"kind": "identity", "params": {"measure": HAAR}}, power],
+        "factors": [[0], [0]], "base": {"kind": "diagonal"}}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spec", "validate", str(path)]) == 3
+    assert "cannot decide whether the base joining's second marginal is the second " \
+        "factor's measure" in capsys.readouterr().err
 
 
 def test_rel_indep_over_the_product_base_still_derives_the_factors(tmp_path, capsys):

@@ -589,12 +589,12 @@ def _closure_joinings():
 
 def _count_factor_integrals(joining, calls: list) -> None:
     """Append (factor index, frequency) to ``calls`` at every integral of a
-    factor's measure."""
+    factor's measure (``product_integral`` hands it a validated tuple)."""
     for i, factor in enumerate(joining.factors):
-        def counted(k, i=i, integrate=factor.measure.integrate_character):
+        def counted(k, i=i, integrate=factor.measure._integrate):
             calls.append((i, tuple(k)))
             return integrate(k)
-        factor.measure.integrate_character = counted
+        factor.measure._integrate = counted
 
 
 def test_memoized_product_integral_equals_uncached_product():

@@ -109,7 +109,7 @@ FLOAT_MAPS = "a float map of sampled points; no run samples a rotation or a tabl
 TOWER_MAP = ("the rank-one tower as a pointwise map (build_rank1_system); the runs "
              "correlate towers by tower-level counting and never build the map")
 TRIVIAL = ("the measure of a trivial factor; over the product base rel-indep is the "
-           "product joining, so no run integrates or samples one")
+           "product joining, so no run samples one")
 
 #: functions and methods that stay although no run or validation reaches them, and why
 ALLOWLIST = {
@@ -130,7 +130,6 @@ ALLOWLIST = {
     "ergolab.core.RotationSystem.apply":
         "the exact map of a rotation (orbit); the runs pull rotations back instead",
     **dict.fromkeys([
-        "ergolab.core.MeasureHandle.integrate_character",
         "ergolab.core.MeasureHandle.sample_rationals",
         "ergolab.core.MeasureHandle.sample_floats",
         "ergolab.core.Cocycle.evaluate_array",
@@ -156,10 +155,7 @@ ALLOWLIST = {
         "ergolab.rank1.Rank1System.apply_array",
         "ergolab.rank1.Rank1Map.apply_array",
     ], TOWER_MAP),
-    **dict.fromkeys([
-        "ergolab.core.PointMeasure.integrate_character",
-        "ergolab.core.PointMeasure.sample_floats",
-    ], TRIVIAL),
+    "ergolab.core.PointMeasure.sample_floats": TRIVIAL,
 }
 
 
