@@ -218,10 +218,11 @@ def copy_offsets(prev_length: int, digit: int) -> tuple[int, int, int]:
 
 
 def _check_stage_level(spec: Rank1Spec, stage: int, level: int, depth: int) -> None:
-    if not 0 <= level < word_lengths(stage):
-        raise SpecValidationError("level", f"stage {stage} has levels 0..{word_lengths(stage)-1}")
+    # depth first: L_stage is a power of 3, too large to take for a huge stage
     if depth < stage:
         raise SpecValidationError("depth", "depth must be >= stage")
+    if not 0 <= level < word_lengths(stage):
+        raise SpecValidationError("level", f"stage {stage} has levels 0..{word_lengths(stage)-1}")
     if depth > spec.depth:
         raise DepthExceededError(f"depth {depth} exceeds constructed depth {spec.depth}")
 

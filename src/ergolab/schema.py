@@ -84,6 +84,24 @@ def check_closure_budget(knobs: dict, path: str) -> None:
                                         f"{knobs['degree']})")
 
 
+def check_stages_within_depth(knobs: dict, path: str) -> None:
+    """Refuse a rank1-family ``wm_stages`` item above ``depth``: a stage-k level
+    exists in the depth-d tower only for k <= d.  No power of 3 is taken first."""
+    for i, stage in enumerate(knobs["wm_stages"]):
+        if stage > knobs["depth"]:
+            raise SpecValidationError(f"{path}.wm_stages[{i}]",
+                                      f"must be <= {path}.depth = {knobs['depth']}, got {stage}")
+
+
+def check_nonzero_angle(angle: str, path: str) -> None:
+    """Refuse an example1 ``angle`` that is 0 mod 1: the shifted copy is then the
+    twist itself, and its eigenvalue 1 is the constants', not an ergodic
+    rotation factor."""
+    if parse_scalar(angle) % 1 == 0:
+        raise SpecValidationError(path, f"must not be 0 mod 1 (the identity rotation "
+                                        f"witnesses no rotation factor), got {angle!r}")
+
+
 def check_factor_lists(factors, field: str = "factors") -> None:
     """Refuse rel-indep factors that are not two lists of int coordinates."""
     if not (isinstance(factors, (list, tuple)) and len(factors) == 2 and all(
@@ -211,7 +229,7 @@ KNOBS = {
         "consistency_degree": Field("int", 3, minimum=1, maximum=MAX_CONSISTENCY_DEGREE),
     },
     "example1": {
-        "angle": Field("rational", "1/5"),
+        "angle": Field("rational", "1/5", check=check_nonzero_angle),
         "slope": Field("rational", "1"),
         "N": Field("int", 4096, minimum=1, maximum=MAX_N, check=require_wiener_length),
         "max_freq": Field("int", 8, minimum=1, maximum=MAX_FREQ),
@@ -231,7 +249,7 @@ KNOBS = {
         "depth": Field("int", 12, minimum=1),
         "word_stage_max": Field("int", 14, minimum=1),
         "prefix_length": Field("int", 6, minimum=1, maximum=MAX_PREFIX_LENGTH),
-        "wm_stages": Field(Field("int"), [3, 4, 5], minimum=1),
+        "wm_stages": Field(Field("int", minimum=0), [3, 4, 5], minimum=1),
         "N": Field("int", 4096, minimum=1, maximum=MAX_N, check=require_wiener_length),
         "threshold": Field("number", 0.05),
     },
@@ -269,7 +287,8 @@ def parse(doc, name: str, path: str = ""):
 
 
 #: checks that read several knobs of one experiment at once
-KNOB_CHECKS = {"product-closure": check_closure_budget}
+KNOB_CHECKS = {"product-closure": check_closure_budget,
+               "rank1-family": check_stages_within_depth}
 
 
 def parse_knobs(experiment: str, overrides: Mapping) -> dict:

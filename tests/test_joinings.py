@@ -1,6 +1,7 @@
 """The joining zoo: construction, marginals, invariance, product consistency."""
 
 import cmath
+import collections
 import json
 import math
 import os
@@ -37,7 +38,9 @@ from ergolab.joinings import (
     MEANS_BLOCK_ROWS,
     JoiningConstructionError,
     _character_means,
+    _plan,
     _product_characters,
+    _width,
     build_joining,
     invariance_check,
     product_consistency_test,
@@ -318,6 +321,25 @@ def test_invariance_example1_modulus_preserved():
     assert (before.abs2() - after.abs2()).is_zero()
 
 
+def test_exact_invariance_validates_each_character_once(monkeypatch):
+    from ergolab import core, joinings
+
+    triple = build_joining({"kind": "example1-triple", "params": {"angle": "1/5"}})
+    family = frequency_box(4, 2, skip_zero=True)
+    seen = collections.Counter()
+    validate = core.validate_frequencies
+
+    def counted(space, k, **kwargs):
+        seen[tuple(k)] += 1
+        return validate(space, k, **kwargs)
+
+    monkeypatch.setattr(core, "validate_frequencies", counted)
+    monkeypatch.setattr(joinings, "validate_frequencies", counted)
+    report = invariance_check(triple, family)
+    assert report.mode == "exact" and report.passed and len(report.entries) == len(family)
+    assert [k for k in family if seen[k] != 1] == []
+
+
 def test_invariance_sampled_path():
     identity = IdentitySystem(HaarMeasure(1))
     rotation = build_system(ROT_THIRD)
@@ -449,32 +471,64 @@ def test_example1_statistical_base_sampler():
 # character-mean kernel and marginal memo
 # ---------------------------------------------------------------------------
 
+#: how a drawn family is made: any keys of a small box; few keys spread over a
+#: wide range, so the tables are far narrower than their full outer products;
+#: keys whose right half starts with 0, so that coordinate has one pass
+FAMILY_KINDS = ("box", "sparse", "right-first-zero")
+
+
 @st.composite
-def points_and_family(draw):
-    arity = draw(st.integers(1, 5))
+def points_and_family(draw, arity=st.integers(1, 5), kind=st.sampled_from(FAMILY_KINDS)):
+    arity, kind = draw(arity), draw(kind)
     degree = draw(st.integers(0, 3))
     n = draw(st.sampled_from([1, 2, 7, MEANS_BLOCK_ROWS - 1, MEANS_BLOCK_ROWS,
                               MEANS_BLOCK_ROWS + 1, 2 * MEANS_BLOCK_ROWS + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # coordinates outside [0, 1) too: characters are periodic
     points = rng.uniform(-2.0, 3.0, size=(n, arity))
-    key = st.tuples(*[st.integers(-degree, degree)] * arity)
-    family = draw(st.lists(key, min_size=1, max_size=40))
+    value = st.integers(-degree, degree)
+    if kind == "sparse":
+        value = st.one_of(st.just(0), st.just(0), st.integers(-12, 12))
+    values = [value] * arity
+    if kind == "right-first-zero":
+        values[arity // 2] = st.just(0)
+    family = draw(st.lists(st.tuples(*values), min_size=1, max_size=40))
     if draw(st.booleans()):
         family.append((0,) * arity)
     return points, family
 
 
-@settings(max_examples=60, deadline=None)
-@given(points_and_family())
-def test_character_means_match_per_character_means(case):
-    points, family = case
+def _assert_means_match(points, family):
+    """Every mean within 1e-12 of the per-character mean, and each half's table
+    holds exactly the columns that the family's canonical keys read."""
     means = _character_means(points, family)
     assert set(means) == set(family)
     for k in family:
         assert abs(means[k] - complex(character_array(k, points).mean())) <= 1e-12
     if (0,) * points.shape[1] in family:
         assert means[(0,) * points.shape[1]] == pytest.approx(1.0, abs=1e-15)
+    half = points.shape[1] // 2
+    keys = list(dict.fromkeys(map(tuple, family)))
+    flip, (left_levels, _), (right_levels, _) = _plan(keys, half)
+    canonical = [tuple(-v for v in k) if f else k for k, f in zip(keys, flip)]
+    assert all(k[half] >= 0 for k in canonical)
+    assert _width(left_levels) == len({k[:half] for k in canonical})
+    assert _width(right_levels) == len({k[half:] for k in canonical})
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_and_family())
+def test_character_means_match_per_character_means(case):
+    _assert_means_match(*case)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("arity", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_character_means_with_an_empty_left_half_or_right_tail(arity, kind, data):
+    """Arity 1 has no left half, arity 2 no right coordinate after the first."""
+    _assert_means_match(*data.draw(points_and_family(st.just(arity), st.just(kind))))
 
 
 def _box_means_by_recursion(points, degree):
@@ -535,11 +589,25 @@ def test_a_key_and_its_negative_read_exact_conjugates(arity):
         assert abs(means[k] - complex(character_array(k, points).mean())) <= 1e-12
 
 
+def test_the_closure_box_tables_hold_only_the_columns_read():
+    """product-closure's 3,124 keys: 25 left columns; the right half's first
+    coordinate takes the values 0, 1 and 2, and its passes build 13, 25 and 25
+    of the 75 right columns (with first coordinate 0, the tail reads only
+    (0, >= 0) and (> 0, any)), from one 25-column table of the tail."""
+    keys = frequency_box(5, 2, skip_zero=True)
+    flip, (left_levels, _), (right_levels, _) = _plan(keys, 2)
+    *tail_levels, passes = right_levels
+    assert _width(left_levels) == 25 and _width(tail_levels) == 25
+    assert [(v, size) for v, _, size in passes] == [(0, 13), (1, 25), (2, 25)]
+    assert _width(right_levels) == 63
+
+
 def test_character_means_of_the_closure_box_peak_below_3_mib():
     """One call on product-closure's shape: 30,000 samples, 3,124 characters.
     Per block of ``MEANS_BLOCK_ROWS`` samples the tables are (columns, samples):
-    25 left columns, and 75 right ones, as the right table holds only the keys
-    whose first right-half coordinate is >= 0.  Measured peak: 2.5 MiB."""
+    25 left columns, the right tail's 25, and one pass's sub-table of at most
+    25.  Measured peak: 0.85 MiB (2.5 MiB when the right table was built whole
+    over blocks of 1,024 samples)."""
     points = np.random.default_rng(5).random((30000, 5))
     box = frequency_box(5, 2, skip_zero=True)
     tracemalloc.start()
@@ -585,6 +653,27 @@ def _closure_joinings():
                              "precision": 40})
     return [product_joining([pair, rotation]),
             rel_indep_joining([pair, rotation], [[0, 2], []], {"kind": "product"})]
+
+
+def test_sampled_consistency_on_the_closure_product_peaks_below_2_6_mib():
+    """product-closure's product joining at 30,000 samples.  The sampler's peak
+    (2.3 MiB) comes before the 3,124 characters are listed; then the points
+    (1.1 MiB), the characters (0.3 MiB) and one block's kernel tables (0.85
+    MiB) are alive together.  Measured: 2.33 MiB above entry, against 3.95 MiB
+    with the right table built whole, the characters listed before the draw
+    and a ``__dict__`` per row."""
+    joining = _closure_joinings()[0]
+    product_consistency_test(joining, degree=1, mode="sampled", samples=8, seed=1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        outcome = product_consistency_test(joining, degree=2, mode="sampled",
+                                           samples=30000, seed=2024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.verdict == "consistent-with-product" and len(outcome.rows) == 5**5 - 1
+    assert peak - before <= 2.6 * 2**20
 
 
 def _count_factor_integrals(joining, calls: list) -> None:

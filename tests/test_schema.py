@@ -190,6 +190,13 @@ def test_a_huge_cyclic_order_is_refused_before_its_atoms_are_built(doc, path, tm
     # an empty list ended in a StopIteration traceback or failed when its check ran
     ("rank1-family", {"parameters": []}, "parameters"),
     ("rank1-family", {"wm_stages": []}, "wm_stages"),
+    # a stage above depth failed only when the weak-mixing check reached it
+    ("rank1-family", {"depth": 4, "wm_stages": [2, 5]}, "wm_stages[1]"),
+    ("rank1-family", {"wm_stages": [-1]}, "wm_stages[0]"),
+    # the identity rotation witnesses no rotation factor
+    ("example1", {"angle": "0"}, "angle"),
+    ("example1", {"angle": "-2"}, "angle"),
+    ("example1", {"angle": "3/1"}, "angle"),
 ])
 def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path):
     config = tmp_path / "cfg.json"
@@ -198,6 +205,30 @@ def test_malformed_knob_exits_3_with_its_path(experiment, knobs, path, tmp_path)
                       "--out", str(tmp_path / "out")])
     assert code == 3 and f"config error: knobs.{path}: " in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_huge_weak_mixing_stage_is_refused_at_resolve_before_any_power():
+    """L_stage = (3^(stage+1) - 1) / 2 was taken before the stage was compared
+    with the depth: at stage 2^70 the run never ended."""
+    start = time.perf_counter()
+    with pytest.raises(SpecValidationError) as refused:
+        ExperimentConfig.resolve("rank1-family", 1, {"wm_stages": [2, 2**70]})
+    assert time.perf_counter() - start < 0.5
+    assert refused.value.field == "knobs.wm_stages[1]"
+    assert "must be <= knobs.depth = 12" in str(refused.value)
+    ExperimentConfig.resolve("rank1-family", 1, {"depth": 5, "wm_stages": [0, 5]})
+
+
+@pytest.mark.parametrize("angle", ["0", "1", "-4", "0.0", "6/3"])
+def test_example1_refuses_an_angle_that_is_0_mod_1(angle):
+    with pytest.raises(SpecValidationError, match="knobs.angle: must not be 0 mod 1"):
+        ExperimentConfig.resolve("example1", 1, {"angle": angle})
+
+
+@pytest.mark.parametrize("angle", ["1/5", "1/2", "6/5", "-1/7",
+                                   "0.4142135623730950488016887242096980785697"])
+def test_example1_accepts_an_angle_that_is_not_0_mod_1(angle):
+    assert ExperimentConfig.resolve("example1", 1, {"angle": angle}).knobs["angle"] == angle
 
 
 @pytest.mark.parametrize("experiment, knob, bound, value", [
