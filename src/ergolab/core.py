@@ -229,13 +229,13 @@ def _units_to_floats(units: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MeasureHandle:
-    """A probability measure: optional exact character integrator plus a sampler.
+    """A probability measure: a character integrator plus a float sampler.
 
     Subclasses set ``space`` and ``description`` and implement ``_integrate``
     (the character integral of an already validated frequency tuple, or None
-    when no exact value exists), ``sample_rationals`` and ``sample_floats``.
-    Both sampling paths are deterministic given the generator state; they are
-    *separate* streams.
+    when no exact value exists) and ``sample_floats``, deterministic given the
+    generator state.  A None integral is the one sign that a character has no
+    exact value: exactness is decided per character, never per measure.
     """
 
     space: Space
@@ -245,23 +245,12 @@ class MeasureHandle:
     def arity(self) -> int:
         return len(self.space)
 
-    @property
-    def exact(self) -> bool:
-        return self.integrate_character((0,) * self.arity) is not None and \
-            self._fully_exact()
-
-    def _fully_exact(self) -> bool:
-        return True
-
     def integrate_character(self, k: Sequence[int]) -> Optional[PhaseSum]:
         """The exact integral of the character ``k``, or None; ``k`` is validated
         here once, and nested measures receive the validated tuple."""
         return self._integrate(validate_frequencies(self.space, k))
 
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
-        raise NotImplementedError
-
-    def sample_rationals(self, rng: np.random.Generator, n: int) -> list[Point]:
         raise NotImplementedError
 
     def sample_floats(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -295,9 +284,6 @@ class PointMeasure(MeasureHandle):
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         return PhaseSum.one()
 
-    def sample_rationals(self, rng, n):
-        return [() for _ in range(n)]
-
     def sample_floats(self, rng, n):
         return np.zeros((n, 0))
 
@@ -316,12 +302,6 @@ class HaarMeasure(MeasureHandle):
 
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         return PhaseSum.one() if not any(k) else PhaseSum.zero()
-
-    def sample_rationals(self, rng, n):
-        units = _draw_units(rng, n * self.arity).reshape(n, self.arity)
-        return [
-            tuple(Fraction(int(u), TWO64) for u in row) for row in units
-        ]
 
     def sample_floats(self, rng, n):
         units = _draw_units(rng, n * self.arity).reshape(n, self.arity)
@@ -368,10 +348,6 @@ class DiracMixture(MeasureHandle):
 
     def enumerate_atoms(self):
         return list(self.atoms)
-
-    def sample_rationals(self, rng, n):
-        idx = _choose(self._thresholds, rng, n)
-        return [self.atoms[i][1] for i in idx]
 
     def sample_floats(self, rng, n):
         idx = _choose(self._thresholds, rng, n)
@@ -452,16 +428,9 @@ class ProductMeasure(MeasureHandle):
         self.description = description or " (x) ".join(f.description for f in self.factors)
         self._slices = factor_slices(self.factors)
 
-    def _fully_exact(self) -> bool:
-        return all(f.exact for f in self.factors)
-
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         return product_of_integrals(
             f._integrate(k[sl]) for f, sl in zip(self.factors, self._slices))
-
-    def sample_rationals(self, rng, n):
-        cols = [f.sample_rationals(rng, n) for f in self.factors]
-        return [tuple(c for col in row for c in col) for row in zip(*cols)]
 
     def sample_floats(self, rng, n):
         blocks = [f.sample_floats(rng, n) for f in self.factors]
@@ -529,9 +498,6 @@ class MixtureMeasure(MeasureHandle):
     def _thresholds(self) -> np.ndarray:  # built on the first draw
         return np.asarray(self._cuts, dtype=np.uint64)
 
-    def _fully_exact(self) -> bool:
-        return all(m.exact for _, m in self.components)
-
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         total = PhaseSum.zero()
         for w, m in self.components:
@@ -540,10 +506,6 @@ class MixtureMeasure(MeasureHandle):
                 return None
             total = total + part * w
         return total
-
-    def sample_rationals(self, rng, n):
-        idx = _choose(self._thresholds, rng, n)
-        return [self.components[i][1].sample_rationals(rng, 1)[0] for i in idx]
 
     def sample_floats(self, rng, n):
         idx = _choose(self._thresholds, rng, n)
@@ -579,19 +541,12 @@ class SampledPowerMeasure(MeasureHandle):
         self.space = (CIRCLE,)
         self.description = f"pushforward of haar under u^{self.exponent}"
 
-    def _fully_exact(self) -> bool:
-        return self.exponent == 1
-
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         if not any(k):
             return PhaseSum.one()
         if self.exponent == 1:
             return PhaseSum.zero()
         return None
-
-    def sample_rationals(self, rng, n):
-        units = _draw_units(rng, n)
-        return [(Fraction(int(u), TWO64) ** self.exponent,) for u in units]
 
     def sample_floats(self, rng, n):
         units = _draw_units(rng, n)
@@ -917,7 +872,6 @@ class ImageMeasure(MeasureHandle):
     A character is integrated through f's pullback when it has one, else
     summed over the source's atoms, else it has no exact integral.  Samples
     are f applied to the source's own draws, and atoms are pushed forward.
-    The measure is exact exactly when the source is.
     """
 
     def __init__(self, source: MeasureHandle, f: "System | CoordinateMap",
@@ -926,9 +880,6 @@ class ImageMeasure(MeasureHandle):
         self.space = tuple(source.space[i] for i in f.index) \
             if isinstance(f, CoordinateMap) else source.space
         self.description = description or f"image of {source.description}"
-
-    def _fully_exact(self) -> bool:
-        return self.source.exact
 
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         step = self.f.pullback_step(k)
@@ -940,9 +891,6 @@ class ImageMeasure(MeasureHandle):
             return None
         return PhaseSum((sum(map(operator.mul, k, self.f.apply(p)), Fraction(0)), w)
                         for w, p in atoms)
-
-    def sample_rationals(self, rng, n):
-        return [self.f.apply(p) for p in self.source.sample_rationals(rng, n)]
 
     def sample_floats(self, rng, n):
         return self.f.apply_array(self.source.sample_floats(rng, n))
@@ -1075,15 +1023,24 @@ def make_system(doc) -> System:
                               else Rank1Spec.from_rational(params["a"], depth))
 
 
+def _atomic_part(measure: MeasureHandle) -> list[tuple[Fraction, Point]]:
+    """The weighted atoms of a circle measure: all of a finite support, each
+    mixture component's weighted in, none of Haar or a power law (atomless)."""
+    atoms = measure.enumerate_atoms()
+    if atoms is not None:
+        return atoms
+    if isinstance(measure, MixtureMeasure):
+        return [(w * wa, p) for w, m in measure.components for wa, p in _atomic_part(m)]
+    return []
+
+
 def _check_atoms_preserved(system: System) -> None:
-    """Refuses a finite atomic measure that the system's exact map does not
-    preserve: the weighted atom sets before and after the map must agree."""
-    atoms = system.measure.enumerate_atoms()
-    if atoms is None:
-        return
+    """Refuses a measure whose atomic part the exact map moves: the atomic part of
+    an invariant measure is invariant.  Haar is rotation-invariant, and a
+    power-law part is accepted as declared."""
     before: Counter = Counter()
     after: Counter = Counter()
-    for w, p in atoms:
+    for w, p in _atomic_part(system.measure):
         before[p] += w
         after[system.apply(p)] += w
     for p in sorted(before.keys() | after.keys()):
@@ -1154,8 +1111,8 @@ def integrate_character(measure: MeasureHandle, k: Sequence[int], *,
                         seed: int | None = None, samples: int = 4096) -> IntegralEstimate:
     """Integrate e^(2*pi*i*<k, .>) against the measure.
 
-    Exact when the measure carries an exact integrator; otherwise a seeded
-    Monte Carlo estimate with its standard error.
+    Exact when the measure integrates this character exactly; otherwise a
+    seeded Monte Carlo estimate with its standard error.
     """
     k = validate_frequencies(measure.space, k)
     exact = measure.integrate_character(k)

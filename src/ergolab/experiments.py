@@ -414,12 +414,12 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
         details={"N": N, "angle": scalar_str(angle)},
     ))
 
-    # z-coordinate evolution on exact sampled orbits
-    pts = sample_joining(triple, derive_seed(config.seed, "z-evolution"), 8,
-                         rationals=True)
+    # z-coordinate evolution on exact orbits of sampled points: each float is a
+    # dyadic rational, and Fraction lifts it exactly
+    pts = sample_joining(triple, derive_seed(config.seed, "z-evolution"), 8)
     evo_ok = True
     for p in pts:
-        path = orbit(triple, p, 4)
+        path = orbit(triple, tuple(map(Fraction, p.tolist())), 4)
         for a, b in zip(path, path[1:]):
             expected_z = (a[3] + slope_fr * a[0] + angle) % 1
             evo_ok &= b[3] == expected_z
@@ -458,11 +458,13 @@ def _run_example1(config: ExperimentConfig) -> list[Check]:
             details={"samples": knobs["statistical_samples"],
                      "base": rho.description},
         ))
-        verdict_stat = detect_eigenvalue(
-            stat_triple, F, angle, min(N, 256),
+        # sampled by request: this check exercises the Monte Carlo eigenvalue path
+        stat_seq = correlation_sequence(
+            stat_triple, F, min(N, 256), mode="sampled",
             seed=derive_seed(config.seed, "statistical-eigenvalue"),
             samples=knobs["statistical_samples"],
         )
+        verdict_stat = detect_eigenvalue(stat_triple, F, angle, min(N, 256), seq=stat_seq)
         checks.append(Check(
             check_id="statistical-rho-eigenvalue",
             anchor="rotation-factor-obstruction",

@@ -100,15 +100,11 @@ class JoiningConstructionError(ErgolabError):
 Joining = ProductSystem
 
 
-def sample_joining(joining: ProductSystem, seed: int, count: int, *,
-                   rationals: bool = False):
-    """Deterministic point stream from the joining (floats, or exact rationals)."""
+def sample_joining(joining: ProductSystem, seed: int, count: int) -> np.ndarray:
+    """Deterministic (count, arity) float stream from the joining."""
     if count < 1:
         raise SpecValidationError("count", f"count must be >= 1, got {count}")
-    rng = rng_from_seed(seed)
-    if rationals:
-        return joining.measure.sample_rationals(rng, count)
-    return joining.measure.sample_floats(rng, count)
+    return joining.measure.sample_floats(rng_from_seed(seed), count)
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +199,22 @@ def graph_joining(system: System, graph_map: System, *,
 def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> None:
     """R must preserve the measure and commute with the dynamics, checked on the
     exact character family, or pointwise on the atoms where a character has no
-    pullback.  A map composed of the component and the identity commutes by
-    construction; any other map whose commutation neither check decides is refused."""
+    pullback.  A map composed of the component and the identity preserves and
+    commutes by construction; any other map is refused unless both are decided."""
     measure = system.measure
     image = ImageMeasure(measure, graph_map)
     atoms = measure.enumerate_atoms()
     maps = graph_map.maps if isinstance(graph_map, _ComposedSystem) else (graph_map,)
     by_construction = all(m is system or isinstance(m, IdentitySystem) for m in maps)
-    for k in frequency_box(len(system.space), max_freq, skip_zero=True):
+    family = frequency_box(len(system.space), max_freq, skip_zero=True)
+    compared = by_construction or not family
+    for k in family:
         expected, actual = measure.integrate_character(k), image.integrate_character(k)
-        if expected is not None and actual is not None and not (actual - expected).is_zero():
-            raise JoiningConstructionError(
-                f"graph map does not preserve the measure at character {k}",
-                character=k,
-            )
+        if expected is not None and actual is not None:
+            if not (actual - expected).is_zero():
+                raise JoiningConstructionError(
+                    f"graph map does not preserve the measure at character {k}", character=k)
+            compared = True
         if by_construction:
             continue
         via_tr = _ComposedSystem(system, graph_map).char_pullback(k)
@@ -239,6 +237,10 @@ def _validate_graph_map(system: System, graph_map: System, max_freq: int) -> Non
                         character=k,
                     )
             atoms = []  # the pointwise check on atoms does not depend on k
+    if not compared:
+        raise JoiningConstructionError(
+            "cannot decide whether the graph map preserves the measure: no character "
+            "of the family has an exact integral on both sides")
 
 
 def _factor_system(system: System, coords: Sequence[int]) -> System:
@@ -403,42 +405,36 @@ def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
     """Verify that the joining is invariant under the product dynamics.
 
     Exact path: integrator(f o (T x S)) must equal integrator(f) for every
-    character in the family.  Sampled path: two-sample comparison between the
+    character in the family; the first one with no exact integral sends them all
+    to the sampled path, which needs a seed: a two-sample comparison between the
     stream and its image, flagged beyond 4 combined standard errors.
     """
     if not family:
         raise SpecValidationError("family", "character family must be nonempty")
     entries = []
     measure = joining.measure
-    exact_ok = measure.exact
-    if exact_ok:
-        passed = True
-        for k in family:
-            # validated once here; the pullback and both integrals take the tuple as is
-            k = validate_frequencies(joining.space, tuple(k))
-            step = joining.pullback_step(k)
-            before = measure._integrate(k)
-            if step is None or before is None:
-                exact_ok = False
-                break
-            k2, P = step
-            after = measure._integrate(k2)
-            if after is None:
-                exact_ok = False
-                break
-            pushed = after.rotated(P, joining.phase_modulus)
-            same = (pushed - before).is_zero()
-            passed &= same
-            value, pushforward = before.value(), pushed.value()
-            entries.append({
-                "character": list(k),
-                "value": [value.real, value.imag],
-                "pushforward": [pushforward.real, pushforward.imag],
-                "equal": same,
-            })
-        if exact_ok:
-            return InvarianceReport(passed=passed, mode="exact", entries=entries)
-        entries = []
+    passed = True
+    for k in family:
+        # validated once here; the pullback and both integrals take the tuple as is
+        k = validate_frequencies(joining.space, tuple(k))
+        step = joining.pullback_step(k)
+        before = measure._integrate(k)
+        after = None if step is None or before is None else measure._integrate(step[0])
+        if after is None:
+            entries = []
+            break
+        pushed = after.rotated(step[1], joining.phase_modulus)
+        same = (pushed - before).is_zero()
+        passed &= same
+        value, pushforward = before.value(), pushed.value()
+        entries.append({
+            "character": list(k),
+            "value": [value.real, value.imag],
+            "pushforward": [pushforward.real, pushforward.imag],
+            "equal": same,
+        })
+    else:
+        return InvarianceReport(passed=passed, mode="exact", entries=entries)
 
     if seed is None:
         raise UnsupportedOperationError("no exact path; pass a seed for a sampled check")
@@ -494,35 +490,29 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
                              seed: int | None = None) -> ConsistencyVerdict:
     """Compare the joining's character integrals against the product of marginals.
 
-    Exact path: any nonzero exact difference refutes with the witnessing
-    character; in ``auto`` mode, a character with no exact integral sends the
-    test to the sampled path when a seed is given.  Sampled path: any
-    standardized difference beyond 4 sigma (sigma = 1/sqrt(samples)) refutes.
+    Exact path (``auto`` mode): any nonzero exact difference refutes with the
+    witnessing character; the first character with no exact integral sends the
+    test to the sampled path, which needs a seed.  Sampled path (``sampled``
+    mode too): any difference beyond 4 sigma (sigma = 1/sqrt(samples)) refutes.
     A pass is explicitly one-sided: it says this one joining looked like the
     product on the tested characters, nothing more.
     """
     if degree < 1:
         raise SpecValidationError("degree", f"degree must be >= 1, got {degree}")
-    if mode not in ("auto", "exact", "sampled"):
+    if mode not in ("auto", "sampled"):
         raise SpecValidationError("mode", f"unknown mode {mode!r}")
     boxes = [frequency_box(len(c.space), degree) for c in joining.factors]
     note = ("one-sided: only the tested characters of this one joining were "
             "compared; no disjointness claim is implied")
 
-    use_exact = mode != "sampled" and joining.measure.exact and all(
-        c.measure.exact for c in joining.factors
-    )
-    if mode == "exact" and not use_exact:
-        raise UnsupportedOperationError("exact mode requested but not available")
-
     rows: list[ConsistencyRow] = []
     witness = None
-    if use_exact:
+    if mode == "auto":
         for k in _product_characters(boxes):
             joint = joining.integrate(k)
             prod = joining.product_integral(k)
             if joint is None or prod is None:
-                if mode == "exact" or seed is None:
+                if seed is None:
                     raise UnsupportedOperationError(f"exact integral unavailable at {k}")
                 rows = []  # fall back to the sampled path
                 break

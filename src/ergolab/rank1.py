@@ -239,9 +239,10 @@ def stage_level_positions(spec: Rank1Spec, stage: int, level: int, depth: int) -
     length = word_lengths(stage)
     for d in digits[stage:]:
         offs = np.array(copy_offsets(length, d), dtype=np.int32)
-        positions = (positions[:, None] + offs[None, :]).ravel()
+        # offset-major: positions lie below ``length`` and the offsets are at
+        # least ``length`` apart, so the sums come out sorted
+        positions = (offs[:, None] + positions[None, :]).ravel()
         length = 3 * length + 1
-    positions.sort()
     return positions
 
 

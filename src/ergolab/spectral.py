@@ -12,9 +12,10 @@ sigma_f({conj(c)}) -- mass 1 exactly when f witnesses the eigenvalue c.
 ``wiener_atomic_mass`` reports the classical one-sided Cesaro average of
 |values|^2, which converges to the total squared atomic mass of sigma_f.
 
-Exactness: affine systems with exact measures go through character pullback;
-finite-support measures go through direct orbit summation; anything else is
-seeded Monte Carlo with per-entry standard errors.  Rank-one level indicators
+Exactness: a character sequence is exact when every integral it needs is
+exact -- through character pullback on affine systems, or by direct orbit
+summation on finite-support measures; anything else is seeded Monte Carlo
+with per-entry standard errors.  Rank-one level indicators
 go through tower-level counting on the cyclic closure of the finite tower (a
 genuine periodic system, so positive-definiteness is exact): the level's
 positions are sums of per-stage copy offsets, so the lag counts are a
@@ -190,25 +191,29 @@ def _as_observable(f) -> Character | LevelIndicator:
 
 def correlation_sequence(system: System, f, N: int, center: bool = False, *,
                          seed: int | None = None, samples: int = 4096,
-                         path: str = "") -> CorrelationSeq:
+                         path: str = "", mode: str = "auto") -> CorrelationSeq:
     """Compute values(n) = <f o T^(-n), f> for n = 0..N (negatives by symmetry).
 
-    Exact whenever the system supports exact integration of the relevant
-    characters (affine pullback or finite-support orbit sums); the rank-one
-    level-indicator path is exact by tower-level counting.  Otherwise a seeded
-    Monte Carlo estimate with per-entry standard errors, refused before any
-    point is drawn if samples x (N + 1) exceeds ``MAX_SAMPLED_WORK``; ``path``
-    prefixes the fields that refusal names.
+    In ``auto`` mode exact when every integral needed is exact (affine pullback
+    or finite-support orbit sums, and the mean when centered); the rank-one
+    level-indicator path is exact by tower-level counting.  Otherwise, or in
+    ``sampled`` mode, a seeded Monte Carlo estimate with per-entry standard
+    errors, refused before any point is drawn if samples x (N + 1) exceeds
+    ``MAX_SAMPLED_WORK``; ``path`` prefixes the fields that refusal names.
     """
     if N < 1:
         raise SpecValidationError("N", f"order must be >= 1, got {N}")
+    if mode not in ("auto", "sampled"):
+        raise SpecValidationError("mode", f"unknown mode {mode!r}")
     f = _as_observable(f)
     if isinstance(f, LevelIndicator):
+        if mode == "sampled":
+            raise UnsupportedOperationError("a level indicator has no sampled path")
         return _rank1_indicator_sequence(system, f, N, center)
     k = validate_frequencies(system.space, f.freqs)
     center = center or f.centered
 
-    exact = _exact_sequence(system, k, N, center)
+    exact = _exact_sequence(system, k, N, center) if mode == "auto" else None
     if exact is not None:
         return exact
     if seed is None:
@@ -224,21 +229,23 @@ def correlation_sequence(system: System, f, N: int, center: bool = False, *,
 
 def _exact_sequence(system: System, k: FreqVector, N: int,
                     center: bool) -> CorrelationSeq | None:
+    """The exact sequence, or None when some integral it needs is not exact."""
     measure = system.measure
-    mean = measure.integrate_character(k) if measure.exact else None
+    mean = measure.integrate_character(k) if center else None
+    if center and mean is None:
+        return None
 
-    # path A: affine pullback against an exact integrator
-    if measure.exact:
-        Q = system.phase_modulus
-        phases: list[PhaseSum] = []
-        for kn, P in pullback_orbit(system, k, N + 1):
-            integral = measure.integrate_character(tuple(a - b for a, b in zip(kn, k)))
-            if integral is None:
-                break
-            # c_n = e(P / Q) * mu_hat(k_n - k);  values(n) = conj(c_n)
-            phases.append(integral.conjugate().rotated(-P, Q))
-        if len(phases) == N + 1:
-            return _finish_exact(phases, k, N, center, mean, "affine-pullback")
+    # path A: affine pullback, while every integral along the orbit is exact
+    Q = system.phase_modulus
+    phases: list[PhaseSum] = []
+    for kn, P in pullback_orbit(system, k, N + 1):
+        integral = measure.integrate_character(tuple(a - b for a, b in zip(kn, k)))
+        if integral is None:
+            break
+        # c_n = e(P / Q) * mu_hat(k_n - k);  values(n) = conj(c_n)
+        phases.append(integral.conjugate().rotated(-P, Q))
+    if len(phases) == N + 1:
+        return _finish_exact(phases, k, N, center, mean, "affine-pullback")
 
     # path B: finite-support orbit summation, values(n) = sum_p w e(<k, p - T^n p>)
     atoms = measure.enumerate_atoms()
@@ -258,8 +265,6 @@ def _finish_exact(phases: list[PhaseSum], k: FreqVector, N: int, center: bool,
                   mean: PhaseSum | None, provenance: str) -> CorrelationSeq:
     observable = Character(tuple(k), centered=center)
     if center:
-        if mean is None:
-            raise UnsupportedOperationError("cannot center: the mean is not exact")
         shift = mean.abs2()
         phases = [p - shift for p in phases]
     values = np.array([p.value() for p in phases], dtype=np.complex128)

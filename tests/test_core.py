@@ -133,24 +133,33 @@ def test_malformed_specs_name_the_field(doc, field_bit):
 
 ROT_THIRD_OVER_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
     "kind": "atoms", "atoms": [{"weight": "1", "point": ["0"]}]}}}
+ROT_THIRD_OVER_HALF_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
+    "kind": "mixture", "components": [
+        {"weight": "1/2", "measure": {"kind": "haar", "arity": 1}},
+        {"weight": "1/2", "measure": ROT_THIRD_OVER_ZERO["params"]["measure"]}]}}}
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_a_rotation_that_moves_its_atomic_measure_is_a_config_error(command, tmp_path, capsys):
-    """The rotation by 1/3 moves δ₀ to δ_{1/3}; it used to validate and run."""
+@pytest.mark.parametrize("command, system, weight", [
+    ("validate", ROT_THIRD_OVER_ZERO, "1"), ("run", ROT_THIRD_OVER_ZERO, "1"),
+    ("validate", ROT_THIRD_OVER_HALF_ZERO, "1/2"), ("run", ROT_THIRD_OVER_HALF_ZERO, "1/2"),
+], ids=["validate", "run", "validate-mixture", "run-mixture"])
+def test_a_rotation_that_moves_its_atomic_measure_is_a_config_error(
+        command, system, weight, tmp_path, capsys):
+    """The rotation by 1/3 moves δ₀ to δ_{1/3}, alone or as the atomic half of
+    ½ Haar + ½ δ₀ (whose Haar half it keeps); both used to validate and run."""
     from ergolab.cli import main
 
     path = tmp_path / "doc.json"
     if command == "validate":
-        path.write_text(json.dumps({"system": ROT_THIRD_OVER_ZERO}))
+        path.write_text(json.dumps({"system": system}))
         argv = ["spec", "validate", str(path)]
     else:
-        path.write_text(json.dumps({"knobs": {"system": ROT_THIRD_OVER_ZERO, "N": 16}}))
+        path.write_text(json.dumps({"knobs": {"system": system, "N": 16}}))
         argv = ["run", "spectral-probe", "--config", str(path), "--seed", "1",
                 "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert ("params.measure: the map does not preserve the atomic measure: the point (0) "
-            "carries weight 1 before the map and 0 after") in capsys.readouterr().err
+            f"carries weight {weight} before the map and 0 after") in capsys.readouterr().err
 
 
 def test_a_rotation_of_the_uniform_thirds_is_accepted():
@@ -197,6 +206,50 @@ def test_a_rotation_is_accepted_exactly_over_the_atom_sets_it_preserves(case):
     image = ImageMeasure(measure, RotationSystem(angle, measure))
     invariant = all((image.integrate_character((k,)) - measure.integrate_character((k,))).is_zero()
                     for k in range(grid))
+    try:
+        build_system(doc)
+    except SpecValidationError as err:
+        assert err.field == "params.measure"
+        assert not invariant
+    else:
+        assert invariant
+
+
+@st.composite
+def rotations_over_mixtures(draw):
+    """A rotation over a mixture of Haar, sometimes a power-law part, and the
+    atoms of ``rotations_over_atoms`` spread over one or two atomic components;
+    also the atoms' weights by grid index."""
+    angle, grid, atoms = draw(rotations_over_atoms())
+    haar = F(draw(st.integers(1, 3)), 4)
+    power = draw(st.sampled_from([F(0), F(1, 8)]))
+    split = draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+    groups = [[j for j, s in zip(atoms, split) if s == side] for side in (True, False)]
+    components = [{"weight": str(haar), "measure": {"kind": "haar", "arity": 1}}]
+    if power:
+        components.append({"weight": str(power),
+                           "measure": {"kind": "power-law-sampled", "exponent": 2}})
+    for group in groups:
+        total = sum((atoms[j] for j in group), F(0))
+        if total:
+            components.append({"weight": str((1 - haar - power) * total), "measure": {
+                "kind": "atoms", "atoms": [{"weight": str(atoms[j] / total),
+                                            "point": [str(F(j, grid))]} for j in group]}})
+    doc = {"kind": "rotation", "params": {"angle": str(angle), "measure": {
+        "kind": "mixture", "components": components}}}
+    return doc, angle, grid, atoms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rotations_over_mixtures())
+def test_a_rotation_is_accepted_exactly_over_the_mixtures_whose_atoms_it_preserves(case):
+    """Oracle: the atomic part of an invariant measure is invariant, Haar is
+    rotation-invariant and a power-law part is accepted as declared, so the
+    mixture is accepted exactly when every atom's weight is that of the point
+    the rotation moves it to."""
+    doc, angle, grid, atoms = case
+    shift = int(angle * grid)
+    invariant = all(atoms.get(j, 0) == atoms.get((j + shift) % grid, 0) for j in range(grid))
     try:
         build_system(doc)
     except SpecValidationError as err:
@@ -349,9 +402,6 @@ def test_conjugate_symmetry_of_integrators():
 @settings(max_examples=20, deadline=None)
 def test_sampler_determinism(seed):
     m = ProductMeasure([HaarMeasure(1), build_measure(MIX_HALVES)])
-    a = m.sample_rationals(rng_from_seed(seed), 8)
-    b = m.sample_rationals(rng_from_seed(seed), 8)
-    assert a == b
     fa = m.sample_floats(rng_from_seed(seed), 8)
     fb = m.sample_floats(rng_from_seed(seed), 8)
     assert np.array_equal(fa, fb)
@@ -396,13 +446,6 @@ def test_mixture_sampling_distribution():
     pts = m.sample_floats(rng_from_seed(5), 4000)
     atom_fraction = np.isin(pts[:, 0], [0.0, 0.5]).mean()
     assert abs(atom_fraction - 0.75) < 4 / np.sqrt(4000) + 0.02
-
-
-def test_dirac_rational_and_float_paths_agree():
-    m = build_measure(MIX_HALVES)
-    rats = m.sample_rationals(rng_from_seed(11), 64)
-    floats = m.sample_floats(rng_from_seed(11), 64)
-    assert np.array_equal(np.array([[float(c) for c in p] for p in rats]), floats)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from ergolab.core import (
     validate_frequencies,
     wrap_unit,
 )
+from ergolab.exact import PhaseSum
 from ergolab.joinings import build_joining, example1_triple, product_joining
 from ergolab.spectral import correlation_sequence
 
@@ -207,11 +208,23 @@ def reference_sampled(system, k, N, center, seed, samples):
 @pytest.mark.parametrize("center", [False, True])
 def test_sampled_sequence_bitwise_equal_to_reference_loop(samples, k, center):
     system = build_joining(POWER_TRIPLE)
-    seq = correlation_sequence(system, k, 20, center=center, seed=99, samples=samples)
+    seq = correlation_sequence(system, k, 20, center=center, seed=99, samples=samples,
+                               mode="sampled")
     assert seq.provenance == "monte-carlo"
     values, errors = reference_sampled(system, k, 20, center, 99, samples)
     assert_same_bits(seq.values_nonnegative().view(np.float64), values.view(np.float64))
     assert_same_bits(seq.std_errors, errors)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_the_rotation_factor_on_the_sampled_triple_is_exact_in_auto_mode(center):
+    """F = e(z - y) pulls back to e(n * angle) F, and every integral along its
+    orbit is the source's integral at 0 or at a Haar frequency, so auto mode
+    takes the exact path although the base is only sampled."""
+    seq = correlation_sequence(build_joining(POWER_TRIPLE), (0, -1, 0, 1), 20,
+                               center=center, seed=99, samples=64)
+    assert seq.provenance == "affine-pullback" and seq.exact
+    assert all((p.abs2() - PhaseSum.one()).is_zero() for p in seq.phases)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,6 @@ def old_graph_closures(system, graph_map):
             total = total + character_at(k1, p) * character_at(k2, graph_map.apply(p)) * w
         return total
 
-    def sample_rationals(rng, n):
-        return [p + graph_map.apply(p) for p in measure0.sample_rationals(rng, n)]
-
     def sample_floats(rng, n):
         pts = measure0.sample_floats(rng, n)
         return np.concatenate([pts, graph_map.apply_array(pts)], axis=1)
@@ -141,8 +138,7 @@ def old_graph_closures(system, graph_map):
             return None
         return [(w, p + graph_map.apply(p)) for w, p in atoms]
 
-    exact = integrator((0,) * 2 * arity) is not None and measure0.exact
-    return integrator, sample_rationals, sample_floats, atoms_fn, exact
+    return integrator, sample_floats, atoms_fn
 
 
 def old_triple_closures(base_measure):
@@ -154,25 +150,19 @@ def old_triple_closures(base_measure):
             return PhaseSum.zero()
         return base_measure.integrate_character((k1 + k3,))
 
-    def sample_rationals(rng, n):
-        xs = base_measure.sample_rationals(rng, n)
-        yz = HaarMeasure(2).sample_rationals(rng, n)
-        return [(x[0], y, x[0], z) for x, (y, z) in zip(xs, yz)]
-
     def sample_floats(rng, n):
         xs = base_measure.sample_floats(rng, n)
         yz = HaarMeasure(2).sample_floats(rng, n)
         return np.column_stack([xs[:, 0], yz[:, 0], xs[:, 0], yz[:, 1]])
 
-    exact = integrator((0,) * 4) is not None and base_measure.exact
-    return integrator, sample_rationals, sample_floats, lambda: None, exact
+    return integrator, sample_floats, lambda: None
 
 
 def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
     """What ``rel_indep_joining`` built by hand over a diagonal or graph base:
     the integrator, summed over the base joining's atoms when a fiber depends
     on the base point, and, for independent fibers, the blockwise draw of its
-    float sampler (base, then fiber 1, then fiber 2) and its rational twin.
+    float sampler (base, then fiber 1, then fiber 2).
     Fibers that depend on the base point have no reference draw (None)."""
     (_, fiber1), (_, fiber2) = s1.measure.split(f1), s2.measure.split(f2)
     a1, a2 = len(s1.space), len(s2.space)
@@ -221,13 +211,6 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
             total = total + character_at(kb, bp) * p1 * p2 * w
         return total
 
-    def sample_rationals_blockwise(rng, n):
-        base_pts = base_joining.measure.sample_rationals(rng, n)
-        fib1 = fiber1.sample_rationals(rng, n)
-        fib2 = fiber2.sample_rationals(rng, n)
-        return [assemble(bp[:b1_arity], fp1, bp[b1_arity:], fp2)
-                for bp, fp1, fp2 in zip(base_pts, fib1, fib2)]
-
     def sample_floats(rng, n):
         base_pts = base_joining.measure.sample_floats(rng, n)
         fib1 = fiber1.sample_floats(rng, n)
@@ -257,18 +240,13 @@ def old_rel_indep_closures(s1, s2, f1, f2, base_joining):
                     for w1, p1 in atoms1 for w2, p2 in atoms2]
         return out
 
-    exact_flag = base_joining.measure.exact and all(
-        isinstance(fiber, dict) or fiber.exact for fiber in (fiber1, fiber2))
-    exact = integrator((0,) * (a1 + a2)) is not None and exact_flag
-    if not independent:
-        return integrator, None, None, atoms_fn, exact
-    return integrator, sample_rationals_blockwise, sample_floats, atoms_fn, exact
+    return integrator, sample_floats if independent else None, atoms_fn
 
 
 def product_closures(joining):
     """The product joining's own integrals, draws and atoms."""
     m = joining.measure
-    return joining.integrate, m.sample_rationals, m.sample_floats, m.enumerate_atoms, m.exact
+    return joining.integrate, m.sample_floats, m.enumerate_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +256,7 @@ def product_closures(joining):
 def swapped_halves(closures, arity):
     """The closures of the transposed joining: the same draws and atoms with
     their two halves swapped, and each character read with its halves swapped."""
-    integrator, sample_rationals, sample_floats, atoms_fn, exact = closures
+    integrator, sample_floats, atoms_fn = closures
 
     def swap(p):
         return tuple(p[arity:]) + tuple(p[:arity])
@@ -291,9 +269,7 @@ def swapped_halves(closures, arity):
         atoms = atoms_fn()
         return None if atoms is None else [(w, swap(p)) for w, p in atoms]
 
-    return (lambda k: integrator(swap(k)),
-            lambda rng, n: [swap(p) for p in sample_rationals(rng, n)],
-            swapped_floats, swapped_atoms, exact)
+    return lambda k: integrator(swap(k)), swapped_floats, swapped_atoms
 
 
 def graph_case(component, graph_map=None, power=None):
@@ -382,7 +358,7 @@ PRODUCT_BASE_CASES = {"rel-indep-trivial", "rel-indep-atoms", "rel-indep-closure
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_image_joining_equals_its_former_closures(name):
-    joining, (integrator, sample_rationals, sample_floats, atoms_fn, exact) = CASES[name]()
+    joining, (integrator, sample_floats, atoms_fn) = CASES[name]()
     measure = joining.measure
     if name in PRODUCT_BASE_CASES:
         assert isinstance(measure, ProductMeasure)
@@ -390,7 +366,6 @@ def test_image_joining_equals_its_former_closures(name):
         assert isinstance(measure, ImageMeasure)
         # fibers that depend on the base point make a mixture over the base atoms
         assert isinstance(measure.source, MixtureMeasure) == (sample_floats is None)
-    assert joining.measure.exact == exact
     for k in frequency_box(len(joining.space), 2):
         new, old = joining.integrate(k), integrator(k)
         assert (new is None) == (old is None), k
@@ -405,33 +380,21 @@ def test_image_joining_equals_its_former_closures(name):
         assert floats.flags.c_contiguous
         assert floats.shape == reference.shape
         assert np.array_equal(floats.view(np.uint64), reference.view(np.uint64))
-        assert sample_joining(joining, seed, 40, rationals=True) == \
-            sample_rationals(rng_from_seed(seed), 40)
     assert measure.enumerate_atoms() == atoms_fn()
 
 
 def assert_draws_follow_the_integrals(joining, seed, n=4096):
-    """Rational draws lie on the joining's support (the exact integral of each
-    character is the mean over it), and the float draws' character means are
-    within 4 sigma of the exact integrals on the degree-1 box."""
+    """Draws lie on the joining's atoms when it has finitely many (the exact
+    integral of each character is the mean over them), and the draws' character
+    means are within 4 sigma of the exact integrals on the degree-1 box."""
     atoms = joining.measure.enumerate_atoms()
-    rationals = sample_joining(joining, seed, 64, rationals=True)
-    if atoms is not None:
-        assert set(rationals) <= {p for _, p in atoms}
     floats = sample_joining(joining, seed, n)
+    if atoms is not None:
+        assert set(map(tuple, floats.tolist())) <= {tuple(map(float, p)) for _, p in atoms}
     assert floats.shape == (n, len(joining.space))
     for k in frequency_box(len(joining.space), 1):
         mean = np.exp(2j * np.pi * (floats @ np.array(k))).mean()
         assert abs(mean - joining.integrate(k).value()) <= 4 / math.sqrt(n), k
-
-
-def test_independent_rel_indep_draws_rationals_in_blocks_like_its_floats():
-    """The rational draw follows the float draw's order, so one seed gives the
-    same points in both (up to rounding)."""
-    joining, _ = CASES["rel-indep-scattered"]()
-    rationals = sample_joining(joining, 11, 64, rationals=True)
-    floats = sample_joining(joining, 11, 64)
-    assert np.array_equal(np.array([[float(c) for c in p] for p in rationals]), floats)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +419,13 @@ def test_image_measure_integrates_through_the_pullback_and_over_atoms():
         brute = PhaseSum((k * ((p[0] + F(1, 6)) % 1), w) for w, p in atoms.atoms)
         assert image.integrate_character((k,)).terms == brute.terms
     assert image.enumerate_atoms() == [(w, rotation.apply(p)) for w, p in atoms.atoms]
-    # no pullback and no atoms: no exact integral, and the image is not exact
+    # no pullback and no atoms: no exact integral
     power = build_measure({"kind": "power-law-sampled", "exponent": 2})
     twist = build_system({"kind": "twist", "params": {
         "base_measure": {"kind": "power-law-sampled", "exponent": 2},
         "cocycle": {"kind": "affine", "slope": "1/2"}}})
     sampled = ImageMeasure(ProductMeasure([power, HaarMeasure(1)]), twist)
     assert sampled.integrate_character((0, 1)) is None
-    assert not sampled.exact
 
 
 def test_product_measure_zero_factor_beats_a_missing_integral():
@@ -549,8 +511,8 @@ def test_large_off_diagonal_powers_validate_and_reduce_mod_the_rotation(
     assert large.apply(point) == small.apply(point)
 
 
-#: not invariant, but a mixture with a Haar part, which building the rotation does
-#: not decide (a rotation over δ₀ alone is refused when it is built)
+#: not invariant: a mixture with a Haar part whose atomic part the rotation
+#: moves, which building the rotation refuses
 ROT_THIRD_OVER_HALF_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
     "kind": "mixture", "components": [
         {"weight": "1/2", "measure": {"kind": "haar", "arity": 1}},
@@ -559,7 +521,8 @@ ROT_THIRD_OVER_HALF_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "meas
 
 @pytest.mark.parametrize("component, code, message", [
     ({"kind": "rank1-family", "params": {"a": "1/3", "depth": 4}}, 0, "valid off-diagonal spec"),
-    (ROT_THIRD_OVER_HALF_ZERO, 3, "graph map does not preserve the measure at character (-2,)"),
+    (ROT_THIRD_OVER_HALF_ZERO, 3, "the map does not preserve the atomic measure: the point (0) "
+                                  "carries weight 1/2 before the map and 0 after"),
 ])
 @pytest.mark.parametrize("power", [1, -1])
 def test_a_negative_power_validates_exactly_when_the_positive_one_does(

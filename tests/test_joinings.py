@@ -66,14 +66,14 @@ MIX_HALVES = {
 
 
 class SamplerOnlyMeasure(MeasureHandle):
-    """A measure given only by its two samplers: no character has an exact
+    """A measure given only by its sampler: no character has an exact
     integral, so every check on it takes the sampled path."""
 
-    def __init__(self, space, sample_rationals, sample_floats):
+    def __init__(self, space, sample_floats):
         self.space, self.description = space, "sampler only"
-        self.sample_rationals, self.sample_floats = sample_rationals, sample_floats
+        self.sample_floats = sample_floats
 
-    def integrate_character(self, k):
+    def _integrate(self, k):
         return None
 
 
@@ -99,8 +99,6 @@ def test_diagonal_of_rotation():
 
 
 def test_diagonal_samples_have_equal_coordinates():
-    pts = sample_joining(diag_third(), seed=4, count=50, rationals=True)
-    assert all(p[0] == p[1] for p in pts)
     floats = sample_joining(diag_third(), seed=4, count=50)
     assert np.array_equal(floats[:, 0], floats[:, 1])
 
@@ -127,6 +125,42 @@ def test_graph_joining_rejects_non_preserving_map():
                 "map": ROT_THIRD,
             },
         })
+
+
+POWER_LAW = {"kind": "power-law-sampled", "exponent": 2}
+
+
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_graph_joining_refuses_a_map_whose_preservation_no_character_decides(
+        command, tmp_path, capsys):
+    """The rotation by 1/3 commutes with the identity, but no character of the
+    family has an exact integral over the power-law measure or its image, so
+    nothing decides whether it preserves that measure (it does not: the
+    measure is not rotation-invariant).  It used to validate."""
+    doc = {"kind": "graph", "params": {
+        "component": {"kind": "identity", "params": {"measure": POWER_LAW}},
+        "map": {"kind": "rotation", "params": {"angle": "1/3", "measure": POWER_LAW}}}}
+    message = ("cannot decide whether the graph map preserves the measure: no character "
+               "of the family has an exact integral on both sides")
+    if command == "build":
+        with pytest.raises(JoiningConstructionError, match=message):
+            build_joining(doc)
+        return
+    from ergolab.cli import main
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"joining": doc}))
+    assert main(["spec", "validate", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_graph_joining_of_the_component_itself_needs_no_exact_character():
+    """The identity and the component preserve the measure by construction, so
+    the diagonal and off-diagonal joinings over a power-law base are built."""
+    twist = {"kind": "twist", "params": {"base_measure": POWER_LAW}}
+    for doc in ({"kind": "diagonal", "params": {"component": twist}},
+                {"kind": "off-diagonal", "params": {"component": twist, "power": 1}}):
+        assert build_joining(doc).integrate((1, 0, 0, 0)) is None
 
 
 def test_graph_joining_rejects_non_commuting_map():
@@ -252,8 +286,8 @@ def test_rel_indep_over_twist_bases_diagonal_coupling():
     assert rel.integrate((1, 0, -1, 0)).as_rational() == 1
     # fiber coordinates independent Haar: e(y1 - y2) integrates to 0
     assert rel.integrate((0, 1, 0, -1)).is_zero()
-    pts = sample_joining(rel, seed=2, count=32, rationals=True)
-    assert all(p[0] == p[2] for p in pts)
+    pts = sample_joining(rel, seed=2, count=32)
+    assert np.array_equal(pts[:, 0], pts[:, 2])
 
 
 def test_rel_indep_conditional_atom_fibers():
@@ -346,8 +380,6 @@ def test_invariance_sampled_path():
     # the product joining, given only by its samplers
     sampled = ProductSystem([identity, rotation], measure=SamplerOnlyMeasure(
         identity.space + rotation.space,
-        lambda rng, n: [p + q for p, q in zip(identity.measure.sample_rationals(rng, n),
-                                              rotation.measure.sample_rationals(rng, n))],
         lambda rng, n: np.concatenate([identity.measure.sample_floats(rng, n),
                                        rotation.measure.sample_floats(rng, n)], axis=1)))
     report = invariance_check(sampled, [(1, 0), (0, 1), (1, -1)],
@@ -401,9 +433,10 @@ def test_consistency_auto_mode_falls_back_to_sampling():
     assert len(outcome.rows) == 80
     # the base coordinates are tied, x2 = x1 + 2/7, which no product allows
     assert outcome.verdict == "refuted"
-    for kwargs in ({}, {"mode": "exact", "seed": 5}):
-        with pytest.raises(UnsupportedOperationError):
-            product_consistency_test(joining, degree=1, **kwargs)
+    with pytest.raises(UnsupportedOperationError):
+        product_consistency_test(joining, degree=1)
+    with pytest.raises(SpecValidationError, match="unknown mode 'exact'"):
+        product_consistency_test(joining, degree=1, mode="exact", seed=5)
 
 
 def test_consistency_csv_row_count():
@@ -419,7 +452,8 @@ def test_consistency_csv_row_count():
 def test_example1_triple_z_evolution_exact_at_declared_precision():
     angle = "0.7071067811865475244008443621048490392848"
     triple = build_joining({"kind": "example1-triple", "params": {"angle": angle}})
-    pts = sample_joining(triple, seed=31, count=4, rationals=True)
+    # each float draw is a dyadic rational, lifted exactly
+    pts = [tuple(map(F, p)) for p in sample_joining(triple, seed=31, count=4).tolist()]
     alpha = F(7071067811865475244008443621048490392848, 10**40)
     for p in pts:
         q = triple.apply(p)
@@ -459,7 +493,7 @@ def test_example1_statistical_base_sampler():
         "params": {"base_measure": {"kind": "power-law-sampled", "exponent": 2},
                    "angle": "1/5"},
     })
-    assert not triple.measure.exact
+    assert triple.integrate((1, 0, 0, 0)) is None
     pts = sample_joining(triple, seed=11, count=100)
     assert np.array_equal(pts[:, 0], pts[:, 2])
     report = invariance_check(triple, [(1, 0, -1, 0), (0, 1, 0, -1)],
@@ -783,8 +817,9 @@ def test_sampled_checks_refuse_an_empty_sample():
         "kind": "example1-triple",
         "params": {"base_measure": {"kind": "power-law-sampled", "exponent": 2}},
     })
+    # e(x) has no exact integral over the power-law base, so the check samples
     with pytest.raises(SpecValidationError, match="samples"):
-        invariance_check(triple, [(1, 0, -1, 0)], seed=1, samples=0)
+        invariance_check(triple, [(1, 0, 0, 0)], seed=1, samples=0)
 
 
 def extension_over_two_sevenths(slope, intercept):
@@ -806,7 +841,6 @@ def check_off_diagonal_powers_on_a_grid(component, decided):
     for power in (-1, -2, 1):
         joining = build_joining({"kind": "off-diagonal",
                                  "params": {"component": component, "power": power}})
-        assert joining.measure.exact
         images = grid
         for _ in range(abs(power)):
             images = [system.apply(p) for p in images]

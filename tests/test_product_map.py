@@ -66,14 +66,14 @@ CYCLIC_EXTENSION = {"kind": "group-extension", "params": {
 
 
 class SamplerOnlyMeasure(MeasureHandle):
-    """A measure given only by its two samplers: no character has an exact
+    """A measure given only by its sampler: no character has an exact
     integral, so every check on it takes the sampled path."""
 
-    def __init__(self, space, sample_rationals, sample_floats):
+    def __init__(self, space, sample_floats):
         self.space, self.description = space, "sampler only"
-        self.sample_rationals, self.sample_floats = sample_rationals, sample_floats
+        self.sample_floats = sample_floats
 
-    def integrate_character(self, k):
+    def _integrate(self, k):
         return None
 
 
@@ -92,7 +92,7 @@ PRODUCTS = {
 # ---------------------------------------------------------------------------
 
 def old_product_closures(systems):
-    """The integrator, samplers and atom enumerator ``product_joining`` used to
+    """The integrator, sampler and atom enumerator ``product_joining`` used to
     build by hand."""
     slices = []
     lo = 0
@@ -113,10 +113,6 @@ def old_product_closures(systems):
             total = total * part
         return total
 
-    def sample_rationals(rng, n):
-        cols = [s.measure.sample_rationals(rng, n) for s in systems]
-        return [tuple(c for col in row for c in col) for row in zip(*cols)]
-
     def sample_floats(rng, n):
         return np.concatenate([s.measure.sample_floats(rng, n) for s in systems], axis=1)
 
@@ -129,18 +125,15 @@ def old_product_closures(systems):
                  tuple(c for _, p in combo for c in p))
                 for combo in itertools.product(*per_factor)]
 
-    exact = all(s.measure.exact for s in systems)
-    return integrator, sample_rationals, sample_floats, atoms_fn, exact
+    return integrator, sample_floats, atoms_fn
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
 def test_product_joining_equals_its_former_closures(name):
     systems = [build_system(doc) for doc in PRODUCTS[name]]
     joining = product_joining(systems)
-    integrator, sample_rationals, sample_floats, atoms_fn, exact = \
-        old_product_closures(systems)
+    integrator, sample_floats, atoms_fn = old_product_closures(systems)
 
-    assert joining.measure.exact == exact
     assert joining.factors == systems
     for k in frequency_box(len(joining.space), 2):
         new, old = joining.integrate(k), integrator(k)
@@ -152,16 +145,14 @@ def test_product_joining_equals_its_former_closures(name):
         reference = sample_floats(rng_from_seed(seed), 300)
         assert floats.shape == reference.shape
         assert np.array_equal(floats.view(np.uint64), reference.view(np.uint64))
-        assert sample_joining(joining, seed, 40, rationals=True) == \
-            sample_rationals(rng_from_seed(seed), 40)
     assert joining.measure.enumerate_atoms() == atoms_fn()
 
 
 def test_sampled_consistency_of_the_product_joining_equals_the_hand_built_one():
     identity, rotation = build_system(IDENTITY_ATOMS), build_system(ROT_THIRD)
-    _, sample_rationals, sample_floats, _, _ = old_product_closures([identity, rotation])
+    _, sample_floats, _ = old_product_closures([identity, rotation])
     hand_built = ProductSystem([identity, rotation], measure=SamplerOnlyMeasure(
-        identity.space + rotation.space, sample_rationals, sample_floats))
+        identity.space + rotation.space, sample_floats))
     for seed in (3, 2024):
         new = product_consistency_test(product_joining([identity, rotation]), degree=2,
                                        mode="sampled", samples=2048, seed=seed)
@@ -241,11 +232,8 @@ def distinct_points(count):
 def test_dirac_mixture_draws_the_former_atom_indices(weights):
     points = distinct_points(len(weights))
     mixture = DiracMixture((CIRCLE,), list(zip(weights, points)))
-    where = {p: i for i, p in enumerate(points)}
     for seed in SEEDS:
         expected = old_indices(weights, rng_from_seed(seed), 500)
-        drawn = mixture.sample_rationals(rng_from_seed(seed), 500)
-        assert [where[p] for p in drawn] == list(expected)
         floats = mixture.sample_floats(rng_from_seed(seed), 500)
         table = np.array([[float(p[0])] for p in points])
         assert np.array_equal(floats, table[expected])
@@ -257,11 +245,8 @@ def test_mixture_measure_draws_the_former_component_indices(weights):
     mixture = MixtureMeasure([
         (w, DiracMixture((CIRCLE,), [(F(1), p)])) for w, p in zip(weights, points)
     ])
-    where = {p: i for i, p in enumerate(points)}
     for seed in SEEDS:
         expected = old_indices(weights, rng_from_seed(seed), 300)
-        drawn = mixture.sample_rationals(rng_from_seed(seed), 300)
-        assert [where[p] for p in drawn] == list(expected)
         floats = mixture.sample_floats(rng_from_seed(seed), 300)
         table = np.array([[float(p[0])] for p in points])
         assert np.array_equal(floats, table[expected])
@@ -274,8 +259,8 @@ def test_trailing_zero_weights_are_never_drawn():
     mixture = DiracMixture((CIRCLE,), list(zip(weights, points)))
     for seed in SEEDS:
         expected = old_indices(weights[:2], rng_from_seed(seed), 400)
-        drawn = mixture.sample_rationals(rng_from_seed(seed), 400)
-        assert drawn == [points[i] for i in expected]
+        drawn = mixture.sample_floats(rng_from_seed(seed), 400)
+        assert drawn[:, 0].tolist() == [float(points[i][0]) for i in expected]
     components = MixtureMeasure([(w, DiracMixture((CIRCLE,), [(F(1), p)]))
                                  for w, p in zip(weights, points)])
     assert set(components.sample_floats(rng_from_seed(3), 400)[:, 0]) <= {0.0, 0.2}

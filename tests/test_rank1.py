@@ -25,6 +25,7 @@ from ergolab.rank1 import (
     agreement_stage,
     binary_digits,
     build_rank1_system,
+    copy_offsets,
     dyadic_equivalence,
     level_lag_counts,
     rank1_map,
@@ -348,6 +349,26 @@ def test_stage_level_positions_consistency():
         assert len(seen) == word_lengths(stage) * width
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=8), st.data())
+def test_level_positions_come_out_sorted_without_a_sort(digits, data):
+    """The offset-major sum equals the level-major sum sorted, dtype included."""
+    spec = Rank1Spec.from_digits(digits)
+    depth = data.draw(st.integers(0, len(digits)))
+    stage = data.draw(st.integers(0, depth))
+    level = data.draw(st.integers(0, word_lengths(stage) - 1))
+    reference = np.array([level], dtype=np.int32)
+    length = word_lengths(stage)
+    for d in digits[stage:depth]:
+        offs = np.array(copy_offsets(length, d), dtype=np.int32)
+        reference = (reference[:, None] + offs[None, :]).ravel()
+        length = 3 * length + 1
+    reference.sort()
+    positions = stage_level_positions(spec, stage, level, depth)
+    assert positions.dtype == reference.dtype
+    assert np.array_equal(positions, reference)
+
+
 def test_level_positions_are_int32_and_stop_with_the_towers_at_depth_14():
     """Positions index a depth-d tower, so even three of them are refused past
     depth 14; int32 indices would wrap at depth 20."""
@@ -504,9 +525,12 @@ def test_continuity_prefix_agreement_forces_identical_stages():
 # ---------------------------------------------------------------------------
 
 def sampled_systems(base, depth, seed, n):
-    """(a, T_a) at the given depth for parameters a drawn from the base measure."""
-    points = base.sample_rationals(rng_from_seed(seed), n)
-    return [(a, build_rank1_system(Rank1Spec.from_rational(a, depth))) for (a,) in points]
+    """(a, T_a) at the given depth for parameters a drawn from the base measure:
+    each float draw is read as the atom it is the float of, or else exactly."""
+    atoms = {float(p[0]): p[0] for _, p in base.enumerate_atoms() or ()}
+    draws = base.sample_floats(rng_from_seed(seed), n)[:, 0].tolist()
+    return [(a, build_rank1_system(Rank1Spec.from_rational(a, depth)))
+            for a in (atoms.get(x, F(x)) for x in draws)]
 
 
 def test_make_sa_haar_base_fiber_invariants():

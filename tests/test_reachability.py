@@ -103,8 +103,8 @@ DOCUMENTS = (
 )
 
 STUB = "interface stub or default; the subclasses the runs use override it"
-DRAWS = ("a measure's rational draws and atoms, which sample_joining(rationals=True), "
-         "image measures and atom sums call on any measure; no run asks them of this one")
+DRAWS = ("a measure's draws and atoms, which sample_joining, image measures and atom "
+         "sums call on any measure; no run asks them of this one")
 FLOAT_MAPS = "a float map of sampled points; no run samples a rotation or a table cocycle"
 TOWER_MAP = ("the rank-one tower as a pointwise map (build_rank1_system); the runs "
              "correlate towers by tower-level counting and never build the map")
@@ -130,7 +130,6 @@ ALLOWLIST = {
     "ergolab.core.RotationSystem.apply":
         "the exact map of a rotation (orbit); the runs pull rotations back instead",
     **dict.fromkeys([
-        "ergolab.core.MeasureHandle.sample_rationals",
         "ergolab.core.MeasureHandle.sample_floats",
         "ergolab.core.Cocycle.evaluate_array",
         "ergolab.core.Cocycle.frequency_shift",
@@ -138,12 +137,8 @@ ALLOWLIST = {
         "ergolab.core.System.apply_array",
     ], STUB),
     **dict.fromkeys([
-        "ergolab.core.PointMeasure.sample_rationals",
-        "ergolab.core.DiracMixture.sample_rationals",
-        "ergolab.core.MixtureMeasure.sample_rationals",
         "ergolab.core.MixtureMeasure.sample_floats",
         "ergolab.core.MixtureMeasure.enumerate_atoms",
-        "ergolab.core.SampledPowerMeasure.sample_rationals",
     ], DRAWS),
     **dict.fromkeys([
         "ergolab.core.RotationSystem.apply_array",

@@ -128,3 +128,25 @@ def test_joining_report_canonical_bytes_are_pinned(experiment, seed, digest):
     report = run_experiment(ExperimentConfig.resolve(experiment, seed,
                                                      JOINING_REPORTS[experiment]))
     assert hashlib.sha256(masked_canonical_bytes(report)).hexdigest() == digest
+
+
+#: every experiment at its default knobs: the regression oracle of a refactor
+@pytest.mark.parametrize("experiment, seed, digest", [
+    ("identity-disjoint", 2024,
+     "59b242df9748741e0ef9e751ea9c42146beadee1ea9529c30bc6995fed05a205"),
+    ("example1", 2024, "2cab6ffba896e777deace09d7b82de7bc4f58aab436e30ad6bd0d2d442c79874"),
+    ("product-closure", 2024,
+     "ce91bf600a0d2e4bb100806a2bb522093618b410aeb4688feae6ebd1681be014"),
+    ("rank1-family", 2024, "64c9f35516161364d2c7e349b28744f70849c35f4acdb3868c57217a327afa5a"),
+    ("spectral-probe", 2024, "34dc3d9a3c9683d96a6cccc26963b37bd80e22371e078c89851225deedee2447"),
+    ("identity-disjoint", 99, "131fd80d10ef128c6454be3401d538ff98b3aa44a6e3636f5670beda20e0cab7"),
+    ("example1", 99, "92a2f4e9f2b2be2102c5e00da7c88ec0bc2ce27ed73d0a361761852caac6e2ca"),
+    ("product-closure", 99, "d8315068bde5e09fbd7e9168807b871936d31004e269627fc50a671afc6a9452"),
+    ("rank1-family", 99, "08afd6d46ed582ef4e76a1231bd7b9c53990a0748ea6be7652904dfd5ed41d0f"),
+    ("spectral-probe", 99, "40a484cdc72088d6018314d5d41d298ef1fd3fd353a707b5fa908374568b4f5f"),
+])
+def test_default_report_canonical_bytes_are_pinned(experiment, seed, digest):
+    """sha256 of each experiment's report at its default knobs, with
+    product-closure's elapsed seconds masked."""
+    report = run_experiment(ExperimentConfig.resolve(experiment, seed, {}))
+    assert hashlib.sha256(masked_canonical_bytes(report)).hexdigest() == digest

@@ -582,8 +582,12 @@ TWIST_FIBER, TWIST_FLAT = Character((1,)), Character((0, 1))
 
 def fiber_verdicts(system, alpha, samples, seed):
     """Probe alpha on the rotation by phi(p) that a twist induces on the circle
-    over each sampled base point p."""
-    points = system.base.measure.sample_rationals(rng_from_seed(seed), samples)
+    over each sampled base point p: a float draw read as the atom it is the
+    float of, or else exactly."""
+    measure = system.base.measure
+    atoms = {tuple(map(float, p)): p for _, p in measure.enumerate_atoms() or ()}
+    draws = measure.sample_floats(rng_from_seed(seed), samples).tolist()
+    points = [atoms.get(tuple(row), tuple(map(F, row))) for row in draws]
     return [detect_eigenvalue(RotationSystem(system.cocycle(p)), TWIST_FIBER, alpha, 64)
             for p in points]
 
@@ -609,3 +613,70 @@ def test_fiber_scan_dirac_base():
     })
     assert all(v.witnessed for v in fiber_verdicts(system, "1/3", 10, seed=5))
     assert detect_eigenvalue(system, TWIST_FLAT, "1/3", 64).witnessed
+
+
+# ---------------------------------------------------------------------------
+# the exact path against the sampled one
+# ---------------------------------------------------------------------------
+
+def atoms_docs():
+    return st.lists(st.tuples(st.integers(1, 3), st.integers(0, 7), st.integers(1, 8)),
+                    min_size=1, max_size=3).map(lambda atoms: {"kind": "atoms", "atoms": [
+                        {"weight": str(F(w, sum(a[0] for a in atoms))),
+                         "point": [str(F(j % q, q))]} for w, j, q in atoms]})
+
+
+def simple_base_docs():
+    return st.one_of(st.just({"kind": "haar", "arity": 1}), atoms_docs(),
+                     st.sampled_from([2, 3]).map(
+                         lambda e: {"kind": "power-law-sampled", "exponent": e}))
+
+
+def base_docs():
+    mixture = st.tuples(st.integers(1, 3), simple_base_docs(), simple_base_docs()).map(
+        lambda t: {"kind": "mixture", "components": [
+            {"weight": str(F(t[0], 4)), "measure": t[1]},
+            {"weight": str(1 - F(t[0], 4)), "measure": t[2]}]})
+    return st.one_of(simple_base_docs(), mixture)
+
+
+@st.composite
+def skew_products(draw):
+    """A twist over a random base, or a group extension of a rotation or of the
+    identity over one: the circle with an affine cocycle, or a cyclic group
+    with a constant one."""
+    fraction = st.builds(F, st.integers(0, 11), st.sampled_from([1, 2, 3, 5, 12]))
+    base = draw(base_docs())
+    kind = draw(st.sampled_from(["twist", "circle", "cyclic"]))
+    if kind == "cyclic":
+        order = draw(st.integers(2, 6))
+        cocycle = {"kind": "affine", "slope": "0",
+                   "intercept": str(F(draw(st.integers(0, order - 1)), order))}
+    else:
+        cocycle = {"kind": "affine", "slope": str(draw(st.sampled_from([0, 1, 2, F(1, 2)]))),
+                   "intercept": str(draw(fraction) % 1)}
+    if kind == "twist":
+        return {"kind": "twist", "params": {"base_measure": base, "cocycle": cocycle}}
+    base_system = draw(st.sampled_from([
+        {"kind": "identity", "params": {"measure": base}},
+        {"kind": "rotation", "params": {"angle": str(draw(fraction) % 1)}}]))
+    group = {"kind": "cyclic", "order": order} if kind == "cyclic" else {"kind": "circle"}
+    return {"kind": "group-extension",
+            "params": {"base": base_system, "cocycle": cocycle, "group": group}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(skew_products(), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_an_exact_sequence_agrees_with_the_sampled_one(doc, k):
+    """Wherever auto mode decides a sequence exactly, the Monte Carlo sequence
+    of the same character at a fixed seed lies within 4 of its standard errors
+    (plus 1e-9 for rounding) at every lag.  Uncentered: the standard errors do
+    not cover the sampled mean that a centered sequence subtracts."""
+    system = build_system(doc)
+    exact = correlation_sequence(system, k, 8, seed=5, samples=2048)
+    if not exact.exact:
+        return
+    sampled = correlation_sequence(system, k, 8, seed=5, samples=2048, mode="sampled")
+    assert sampled.provenance == "monte-carlo"
+    gap = np.abs(exact.values_nonnegative() - sampled.values_nonnegative())
+    assert np.all(gap <= 4 * sampled.std_errors + 1e-9), (gap, sampled.std_errors)
