@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 
 from ergolab.core import Cocycle, MeasureHandle, SpecValidationError, System
 from ergolab.exact import parse_scalar
-from ergolab.spectral import require_wiener_length
 
 #: the default of a key that must be given
 REQUIRED = object()
@@ -72,6 +71,19 @@ MAX_INVARIANCE_DEGREE = 8
 #: 2.3 s at 64 (2.9 s at N = 2^16) and 9.0 s at 128, example1 1.2 s at 64
 MAX_FREQ = 64
 
+#: largest Haar ``arity``: the space holds one coordinate per unit, 8 bytes each,
+#: built by ``spec validate`` too (3,000,000 took 23 MiB more); at 2^16 it took
+#: 0.4 MiB more, and a spectral probe of a 2^16-coordinate identity with a
+#: 2^16-frequency character ran in 0.9 s
+MAX_ARITY = 2**16
+
+#: largest ``depth`` of a rank-one system spec.  Tower-level correlations are
+#: integers of about depth digits, so a 40-digit decimal eigenvalue query on a
+#: level at N = 4,096 took 4.8 s at depth 12, 7.4 s at 100, 10.0 s at 128, 16 s
+#: at 200 and 210 s at 1,000; above about 2,250 the exact Wiener total has more
+#: digits than Python prints (4,300), and the run fails after its work
+MAX_RANK1_DEPTH = 100
+
 
 def check_closure_budget(knobs: dict, path: str) -> None:
     """Refuse product-closure knobs whose samples x characters exceed MAX_CLOSURE_WORK."""
@@ -91,6 +103,12 @@ def check_stages_within_depth(knobs: dict, path: str) -> None:
         if stage > knobs["depth"]:
             raise SpecValidationError(f"{path}.wm_stages[{i}]",
                                       f"must be <= {path}.depth = {knobs['depth']}, got {stage}")
+
+
+def require_wiener_length(N: int, field: str = "N") -> None:
+    """Refuse a Wiener average, plain or rotated, over fewer than 16 terms."""
+    if N < 16:
+        raise SpecValidationError(field, f"Wiener averaging needs N >= 16, got {N}")
 
 
 def check_nonzero_angle(angle: str, path: str) -> None:
@@ -166,10 +184,10 @@ SPECS = {
                             "group": Field("group", {"kind": "circle"})},
         "product": {"factors": Field(Field("system"), REQUIRED)},
         "rank1-family": {"a": Field("scalar", "0"), "digits": Field(Field("int")),
-                         "depth": Field("int", 8)},
+                         "depth": Field("int", 8, maximum=MAX_RANK1_DEPTH)},
     }),
     "measure": Spec(built=(MeasureHandle,), kinds={
-        "haar": {"arity": Field("int", 1, minimum=1)},
+        "haar": {"arity": Field("int", 1, minimum=1, maximum=MAX_ARITY)},
         "atoms": {"atoms": Field(Field("atom"), REQUIRED)},
         "cyclic-uniform": {"order": Field("int", REQUIRED, minimum=1, maximum=MAX_CYCLIC_ORDER)},
         "product": {"factors": Field(Field("measure"), REQUIRED)},
@@ -235,7 +253,7 @@ KNOBS = {
         "max_freq": Field("int", 8, minimum=1, maximum=MAX_FREQ),
         "invariance_degree": Field("int", 2, minimum=1, maximum=MAX_INVARIANCE_DEGREE),
         "statistical": Field("bool", True),
-        "statistical_exponent": Field("int", 2),
+        "statistical_exponent": Field("int", 2, minimum=1),
         "statistical_samples": Field("int", 20000, minimum=1, maximum=MAX_SAMPLES),
     },
     "product-closure": {

@@ -49,6 +49,7 @@ from ergolab.core import (
     validate_frequencies,
 )
 from ergolab.exact import PhaseSum, parse_scalar, scalar_str
+from ergolab.schema import require_wiener_length
 
 DEFAULT_ORDER = 4096
 EIGENVALUE_THRESHOLD = 0.5
@@ -406,12 +407,6 @@ def _grid_screen(vals: np.ndarray, max_denominator: int) -> dict[int, np.ndarray
         roots = np.exp(-2j * np.pi * r / q)
         screen[q] = np.abs((roots[np.outer(r, r) % q] * folded).sum(axis=1)) / N
     return screen
-
-
-def require_wiener_length(N: int, field: str = "N") -> None:
-    """Refuse a Wiener average, plain or rotated, over fewer than 16 terms."""
-    if N < 16:
-        raise SpecValidationError(field, f"Wiener averaging needs N >= 16, got {N}")
 
 
 def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),

@@ -512,6 +512,32 @@ def _config_file(tmp_path, doc) -> str:
     return str(config)
 
 
+POWER_LAW = {"kind": "power-law-sampled", "exponent": 2}
+
+
+@pytest.mark.parametrize("measure, message", [
+    (POWER_LAW, "identity-disjoint decides its checks exactly, but character -1 of this "
+                "measure has no exact integral (pushforward of haar under u^2)"),
+    ({"kind": "mixture", "components": [{"weight": "1/2", "measure": {"kind": "haar"}},
+                                        {"weight": "1/2", "measure": POWER_LAW}]},
+     "identity-disjoint decides its checks exactly, but character -1 of this measure has no "
+     "exact integral (1/2*haar + 1/2*pushforward of haar under u^2)"),
+    ({"kind": "haar", "arity": 2}, "must be a measure on the circle (arity 1), got arity 2"),
+], ids=["power-law", "mixture", "arity-2"])
+def test_cli_identity_disjoint_refuses_a_measure_it_cannot_integrate_exactly(
+        measure, message, tmp_path, capsys):
+    """The power-law measure ended in a TypeError traceback (exit 1) at the
+    first cross character; the arity-2 Haar measure named the path ``k``."""
+    from ergolab.cli import main
+
+    config = _config_file(tmp_path, {"knobs": {"identity_measure": measure}})
+    code = main(["run", "identity-disjoint", "--config", config, "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"config error: knobs.identity_measure: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     "spectral-probe",
@@ -584,6 +610,7 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
     ("rank1-family", "word_stage_max", 0),
     ("example1", "statistical_samples", 0),
     ("example1", "statistical_samples", -3),
+    ("example1", "statistical_exponent", 0),
 ])
 def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp_path,
                                                      capsys, monkeypatch):

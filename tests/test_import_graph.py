@@ -1,6 +1,8 @@
-"""Module layers: ``import ergolab.cli`` loads core, exact, schema, spectral,
-experiments and cli, and ``joinings`` and ``rank1`` load only where a run
-uses them.  numpy's package code runs on the first array use, so ``--help``,
+"""Module layers: ``import ergolab.cli`` loads core, exact, schema, the
+experiments package and cli.  A run loads the module of its own experiment and
+no other, and ``joinings``, ``rank1`` and ``spectral`` load only where that
+module uses them, so product-closure and identity-disjoint never load
+``spectral``.  numpy's package code runs on the first array use, so ``--help``,
 usage errors and ``spec validate`` of systems and joinings never run it.  Each
 case runs in a fresh interpreter, so the modules this test process has already
 imported do not count."""
@@ -16,7 +18,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CLI_LAYERS = {"ergolab", "ergolab.cli", "ergolab.core", "ergolab.exact",
-              "ergolab.experiments", "ergolab.schema", "ergolab.spectral"}
+              "ergolab.experiments", "ergolab.schema"}
 
 #: prints [exit code of ``ergolab`` with the child's arguments, or None, loaded ergolab
 #: modules, whether numpy's package code had run after the import, and after the command]
@@ -34,6 +36,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "erg
 
 SMALL_KNOBS = {
     "identity-disjoint": {"max_freq": 3, "N": 256, "samples": 1024, "consistency_degree": 2},
+    "example1": {"N": 256, "max_freq": 3, "invariance_degree": 1, "statistical_samples": 2048},
     "product-closure": {"samples": 4096, "degree": 1},
     "rank1-family": {"depth": 6, "word_stage_max": 8, "prefix_length": 4,
                      "wm_stages": [2, 3], "N": 256, "threshold": 0.2},
@@ -63,6 +66,10 @@ def run_argv(experiment: str, tmp_path) -> list[str]:
             "--out", str(tmp_path / "out")]
 
 
+def own_module(experiment: str) -> str:
+    return "ergolab.experiments." + experiment.replace("-", "_")
+
+
 def run_small(experiment: str, tmp_path) -> set[str]:
     code, modules = loaded_after(*run_argv(experiment, tmp_path))
     assert code == 0
@@ -83,8 +90,21 @@ def test_cli_import_loads_exactly_the_cli_layers():
     assert loaded_after() == (None, CLI_LAYERS)
 
 
+@pytest.mark.parametrize("argv, exit_code", [(["--help"], 0), (["run", "no-such-experiment"], 3)],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_only_the_cli_layers(argv, exit_code):
+    assert loaded_after(*argv) == (exit_code, CLI_LAYERS)
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_KNOBS))
+def test_each_run_loads_its_own_experiment_module_and_no_other(experiment, tmp_path):
+    loaded = run_small(experiment, tmp_path)
+    assert {m for m in loaded if m.startswith("ergolab.experiments.")} == {own_module(experiment)}
+
+
 def test_spectral_probe_of_a_rotation_loads_neither_joinings_nor_rank1(tmp_path):
-    assert run_small("spectral-probe", tmp_path) == CLI_LAYERS
+    assert run_small("spectral-probe", tmp_path) == CLI_LAYERS | {
+        "ergolab.spectral", own_module("spectral-probe")}
 
 
 def test_validating_a_system_spec_loads_neither_joinings_nor_rank1(tmp_path):
@@ -93,12 +113,15 @@ def test_validating_a_system_spec_loads_neither_joinings_nor_rank1(tmp_path):
 
 
 def test_rank1_family_leaves_joinings_unloaded(tmp_path):
-    assert run_small("rank1-family", tmp_path) == CLI_LAYERS | {"ergolab.rank1"}
+    assert run_small("rank1-family", tmp_path) == CLI_LAYERS | {
+        "ergolab.rank1", "ergolab.spectral", own_module("rank1-family")}
 
 
 @pytest.mark.parametrize("experiment", ["identity-disjoint", "product-closure"])
 def test_joining_experiments_leave_rank1_unloaded(experiment, tmp_path):
-    assert run_small(experiment, tmp_path) == CLI_LAYERS | {"ergolab.joinings"}
+    """Neither needs a correlation sequence, so neither loads ``spectral``."""
+    assert run_small(experiment, tmp_path) == CLI_LAYERS | {
+        "ergolab.joinings", own_module(experiment)}
 
 
 def test_validating_a_joining_spec_loads_joinings_and_passes(tmp_path):

@@ -30,7 +30,7 @@ from ergolab.core import (
     pullback_orbit,
 )
 from ergolab.exact import PhaseSum
-from ergolab.experiments import _stationary_time_average
+from ergolab.experiments.identity_disjoint import _stationary_time_average
 from ergolab.joinings import _ComposedSystem, build_joining, product_joining
 from ergolab.spectral import correlation_sequence
 

@@ -566,7 +566,7 @@ def base_levels(spec, depth):
 @pytest.mark.parametrize("a", ["1/4", "3/4", "1/3"])
 @pytest.mark.parametrize("depth", [1, 2, 5, 10])
 def test_itinerary_coherence_holds_on_the_built_tower(a, depth):
-    from ergolab.experiments import _itinerary_coherent
+    from ergolab.experiments.rank1_family import _itinerary_coherent
 
     spec = Rank1Spec.from_rational(a, depth)
     assert _itinerary_coherent(rank1_map(spec, depth), rank1_word(spec, depth).word,
@@ -576,7 +576,7 @@ def test_itinerary_coherence_holds_on_the_built_tower(a, depth):
 def test_itinerary_coherence_fails_when_a_base_and_a_spacer_level_swap():
     """Swapping a T level with an s level keeps the map a partition of the
     space, but moves a base unit onto a spacer letter."""
-    from ergolab.experiments import _itinerary_coherent
+    from ergolab.experiments.rank1_family import _itinerary_coherent
 
     spec = Rank1Spec.from_rational("1/4", 10)
     m = rank1_map(spec, 10)
@@ -591,7 +591,7 @@ def test_itinerary_coherence_fails_when_a_base_and_a_spacer_level_swap():
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_itinerary_coherence_fails_on_shifted_base_levels(shift):
     """The map and the word agree; the copy-offset positions one level off do not."""
-    from ergolab.experiments import _itinerary_coherent
+    from ergolab.experiments.rank1_family import _itinerary_coherent
 
     spec = Rank1Spec.from_rational("1/3", 6)
     m = rank1_map(spec, 6)
@@ -602,7 +602,7 @@ def test_itinerary_coherence_fails_on_shifted_base_levels(shift):
 
 @pytest.mark.parametrize("edit", ["drop", "flip", "append"])
 def test_itinerary_coherence_fails_on_a_wrong_word(edit):
-    from ergolab.experiments import _itinerary_coherent
+    from ergolab.experiments.rank1_family import _itinerary_coherent
 
     spec = Rank1Spec.from_rational("1/4", 5)
     m = rank1_map(spec, 5)

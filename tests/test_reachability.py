@@ -166,11 +166,12 @@ def _code(member):
 
 
 def _public_functions():
-    """Public functions defined in each module, and the public methods, static
-    and class methods, properties and cached properties that its public classes
+    """Public functions defined in each module, the experiment runners' modules
+    of the ``experiments`` package included, and the public methods, static and
+    class methods, properties and cached properties that its public classes
     define, by dotted name."""
-    for info in pkgutil.iter_modules(ergolab.__path__):
-        module = importlib.import_module(f"ergolab.{info.name}")
+    for info in pkgutil.walk_packages(ergolab.__path__, "ergolab."):
+        module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue

@@ -30,6 +30,7 @@ from ergolab.joinings import build_joining
 from ergolab.rank1 import Rank1Spec
 from ergolab.schema import (
     KNOBS,
+    MAX_ARITY,
     MAX_CLOSURE_DEGREE,
     MAX_CLOSURE_WORK,
     MAX_CONSISTENCY_DEGREE,
@@ -39,6 +40,7 @@ from ergolab.schema import (
     MAX_N,
     MAX_PREFIX_LENGTH,
     MAX_PROBE_SAMPLES,
+    MAX_RANK1_DEPTH,
     MAX_SAMPLES,
     MAX_TOEPLITZ_SIZE,
     REQUIRED,
@@ -276,6 +278,100 @@ def test_a_costly_knob_is_refused_before_anything_is_built(experiment, knob, bou
     assert f"config error: knobs.{knob}: must be <= {bound}, got {value}" in err
     assert peak < 2**20
     assert not (tmp_path / "out").exists()
+
+
+#: int fields with no ``maximum``, by path (``[]`` marks an array's items), and
+#: the bound that holds instead
+UNBOUNDED_INTS = {
+    "system.precision": "none needed: it records a truncated constant's digit count, "
+                        "and nothing reads it",
+    "system.rank1-family.digits[]": "0 or 1, refused by Rank1Spec when the system is built",
+    "measure.power-law-sampled.exponent": "none needed: the sampler raises each draw to it "
+                                          "once, so 10^20 costs what 2 does",
+    "cocycle.affine.coord": "a coordinate of the base, refused when the skew product is built",
+    "observable.freqs[]": "none needed: an exact path carries a frequency as one int, a "
+                          "sampled one as one float factor",
+    "observable.level[]": "stage <= the tower's depth (<= MAX_RANK1_DEPTH) and level < "
+                          "L_stage, refused when the observable meets the system, stage first",
+    "knobs.example1.statistical_exponent": "none needed, as for "
+                                           "measure.power-law-sampled.exponent",
+    "knobs.product-closure.precision": "none needed: the rotation's system.precision",
+    "knobs.rank1-family.depth": "<= 14: the run refuses a tower above L_14 levels before "
+                                "it builds one",
+    "knobs.rank1-family.word_stage_max": "<= 14, as for knobs.rank1-family.depth",
+    "knobs.rank1-family.wm_stages[]": "<= depth, checked at resolve",
+}
+
+
+def _int_fields(fields: dict, path: str):
+    """(path, Field) for every int Field of a table, array items and inline
+    tables included."""
+    for key, f in fields.items():
+        at = f"{path}.{key}"
+        while isinstance(f.type, Field):
+            f, at = f.type, f"{at}[]"
+        if isinstance(f.type, dict):
+            yield from _int_fields(f.type, at)
+        elif f.type == "int":
+            yield at, f
+
+
+def test_every_int_field_has_a_maximum_or_names_the_bound_that_holds():
+    """A knob or spec field with no maximum is an allocation or a loop whose
+    size the document picks; an allowlisted field that gained a maximum, or is
+    gone, fails too."""
+    fields = {}
+    for name, spec in SPECS.items():
+        fields.update(_int_fields(spec.envelope or {}, name))
+        for kind, table in spec.kinds.items():
+            fields.update(_int_fields(table, name if kind is None else f"{name}.{kind}"))
+    for experiment, table in KNOBS.items():
+        fields.update(_int_fields(table, f"knobs.{experiment}"))
+    unbounded = sorted(path for path, f in fields.items() if f.maximum is None)
+    assert [p for p in unbounded if p not in UNBOUNDED_INTS] == []
+    assert sorted(UNBOUNDED_INTS) == unbounded
+
+
+@pytest.mark.parametrize("depth", [MAX_RANK1_DEPTH + 1, 3000, 30000])
+def test_a_deep_rank1_system_is_refused_before_any_tower_work(depth, tmp_path, monkeypatch):
+    """Depth 3,000 used to compute, then fail to print its exact Wiener total;
+    depth 30,000 did so after 7.5 s."""
+    def allocation_reached(self, n):
+        raise AssertionError("a tower was started before the depth was refused")
+
+    monkeypatch.setattr(Rank1Spec, "digit_stream", allocation_reached)
+    system = {"kind": "rank1-family", "params": {"a": "1/3", "depth": depth}}
+    message = f"must be <= {MAX_RANK1_DEPTH}, got {depth}"
+    code, err = _validate(tmp_path, {"system": system})
+    assert code == 3 and f"invalid: system.params.depth: {message}" in err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "knobs": {
+        "system": system, "observable": {"level": [1, 0]}, "N": 64}}))
+    code, err = _cli(["run", "spectral-probe", "--config", str(config),
+                      "--out", str(tmp_path / "out")])
+    assert code == 3 and f"config error: knobs.system.params.depth: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_deepest_rank1_system_runs_and_prints():
+    from ergolab.experiments import run_experiment
+
+    system = {"kind": "rank1-family", "params": {"a": "1/3", "depth": MAX_RANK1_DEPTH}}
+    report = run_experiment(ExperimentConfig.resolve("spectral-probe", 1, {
+        "system": system, "observable": {"level": [1, 0]}, "N": 64}))
+    assert report.passed
+    assert report.canonical_bytes()
+
+
+def test_a_haar_measure_above_the_largest_arity_is_refused(tmp_path):
+    """Validating arity 3,000,000 built a 23 MiB space."""
+    measure = {"kind": "haar", "arity": MAX_ARITY}
+    system = {"kind": "identity", "params": {"measure": measure}}
+    assert _validate(tmp_path, {"system": system}) == (0, "")
+    measure["arity"] = 3_000_000
+    code, err = _validate(tmp_path, {"system": system})
+    assert code == 3
+    assert f"invalid: system.params.measure.arity: must be <= {MAX_ARITY}, got 3000000" in err
 
 
 @pytest.mark.parametrize("knobs", [
