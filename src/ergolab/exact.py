@@ -194,7 +194,8 @@ class PhaseSum:
 
     @classmethod
     def zero(cls) -> "PhaseSum":
-        return cls._canonical(())
+        """The empty sum, one shared instance: a PhaseSum is never changed."""
+        return _ZERO_SUM
 
     @classmethod
     def one(cls) -> "PhaseSum":
@@ -223,7 +224,7 @@ class PhaseSum:
         parts = [s._terms for s in sums]
         terms = [t for part in parts for t in part]
         if not terms:
-            return cls._canonical(())
+            return _ZERO_SUM
         Q, D = lcm(_angle_lcm(terms), step.denominator), _weight_lcm(terms)
         S = step.numerator * (Q // step.denominator)
         acc: dict[int, int] = {}
@@ -286,7 +287,7 @@ class PhaseSum:
             if len(rhs._terms) > len(lhs._terms):
                 lhs, rhs = rhs, lhs
             if not rhs._terms:
-                return PhaseSum._canonical(())
+                return _ZERO_SUM
             if len(rhs._terms) == 1:
                 return lhs._monomial_product(*rhs._terms[0])
             return lhs._lattice_product(rhs)
@@ -300,7 +301,7 @@ class PhaseSum:
         Shifting by one angle keeps the angles distinct, so nothing merges.
         """
         if not weight:
-            return PhaseSum._canonical(())
+            return _ZERO_SUM
         scaled = self if weight == 1 else \
             PhaseSum._canonical(tuple((a, w * weight) for a, w in self._terms))
         return scaled.rotated(angle)
@@ -324,6 +325,8 @@ class PhaseSum:
         return PhaseSum._from_lattice(acc, Q, D1 * D2)
 
     def conjugate(self) -> "PhaseSum":
+        if not self._terms:
+            return self
         return PhaseSum._canonical(tuple(sorted(
             (-a % 1 if a else a, w) for a, w in self._terms)))
 
@@ -333,7 +336,7 @@ class PhaseSum:
         costs one new ``Fraction``."""
         Q = angle.denominator * modulus
         P = angle.numerator % Q
-        if not P:
+        if not P or not self._terms:
             return self
         L = lcm(Q, _angle_lcm(self._terms))
         shift = P * (L // Q)
@@ -343,6 +346,8 @@ class PhaseSum:
 
     def abs2(self) -> "PhaseSum":
         """|self|^2 as an exact (real) PhaseSum."""
+        if not self._terms:
+            return self
         if len(self._terms) == 1:
             w = self._terms[0][1]
             return PhaseSum._canonical(((_ZERO, w * w),))
@@ -401,3 +406,6 @@ class PhaseSum:
                 rest = _difference(row.get(0, {}), row.get(1, {}))
         c = rest.get(0, 0)
         return Fraction(c, D) if _vanishes(_difference(acc, {0: c}), q) else None
+
+
+_ZERO_SUM = PhaseSum._canonical(())

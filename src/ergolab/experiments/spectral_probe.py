@@ -44,9 +44,7 @@ def run(config: ExperimentConfig) -> list[Check]:
         details=atom_report.to_json(),
     ))
     for i, query in enumerate(knobs["eigenvalue_queries"]):
-        verdict = detect_eigenvalue(system, observable, query["angle"], N,
-                                    seed=derive_seed(config.seed, f"probe-eig-{i}"),
-                                    samples=knobs["samples"], seq=seq)
+        verdict = detect_eigenvalue(system, observable, query["angle"], N, seq=seq)
         expect = query.get("expect_witnessed")
         passed = expect is None or verdict.witnessed == expect
         checks.append(Check(

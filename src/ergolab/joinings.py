@@ -30,7 +30,11 @@ reads, and B is never built whole: its columns are made one value of its
 first coordinate at a time.  So the working memory is one block times the
 widths of A, of the table of B's other coordinates and of one such slice of B,
 whatever the number of samples.  Exact marginal integrals are computed once
-per joining and factor frequency and kept on its ``ProductSystem``.
+per joining and factor frequency and kept on its ``ProductSystem``.  The
+sampled consistency test reads them as the product column's per-factor
+tables: the product of the marginals factors over the joining's factors, so
+one ``product_integral`` call per frequency of each factor's box fixes every
+entry of the outer product (``_product_column``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from ergolab.core import (
     make_measure,
     make_system,
     np,
+    product_of_integrals,
     rng_from_seed,
     validate_frequencies,
     wrap_unit,
@@ -445,6 +450,7 @@ def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
     image = joining.apply_array(points)
     family = [validate_frequencies(joining.space, tuple(k)) for k in family]
     before = _character_means(points, family)
+    del points
     after = _character_means(image, family)
     sigma = math.sqrt(2.0 / samples)
     passed = True
@@ -535,24 +541,10 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
     characters = _product_characters(boxes)
     sigma = 1.0 / math.sqrt(samples)
     means = _character_means(points, characters)
-    marginal_means: dict[int, dict[FreqVector, complex]] = {}
-
-    def sampled_product(k: FreqVector) -> complex:
-        # drawn once per factor, on its whole box, when first needed
-        total = 1.0 + 0j
-        for i, (factor, sl) in enumerate(zip(joining.factors, joining._slices)):
-            ki = k[sl]
-            if i not in marginal_means:
-                rng_i = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
-                pts = factor.measure.sample_floats(rng_i, samples)
-                marginal_means[i] = _character_means(pts, boxes[i])
-            total *= marginal_means[i][ki]
-        return total
-
+    del points
+    products = _product_column(joining, boxes, characters, seed, samples)
     worst = (None, 0.0)
-    for k in characters:
-        prod_ps = joining.product_integral(k)
-        prod = prod_ps.value() if prod_ps is not None else sampled_product(k)
+    for k, prod in zip(characters, products):
         joint = means[k]
         rows.append(ConsistencyRow(k, joint, prod, sigma))
         dev = abs(joint - prod)
@@ -563,6 +555,45 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
         verdict="refuted" if witness else "consistent-with-product",
         witness=witness, mode="sampled", rows=rows, note=note,
     )
+
+
+def _product_column(joining: ProductSystem, boxes: Sequence[list[FreqVector]],
+                    characters: list[FreqVector], seed: int, samples: int):
+    """The product of the joining's marginals at each of ``characters``, which
+    are ``_product_characters(boxes)``, in their order.
+
+    The product factors over the joining's factors, so each factor's marginal
+    integral is read once per frequency of its box, through ``product_integral``
+    on the character that is that frequency on the factor and 0 elsewhere.
+    The column is the outer product of these tables: their C-order grid less
+    its middle entry, the zero character (negating every frequency reverses
+    the grid).  Each entry is the value of the ``product_of_integrals`` of its
+    factors' integrals, the one ``product_integral`` returns on the whole
+    character, bit for bit; an entry with no exact value is the product of the
+    factors' sampled means, each factor drawn once, on its whole box, when
+    first needed.
+    """
+    arity = len(joining.space)
+    tables = [[joining.product_integral((0,) * sl.start + ki + (0,) * (arity - sl.stop))
+               for ki in box] for box, sl in zip(boxes, joining._slices)]
+    grid = itertools.product(*tables)
+    middle = math.prod(map(len, boxes)) // 2
+    entries = itertools.chain(itertools.islice(grid, middle), itertools.islice(grid, 1, None))
+    marginal_means: dict[int, dict[FreqVector, complex]] = {}
+
+    def sampled_product(k: FreqVector) -> complex:
+        total = 1.0 + 0j
+        for i, (factor, sl) in enumerate(zip(joining.factors, joining._slices)):
+            if i not in marginal_means:
+                rng_i = rng_from_seed(derive_seed(seed, f"marginal-{i}"))
+                pts = factor.measure.sample_floats(rng_i, samples)
+                marginal_means[i] = _character_means(pts, boxes[i])
+            total *= marginal_means[i][k[sl]]
+        return total
+
+    for k, parts in zip(characters, entries):
+        exact = product_of_integrals(parts)
+        yield exact.value() if exact is not None else sampled_product(k)
 
 
 def _character_means(points: np.ndarray, family: Sequence[FreqVector]

@@ -240,11 +240,12 @@ def _exact_sequence(system: System, k: FreqVector, N: int,
     Q = system.phase_modulus
     phases: list[PhaseSum] = []
     for kn, P in pullback_orbit(system, k, N + 1):
-        integral = measure.integrate_character(tuple(a - b for a, b in zip(kn, k)))
+        # the orbit's tuples are validated already: integrate them as they are
+        integral = measure._integrate(tuple(a - b for a, b in zip(kn, k)))
         if integral is None:
             break
-        # c_n = e(P / Q) * mu_hat(k_n - k);  values(n) = conj(c_n)
-        phases.append(integral.conjugate().rotated(-P, Q))
+        # c_n = e(P / Q) * mu_hat(k_n - k);  values(n) = conj(c_n), 0 where mu_hat is
+        phases.append(integral.conjugate().rotated(-P, Q) if integral.terms else integral)
     if len(phases) == N + 1:
         return _finish_exact(phases, k, N, center, mean, "affine-pullback")
 
@@ -288,6 +289,7 @@ def _sampled_sequence(system: System, k: FreqVector, N: int, center: bool,
     f0 = character_array(k, points)
     mean = complex(f0.mean()) if center else 0j
     current = np.asfortranarray(points)
+    del points
     values = np.empty(N + 1, dtype=np.complex128)
     errors = np.empty(N + 1, dtype=np.float64)
     for n in range(N + 1):

@@ -102,6 +102,19 @@ def test_abs2_is_real_nonnegative(a):
     assert v.real >= -1e-12
 
 
+@given(st.one_of(st.just(PhaseSum.zero()), phase_sums()), angles, st.integers(1, 12))
+def test_zero_shortcuts_keep_the_general_terms(a, angle, modulus):
+    """``conjugate``, ``rotated`` and ``abs2`` return the empty sum as it is;
+    every sum, empty or not, gets the terms of the general formulas."""
+    conjugate = PhaseSum((-t, w) for t, w in a.terms)
+    assert a.conjugate().terms == conjugate.terms
+    assert a.rotated(angle, modulus).terms == \
+        PhaseSum((t + angle / modulus, w) for t, w in a.terms).terms
+    assert a.abs2().terms == (a * conjugate).terms
+    if not a.terms:
+        assert a.conjugate() is a.rotated(angle, modulus) is a.abs2() is a
+
+
 def test_phase_cancellation_merges_exactly():
     theta = Fraction(4142135623730950488016887242096980785697, 10**40)
     prod = PhaseSum.unit(theta) * PhaseSum.unit(-theta)

@@ -749,8 +749,9 @@ def test_product_integral_computes_each_marginal_once():
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_sampled_closure_rows_hold_the_exact_product(which):
-    """product-closure's sampled check: one product_integral call per row,
-    each marginal integrated once, and every row's product is its value."""
+    """product-closure's sampled check: one product_integral call per
+    frequency of each factor's box, each marginal integrated once, and every
+    row's product is its value."""
     joining = _closure_joinings()[which]
     product_calls, marginal_calls = [], []
     product_integral = joining.product_integral
@@ -764,7 +765,7 @@ def test_sampled_closure_rows_hold_the_exact_product(which):
     outcome = product_consistency_test(joining, degree=2, mode="sampled",
                                        samples=257, seed=2024)
     assert len(outcome.rows) == 5**5 - 1
-    assert len(product_calls) == len(outcome.rows)
+    assert len(product_calls) == 5**4 + 5
     assert len(marginal_calls) == len(set(marginal_calls)) == 5**4 + 5
     for row in outcome.rows:
         assert row.product == product_integral(row.character).value(), row.character
@@ -808,6 +809,98 @@ def test_sampled_marginals_drawn_once_and_match_per_character_draws():
                                                          seed, samples)
         assert abs(row.product - reference) <= 1e-12
     assert sampled_rows > 0
+
+
+ROT_HALF_ATOMS = {"kind": "rotation", "params": {"angle": "1/2", "measure": {
+    "kind": "atoms", "atoms": [{"point": ["1/6"], "weight": "1/2"},
+                               {"point": ["2/3"], "weight": "1/2"}]}}}
+
+
+def _sampled_cases():
+    """(name, joining, degree): product-closure's two joinings, a refuted
+    diagonal, example1's triple with sampled marginals, and products with one
+    and with two factors whose integrals are neither 0 nor 1."""
+    closure = _closure_joinings()
+    return [
+        ("closure-product", closure[0], 2),
+        ("closure-rel-indep", closure[1], 2),
+        ("diagonal-third", diag_third(), 2),
+        ("triple-power-law", build_joining({"kind": "example1-triple", "params": {
+            "base_measure": {"kind": "power-law-sampled", "exponent": 2}, "angle": "1/5"}}), 1),
+        ("one-atomic-factor", build_joining({"kind": "product", "params": {
+            "components": [ROT_THIRD, ROT_HALF_ATOMS]}}), 2),
+        ("two-atomic-factors", build_joining({"kind": "diagonal", "params": {
+            "component": ROT_HALF_ATOMS}}), 2),
+    ]
+
+
+def _per_character_verdict(joining, degree, samples, seed):
+    """Reference for the sampled path: every character's product read whole
+    from ``product_integral``, else the product of the factors' sampled means,
+    and the witness the first character with the largest deviation beyond
+    4 sigma."""
+    boxes = [frequency_box(len(c.space), degree) for c in joining.factors]
+    points = joining.measure.sample_floats(rng_from_seed(seed), samples)
+    characters = _product_characters(boxes)
+    means = _character_means(points, characters)
+    marginals = [_character_means(factor.measure.sample_floats(
+        rng_from_seed(derive_seed(seed, f"marginal-{i}")), samples), box)
+        for i, (factor, box) in enumerate(zip(joining.factors, boxes))]
+    sigma = 1.0 / math.sqrt(samples)
+    rows, witness, worst = [], None, 0.0
+    for k in characters:
+        exact = joining.product_integral(k)
+        if exact is not None:
+            product = exact.value()
+        else:
+            product = 1.0 + 0j
+            for table, sl in zip(marginals, joining._slices):
+                product *= table[k[sl]]
+        rows.append((k, repr(means[k]), repr(product), sigma))
+        deviation = abs(means[k] - product)
+        if deviation > 4 * sigma and deviation > worst:
+            witness, worst = k, deviation
+    return rows, witness
+
+
+@pytest.mark.parametrize("name, joining, degree", _sampled_cases(),
+                         ids=[case[0] for case in _sampled_cases()])
+def test_sampled_rows_equal_the_per_character_reference(name, joining, degree):
+    """The product column built from per-factor tables is the per-character
+    product bit for bit (``repr`` tells the sign of a zero apart)."""
+    samples, seed = MEANS_BLOCK_ROWS + 11, 2024
+    outcome = product_consistency_test(joining, degree=degree, mode="sampled",
+                                       samples=samples, seed=seed)
+    rows, witness = _per_character_verdict(joining, degree, samples, seed)
+    assert [(r.character, repr(r.joint), repr(r.product), r.sigma)
+            for r in outcome.rows] == rows
+    assert outcome.witness == witness
+    assert outcome.verdict == ("refuted" if witness else "consistent-with-product")
+    if name in ("diagonal-third", "two-atomic-factors"):
+        assert outcome.verdict == "refuted"
+
+
+@pytest.mark.parametrize("name, joining, degree", _sampled_cases(),
+                         ids=[case[0] for case in _sampled_cases()])
+def test_sampled_path_reads_each_factor_frequency_once(name, joining, degree):
+    """One ``product_integral`` call per frequency of each factor's box (630
+    on product-closure's box), on the character that is that frequency on
+    its factor and 0 elsewhere."""
+    calls = []
+    product_integral = joining.product_integral
+
+    def counted_product(k):
+        calls.append(tuple(k))
+        return product_integral(k)
+
+    joining.product_integral = counted_product
+    product_consistency_test(joining, degree=degree, mode="sampled", samples=64, seed=5)
+    boxes = [frequency_box(len(c.space), degree) for c in joining.factors]
+    assert len(calls) == sum(map(len, boxes))
+    # every factor's box holds its zero, so the zero character is read once per factor
+    assert len(set(calls)) == len(calls) - len(boxes) + 1
+    for k in calls:
+        assert sum(any(k[sl]) for sl in joining._slices) <= 1, k
 
 
 def test_sampled_checks_refuse_an_empty_sample():

@@ -23,6 +23,7 @@ from ergolab.core import (
     SpecValidationError,
     build_measure,
     build_system,
+    pullback_orbit,
     rng_from_seed,
 )
 from ergolab.rank1 import (
@@ -63,6 +64,27 @@ MIX_HALVES = {
         {"point": ["1/2"], "weight": "1/2"},
     ],
 }
+
+
+@pytest.mark.parametrize("system, k", [
+    (twist(), (0, 1)),
+    (rotation("1/2", MIX_HALVES), (1,)),
+    (build_system({"kind": "group-extension", "params": {
+        "base": {"kind": "rotation", "params": {"angle": "2/7"}},
+        "cocycle": {"kind": "affine", "slope": 2, "intercept": "1/5"}}}), (1, 1)),
+])
+def test_exact_phases_follow_the_pullback_formula(system, k):
+    """Each affine-pullback phase is conj(mu_hat(k_n - k)) * e(-P_n / Q), built
+    here term by term; an exactly zero integral is kept as it is."""
+    N = 12
+    seq = correlation_sequence(system, Character(k), N)
+    assert seq.provenance == "affine-pullback"
+    Q = system.phase_modulus
+    orbit = list(pullback_orbit(system, k, N + 1))
+    assert len(seq._phases) == len(orbit) == N + 1
+    for phase, (kn, P) in zip(seq._phases, orbit):
+        mu = system.measure.integrate_character(tuple(a - b for a, b in zip(kn, k)))
+        assert phase.terms == PhaseSum((-t - F(P, Q), w) for t, w in mu.terms).terms
 
 
 # ---------------------------------------------------------------------------
