@@ -207,21 +207,21 @@ def _choose(thresholds: np.ndarray, rng: np.random.Generator, n: int) -> np.ndar
 
 
 def wrap_unit(x: np.ndarray) -> np.ndarray:
-    """x mod 1 on a float array: ``x - floor(x)``, bit for bit ``x % 1.0``.
+    """x mod 1 on a float array, written over ``x``, which is returned:
+    ``x - floor(x)``, bit for bit ``x % 1.0``.
 
     For finite x both round the same exact value x - floor(x) once, and both
     give +0.0 at integers (and at -0.0); numpy's float ``%`` costs several
-    times more.  The difference is written over the floor, so no third array
-    is allocated."""
-    floor = np.floor(x)
-    return np.subtract(x, floor, out=floor)
+    times more."""
+    return np.subtract(x, np.floor(x), out=x)
 
 
 def _units_to_floats(units: np.ndarray) -> np.ndarray:
     """u / 2^64 in [0, 1).  The float64 quotient rounds to 1.0 for
     u >= 2^64 - 2^10; on the circle that point is 0.0.  Every other value is
-    returned bit for bit unchanged."""
-    return wrap_unit(units.astype(np.float64) / float(TWO64))
+    returned bit for bit unchanged.  The division converts each unit as
+    ``astype`` would, into the one array the wrap then overwrites."""
+    return wrap_unit(np.divide(units, float(TWO64)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,8 @@ class AffineCocycle(Cocycle):
         return (self.slope * point[self.coord] + self.intercept) % 1
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        return wrap_unit(float(self.slope) * points[:, self.coord] + float(self.intercept))
+        values = float(self.slope) * points[:, self.coord]
+        return wrap_unit(np.add(values, float(self.intercept), out=values))
 
     @property
     def phase_modulus(self) -> int:
@@ -655,6 +656,8 @@ class System:
         raise NotImplementedError
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
+        """Steps the rows of an (n, arity) float array in place, whatever its
+        layout, and returns it; a caller that still needs the points passes a copy."""
         raise NotImplementedError
 
     #: Q: the phases of ``pullback_step`` are numerators over Q
@@ -702,7 +705,7 @@ class RotationSystem(System):
         return ((x + self.angle) % 1,)
 
     def apply_array(self, points):
-        return wrap_unit(points + float(self.angle))
+        return wrap_unit(np.add(points, float(self.angle), out=points))
 
     def pullback_step(self, k):
         return k, k[0] * self.angle.numerator % self.phase_modulus
@@ -749,10 +752,11 @@ class SkewProductSystem(System):
 
     def apply_array(self, points):
         b = self.base_arity
-        out = np.empty_like(points, dtype=np.float64)
-        out[:, :b] = self.base.apply_array(points[:, :b])
-        out[:, b] = wrap_unit(points[:, b] + self.cocycle.evaluate_array(points[:, :b]))
-        return out
+        # the cocycle reads the base coordinates before the base map moves them
+        group = points[:, b]
+        wrap_unit(np.add(group, self.cocycle.evaluate_array(points[:, :b]), out=group))
+        self.base.apply_array(points[:, :b])
+        return points
 
     def pullback_step(self, k):
         b = self.base_arity
@@ -820,10 +824,9 @@ class ProductSystem(System):
         return out
 
     def apply_array(self, points):
-        out = np.empty_like(points, dtype=np.float64)
         for f, sl in zip(self.factors, self._slices):
-            out[:, sl] = f.apply_array(points[:, sl])
-        return out
+            f.apply_array(points[:, sl])
+        return points
 
     def pullback_step(self, k):
         out: tuple[int, ...] = ()
@@ -995,7 +998,7 @@ def make_system(doc) -> System:
     kind, params = doc["kind"], doc["params"]
     if kind == "rotation":
         rotation = RotationSystem(parse_scalar(params["angle"]), make_measure(params["measure"]))
-        _check_atoms_preserved(rotation)
+        _check_measure_preserved(rotation)
         return rotation
     if kind == "identity":
         return IdentitySystem(make_measure(params["measure"]))
@@ -1023,26 +1026,32 @@ def make_system(doc) -> System:
                               else Rank1Spec.from_rational(params["a"], depth))
 
 
-def _atomic_part(measure: MeasureHandle) -> list[tuple[Fraction, Point]]:
-    """The weighted atoms of a circle measure: all of a finite support, each
-    mixture component's weighted in, none of Haar or a power law (atomless)."""
-    atoms = measure.enumerate_atoms()
-    if atoms is not None:
-        return atoms
+def _components(measure: MeasureHandle) -> list[tuple[Fraction, MeasureHandle]]:
+    """The weighted components of a circle measure that are not mixtures; a
+    one-factor product is its factor."""
+    if isinstance(measure, ProductMeasure) and len(measure.factors) == 1:
+        measure = measure.factors[0]
     if isinstance(measure, MixtureMeasure):
-        return [(w * wa, p) for w, m in measure.components for wa, p in _atomic_part(m)]
-    return []
+        return [(w * wc, c) for w, m in measure.components for wc, c in _components(m)]
+    return [(Fraction(1), measure)]
 
 
-def _check_atoms_preserved(system: System) -> None:
-    """Refuses a measure whose atomic part the exact map moves: the atomic part of
-    an invariant measure is invariant.  Haar is rotation-invariant, and a
-    power-law part is accepted as declared."""
-    before: Counter = Counter()
-    after: Counter = Counter()
-    for w, p in _atomic_part(system.measure):
-        before[p] += w
-        after[system.apply(p)] += w
+def _check_measure_preserved(rotation: RotationSystem) -> None:
+    """Refuses a measure the rotation does not preserve: the absolutely
+    continuous and the atomic part of an invariant measure are each invariant.
+    Haar is; a power-law part of exponent > 1 has a strictly decreasing density,
+    which no nonzero rotation keeps; the atoms must keep their weights."""
+    before, after, power = Counter(), Counter(), Fraction(0)
+    for w, m in _components(rotation.measure):
+        if isinstance(m, SampledPowerMeasure) and m.exponent > 1:
+            power += w
+        for wa, p in m.enumerate_atoms() or ():
+            before[p] += w * wa
+            after[rotation.apply(p)] += w * wa
+    if rotation.angle and power:
+        raise SpecValidationError("params.measure", f"the rotation by {rotation.angle} does not "
+                                  f"preserve the power-law part (weight {power}) of the measure: "
+                                  "its density is strictly decreasing")
     for p in sorted(before.keys() | after.keys()):
         if before[p] != after[p]:
             raise SpecValidationError(

@@ -375,7 +375,8 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle,
                 return (inner(point) + angle) % 1
 
             def evaluate_array(self, points):
-                return wrap_unit(inner.evaluate_array(points) + float(angle))
+                values = inner.evaluate_array(points)
+                return wrap_unit(np.add(values, float(angle), out=values))
 
             def frequency_shift(self, kg):
                 step = inner.frequency_shift(kg)
@@ -447,11 +448,9 @@ def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
         raise SpecValidationError("samples", f"samples must be >= 1, got {samples}")
     rng = rng_from_seed(seed)
     points = joining.measure.sample_floats(rng, samples)
-    image = joining.apply_array(points)
     family = [validate_frequencies(joining.space, tuple(k)) for k in family]
     before = _character_means(points, family)
-    del points
-    after = _character_means(image, family)
+    after = _character_means(joining.apply_array(points), family)
     sigma = math.sqrt(2.0 / samples)
     passed = True
     for k in family:

@@ -355,7 +355,7 @@ class Rank1Map:
         if np.any(levels == self.length - 1):
             raise DepthExceededError("some points lie in the top level of the tower")
         starts = self.level_starts
-        return xs + (starts[levels + 1] - starts[levels]) / self.length
+        return np.add(xs, (starts[levels + 1] - starts[levels]) / self.length, out=xs)
 
 
 def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
@@ -505,7 +505,7 @@ class Rank1System(System):
         return (self.map.apply(Fraction(x)),)
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
-        return self.map.apply_array(points[:, 0])[:, None]
+        return self.map.apply_array(points)  # elementwise, so in place on the (n, 1) array
 
 
 def build_rank1_system(r1spec: Rank1Spec) -> Rank1System:

@@ -278,28 +278,23 @@ def _finish_exact(phases: list[PhaseSum], k: FreqVector, N: int, center: bool,
 
 def _sampled_sequence(system: System, k: FreqVector, N: int, center: bool,
                       seed: int, samples: int) -> CorrelationSeq:
-    """Monte Carlo correlations along the orbits of ``samples`` seeded points.
-
-    The orbit is stepped on a column-major (Fortran-order) copy of the points,
-    so each coordinate column that ``apply_array`` slices is contiguous; the
-    float maps keep that layout and ``character_array`` does not depend on it.
-    """
+    """Monte Carlo correlations along the orbits of ``samples`` seeded points,
+    stepped in place on one row-major array."""
     rng = rng_from_seed(seed)
-    points = system.measure.sample_floats(rng, samples)
+    points = np.ascontiguousarray(system.measure.sample_floats(rng, samples))
     f0 = character_array(k, points)
     mean = complex(f0.mean()) if center else 0j
-    current = np.asfortranarray(points)
-    del points
     values = np.empty(N + 1, dtype=np.complex128)
     errors = np.empty(N + 1, dtype=np.float64)
     for n in range(N + 1):
-        fn = character_array(k, current) if n else f0
+        fn = character_array(k, points) if n else f0
+        # as written: numpy's temporary elision and FMA fix this product's last bits
         prods = fn * np.conj(f0)
         c_n = complex(prods.mean())
         values[n] = np.conj(c_n)
         errors[n] = math.sqrt(max(0.0, 1.0 - abs(c_n) ** 2) / samples)
         if n < N:
-            current = system.apply_array(current)
+            system.apply_array(points)
     if center:
         values -= abs(mean) ** 2
     return CorrelationSeq(

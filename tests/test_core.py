@@ -137,16 +137,21 @@ ROT_THIRD_OVER_HALF_ZERO = {"kind": "rotation", "params": {"angle": "1/3", "meas
     "kind": "mixture", "components": [
         {"weight": "1/2", "measure": {"kind": "haar", "arity": 1}},
         {"weight": "1/2", "measure": ROT_THIRD_OVER_ZERO["params"]["measure"]}]}}}
+#: the same mixture as the one factor of a product measure
+ROT_THIRD_OVER_PRODUCT = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
+    "kind": "product", "factors": [ROT_THIRD_OVER_HALF_ZERO["params"]["measure"]]}}}
 
 
 @pytest.mark.parametrize("command, system, weight", [
     ("validate", ROT_THIRD_OVER_ZERO, "1"), ("run", ROT_THIRD_OVER_ZERO, "1"),
     ("validate", ROT_THIRD_OVER_HALF_ZERO, "1/2"), ("run", ROT_THIRD_OVER_HALF_ZERO, "1/2"),
-], ids=["validate", "run", "validate-mixture", "run-mixture"])
+    ("validate", ROT_THIRD_OVER_PRODUCT, "1/2"),
+], ids=["validate", "run", "validate-mixture", "run-mixture", "validate-product"])
 def test_a_rotation_that_moves_its_atomic_measure_is_a_config_error(
         command, system, weight, tmp_path, capsys):
     """The rotation by 1/3 moves δ₀ to δ_{1/3}, alone or as the atomic half of
-    ½ Haar + ½ δ₀ (whose Haar half it keeps); both used to validate and run."""
+    ½ Haar + ½ δ₀ (whose Haar half it keeps); both used to validate and run,
+    and the mixture as the one factor of a product still validated."""
     from ergolab.cli import main
 
     path = tmp_path / "doc.json"
@@ -160,6 +165,50 @@ def test_a_rotation_that_moves_its_atomic_measure_is_a_config_error(
     assert main(argv) == 3
     assert ("params.measure: the map does not preserve the atomic measure: the point (0) "
             f"carries weight {weight} before the map and 0 after") in capsys.readouterr().err
+
+
+POWER_2 = {"kind": "power-law-sampled", "exponent": 2}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("measure, weight", [
+    (POWER_2, "1"),
+    ({"kind": "mixture", "components": [{"weight": "1/2", "measure": {"kind": "haar"}},
+                                        {"weight": "1/2", "measure": POWER_2}]}, "1/2"),
+    ({"kind": "product", "factors": [POWER_2]}, "1"),
+], ids=["power-law", "half-haar", "product"])
+def test_a_rotation_that_moves_its_power_law_part_is_a_config_error(
+        command, measure, weight, tmp_path, capsys):
+    """The density 1/(2 sqrt x) of the power law of exponent 2 is strictly
+    decreasing, so no nonzero rotation keeps it; ½ Haar + ½ of it moves too.
+    All three validated, and spectral-probe called its sequence exact."""
+    from ergolab.cli import main
+
+    system = {"kind": "rotation", "params": {"angle": "1/3", "measure": measure}}
+    path = tmp_path / "doc.json"
+    if command == "validate":
+        path.write_text(json.dumps({"system": system}))
+        argv = ["spec", "validate", str(path)]
+    else:
+        path.write_text(json.dumps({"knobs": {"system": system, "N": 16}}))
+        argv = ["run", "spectral-probe", "--config", str(path), "--seed", "1",
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert (f"params.measure: the rotation by 1/3 does not preserve the power-law part "
+            f"(weight {weight}) of the measure") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("angle, measure", [
+    ("0", POWER_2),
+    ("1/3", {"kind": "power-law-sampled", "exponent": 1}),
+    ("1/3", {"kind": "mixture", "components": [{"weight": "1", "measure": {"kind": "haar"}},
+                                               {"weight": "0", "measure": POWER_2}]}),
+], ids=["angle-0", "exponent-1", "zero-weight"])
+def test_a_rotation_that_keeps_its_power_law_part_is_accepted(angle, measure):
+    """The rotation by 0 keeps every measure, and exponent 1 is Haar."""
+    system = build_system({"kind": "rotation", "params": {"angle": angle, "measure": measure}})
+    assert system.apply((F(1, 2),)) == ((F(1, 2) + F(angle)) % 1,)
 
 
 def test_a_rotation_of_the_uniform_thirds_is_accepted():
@@ -237,19 +286,21 @@ def rotations_over_mixtures(draw):
                                             "point": [str(F(j, grid))]} for j in group]}})
     doc = {"kind": "rotation", "params": {"angle": str(angle), "measure": {
         "kind": "mixture", "components": components}}}
-    return doc, angle, grid, atoms
+    return doc, angle, grid, atoms, power
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rotations_over_mixtures())
 def test_a_rotation_is_accepted_exactly_over_the_mixtures_whose_atoms_it_preserves(case):
-    """Oracle: the atomic part of an invariant measure is invariant, Haar is
-    rotation-invariant and a power-law part is accepted as declared, so the
-    mixture is accepted exactly when every atom's weight is that of the point
-    the rotation moves it to."""
-    doc, angle, grid, atoms = case
+    """Oracle: the atomic and the absolutely continuous part of an invariant
+    measure are each invariant.  Haar is rotation-invariant and a power-law part
+    of exponent 2 moves under any nonzero angle, so the mixture is accepted
+    exactly when every atom's weight is that of the point the rotation moves it
+    to and, with a power-law part, the angle is 0."""
+    doc, angle, grid, atoms, power = case
     shift = int(angle * grid)
-    invariant = all(atoms.get(j, 0) == atoms.get((j + shift) % grid, 0) for j in range(grid))
+    invariant = all(atoms.get(j, 0) == atoms.get((j + shift) % grid, 0)
+                    for j in range(grid)) and not (power and angle)
     try:
         build_system(doc)
     except SpecValidationError as err:

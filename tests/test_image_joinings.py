@@ -130,7 +130,7 @@ def old_graph_closures(system, graph_map):
 
     def sample_floats(rng, n):
         pts = measure0.sample_floats(rng, n)
-        return np.concatenate([pts, graph_map.apply_array(pts)], axis=1)
+        return np.concatenate([pts, graph_map.apply_array(pts.copy())], axis=1)
 
     def atoms_fn():
         atoms = measure0.enumerate_atoms()
@@ -481,8 +481,10 @@ def test_composition_applies_inner_first_and_pulls_back_outer_first():
     x = (F(1, 7), F(2, 9))
     assert composed.apply(x) == twist.apply(base_rot.apply(shifted.apply(x)))
     points = np.array([[0.1, 0.7], [0.35, 0.2]])
-    assert np.array_equal(composed.apply_array(points), twist.apply_array(
-        base_rot.apply_array(shifted.apply_array(points))))
+    # apply_array steps its input in place: the reference steps a copy
+    expected = twist.apply_array(base_rot.apply_array(shifted.apply_array(points.copy())))
+    assert not np.array_equal(expected, points)
+    assert np.array_equal(composed.apply_array(points), expected)
     for k in frequency_box(2, 2):
         k2, phase = composed.char_pullback(k)
         assert character_at(k, composed.apply(x)) == character_at(k2, x).rotated(phase), k

@@ -133,13 +133,14 @@ POWER_LAW = {"kind": "power-law-sampled", "exponent": 2}
 @pytest.mark.parametrize("command", ["validate", "build"])
 def test_graph_joining_refuses_a_map_whose_preservation_no_character_decides(
         command, tmp_path, capsys):
-    """The rotation by 1/3 commutes with the identity, but no character of the
-    family has an exact integral over the power-law measure or its image, so
-    nothing decides whether it preserves that measure (it does not: the
-    measure is not rotation-invariant).  It used to validate."""
+    """The rotation by 0 commutes with the identity, but it is not the identity
+    system, and no character of the family has an exact integral over the
+    power-law measure or its image, so no character decides whether it
+    preserves that measure.  A rotation by a nonzero angle over that measure is
+    refused when it is built (``test_core``)."""
     doc = {"kind": "graph", "params": {
         "component": {"kind": "identity", "params": {"measure": POWER_LAW}},
-        "map": {"kind": "rotation", "params": {"angle": "1/3", "measure": POWER_LAW}}}}
+        "map": {"kind": "rotation", "params": {"angle": "0", "measure": POWER_LAW}}}}
     message = ("cannot decide whether the graph map preserves the measure: no character "
                "of the family has an exact integral on both sides")
     if command == "build":

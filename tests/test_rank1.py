@@ -328,9 +328,17 @@ def test_system_wrapper_orbit_and_depth_error():
 def test_map_array_path_matches_exact():
     m = rank1_map(Rank1Spec.from_rational("1/3", 5))
     xs = np.array([0.0, 1 / 8, 1 / 2, 5 / 8])
-    out = m.apply_array(xs)
+    out = m.apply_array(xs.copy())
     for x, y in zip(xs, out):
         assert m.apply(F(x)) == pytest.approx(y)
+
+
+def test_system_array_path_steps_its_input_in_place():
+    sys_ = build_rank1_system(Rank1Spec.from_rational("1/3", 5))
+    pts = np.array([[0.0], [1 / 8], [1 / 2], [5 / 8]])
+    expected = sys_.map.apply_array(pts[:, 0].copy())
+    assert sys_.apply_array(pts) is pts
+    assert np.array_equal(pts[:, 0], expected)
 
 
 def test_stage_level_positions_consistency():
