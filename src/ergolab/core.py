@@ -773,10 +773,6 @@ class SkewProductSystem(System):
                                      + base_P * (Q // self.base.phase_modulus)) % Q
 
 
-#: marks a factor integral not yet in a product system's memo (None is a memoized value)
-_MISSING = object()
-
-
 class ProductSystem(System):
     """The product map of the factors.  Its measure is the product of theirs
     unless a joint ``measure`` is given: an invariant measure of the map with
@@ -795,8 +791,6 @@ class ProductSystem(System):
             )
         self._slices = factor_slices(self.factors)
         self.phase_modulus = lcm(*(f.phase_modulus for f in self.factors))
-        #: (factor index, factor frequency) -> the factor's exact integral or None
-        self._factor_integrals: dict = {}
 
     def integrate(self, k: Sequence[int]) -> Optional[PhaseSum]:
         """Integral of the character ``k`` against the system's (joint) measure."""
@@ -806,15 +800,11 @@ class ProductSystem(System):
         """Integral of the same character against the product of the factors'
         measures, with ``ProductMeasure``'s rule (``product_of_integrals``).
 
-        Each factor integral is computed once per system and reused."""
-        k, memo, parts = validate_frequencies(self.space, k), self._factor_integrals, []
-        for i, (f, sl) in enumerate(zip(self.factors, self._slices)):
-            key = (i, k[sl])
-            part = memo.get(key, _MISSING)
-            if part is _MISSING:
-                part = memo[key] = f.measure._integrate(key[1])
-            parts.append(part)
-        return product_of_integrals(parts)
+        Each call integrates the factors afresh; a caller that needs many
+        characters reads them off per-factor tables (``joinings._product_column``)."""
+        k = validate_frequencies(self.space, k)
+        return product_of_integrals(
+            f.measure._integrate(k[sl]) for f, sl in zip(self.factors, self._slices))
 
     def apply(self, point):
         point = validate_point(self.space, point)

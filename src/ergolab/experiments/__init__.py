@@ -29,7 +29,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable
 
 from ergolab import __version__
 from ergolab.core import SpecValidationError
@@ -181,25 +180,12 @@ def _fmt(value: float) -> str:
     return f"{value:.3e}"
 
 
-def _runner(module: str) -> Callable[[ExperimentConfig], list[Check]]:
-    """The ``run`` of ``ergolab.experiments.<module>``, imported on the first call."""
-    def run(config: ExperimentConfig) -> list[Check]:
-        return importlib.import_module(f"{__name__}.{module}").run(config)
-    return run
-
-
-#: experiment name -> the function that runs it; each experiment's module, with
-#: the layers it needs, is compiled only when that experiment runs
-_RUNNERS: dict[str, Callable[[ExperimentConfig], list[Check]]] = {
-    name: _runner(name.replace("-", "_")) for name in EXPERIMENTS
-}
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one named experiment; checks use per-check seeds derived from the
     master seed, so the report is deterministic for a fixed config."""
     started = time.perf_counter()
-    checks = _RUNNERS[config.experiment](config)
+    module = importlib.import_module(f"{__name__}.{config.experiment.replace('-', '_')}")
+    checks = module.run(config)
     elapsed = time.perf_counter() - started
     return ExperimentReport(config=config, checks=checks, wall_clock_seconds=elapsed)
 

@@ -42,7 +42,7 @@ def run(config: ExperimentConfig) -> list[Check]:
         coeff = base.integrate_character((int(freq),)) if freq.denominator == 1 \
             else PhaseSum.zero()
         wiener_vals.append(coeff.abs2())
-    pushforward_mass = sum((v for v in wiener_vals), PhaseSum.zero()) * Fraction(1, N)
+    pushforward_mass = PhaseSum.sum(wiener_vals) * Fraction(1, N)
     mass_val = pushforward_mass.value().real
     checks.append(Check(
         check_id="pushforward-atomless-precondition",

@@ -15,41 +15,30 @@ from ergolab.core import (
     MeasureHandle,
     ProductSystem,
     SpecValidationError,
+    UnsupportedOperationError,
     build_measure,
     build_system,
     derive_seed,
     np,
-    pullback_orbit,
 )
 from ergolab.exact import PhaseSum
 from ergolab.experiments import Check, ExperimentConfig, _fmt
 from ergolab.joinings import product_consistency_test, product_joining, rel_indep_joining
 
 
-def _stationary_time_average(joining: ProductSystem, k: tuple[int, ...], N: int) -> PhaseSum | None:
+def _stationary_time_average(joining: ProductSystem, k: tuple[int, ...], N: int) -> PhaseSum:
     """(1/N) sum_{n<N} integral(char_k o P^n) for the joint map P, exact path.
 
-    Fast when the pullback fixes k (our affine product maps): the average is
-    integral(char_k) times a geometric mean of unit phases.  Otherwise the
-    integrals along the pullback orbit are summed.
+    P is Id x R, whose pullback fixes every character: the average is
+    integral(char_k) times a geometric mean of unit phases.
     """
-    step = joining.char_pullback(k)
+    k1, phase = joining.char_pullback(k)
+    if k1 != tuple(k):
+        raise UnsupportedOperationError(f"the joint map moves the character {k} to {k1}")
     base = joining.integrate(k)
-    if step is None or base is None:
-        return None
-    k1, phase = step
-    if k1 == tuple(k):
-        if base.is_zero():
-            return PhaseSum.zero()
-        return base * PhaseSum.sum([PhaseSum.from_rational(Fraction(1, N))] * N, phase)
-    Q = joining.phase_modulus
-    parts = []
-    for kn, P in pullback_orbit(joining, k, N):
-        part = joining.integrate(kn)
-        if part is None:
-            return None
-        parts.append(part.rotated(P, Q))
-    return PhaseSum.sum(parts) * Fraction(1, N) if len(parts) == N else None
+    if base.is_zero():
+        return PhaseSum.zero()
+    return base * PhaseSum.sum([PhaseSum.from_rational(Fraction(1, N))] * N, phase)
 
 
 def _require_exact_circle_measure(measure: MeasureHandle, top: int) -> None:
@@ -84,18 +73,9 @@ def run(config: ExperimentConfig) -> list[Check]:
     joinings = [("rel-indep-trivial", rel_indep), ("product", product)]
 
     # cross-character exactness against the product of marginals
-    worst = 0.0
-    all_equal = True
-    for _, joining in joinings:
-        for kg in range(-max_freq, max_freq + 1):
-            for kh in range(-max_freq, max_freq + 1):
-                if kg == 0 and kh == 0:
-                    continue
-                joint = joining.integrate((kg, kh))
-                prod = joining.product_integral((kg, kh))
-                equal = (joint - prod).is_zero()
-                all_equal &= equal
-                worst = max(worst, abs(joint.value() - prod.value()))
+    outcomes = [product_consistency_test(joining, degree=max_freq) for _, joining in joinings]
+    worst = max(abs(row.joint - row.product) for outcome in outcomes for row in outcome.rows)
+    all_equal = all(outcome.witness is None for outcome in outcomes)
     checks.append(Check(
         check_id="cross-character-exactness",
         anchor="identity-vs-ergodic-disjointness",
@@ -117,9 +97,6 @@ def run(config: ExperimentConfig) -> list[Check]:
                 avg_gh = _stationary_time_average(joining, (kg, kh), N)
                 avg_h = _stationary_time_average(joining, (0, kh), N)
                 mean_g = identity.measure.integrate_character((kg,))
-                if avg_gh is None or avg_h is None or mean_g is None:
-                    ok = False
-                    continue
                 centered = avg_gh - mean_g * avg_h
                 value = abs(centered.value())
                 worst_avg = max(worst_avg, value)

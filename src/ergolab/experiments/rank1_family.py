@@ -7,6 +7,7 @@ weak-mixing probe of level indicators.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -90,28 +91,18 @@ def run(config: ExperimentConfig) -> list[Check]:
     ))
 
     # dyadic dichotomy table over all pairs
-    table = {}
-    dich_ok = True
-    names = list(specs)
-    for i, na in enumerate(names):
-        for nb in names[i + 1:]:
-            verdict = rank1.dyadic_equivalence(specs[na], specs[nb])
-            table[f"{na} vs {nb}"] = verdict.verdict
-    expected_table = {}
-    for i, na in enumerate(names):
-        for nb in names[i + 1:]:
-            diff = abs(parse_scalar(na) - parse_scalar(nb))
-            den = diff.denominator
-            expected_table[f"{na} vs {nb}"] = (
-                "isomorphic-family" if den & (den - 1) == 0 else "disjoint-family"
-            )
-    dich_ok = table == expected_table
+    table, expected_table = {}, {}
+    for na, nb in itertools.combinations(specs, 2):
+        pair = f"{na} vs {nb}"
+        table[pair] = rank1.dyadic_equivalence(specs[na], specs[nb]).verdict
+        den = abs(parse_scalar(na) - parse_scalar(nb)).denominator
+        expected_table[pair] = "isomorphic-family" if den & (den - 1) == 0 else "disjoint-family"
     checks.append(Check(
         check_id="dichotomy-table",
         anchor="rank1-dyadic-dichotomy",
         expected=json.dumps(expected_table, sort_keys=True),
         observed=json.dumps(table, sort_keys=True),
-        passed=dich_ok,
+        passed=table == expected_table,
     ))
 
     # continuity: identical digit prefixes force identical words and maps

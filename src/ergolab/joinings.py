@@ -29,12 +29,12 @@ coordinate halves' (columns, samples) tables, accumulated over blocks of
 reads, and B is never built whole: its columns are made one value of its
 first coordinate at a time.  So the working memory is one block times the
 widths of A, of the table of B's other coordinates and of one such slice of B,
-whatever the number of samples.  Exact marginal integrals are computed once
-per joining and factor frequency and kept on its ``ProductSystem``.  The
-sampled consistency test reads them as the product column's per-factor
-tables: the product of the marginals factors over the joining's factors, so
-one ``product_integral`` call per frequency of each factor's box fixes every
-entry of the outer product (``_product_column``).
+whatever the number of samples.  Both paths of the consistency test read
+the product of the marginals off one exact product column
+(``_product_column``): it factors over the joining's factors, so one
+``product_integral`` call per frequency of each factor's box fixes every entry
+of their outer product.  The sampled path takes each entry's value, or the
+product of the factors' sampled means where the entry has none.
 """
 
 from __future__ import annotations
@@ -513,9 +513,8 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
     rows: list[ConsistencyRow] = []
     witness = None
     if mode == "auto":
-        for k in _product_characters(boxes):
+        for k, prod in zip(_product_characters(boxes), _product_column(joining, boxes)):
             joint = joining.integrate(k)
-            prod = joining.product_integral(k)
             if joint is None or prod is None:
                 if seed is None:
                     raise UnsupportedOperationError(f"exact integral unavailable at {k}")
@@ -541,7 +540,7 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
     sigma = 1.0 / math.sqrt(samples)
     means = _character_means(points, characters)
     del points
-    products = _product_column(joining, boxes, characters, seed, samples)
+    products = _sampled_product_column(joining, boxes, characters, seed, samples)
     worst = (None, 0.0)
     for k, prod in zip(characters, products):
         joint = means[k]
@@ -556,21 +555,17 @@ def product_consistency_test(joining: ProductSystem, degree: int = 2, *,
     )
 
 
-def _product_column(joining: ProductSystem, boxes: Sequence[list[FreqVector]],
-                    characters: list[FreqVector], seed: int, samples: int):
-    """The product of the joining's marginals at each of ``characters``, which
-    are ``_product_characters(boxes)``, in their order.
+def _product_column(joining: ProductSystem, boxes: Sequence[list[FreqVector]]):
+    """The product of the joining's marginals, the exact ``product_of_integrals``
+    or None, at each character of ``_product_characters(boxes)``, in its order.
 
     The product factors over the joining's factors, so each factor's marginal
     integral is read once per frequency of its box, through ``product_integral``
     on the character that is that frequency on the factor and 0 elsewhere.
     The column is the outer product of these tables: their C-order grid less
     its middle entry, the zero character (negating every frequency reverses
-    the grid).  Each entry is the value of the ``product_of_integrals`` of its
-    factors' integrals, the one ``product_integral`` returns on the whole
-    character, bit for bit; an entry with no exact value is the product of the
-    factors' sampled means, each factor drawn once, on its whole box, when
-    first needed.
+    the grid).  Each entry is the one ``product_integral`` returns on the whole
+    character, term for term.
     """
     arity = len(joining.space)
     tables = [[joining.product_integral((0,) * sl.start + ki + (0,) * (arity - sl.stop))
@@ -578,6 +573,15 @@ def _product_column(joining: ProductSystem, boxes: Sequence[list[FreqVector]],
     grid = itertools.product(*tables)
     middle = math.prod(map(len, boxes)) // 2
     entries = itertools.chain(itertools.islice(grid, middle), itertools.islice(grid, 1, None))
+    return map(product_of_integrals, entries)
+
+
+def _sampled_product_column(joining: ProductSystem, boxes: Sequence[list[FreqVector]],
+                            characters: list[FreqVector], seed: int, samples: int):
+    """The value of each ``_product_column`` entry at ``characters``, which are
+    ``_product_characters(boxes)``; an entry with no exact value is the product
+    of the factors' sampled means, each factor drawn once, on its whole box,
+    when first needed."""
     marginal_means: dict[int, dict[FreqVector, complex]] = {}
 
     def sampled_product(k: FreqVector) -> complex:
@@ -590,8 +594,7 @@ def _product_column(joining: ProductSystem, boxes: Sequence[list[FreqVector]],
             total *= marginal_means[i][k[sl]]
         return total
 
-    for k, parts in zip(characters, entries):
-        exact = product_of_integrals(parts)
+    for k, exact in zip(characters, _product_column(joining, boxes)):
         yield exact.value() if exact is not None else sampled_product(k)
 
 

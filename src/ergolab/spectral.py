@@ -160,9 +160,6 @@ class CorrelationSeq:
         v = self._values[abs(n)]
         return complex(v) if n >= 0 else complex(v).conjugate()
 
-    def values_nonnegative(self) -> np.ndarray:
-        return self._values.copy()
-
     def toeplitz(self, size: int) -> np.ndarray:
         """Hermitian Toeplitz matrix M[i, j] = values(i - j)."""
         if size > self.N + 1:
@@ -446,7 +443,7 @@ def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
         total_exact = total_ps.as_rational()
         total = total_ps.value().real
     else:
-        sq = np.abs(seq.values_nonnegative()[:N]) ** 2
+        sq = np.abs(seq._values[:N]) ** 2
         csum = np.cumsum(sq)
         trace = [(n, float(csum[n - 1] / n)) for n in prefixes]
         total = float(csum[N - 1] / N)
@@ -455,7 +452,7 @@ def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
     atoms = []
     seen = set()
     candidate_angles = [parse_scalar(c, field="candidates") for c in candidates]
-    vals = seq.values_nonnegative()[:N]
+    vals = seq._values[:N]
     screen = _grid_screen(vals, grid_max_denominator)
     margin = 100 * (N + 3) * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(vals))))
     for i, angle in enumerate(candidate_angles + _atom_grid(grid_max_denominator)):
@@ -490,7 +487,7 @@ def wiener_atomic_mass(seq: CorrelationSeq, *, candidates: Sequence = (),
 
 def _rotated_average(seq: CorrelationSeq, angle: Fraction, N: int, sign: int) -> float:
     """(1/N) |sum_{n<N} values(n) e^(sign * 2*pi*i*n*angle)| as a float."""
-    vals = seq.values_nonnegative()[:N]
+    vals = seq._values[:N]
     n = np.arange(N)
     factor = np.exp(sign * 2j * np.pi * float(angle) * n)
     return float(abs((vals * factor).sum()) / N)

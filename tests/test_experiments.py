@@ -614,13 +614,12 @@ def test_cli_empty_sample_is_config_error(tmp_path, capsys):
 ])
 def test_cli_knob_below_its_minimum_is_config_error(experiment, knob, value, tmp_path,
                                                      capsys, monkeypatch):
-    from ergolab import experiments
     from ergolab.cli import main
 
     def runner_reached(config):
         raise AssertionError("the experiment started before the knob was refused")
 
-    monkeypatch.setitem(experiments._RUNNERS, experiment, runner_reached)
+    monkeypatch.setattr("ergolab.cli.run_experiment", runner_reached)
     config = _config_file(tmp_path, {"seed": 1, "knobs": {knob: value}})
     args = ["run", experiment, "--config", config, "--out", str(tmp_path / "out")]
     assert main(args) == 3
@@ -732,13 +731,12 @@ def test_cli_file_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
 def test_cli_out_naming_an_existing_file_is_refused_before_the_run(tmp_path, capsys,
                                                                    monkeypatch):
     """It ran the whole experiment and then ended in a FileExistsError traceback."""
-    from ergolab import experiments
     from ergolab.cli import main
 
     def runner_reached(config):
         raise AssertionError("the experiment started although --out cannot be written")
 
-    monkeypatch.setitem(experiments._RUNNERS, "spectral-probe", runner_reached)
+    monkeypatch.setattr("ergolab.cli.run_experiment", runner_reached)
     out = tmp_path / "out"
     out.write_text("kept")
     assert main(["run", "spectral-probe", "--seed", "1", "--out", str(out)]) == 3

@@ -40,6 +40,7 @@ from ergolab.joinings import (
     _character_means,
     _plan,
     _product_characters,
+    _product_column,
     _width,
     build_joining,
     invariance_check,
@@ -721,7 +722,7 @@ def _count_factor_integrals(joining, calls: list) -> None:
         factor.measure._integrate = counted
 
 
-def test_memoized_product_integral_equals_uncached_product():
+def test_product_integral_equals_the_product_of_factor_integrals():
     # the last joining's factors share an arity but not their integrals
     joinings = _closure_joinings() + [product_joining(
         [IdentitySystem(build_measure(MIX_HALVES)), build_system(ROT_THIRD)])]
@@ -735,24 +736,14 @@ def test_memoized_product_integral_equals_uncached_product():
             assert joining.product_integral(k).terms == uncached.terms, k
 
 
-def test_product_integral_computes_each_marginal_once():
-    joining = _closure_joinings()[0]
-    calls = []
-    _count_factor_integrals(joining, calls)
-    characters = _product_characters([frequency_box(len(c.space), 2)
-                                      for c in joining.factors])
-    first = [joining.product_integral(k).terms for k in characters]
-    assert len(calls) == len(set(calls)) == 5**4 + 5
-    second = [joining.product_integral(k).terms for k in characters]
-    assert second == first
-    assert len(calls) == 5**4 + 5
-
-
 @pytest.mark.parametrize("which", [0, 1])
 def test_sampled_closure_rows_hold_the_exact_product(which):
     """product-closure's sampled check: one product_integral call per
-    frequency of each factor's box, each marginal integrated once, and every
-    row's product is its value."""
+    frequency of each factor's box, and every row's product is its value.
+    Each call integrates both factors, unless the first is exactly zero: the
+    pair's 625 frequencies, the rotation's 5, the rotation at 0 behind the
+    pair's 0, and the pair at 0 behind each of the rotation's 5, so 636
+    integrals of 630 distinct factor frequencies."""
     joining = _closure_joinings()[which]
     product_calls, marginal_calls = [], []
     product_integral = joining.product_integral
@@ -767,10 +758,10 @@ def test_sampled_closure_rows_hold_the_exact_product(which):
                                        samples=257, seed=2024)
     assert len(outcome.rows) == 5**5 - 1
     assert len(product_calls) == 5**4 + 5
-    assert len(marginal_calls) == len(set(marginal_calls)) == 5**4 + 5
+    assert len(marginal_calls) == 5**4 + 5 + 1 + 5
+    assert len(set(marginal_calls)) == 5**4 + 5
     for row in outcome.rows:
         assert row.product == product_integral(row.character).value(), row.character
-    assert len(marginal_calls) == 5**4 + 5
 
 
 def _sampled_product_value_per_character(joining, k, seed, samples):
@@ -902,6 +893,50 @@ def test_sampled_path_reads_each_factor_frequency_once(name, joining, degree):
     assert len(set(calls)) == len(calls) - len(boxes) + 1
     for k in calls:
         assert sum(any(k[sl]) for sl in joining._slices) <= 1, k
+
+
+POWER_TWIST = {"kind": "twist", "params": {"base_measure": POWER_LAW}}
+#: one-coordinate and two-coordinate components; the power-law ones have
+#: characters with no exact integral, so some column entries are None
+COLUMN_COMPONENTS = [ROT_THIRD, ROT_HALF_ATOMS, TWIST, POWER_TWIST,
+                     {"kind": "identity", "params": {"measure": POWER_LAW}}]
+PAIR_ATOMS = {"kind": "atoms", "atoms": [{"point": ["0", "0"], "weight": "1/2"},
+                                         {"point": ["1/2", "1/4"], "weight": "1/2"}]}
+
+
+@st.composite
+def column_joinings(draw):
+    """A product, diagonal, graph or atom-based relatively independent joining."""
+    component = st.sampled_from(COLUMN_COMPONENTS)
+    kind = draw(st.sampled_from(["product", "diagonal", "graph", "rel-indep-over-atoms"]))
+    if kind == "product":
+        return build_joining({"kind": "product", "params": {
+            "components": [draw(component), draw(component)]}})
+    if kind == "diagonal":
+        return build_joining({"kind": "diagonal", "params": {"component": draw(component)}})
+    if kind == "graph":
+        return build_joining(draw(st.sampled_from([
+            {"kind": "graph", "params": {"component": ROT_THIRD, "map": {
+                "kind": "rotation", "params": {"angle": "1/7"}}}},
+            {"kind": "off-diagonal", "params": {"component": POWER_TWIST, "power": 2}},
+            {"kind": "off-diagonal", "params": {"component": TWIST, "power": -1}},
+        ])))
+    return rel_indep_joining([IdentitySystem(build_measure(PAIR_ATOMS)),
+                              build_system(draw(component))], [[0], []], {"kind": "product"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(joining=column_joinings(), degree=st.integers(1, 2))
+def test_product_column_is_product_integral_term_for_term(joining, degree):
+    """The column read off per-factor tables is the whole-character
+    ``product_integral``, None where it is None."""
+    boxes = [frequency_box(len(c.space), degree) for c in joining.factors]
+
+    def terms(part):
+        return None if part is None else part.terms
+
+    column = [terms(p) for p in _product_column(joining, boxes)]
+    assert column == [terms(joining.product_integral(k)) for k in _product_characters(boxes)]
 
 
 def test_sampled_checks_refuse_an_empty_sample():

@@ -10,6 +10,7 @@ reduce form of ``PhaseSum.rotated``.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +26,14 @@ from ergolab.core import (
     RotationSystem,
     SkewProductSystem,
     TableCocycle,
+    UnsupportedOperationError,
     build_system,
     factor_slices,
     pullback_orbit,
 )
 from ergolab.exact import PhaseSum
 from ergolab.experiments.identity_disjoint import _stationary_time_average
-from ergolab.joinings import _ComposedSystem, build_joining, product_joining
+from ergolab.joinings import _ComposedSystem, product_joining
 from ergolab.spectral import correlation_sequence
 
 F = Fraction
@@ -245,7 +247,7 @@ def test_exact_sequences_build_one_fraction_per_output_term():
 
 
 # ---------------------------------------------------------------------------
-# the orbit branch of the stationary time average
+# the stationary time average of identity-disjoint
 # ---------------------------------------------------------------------------
 
 TWIST_OVER_ATOMS = {"kind": "twist", "params": {
@@ -264,31 +266,20 @@ def old_time_average(joining, k, N):
     return total * F(1, N)
 
 
-# cocycle values 1/2 and 0 at the atoms: in the cyclic group of order 2
-EXTENSION_OVER_ATOMS = {"kind": "group-extension", "params": {
-    "base": {"kind": "identity", "params": {"measure": {"kind": "atoms", "atoms": [
-        {"point": ["1/4"], "weight": "1/2"}, {"point": ["3/4"], "weight": "1/2"}]}}},
-    "cocycle": {"kind": "affine", "slope": "1", "intercept": "1/4"},
-    "group": {"kind": "cyclic", "order": 2},
-}}
-
-
-def test_time_average_along_a_moving_pullback_orbit():
-    twist = build_system(TWIST_OVER_ATOMS)
+def test_time_average_of_identity_times_rotation_is_the_orbit_sum():
+    atoms = DiracMixture((CIRCLE,), [(F(1, 3), (F(0),)), (F(2, 3), (F(1, 4),))])
     rotation = build_system({"kind": "rotation", "params": {"angle": "2/7"}})
-    extension = product_joining([build_system(EXTENSION_OVER_ATOMS), rotation])
-    # nonzero integrals along the orbit, turned by nonzero phases
-    assert any(P for _, P in pullback_orbit(extension, (2, 2, 0), 4))
-    cases = [
-        (extension, (2, 2, 0)),
-        (product_joining([twist, rotation]), (1, 1, 2)),
-        (build_joining({"kind": "diagonal", "params": {"component": twist}}), (1, 1, 1, -1)),
-        (build_joining({"kind": "diagonal", "params": {"component": twist}}), (2, -1, 0, 1)),
-    ]
-    for joining, k in cases:
-        assert joining.char_pullback(k)[0] != k  # the orbit branch
+    joining = product_joining([IdentitySystem(atoms), rotation])
+    for k in [(1, 1), (2, -3), (0, 1), (3, 0)]:
         average = _stationary_time_average(joining, k, 37)
         assert average.terms == old_time_average(joining, k, 37).terms
-        # an invariant measure: every term of the average is integral(char_k)
-        assert (average - joining.integrate(k)).is_zero()
-    assert not _stationary_time_average(*cases[0], 5).is_zero()
+
+
+def test_time_average_refuses_a_joint_map_that_moves_the_character():
+    """identity-disjoint's joint map is Id x R, which fixes every character;
+    the twist moves (1, 1) to (2, 1)."""
+    rotation = build_system({"kind": "rotation", "params": {"angle": "2/7"}})
+    joining = product_joining([build_system(TWIST_OVER_ATOMS), rotation])
+    assert joining.char_pullback((1, 1, 2))[0] != (1, 1, 2)
+    with pytest.raises(UnsupportedOperationError, match="moves the character"):
+        _stationary_time_average(joining, (1, 1, 2), 37)

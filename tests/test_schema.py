@@ -258,13 +258,11 @@ def test_example1_accepts_an_angle_that_is_not_0_mod_1(angle):
 ])
 def test_a_costly_knob_is_refused_before_anything_is_built(experiment, knob, bound, value,
                                                            tmp_path, monkeypatch):
-    from ergolab import experiments
-
     def runner_reached(config):
         raise AssertionError("the experiment started before the knob was refused")
 
     ExperimentConfig.resolve(experiment, 1, {knob: bound})  # the bound itself is accepted
-    monkeypatch.setitem(experiments._RUNNERS, experiment, runner_reached)
+    monkeypatch.setattr("ergolab.cli.run_experiment", runner_reached)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"seed": 1, "knobs": {knob: value}}))
     tracemalloc.start()
@@ -382,12 +380,10 @@ def test_a_haar_measure_above_the_largest_arity_is_refused(tmp_path):
 def test_a_costly_product_closure_is_refused_before_anything_is_built(knobs, tmp_path,
                                                                       monkeypatch):
     """Each knob within its own maximum, their product over MAX_CLOSURE_WORK."""
-    from ergolab import experiments
-
     def runner_reached(config):
         raise AssertionError("the experiment started before the knobs were refused")
 
-    monkeypatch.setitem(experiments._RUNNERS, "product-closure", runner_reached)
+    monkeypatch.setattr("ergolab.cli.run_experiment", runner_reached)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"seed": 1, "knobs": knobs}))
     tracemalloc.start()

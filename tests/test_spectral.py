@@ -700,5 +700,5 @@ def test_an_exact_sequence_agrees_with_the_sampled_one(doc, k):
         return
     sampled = correlation_sequence(system, k, 8, seed=5, samples=2048, mode="sampled")
     assert sampled.provenance == "monte-carlo"
-    gap = np.abs(exact.values_nonnegative() - sampled.values_nonnegative())
+    gap = np.abs(exact._values - sampled._values)
     assert np.all(gap <= 4 * sampled.std_errors + 1e-9), (gap, sampled.std_errors)

@@ -87,7 +87,7 @@ def test_tower_sequence_matches_fraction_ratios(depth, stage, level, centered):
                                LevelIndicator(stage, level, centered=centered), N)
     assert seq.exact and seq.numerators is not None
     assert [F(c, seq.denominator) for c in seq.numerators] == expected
-    values = seq.values_nonnegative()
+    values = seq._values
     assert [v.real.hex() for v in values] == [float(x).hex() for x in expected]
     assert not values.imag.any()
     assert seq._phases is None  # not built until asked for
