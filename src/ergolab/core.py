@@ -13,18 +13,16 @@ against them are `PhaseSum`s; sampling is seeded and deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import itertools
 import numbers
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ergolab.exact import PhaseSum, parse_scalar
 
@@ -84,8 +82,7 @@ class UndecidableInputError(ErgolabError):
 # spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Coord:
+class Coord(NamedTuple):
     """One coordinate of a product space.
 
     kind "circle" is the unit circle written additively as [0, 1); "cyclic" is
@@ -178,6 +175,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def derive_seed(master: int, label: str) -> int:
     """Per-task seed derived from a master seed by hashing the task label."""
+    import hashlib  # loads OpenSSL: only runs that derive a seed pay for it
     digest = hashlib.sha256(f"{int(master)}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -560,6 +558,8 @@ class SampledPowerMeasure(MeasureHandle):
 class Cocycle:
     """A measurable map from a base space into the circle (written additively)."""
 
+    __slots__ = ()
+
     #: Q: the phases of ``frequency_shift`` are numerators over Q
     phase_modulus: int = 1
 
@@ -576,7 +576,6 @@ class Cocycle:
         return None
 
 
-@dataclass(frozen=True)
 class AffineCocycle(Cocycle):
     """phi(x) = slope * x[coord] + intercept, reduced mod 1.
 
@@ -585,9 +584,10 @@ class AffineCocycle(Cocycle):
     exact character pullbacks are only available when slope * kg is an integer.
     """
 
-    slope: Fraction
-    intercept: Fraction
-    coord: int = 0
+    __slots__ = ("slope", "intercept", "coord")
+
+    def __init__(self, slope: Fraction, intercept: Fraction, coord: int = 0):
+        self.slope, self.intercept, self.coord = slope, intercept, coord
 
     def __call__(self, point: Point) -> Fraction:
         return (self.slope * point[self.coord] + self.intercept) % 1
@@ -607,19 +607,15 @@ class AffineCocycle(Cocycle):
                 self.intercept.numerator * kg % self.intercept.denominator)
 
 
-@dataclass(frozen=True)
 class TableCocycle(Cocycle):
     """A lookup cocycle on a finite set of base points."""
 
-    table: tuple[tuple[Point, Fraction], ...]
+    __slots__ = ("table", "_map", "_float_map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.table))
-        object.__setattr__(
-            self,
-            "_float_map",
-            {tuple(float(c) for c in p): float(v) for p, v in self.table},
-        )
+    def __init__(self, table: tuple[tuple[Point, Fraction], ...]):
+        self.table = table
+        self._map = dict(table)
+        self._float_map = {tuple(float(c) for c in p): float(v) for p, v in table}
 
     def __call__(self, point: Point) -> Fraction:
         try:
@@ -897,8 +893,7 @@ class ImageMeasure(MeasureHandle):
 # observables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """The observable e^(2*pi*i*<freqs, .>); optionally replaced by its
     mean-centered version f - integral(f)."""
 
@@ -910,8 +905,7 @@ class Character:
         return f"centered {base}" if self.centered else base
 
 
-@dataclass(frozen=True)
-class LevelIndicator:
+class LevelIndicator(NamedTuple):
     """Indicator of one tower level of a rank-one map at the given stage,
     mean-centered and normalized to unit variance (exact simple function)."""
 
@@ -1095,8 +1089,7 @@ def pullback_orbit(system: System, k: Sequence[int],
         k, P = nxt[0], (P + nxt[1]) % Q
 
 
-@dataclass
-class IntegralEstimate:
+class IntegralEstimate(NamedTuple):
     """Exact value or Monte Carlo estimate of a character integral."""
 
     value: complex

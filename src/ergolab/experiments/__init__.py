@@ -26,9 +26,9 @@ import importlib
 import json
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from ergolab import __version__
 from ergolab.core import SpecValidationError
@@ -50,8 +50,7 @@ DEFAULT_KNOBS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything a run depends on: experiment name, master seed, resolved knobs.
 
     ``resolve`` is the one way to make one: it refuses an unknown experiment,
@@ -81,8 +80,7 @@ class ExperimentConfig:
         return {"experiment": self.experiment, "seed": self.seed, "knobs": self.knobs}
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One verifiable statement inside an experiment."""
 
     check_id: str
@@ -91,7 +89,7 @@ class Check:
     observed: str
     passed: bool
     sigma: float | None = None
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})
 
     def to_json(self) -> dict:
         return {
@@ -101,12 +99,11 @@ class Check:
             "observed": self.observed,
             "passed": self.passed,
             "sigma": self.sigma,
-            "details": self.details,
+            "details": dict(self.details),
         }
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     config: ExperimentConfig
     checks: list[Check]
     wall_clock_seconds: float

@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ergolab.core import (
     CIRCLE,
@@ -399,8 +398,7 @@ def example1_triple(base_measure: MeasureHandle, cocycle: Cocycle,
 # checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     passed: bool
     mode: str
     entries: list[dict]
@@ -467,16 +465,14 @@ def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
     return InvarianceReport(passed=passed, mode="sampled", entries=entries)
 
 
-@dataclass(slots=True)
-class ConsistencyRow:
+class ConsistencyRow(NamedTuple):
     character: FreqVector
     joint: complex
     product: complex
     sigma: float
 
 
-@dataclass
-class ConsistencyVerdict:
+class ConsistencyVerdict(NamedTuple):
     verdict: str  # "consistent-with-product" | "refuted"
     witness: FreqVector | None
     mode: str

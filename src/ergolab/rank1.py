@@ -35,10 +35,9 @@ difference makes the streams disagree infinitely often (separate families).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ergolab.core import (
     INTERVAL,
@@ -95,7 +94,6 @@ def binary_digits(a: Fraction, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True)
 class Rank1Spec:
     """Parameter of one member of the rank-one family.
 
@@ -104,24 +102,23 @@ class Rank1Spec:
     stage up to which words and maps may be requested.
     """
 
-    a: Fraction | None
-    digits: tuple[int, ...] | None
-    depth: int
+    __slots__ = ("a", "digits", "depth")
 
-    def __post_init__(self):
-        if (self.a is None) == (self.digits is None):
+    def __init__(self, a: Fraction | None, digits: tuple[int, ...] | None, depth: int):
+        if (a is None) == (digits is None):
             raise SpecValidationError("a", "give exactly one of 'a' and 'digits'")
-        if self.depth < 0:
-            raise SpecValidationError("depth", f"depth must be >= 0, got {self.depth}")
-        if self.digits is not None:
-            if any(d not in (0, 1) for d in self.digits):
+        if depth < 0:
+            raise SpecValidationError("depth", f"depth must be >= 0, got {depth}")
+        if digits is not None:
+            if any(d not in (0, 1) for d in digits):
                 raise SpecValidationError("digits", "digits must be 0 or 1")
-            if self.depth > len(self.digits):
+            if depth > len(digits):
                 raise SpecValidationError(
-                    "depth", f"depth {self.depth} exceeds the {len(self.digits)} declared digits"
+                    "depth", f"depth {depth} exceeds the {len(digits)} declared digits"
                 )
-        if self.a is not None and not (0 <= self.a <= 1):
-            raise SpecValidationError("a", f"parameter {self.a} is outside [0, 1]")
+        if a is not None and not (0 <= a <= 1):
+            raise SpecValidationError("a", f"parameter {a} is outside [0, 1]")
+        self.a, self.digits, self.depth = a, digits, depth
 
     @classmethod
     def from_rational(cls, a, depth: int) -> "Rank1Spec":
@@ -147,8 +144,7 @@ class Rank1Spec:
 # words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerStage:
+class TowerStage(NamedTuple):
     """Stage-n tower word over {T, s}: T marks base mass, s marks spacer mass."""
 
     stage: int
@@ -295,7 +291,6 @@ def level_lag_counts(spec: Rank1Spec, stage: int, level: int, depth: int,
 # maps
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Rank1Map:
     """Stage-d tower realized as a piecewise translation of [0, 1).
 
@@ -306,12 +301,14 @@ class Rank1Map:
     first use.
     """
 
-    depth: int
-    level_starts: np.ndarray  # int32, length L_d
-    word: int  # the stage-d word as a bit string, as ``rank1_word`` gives it
+    # ``__dict__`` holds the cached_property's table
+    __slots__ = ("depth", "level_starts", "word", "length", "__dict__")
 
-    def __post_init__(self):
-        self.length = len(self.level_starts)
+    def __init__(self, depth: int, level_starts: np.ndarray, word: int):
+        self.depth = depth
+        self.level_starts = level_starts  # int32, length L_d
+        self.word = word  # the stage-d word as a bit string, as ``rank1_word`` gives it
+        self.length = len(level_starts)
 
     @cached_property
     def _level_of_unit(self) -> np.ndarray:
@@ -396,8 +393,7 @@ def rank1_map(spec: Rank1Spec, depth: int | None = None) -> Rank1Map:
 # dichotomy and continuity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(NamedTuple):
     verdict: str  # "isomorphic-family" | "disjoint-family"
     difference: Fraction
     reason: str
@@ -445,8 +441,7 @@ def dyadic_equivalence(a: Rank1Spec, b: Rank1Spec) -> DichotomyVerdict:
     )
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     first_disagreement: int | None  # 1-based digit index, None = agree through max_stage
     max_stage: int
 

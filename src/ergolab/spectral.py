@@ -31,9 +31,8 @@ numerators per angle n * a mod 1 in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ergolab.core import (
     Character,
@@ -72,7 +71,6 @@ FINITE_FAMILY_CAVEAT = (
 # correlation sequences
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CorrelationSeq:
     """values(n) = <f o T^(-n), f> for n in [-N, N], with conjugate symmetry.
 
@@ -82,17 +80,17 @@ class CorrelationSeq:
     and builds its PhaseSums on first access to ``phases``.
     """
 
-    N: int
-    observable: object
-    exact: bool
-    _values: np.ndarray  # complex, index n = 0..N
-    _phases: list[PhaseSum] | None = None
-    std_errors: np.ndarray | None = None
-    n_samples: int = 0
-    seed: int | None = None
-    provenance: str = ""
-    numerators: list[int] | None = None
-    denominator: int = 1
+    __slots__ = ("N", "observable", "exact", "_values", "_phases", "std_errors", "n_samples",
+                 "seed", "provenance", "numerators", "denominator")
+
+    def __init__(self, N: int, observable: object, exact: bool, _values: np.ndarray,
+                 _phases: list[PhaseSum] | None = None, std_errors: np.ndarray | None = None,
+                 n_samples: int = 0, seed: int | None = None, provenance: str = "",
+                 numerators: list[int] | None = None, denominator: int = 1):
+        self.N, self.observable, self.exact = N, observable, exact
+        self._values, self._phases = _values, _phases  # complex values, index n = 0..N
+        self.std_errors, self.n_samples, self.seed = std_errors, n_samples, seed
+        self.provenance, self.numerators, self.denominator = provenance, numerators, denominator
 
     @property
     def phases(self) -> list[PhaseSum] | None:
@@ -281,6 +279,11 @@ def _sampled_sequence(system: System, k: FreqVector, N: int, center: bool,
     points = np.ascontiguousarray(system.measure.sample_floats(rng, samples))
     f0 = character_array(k, points)
     mean = complex(f0.mean()) if center else 0j
+    if center:
+        # delta method for c_n - |mean|^2: the influence of |mean|^2 on each
+        # sample is 2 Re(conj(mean) f0) - 2 |mean|^2 (Asmussen and Glynn, III.3)
+        influence = 2 * (np.conj(mean) * f0).real - 2 * abs(mean) ** 2
+        influence_var = float(influence @ influence) / samples
     values = np.empty(N + 1, dtype=np.complex128)
     errors = np.empty(N + 1, dtype=np.float64)
     for n in range(N + 1):
@@ -289,7 +292,10 @@ def _sampled_sequence(system: System, k: FreqVector, N: int, center: bool,
         prods = fn * np.conj(f0)
         c_n = complex(prods.mean())
         values[n] = np.conj(c_n)
-        errors[n] = math.sqrt(max(0.0, 1.0 - abs(c_n) ** 2) / samples)
+        var = 1.0 - abs(c_n) ** 2  # every product has modulus 1
+        if center:
+            var += influence_var - 2 * float(influence @ prods.real) / samples
+        errors[n] = math.sqrt(max(0.0, var) / samples)
         if n < N:
             system.apply_array(points)
     if center:
@@ -340,8 +346,7 @@ def _rank1_indicator_sequence(system: System, f: LevelIndicator, N: int,
 # Wiener averaging and atoms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AtomReport:
+class AtomReport(NamedTuple):
     """Total squared atomic mass of sigma_f by one-sided Cesaro averaging.
 
     total_atomic_mass is (1/N) sum_{i<N} |values(i)|^2, with its convergence
@@ -497,8 +502,7 @@ def _rotated_average(seq: CorrelationSeq, angle: Fraction, N: int, sign: int) ->
 # eigenvalue detection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EigenvalueVerdict:
+class EigenvalueVerdict(NamedTuple):
     angle: Fraction            # the query eigenvalue is e^(2*pi*i*angle)
     mass: float
     witnessed: bool
@@ -574,8 +578,7 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
 # weak mixing probe
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeakMixingReport:
+class WeakMixingReport(NamedTuple):
     masses: list[tuple[str, float]]
     verdict: str
     threshold: float

@@ -3,8 +3,10 @@ experiments package and cli.  A run loads the module of its own experiment and
 no other, and ``joinings``, ``rank1`` and ``spectral`` load only where that
 module uses them, so product-closure and identity-disjoint never load
 ``spectral``.  numpy's package code runs on the first array use, so ``--help``,
-usage errors and ``spec validate`` of systems and joinings never run it.  Each
-case runs in a fresh interpreter, so the modules this test process has already
+usage errors and ``spec validate`` of systems and joinings never run it.  No
+ergolab class is a dataclass, so no command loads ``dataclasses``, and the CLI
+path loads neither ``inspect`` nor ``hashlib`` (OpenSSL) either.  Each case
+runs in a fresh interpreter, so the modules this test process has already
 imported do not count."""
 
 import json
@@ -21,7 +23,8 @@ CLI_LAYERS = {"ergolab", "ergolab.cli", "ergolab.core", "ergolab.exact",
               "ergolab.experiments", "ergolab.schema"}
 
 #: prints [exit code of ``ergolab`` with the child's arguments, or None, loaded ergolab
-#: modules, whether numpy's package code had run after the import, and after the command]
+#: modules, whether numpy's package code had run after the import, and after the
+#: command, and which of ``dataclasses``, ``hashlib`` and ``inspect`` are loaded]
 CHILD = """
 import json, sys
 import ergolab.cli
@@ -31,7 +34,8 @@ try:
 except SystemExit as exit:  # --help and usage errors
     code = exit.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ergolab"),
-                  numpy_at_import, "numpy._core" in sys.modules]))
+                  numpy_at_import, "numpy._core" in sys.modules,
+                  [m for m in ("dataclasses", "hashlib", "inspect") if m in sys.modules]]))
 """
 
 SMALL_KNOBS = {
@@ -44,19 +48,25 @@ SMALL_KNOBS = {
 }
 
 
-def run_child(*argv) -> tuple[int | None, set[str], bool, bool]:
+def run_child(*argv) -> tuple[int | None, set[str], bool, bool, set[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("ERGOLAB_SEED", None)
     done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    code, modules, numpy_at_import, numpy_after = json.loads(done.stdout.splitlines()[-1])
-    return code, set(modules), numpy_at_import, numpy_after
+    code, modules, numpy_at_import, numpy_after, stdlib = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules), numpy_at_import, numpy_after, set(stdlib)
 
 
 def loaded_after(*argv) -> tuple[int | None, set[str]]:
     return run_child(*argv)[:2]
+
+
+def stdlib_after(*argv) -> tuple[int | None, set[str]]:
+    """The exit code, and which of dataclasses, hashlib and inspect are loaded."""
+    code, *_, stdlib = run_child(*argv)
+    return code, stdlib
 
 
 def run_argv(experiment: str, tmp_path) -> list[str]:
@@ -141,7 +151,7 @@ UNIFORM_THIRDS = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
     ([], None), (["--help"], 0), (["run", "no-such-experiment"], 3),
 ], ids=["import", "help", "usage-error"])
 def test_the_cli_runs_no_numpy_before_an_array_is_used(argv, exit_code):
-    code, _, _, numpy_ran = run_child(*argv)
+    code, _, _, numpy_ran, _ = run_child(*argv)
     assert (code, numpy_ran) == (exit_code, False)
 
 
@@ -155,10 +165,25 @@ def test_the_cli_runs_no_numpy_before_an_array_is_used(argv, exit_code):
 ], ids=["rotation", "twist", "uniform-thirds", "diagonal-joining", "product-joining",
         "rank1-family"])
 def test_validating_a_spec_runs_no_numpy(doc, tmp_path):
-    code, _, _, numpy_ran = run_child(*validate_argv(doc, tmp_path))
+    code, _, _, numpy_ran, _ = run_child(*validate_argv(doc, tmp_path))
     assert (code, numpy_ran) == (0, False)
 
 
 def test_numpy_loads_on_the_first_array_use_of_a_run(tmp_path):
-    code, _, numpy_at_import, numpy_after = run_child(*run_argv("spectral-probe", tmp_path))
+    code, _, numpy_at_import, numpy_after, _ = run_child(*run_argv("spectral-probe", tmp_path))
     assert (code, numpy_at_import, numpy_after) == (0, False, True)
+
+
+@pytest.mark.parametrize("argv, exit_code", [([], None), (["--help"], 0)], ids=["import", "help"])
+def test_the_cli_loads_no_dataclasses_inspect_or_hashlib(argv, exit_code):
+    assert stdlib_after(*argv) == (exit_code, set())
+
+
+def test_validating_a_system_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
+    assert stdlib_after(*validate_argv({"system": TWIST}, tmp_path)) == (0, set())
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_KNOBS))
+def test_no_run_loads_dataclasses(experiment, tmp_path):
+    code, stdlib = stdlib_after(*run_argv(experiment, tmp_path))
+    assert code == 0 and "dataclasses" not in stdlib, stdlib

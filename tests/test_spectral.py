@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab.core import (
@@ -687,18 +687,24 @@ def skew_products(draw):
             "params": {"base": base_system, "cocycle": cocycle, "group": group}}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(skew_products(), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
-def test_an_exact_sequence_agrees_with_the_sampled_one(doc, k):
+#: a twist over the atoms {1/3, 0}: with k = (1, 0) every centred lag is
+#: 1 - |mean|^2 = 3/4, and its only error is that of the sampled mean
+TWIST_OVER_TWO_ATOMS = {"kind": "twist", "params": {"base_measure": {"kind": "atoms", "atoms": [
+    {"point": ["1/3"], "weight": "1/2"}, {"point": ["0"], "weight": "1/2"}]}}}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(skew_products(), st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.booleans())
+@example(TWIST_OVER_TWO_ATOMS, (1, 0), True)
+def test_an_exact_sequence_agrees_with_the_sampled_one(doc, k, center):
     """Wherever auto mode decides a sequence exactly, the Monte Carlo sequence
     of the same character at a fixed seed lies within 4 of its standard errors
-    (plus 1e-9 for rounding) at every lag.  Uncentered: the standard errors do
-    not cover the sampled mean that a centered sequence subtracts."""
+    (plus 1e-9 for rounding) at every lag, centred or not."""
     system = build_system(doc)
-    exact = correlation_sequence(system, k, 8, seed=5, samples=2048)
+    exact = correlation_sequence(system, k, 8, center, seed=5, samples=2048)
     if not exact.exact:
         return
-    sampled = correlation_sequence(system, k, 8, seed=5, samples=2048, mode="sampled")
+    sampled = correlation_sequence(system, k, 8, center, seed=5, samples=2048, mode="sampled")
     assert sampled.provenance == "monte-carlo"
     gap = np.abs(exact._values - sampled._values)
     assert np.all(gap <= 4 * sampled.std_errors + 1e-9), (gap, sampled.std_errors)
