@@ -465,11 +465,13 @@ def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
     return InvarianceReport(passed=passed, mode="sampled", entries=entries)
 
 
-class ConsistencyRow(NamedTuple):
-    character: FreqVector
-    joint: complex
-    product: complex
-    sigma: float
+class ConsistencyRow:
+    """Slotted, not a tuple: 8 bytes less per row, and a sampled test holds thousands."""
+
+    __slots__ = ("character", "joint", "product", "sigma")
+
+    def __init__(self, character: FreqVector, joint: complex, product: complex, sigma: float):
+        self.character, self.joint, self.product, self.sigma = character, joint, product, sigma
 
 
 class ConsistencyVerdict(NamedTuple):
