@@ -473,6 +473,11 @@ class ConsistencyRow:
     def __init__(self, character: FreqVector, joint: complex, product: complex, sigma: float):
         self.character, self.joint, self.product, self.sigma = character, joint, product, sigma
 
+    def __eq__(self, other):  # field by field: the tests compare two runs' rows
+        if type(other) is not ConsistencyRow:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+
 
 class ConsistencyVerdict(NamedTuple):
     verdict: str  # "consistent-with-product" | "refuted"

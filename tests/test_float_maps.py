@@ -213,7 +213,7 @@ def test_character_array_does_not_depend_on_layout(k):
 def reference_sampled(system, k, N, center, seed, samples):
     """The Monte Carlo loop on row-major points and the old float maps.  A
     centred lag's error is the delta method's, summed sample by sample: the
-    influence of c_n - |mean|^2 is (p - c_n) - 2 Re(conj(mean) (f0 - mean))."""
+    influence of c_n - |mean|^2 is (prods - c_n) - 2 Re(conj(mean) (f0 - mean))."""
     kv = np.asarray(k, dtype=np.float64)
     points = system.measure.sample_floats(rng_from_seed(seed), samples)
     f0 = np.exp(2j * np.pi * (points @ kv))
