@@ -465,18 +465,11 @@ def invariance_check(joining: ProductSystem, family: Sequence[Sequence[int]], *,
     return InvarianceReport(passed=passed, mode="sampled", entries=entries)
 
 
-class ConsistencyRow:
-    """Slotted, not a tuple: 8 bytes less per row, and a sampled test holds thousands."""
-
-    __slots__ = ("character", "joint", "product", "sigma")
-
-    def __init__(self, character: FreqVector, joint: complex, product: complex, sigma: float):
-        self.character, self.joint, self.product, self.sigma = character, joint, product, sigma
-
-    def __eq__(self, other):  # field by field: the tests compare two runs' rows
-        if type(other) is not ConsistencyRow:
-            return NotImplemented
-        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+class ConsistencyRow(NamedTuple):
+    character: FreqVector
+    joint: complex
+    product: complex
+    sigma: float
 
 
 class ConsistencyVerdict(NamedTuple):

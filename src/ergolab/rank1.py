@@ -301,9 +301,6 @@ class Rank1Map:
     first use.
     """
 
-    # ``__dict__`` holds the cached_property's table
-    __slots__ = ("depth", "level_starts", "word", "length", "__dict__")
-
     def __init__(self, depth: int, level_starts: np.ndarray, word: int):
         self.depth = depth
         self.level_starts = level_starts  # int32, length L_d

@@ -212,12 +212,13 @@ def test_character_array_does_not_depend_on_layout(k):
 
 def reference_sampled(system, k, N, center, seed, samples):
     """The Monte Carlo loop on row-major points and the old float maps.  A
-    centred lag's error is the delta method's, summed sample by sample: the
-    influence of c_n - |mean|^2 is (prods - c_n) - 2 Re(conj(mean) (f0 - mean))."""
+    centred lag's error is the delta method's for c_n - |mean|^2, with the
+    influence of |mean|^2 on each sample taken as 2 Re(conj(mean) f0) - 2 |mean|^2."""
     kv = np.asarray(k, dtype=np.float64)
     points = system.measure.sample_floats(rng_from_seed(seed), samples)
     f0 = np.exp(2j * np.pi * (points @ kv))
     mean = complex(f0.mean()) if center else 0j
+    influence = 2 * (np.conj(mean) * f0).real - 2 * abs(mean) ** 2
     current = points
     values = np.empty(N + 1, dtype=np.complex128)
     errors = np.empty(N + 1, dtype=np.float64)
@@ -226,11 +227,11 @@ def reference_sampled(system, k, N, center, seed, samples):
         prods = fn * np.conj(f0)
         c_n = complex(prods.mean())
         values[n] = np.conj(c_n)
+        var = 1.0 - abs(c_n) ** 2
         if center:
-            influence = prods - c_n - 2 * (np.conj(mean) * (f0 - mean)).real
-            errors[n] = math.sqrt(np.mean(np.abs(influence) ** 2) / samples)
-        else:
-            errors[n] = math.sqrt(max(0.0, 1.0 - abs(c_n) ** 2) / samples)
+            var += (float(influence @ influence) / samples
+                    - 2 * float(influence @ prods.real) / samples)
+        errors[n] = math.sqrt(max(0.0, var) / samples)
         if n < N:
             current = old_apply_array(system, current)
     if center:
@@ -250,11 +251,7 @@ def test_sampled_sequence_bitwise_equal_to_reference_loop(samples, k, center):
     assert seq.provenance == "monte-carlo"
     values, errors = reference_sampled(system, k, 20, center, 99, samples)
     assert_same_bits(seq._values.view(np.float64), values.view(np.float64))
-    if center:  # summed in another order: the variances agree to rounding
-        np.testing.assert_allclose(seq.std_errors ** 2 * samples, errors ** 2 * samples,
-                                   rtol=0, atol=1e-12)
-    else:
-        assert_same_bits(seq.std_errors, errors)
+    assert_same_bits(seq.std_errors, errors)
 
 
 def test_sampled_sequence_steps_one_copy_of_the_orbit():

@@ -63,12 +63,6 @@ def loaded_after(*argv) -> tuple[int | None, set[str]]:
     return run_child(*argv)[:2]
 
 
-def stdlib_after(*argv) -> tuple[int | None, set[str]]:
-    """The exit code, and which of dataclasses, hashlib and inspect are loaded."""
-    code, *_, stdlib = run_child(*argv)
-    return code, stdlib
-
-
 def run_argv(experiment: str, tmp_path) -> list[str]:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": experiment, "knobs": SMALL_KNOBS[experiment]}))
@@ -108,7 +102,8 @@ def test_help_and_usage_errors_load_only_the_cli_layers(argv, exit_code):
 
 @pytest.mark.parametrize("experiment", list(SMALL_KNOBS))
 def test_each_run_loads_its_own_experiment_module_and_no_other(experiment, tmp_path):
-    loaded = run_small(experiment, tmp_path)
+    code, loaded, *_, stdlib = run_child(*run_argv(experiment, tmp_path))
+    assert code == 0 and "dataclasses" not in stdlib, stdlib
     assert {m for m in loaded if m.startswith("ergolab.experiments.")} == {own_module(experiment)}
 
 
@@ -151,8 +146,8 @@ UNIFORM_THIRDS = {"kind": "rotation", "params": {"angle": "1/3", "measure": {
     ([], None), (["--help"], 0), (["run", "no-such-experiment"], 3),
 ], ids=["import", "help", "usage-error"])
 def test_the_cli_runs_no_numpy_before_an_array_is_used(argv, exit_code):
-    code, _, _, numpy_ran, _ = run_child(*argv)
-    assert (code, numpy_ran) == (exit_code, False)
+    code, _, _, numpy_ran, stdlib = run_child(*argv)
+    assert (code, numpy_ran, stdlib) == (exit_code, False, set())
 
 
 @pytest.mark.parametrize("doc", [
@@ -165,25 +160,11 @@ def test_the_cli_runs_no_numpy_before_an_array_is_used(argv, exit_code):
 ], ids=["rotation", "twist", "uniform-thirds", "diagonal-joining", "product-joining",
         "rank1-family"])
 def test_validating_a_spec_runs_no_numpy(doc, tmp_path):
-    code, _, _, numpy_ran, _ = run_child(*validate_argv(doc, tmp_path))
-    assert (code, numpy_ran) == (0, False)
+    code, _, _, numpy_ran, stdlib = run_child(*validate_argv(doc, tmp_path))
+    assert (code, numpy_ran, stdlib) == (0, False, set())
 
 
 def test_numpy_loads_on_the_first_array_use_of_a_run(tmp_path):
     code, _, numpy_at_import, numpy_after, _ = run_child(*run_argv("spectral-probe", tmp_path))
     assert (code, numpy_at_import, numpy_after) == (0, False, True)
 
-
-@pytest.mark.parametrize("argv, exit_code", [([], None), (["--help"], 0)], ids=["import", "help"])
-def test_the_cli_loads_no_dataclasses_inspect_or_hashlib(argv, exit_code):
-    assert stdlib_after(*argv) == (exit_code, set())
-
-
-def test_validating_a_system_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
-    assert stdlib_after(*validate_argv({"system": TWIST}, tmp_path)) == (0, set())
-
-
-@pytest.mark.parametrize("experiment", list(SMALL_KNOBS))
-def test_no_run_loads_dataclasses(experiment, tmp_path):
-    code, stdlib = stdlib_after(*run_argv(experiment, tmp_path))
-    assert code == 0 and "dataclasses" not in stdlib, stdlib
