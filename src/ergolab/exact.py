@@ -33,6 +33,7 @@ from typing import Iterable, Union
 
 __all__ = [
     "PhaseSum",
+    "lattice_rational",
     "parse_scalar",
     "scalar_str",
 ]
@@ -132,6 +133,25 @@ def _vanishes(acc: dict[int, int], q: int) -> bool:
         if not all(_vanishes(part, m) for part in parts):
             return False
     return True
+
+
+def lattice_rational(acc: dict[int, int], q: int, D: int) -> Fraction | None:
+    """The rational value of sum(acc[A] / D * e(A / q)), or None if it is not
+    rational; acc has nonzero weights, and q need not be the least denominator.
+
+    If the sum is c, then so is class j = 0's beta_(0,0) - beta_(0,1) over m
+    (c sits at t = 0), with at most len(acc) terms.  Once no prime of q is
+    <= len(acc) + 1, that sum minus c vanishes only if it is empty, so c is its
+    weight at angle 0.
+    """
+    rest, m = acc, q
+    for p in range(2, len(acc) + 2):
+        if m % p == 0:
+            classes, m = _split(rest, m, p)
+            row = classes.get(0, {})
+            rest = _difference(row.get(0, {}), row.get(1, {}))
+    c = rest.get(0, 0)
+    return Fraction(c, D) if _vanishes(_difference(acc, {0: c}), q) else None
 
 
 def _lattice(terms, Q: int, D: int) -> list[tuple[int, int]]:
@@ -393,19 +413,7 @@ class PhaseSum:
             return Fraction(0)
         if len(self._terms) == 1 and self._terms[0][0] == 0:
             return self._terms[0][1]
-        acc, q, D = self._integers()
-        # If self is c, then so is class j = 0's beta_(0,0) - beta_(0,1) over m
-        # (c sits at t = 0), with at most len(acc) terms.  Once no prime of q
-        # is <= len(acc) + 1, that sum minus c vanishes only if it is empty,
-        # so c is its weight at angle 0.
-        rest, m = acc, q
-        for p in range(2, len(acc) + 2):
-            if m % p == 0:
-                classes, m = _split(rest, m, p)
-                row = classes.get(0, {})
-                rest = _difference(row.get(0, {}), row.get(1, {}))
-        c = rest.get(0, 0)
-        return Fraction(c, D) if _vanishes(_difference(acc, {0: c}), q) else None
+        return lattice_rational(*self._integers())
 
 
 _ZERO_SUM = PhaseSum._canonical(())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergolab.exact import PhaseSum, parse_scalar, scalar_str
+from ergolab.exact import PhaseSum, lattice_rational, parse_scalar, scalar_str
 from ergolab.spectral import CorrelationSeq
 
 
@@ -291,8 +291,8 @@ def broken_phases(draw):
 
 
 def rotated_abs2_and_products(phases, angle, N):
-    """Check seq.rotated_abs2(angle, N) against the reference |total|^2 and
-    return total and the number of ``PhaseSum.abs2`` calls it made."""
+    """Check the lattice seq.rotated_abs2(angle, N) against the reference
+    |total|^2 and return total and the number of ``PhaseSum.abs2`` calls it made."""
     seq = CorrelationSeq(N=len(phases) - 1, observable=None, exact=True,
                          _values=np.array([p.value() for p in phases]), _phases=phases)
     total = seq.rotated_sum(angle, N)
@@ -300,12 +300,15 @@ def rotated_abs2_and_products(phases, angle, N):
     original = PhaseSum.abs2
     with pytest.MonkeyPatch.context() as m:
         m.setattr(PhaseSum, "abs2", lambda self: calls.append(self) or original(self))
-        square = seq.rotated_abs2(angle, N)
+        lattice = seq.rotated_abs2(angle, N)
+    acc, Q, D = lattice
+    assert all(acc.values()) and all(0 <= A < Q for A in acc)
     reference = reference_product(total, total.conjugate())
-    assert square.terms == reference
-    assert square.as_rational() == PhaseSum(reference).as_rational()
-    if square.as_rational() is not None:
-        assert float(square.as_rational()) == pytest.approx(abs(total.value()) ** 2, abs=1e-6)
+    assert PhaseSum._from_lattice(acc, Q, D).terms == reference
+    rational = lattice_rational(*lattice)
+    assert rational == PhaseSum(reference).as_rational()
+    if rational is not None:
+        assert float(rational) == pytest.approx(abs(total.value()) ** 2, abs=1e-6)
     return total, len(calls)
 
 
@@ -494,6 +497,31 @@ def planted_sums(draw):
 @given(planted_sums())
 def test_sparse_verdicts_equal_the_dense_reduction(x):
     assert (x.is_zero(), x.as_rational()) == dense_verdicts(x)
+
+
+@st.composite
+def lattices(draw):
+    """(acc, q, D, x): a planted sum x as integers over a q and a D that are
+    multiples of its least denominators, or random nonzero weights at random
+    numerators over q <= 2048 (x = None)."""
+    k, l = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        x = draw(planted_sums())
+        acc, q, D = x._integers()
+        return {A * k: W * l for A, W in acc.items()}, q * k, D * l, x
+    q = draw(st.integers(1, 2048))
+    acc = draw(st.dictionaries(st.integers(0, q - 1), st.integers(-9, 9).filter(bool),
+                               max_size=12))
+    return acc, q, l, None
+
+
+@given(lattices())
+def test_the_lattice_rational_is_as_rational(drawn):
+    """``lattice_rational`` gives the verdict of ``as_rational`` and of the dense
+    reduction, on any common denominators of the angles and the weights."""
+    acc, q, D, x = drawn
+    x = PhaseSum._from_lattice(acc, q, D) if x is None else x
+    assert lattice_rational(acc, q, D) == x.as_rational() == dense_verdicts(x)[1]
 
 
 @pytest.mark.parametrize("modulus", [2049, 3 * 10**40, 6 * (10**9 + 7), 2**61 - 1])

@@ -36,6 +36,8 @@ from ergolab.exact import PhaseSum, parse_scalar, scalar_str
 from ergolab.spectral import (
     CorrelationSeq,
     _atom_grid,
+    _autocorrelation,
+    _grid_screen,
     _rotated_average,
     correlation_sequence,
     detect_eigenvalue,
@@ -363,7 +365,8 @@ def planted(N, atoms, noise=0.0, seed=0):
 def test_atom_grid_is_the_sorted_farey_set():
     for n in range(-1, 65):
         expected = sorted({F(p, q) for q in range(1, n + 1) for p in range(q)})
-        assert _atom_grid(n) == expected
+        assert [F(p, q) for p, q in _atom_grid(n)] == expected
+        assert all(F(p, q).denominator == q for p, q in _atom_grid(n))
 
 
 @pytest.mark.parametrize("system, freqs, N, candidates", [
@@ -444,6 +447,72 @@ def test_wiener_atoms_equal_the_unscreened_scan_on_drawn_sequences(
     assert report.atoms == reference_atoms(seq, candidates, grid, floor * scale)
 
 
+def fraction_screened_atoms(seq, candidates=(), grid_max_denominator=64, atom_floor=0.05):
+    """The screened atom scan with every grid angle a ``Fraction``: each angle
+    is reduced, deduplicated and looked up in the screen before evaluation."""
+    N = seq.N
+    grid = sorted({F(p, q) for q in range(1, grid_max_denominator + 1) for p in range(q)})
+    candidate_angles = [parse_scalar(c, field="candidates") for c in candidates]
+    vals = seq._values[:N]
+    screen = _grid_screen(vals, grid_max_denominator)
+    margin = 100 * (N + 3) * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(vals))))
+    atoms, seen = [], set()
+    for i, angle in enumerate(candidate_angles + grid):
+        angle %= 1
+        if angle in seen:
+            continue
+        seen.add(angle)
+        if i >= len(candidate_angles) and \
+                screen[angle.denominator][angle.numerator] < atom_floor - margin:
+            continue
+        weight = _rotated_average(seq, angle, N, sign=-1)
+        if weight >= atom_floor:
+            atoms.append({"angle": scalar_str(angle), "weight": weight,
+                          "squared_weight": weight ** 2})
+    atoms.sort(key=lambda a: -a["weight"])
+    return atoms
+
+
+@st.composite
+def screened_sequences(draw):
+    """A sampled sequence of planted atoms and noise, possibly with NaN
+    entries, or an exact one: rational numerators, or the affine pullback of
+    a character under a rotation by p/q."""
+    N = draw(st.integers(16, 300))
+    kind = draw(st.sampled_from(["sampled", "numerators", "rotation"]))
+    if kind == "rotation":
+        angle = F(draw(st.integers(0, 40)), draw(st.integers(1, 40)))
+        return correlation_sequence(rotation(str(angle)), Character((draw(st.integers(1, 3)),)), N)
+    atoms = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40),
+                                    st.sampled_from([0.05, 0.25, 0.5, 1.0])), max_size=4))
+    values = planted(N, [(F(p, q), w) for p, q, w in atoms],
+                     draw(st.sampled_from([0.0, 1e-3, 0.1])), draw(st.integers(0, 2**32 - 1)))
+    if kind == "numerators":
+        den = draw(st.sampled_from([1, 7, 1000]))
+        nums = [round(den * v.real) for v in values]
+        return CorrelationSeq(N=N, observable=None, exact=True,
+                              _values=np.array([c / den for c in nums], dtype=np.complex128),
+                              numerators=nums, denominator=den)
+    for n in draw(st.lists(st.integers(0, N), max_size=2)):
+        values[n] = complex("nan+nanj")
+    return float_sequence(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=screened_sequences(),
+       grid=st.sampled_from([0, 1, 2, 7, 64]),
+       floor=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5]),
+       candidates=st.lists(st.sampled_from(["1/3", "4/3", "2/6", "-1/2", "0", "1", "0.25",
+                                            "17/64", "3/200"]), max_size=4))
+def test_the_integer_grid_walk_equals_the_fraction_screen(seq, grid, floor, candidates):
+    """Candidates that repeat a grid angle (or each other) are evaluated once,
+    first; a NaN screen keeps every angle; atoms, ties included, come out in
+    the order of the screened scan over ``Fraction`` grid angles."""
+    report = wiener_atomic_mass(seq, candidates=candidates, grid_max_denominator=grid,
+                                atom_floor=floor)
+    assert report.atoms == fraction_screened_atoms(seq, candidates, grid, floor)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue detection
 # ---------------------------------------------------------------------------
@@ -495,6 +564,72 @@ def test_decimal_probe_at_4096_squares_no_product(monkeypatch):
     verdict = detect_eigenvalue(system, Character((1,)), "1/3", 4096)
     assert calls == []
     assert repr(verdict.mass) == "0.0007587903021242287"
+    assert verdict.witnessed is False
+    assert verdict.mass_squared_exact is None
+
+
+SQRT2_40 = "0.4142135623730950488016887242096980785697"
+
+
+@st.composite
+def numerator_queries(draw):
+    """(seq, angle, N): signed integer numerators in runs of one sign (zeros
+    included) of up to 31 digits over a denominator, and a rational angle
+    over a small denominator (Q < N), a denominator from N to 4N, or a
+    40-digit decimal."""
+    nums = []
+    for sign, length in draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]),
+                                                st.integers(1, 40)), min_size=1, max_size=6)):
+        size = draw(st.sampled_from([10, 1000, 10**30]))
+        nums += [sign * draw(st.integers(1, size)) for _ in range(length)]
+    N = draw(st.integers(1, len(nums)))
+    den = draw(st.sampled_from([1, 3, 10**6]))
+    Q = draw(st.one_of(st.integers(1, 12), st.integers(N, 4 * N), st.just(10**40)))
+    angle = F(draw(st.integers(0, Q - 1)), Q)
+    seq = CorrelationSeq(N=len(nums) - 1, observable=None, exact=True,
+                         _values=np.array([c / den for c in nums], dtype=np.complex128),
+                         numerators=nums, denominator=den)
+    return seq, angle, N
+
+
+@settings(deadline=None)
+@given(numerator_queries())
+def test_the_autocorrelation_square_is_the_product(drawn):
+    """|sum|^2 of rational entries over the lags equals ``total.abs2()`` term for
+    term, and replaces it exactly when the sum has more than sqrt(2N - 1)
+    terms; the big-int autocorrelation is the plain double loop."""
+    seq, angle, N = drawn
+    c = seq.numerators[:N]
+    assert _autocorrelation(c) == [sum(c[n] * c[n + d] for n in range(N - d)) for d in range(N)]
+    total = seq.rotated_sum(angle, N)
+    calls = []
+    original = PhaseSum.abs2
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(PhaseSum, "abs2", lambda self: calls.append(self) or original(self))
+        acc, Q, D = seq.rotated_abs2(angle, N, total)
+    assert all(acc.values())
+    assert PhaseSum._from_lattice(acc, Q, D).terms == total.abs2().terms
+    assert (calls == []) == (len(total.terms) ** 2 > 2 * N - 1)
+
+
+@pytest.mark.parametrize("centered, mass", [(False, "0.00018345184372623686"),
+                                            (True, "0.0009280360589792343")])
+def test_rank1_decimal_query_squares_no_product(monkeypatch, centered, mass):
+    """A level's 1,024 numerators rotated by a 40-digit decimal fall on 968
+    (1,024 when centered) distinct angles: |sum|^2 comes from their integer
+    autocorrelation, and neither the N^2 lattice product nor ``abs2`` is
+    entered.  The verdict is the one the product gave."""
+    system = build_rank1_system(Rank1Spec.from_rational("1/3", 8))
+    f = LevelIndicator(1, 0, centered=centered)
+    seq = correlation_sequence(system, f, 1024)
+
+    def refuse(*args):
+        raise AssertionError("quadratic product")
+
+    monkeypatch.setattr(PhaseSum, "_lattice_product", refuse)
+    monkeypatch.setattr(PhaseSum, "abs2", refuse)
+    verdict = detect_eigenvalue(system, f, SQRT2_40, 1024, seq=seq)
+    assert repr(verdict.mass) == mass
     assert verdict.witnessed is False
     assert verdict.mass_squared_exact is None
 
