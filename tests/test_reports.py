@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,3 +151,31 @@ def test_default_report_canonical_bytes_are_pinned(experiment, seed, digest):
     product-closure's elapsed seconds masked."""
     report = run_experiment(ExperimentConfig.resolve(experiment, seed, {}))
     assert hashlib.sha256(masked_canonical_bytes(report)).hexdigest() == digest
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+#: the shipped configs whose knobs are not the defaults; example1.json and
+#: product-closure.json are the defaults, pinned above
+@pytest.mark.parametrize("name, seed, digest", [
+    ("spectral-probe-decimal.json", 2024,
+     "06d96fd0ba367f7256c22ae5d1813635bd21c67af01fab3e6b4794684c066063"),
+    ("spectral-probe-decimal.json", 99,
+     "103dbe9c8256c75ff04e3af478d43d4b8c7cec5d5e4fe0e7665d6bc80fb504c4"),
+    ("spectral-probe-rank1-decimal.json", 2024,
+     "ef5913fd9e26906e683bbd515285d3de2b151cd0f3410792b886aa7f048d73a9"),
+    ("spectral-probe-rank1-decimal.json", 99,
+     "acb6fbf3ce56476497cacb281d691ef5f84c9de316801ea436362610008a0c56"),
+    ("spectral-probe-twist.json", 2024,
+     "b49e8bfdb71b7c63e481a33688cbf3a394eb087ef6bbf616b3fea87004931962"),
+    ("spectral-probe-twist.json", 99,
+     "adc43ffc778df4dae45918905d026e2532ce17b4e3b7b65a656c93c3585b6580"),
+])
+def test_shipped_config_canonical_bytes_are_pinned(name, seed, digest):
+    """sha256 of each shipped config's report at two seeds: the 40-digit
+    rotation at N = 4,096, the rank-one level squared through its integer
+    autocorrelation, and the twist."""
+    doc = json.loads((ROOT / "configs" / name).read_text())
+    report = run_experiment(ExperimentConfig.resolve(doc["experiment"], seed, doc["knobs"]))
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == digest
