@@ -328,9 +328,9 @@ class DiracMixture(MeasureHandle):
         # weight numerators over D and coordinate numerators over Q
         self._D = lcm(*(w.denominator for w, _ in self.atoms))
         self._Q = lcm(*(c.denominator for _, p in self.atoms for c in p))
-        self._lattice = [(w.numerator * (self._D // w.denominator),
-                          tuple(c.numerator * (self._Q // c.denominator) for c in p))
-                         for w, p in self.atoms]
+        self._integer_atoms = [(w.numerator * (self._D // w.denominator),
+                                tuple(c.numerator * (self._Q // c.denominator) for c in p))
+                               for w, p in self.atoms]
 
     @cached_property
     def _thresholds(self) -> np.ndarray:  # built on the first draw
@@ -339,10 +339,10 @@ class DiracMixture(MeasureHandle):
     def _integrate(self, k: FreqVector) -> Optional[PhaseSum]:
         """Weights summed per angle <k, p> mod 1, all in integer numerators."""
         Q, acc = self._Q, {}
-        for W, p in self._lattice:
+        for W, p in self._integer_atoms:
             A = sum(map(operator.mul, k, p)) % Q
             acc[A] = acc.get(A, 0) + W
-        return PhaseSum._from_lattice(acc, Q, self._D)
+        return PhaseSum.from_lattice(acc, Q, self._D)
 
     def enumerate_atoms(self):
         return list(self.atoms)
@@ -407,7 +407,7 @@ def product_of_integrals(parts: Iterable[Optional[PhaseSum]]) -> Optional[PhaseS
     for part in parts:
         if part is None:
             unknown = True
-        elif not part.terms:
+        elif len(part) == 0:
             return PhaseSum.zero()
         elif not unknown:
             total = part if total is None else total * part

@@ -4,14 +4,13 @@ Every quantity this package calls "exact" is a finite sum
 
     sum_j  w_j * e^(2*pi*i*t_j)
 
-with rational weights ``w_j`` and rational angles ``t_j``.  ``PhaseSum`` stores
-that form literally, so sums, products, conjugation and equality are decided in
-exact arithmetic.  Floats only appear when a caller asks for ``value()``.
-
-Products and zero tests run on an integer lattice: angles become numerators
-over the lcm Q of their denominators and weights become numerators over the
-lcm D of theirs, so the inner loops multiply and add Python ints and only the
-surviving merged terms are turned back into ``Fraction``s.
+with rational weights ``w_j`` and rational angles ``t_j``.  ``PhaseSum`` keeps
+it as an integer lattice: a dict from angle numerators A in [0, Q) to nonzero
+weight numerators W, over the least angle denominator Q and the least weight
+denominator D, so that the sum is sum(W / D * e(A / Q)).  Sums, products,
+rotations, conjugation, zero tests and rational values all run on Python
+ints; a ``Fraction`` is built only for the ``terms`` view, and a float only
+when a caller asks for ``value()``.
 
 Zero tests and ``as_rational`` are exact for every angle denominator, with no
 numeric fallback.  They split off one prime power p^e of Q at a time: the
@@ -28,12 +27,11 @@ from __future__ import annotations
 import cmath
 import sys
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "PhaseSum",
-    "lattice_rational",
     "parse_scalar",
     "scalar_str",
 ]
@@ -135,82 +133,54 @@ def _vanishes(acc: dict[int, int], q: int) -> bool:
     return True
 
 
-def lattice_rational(acc: dict[int, int], q: int, D: int) -> Fraction | None:
-    """The rational value of sum(acc[A] / D * e(A / q)), or None if it is not
-    rational; acc has nonzero weights, and q need not be the least denominator.
-
-    If the sum is c, then so is class j = 0's beta_(0,0) - beta_(0,1) over m
-    (c sits at t = 0), with at most len(acc) terms.  Once no prime of q is
-    <= len(acc) + 1, that sum minus c vanishes only if it is empty, so c is its
-    weight at angle 0.
-    """
-    rest, m = acc, q
-    for p in range(2, len(acc) + 2):
-        if m % p == 0:
-            classes, m = _split(rest, m, p)
-            row = classes.get(0, {})
-            rest = _difference(row.get(0, {}), row.get(1, {}))
-    c = rest.get(0, 0)
-    return Fraction(c, D) if _vanishes(_difference(acc, {0: c}), q) else None
-
-
-def _lattice(terms, Q: int, D: int) -> list[tuple[int, int]]:
-    """Terms (angle, weight) as integers (angle * Q, weight * D)."""
-    return [(a.numerator * (Q // a.denominator), w.numerator * (D // w.denominator))
-            for a, w in terms]
-
-
-def _weight_lcm(terms) -> int:
-    return lcm(*(w.denominator for _, w in terms))
-
-
-def _angle_lcm(terms) -> int:
-    return lcm(*(a.denominator for a, _ in terms))
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class PhaseSum:
     """A finite sum of rational multiples of unit phases e^(2*pi*i*t), t rational.
 
-    Immutable.  Angles are stored mod 1 and equal angles are merged on
-    construction, so e.g. ``unit(t) * unit(-t)`` collapses to the rational 1
-    without any root-of-unity reasoning.
+    Immutable.  Stored as the integer lattice ``{A: W}`` over the least Q and
+    D, with value sum(W / D * e(A / Q)): equal angles are merged and zero
+    weights dropped on construction, so e.g. ``unit(t) * unit(-t)`` collapses
+    to the rational 1 without any root-of-unity reasoning.
     """
 
-    __slots__ = ("_terms", "_cached_value")
+    __slots__ = ("_acc", "_Q", "_D", "_cached_value")
 
     def __init__(self, terms: Iterable[tuple[Fraction, Fraction]] = ()):
-        merged: dict[Fraction, Fraction] = {}
-        for angle, weight in terms:
-            if not weight:
-                continue
-            angle = angle % 1
-            acc = merged.get(angle)
-            merged[angle] = weight if acc is None else acc + weight
-        self._terms: tuple[tuple[Fraction, Fraction], ...] = tuple(
-            sorted((a, w) for a, w in merged.items() if w)
-        )
-        self._cached_value: complex | None = None
+        """The sum of weight * e(angle) over (angle, weight) pairs of ints or Fractions."""
+        terms = [(a, w) for a, w in terms if w]
+        Q, D = lcm(*(a.denominator for a, _ in terms)), lcm(*(w.denominator for _, w in terms))
+        acc: dict[int, int] = {}
+        for a, w in terms:
+            A = a.numerator * (Q // a.denominator) % Q
+            acc[A] = acc.get(A, 0) + w.numerator * (D // w.denominator)
+        self._store(acc, Q, D)
+
+    def _store(self, acc: dict[int, int], Q: int, D: int) -> None:
+        """Keep the nonzero entries of acc, over the least Q and D they need."""
+        acc = {A: W for A, W in acc.items() if W}
+        g, h = gcd(Q, *acc), gcd(D, *acc.values())
+        if g > 1 or h > 1:
+            acc = {A // g: W // h for A, W in acc.items()}
+        self._acc, self._Q, self._D, self._cached_value = acc, Q // g, D // h, None
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, terms: tuple[tuple[Fraction, Fraction], ...]) -> "PhaseSum":
-        """Wrap terms that are already reduced mod 1, merged, nonzero and sorted."""
+    def from_lattice(cls, acc: dict[int, int], Q: int, D: int) -> "PhaseSum":
+        """The sum of acc[A] / D * e(A / Q) over the entries of acc, each key
+        in [0, Q).  acc is copied: zero weights are dropped, and Q and D cut
+        to the least that the rest need."""
         obj = object.__new__(cls)
-        obj._terms = terms
-        obj._cached_value = None
+        obj._store(acc, Q, D)
         return obj
 
     @classmethod
-    def _from_lattice(cls, acc: dict[int, int], Q: int, D: int) -> "PhaseSum":
-        """The sum of (acc[A] / D) * e(A / Q) over the nonzero entries of acc."""
-        return cls._canonical(tuple(
-            (Fraction(key, Q), Fraction(acc[key], D)) for key in sorted(acc) if acc[key]
-        ))
-
-    # -- constructors ------------------------------------------------------
+    def from_lags(cls, lags: Sequence[int], angle: Fraction, D: int) -> "PhaseSum":
+        """The real sum of lags[|d|] / D * e(d * angle) over |d| < len(lags)."""
+        Q, step, acc = angle.denominator, angle.numerator, {}
+        for d in range(1 - len(lags), len(lags)):
+            key = d * step % Q
+            acc[key] = acc.get(key, 0) + lags[abs(d)]
+        return cls.from_lattice(acc, Q, D)
 
     @classmethod
     def zero(cls) -> "PhaseSum":
@@ -219,52 +189,75 @@ class PhaseSum:
 
     @classmethod
     def one(cls) -> "PhaseSum":
-        return cls._canonical(((_ZERO, _ONE),))
+        return _ONE_SUM
 
     @classmethod
     def unit(cls, angle: Fraction) -> "PhaseSum":
         """The unimodular value e^(2*pi*i*angle)."""
-        return cls([(Fraction(angle), Fraction(1))])
+        angle = Fraction(angle) % 1
+        return cls.from_lattice({angle.numerator: 1}, angle.denominator, 1)
 
     @classmethod
     def from_rational(cls, w) -> "PhaseSum":
-        if type(w) is not Fraction:
+        if not isinstance(w, (int, Fraction)):
             w = Fraction(w)
-        return cls._canonical(((_ZERO, w),) if w else ())
+        return cls.from_lattice({0: w.numerator}, 1, w.denominator)
 
     @classmethod
-    def sum(cls, sums: Iterable["PhaseSum"], step: Fraction = _ZERO) -> "PhaseSum":
-        """sum_n e^(2*pi*i*n*step) * sums[n] in one pass over the integer lattice.
-
-        Angle numerators over the lcm Q of all angle denominators (the step's
-        included) key the accumulation of weight numerators over the lcm D of
-        all weight denominators; terms equal those of a left fold of ``+``
-        over the rotated sums.
-        """
-        parts = [s._terms for s in sums]
-        terms = [t for part in parts for t in part]
-        if not terms:
+    def sum(cls, sums: Iterable["PhaseSum"], step: Fraction | int = 0) -> "PhaseSum":
+        """sum_n e^(2*pi*i*n*step) * sums[n], accumulated over the lcm Q of all
+        angle denominators (the step's included) and the lcm D of all weight
+        denominators; equal to a left fold of ``+`` over the rotated sums."""
+        sums = list(sums)
+        parts = [s for s in sums if s._acc]
+        if not parts:
             return _ZERO_SUM
-        Q, D = lcm(_angle_lcm(terms), step.denominator), _weight_lcm(terms)
+        Q, D = lcm(step.denominator, *(s._Q for s in parts)), lcm(*(s._D for s in parts))
         S = step.numerator * (Q // step.denominator)
         acc: dict[int, int] = {}
         get = acc.get
-        for n, part in enumerate(parts):
-            for a, w in part:
-                key = (a.numerator * (Q // a.denominator) + n * S) % Q
-                acc[key] = get(key, 0) + w.numerator * (D // w.denominator)
-        return cls._from_lattice(acc, Q, D)
+        for n, s in enumerate(sums):
+            a, b, shift = Q // s._Q, D // s._D, n * S
+            for A, W in s._acc.items():
+                key = (A * a + shift) % Q
+                acc[key] = get(key, 0) + W * b
+        return cls.from_lattice(acc, Q, D)
+
+    @classmethod
+    def geometric_abs2(cls, sums: Sequence["PhaseSum"], step: Fraction) -> "PhaseSum | None":
+        """|sum_n e(n * step) * sums[n]|^2 when every sums[n] is w * e(a + n * beta)
+        for one weight w, else None.  With N = len(sums) it is
+        w^2 * sum_{|d|<N} (N - |d|) * e(d * (step + beta)), N times the Fejer
+        kernel at step + beta (Katznelson, *An Introduction to Harmonic
+        Analysis*, I.2), built in O(N) instead of by an N^2 product."""
+        if not sums or any(len(s._acc) != 1 for s in sums) or \
+                len({(s._D, *s._acc.values()) for s in sums}) > 1:
+            return None
+        N, Q = len(sums), lcm(step.denominator, *(s._Q for s in sums))
+        A = [next(iter(s._acc)) * (Q // s._Q) for s in sums]
+        B = (A[1] - A[0]) % Q if N > 1 else 0
+        if any((A[n] - A[0] - n * B) % Q for n in range(2, N)):
+            return None
+        (W,), D = sums[0]._acc.values(), sums[0]._D
+        phi = Fraction((step.numerator * (Q // step.denominator) + B) % Q, Q)
+        return cls.from_lags([W * W * (N - d) for d in range(N)], phi, D * D)
 
     # -- structure ---------------------------------------------------------
 
+    def __len__(self) -> int:
+        """The number of terms: distinct angles with a nonzero weight."""
+        return len(self._acc)
+
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._terms
+        """(angle, weight) pairs in increasing angle, angles in [0, 1)."""
+        Q, D, acc = self._Q, self._D, self._acc
+        return tuple((Fraction(A, Q), Fraction(acc[A], D)) for A in sorted(acc))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._acc:
             return "PhaseSum(0)"
-        bits = " + ".join(f"{w}*e(2pi*i*{a})" for a, w in self._terms)
+        bits = " + ".join(f"{w}*e(2pi*i*{a})" for a, w in self.terms)
         return f"PhaseSum({bits})"
 
     # -- arithmetic ---------------------------------------------------------
@@ -280,12 +273,12 @@ class PhaseSum:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return PhaseSum(self._terms + rhs._terms)
+        return PhaseSum.sum((self, rhs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PhaseSum":
-        return PhaseSum._canonical(tuple((a, -w) for a, w in self._terms))
+        return PhaseSum.from_lattice({A: -W for A, W in self._acc.items()}, self._Q, self._D)
 
     def __sub__(self, other) -> "PhaseSum":
         rhs = self._coerce(other)
@@ -300,87 +293,72 @@ class PhaseSum:
         return rhs + (-self)
 
     def __mul__(self, other) -> "PhaseSum":
-        if isinstance(other, (int, Fraction)):
-            return self._monomial_product(_ZERO, Fraction(other))
-        if isinstance(other, PhaseSum):
-            lhs, rhs = self, other
-            if len(rhs._terms) > len(lhs._terms):
-                lhs, rhs = rhs, lhs
-            if not rhs._terms:
-                return _ZERO_SUM
-            if len(rhs._terms) == 1:
-                return lhs._monomial_product(*rhs._terms[0])
-            return lhs._lattice_product(rhs)
-        return NotImplemented
+        rhs = self._coerce(other)
+        if rhs is NotImplemented:
+            return NotImplemented
+        lhs, rhs = (self, rhs) if len(self._acc) >= len(rhs._acc) else (rhs, self)
+        # a product with 0 or 1 builds nothing
+        if not rhs._acc:
+            return rhs
+        if rhs._D == 1 and rhs._acc == {0: 1}:
+            return lhs
+        return lhs._product(rhs)
 
     __rmul__ = __mul__
 
-    def _monomial_product(self, angle: Fraction, weight: Fraction) -> "PhaseSum":
-        """The product with weight * e^(2*pi*i*angle).
-
-        Shifting by one angle keeps the angles distinct, so nothing merges.
-        """
-        if not weight:
-            return _ZERO_SUM
-        scaled = self if weight == 1 else \
-            PhaseSum._canonical(tuple((a, w * weight) for a, w in self._terms))
-        return scaled.rotated(angle)
-
-    def _lattice_product(self, other: "PhaseSum") -> "PhaseSum":
-        """The product, accumulated over integer angle and weight numerators.
-
-        Angle numerators over Q add mod Q, weight numerators over D1 and D2
-        multiply, and each merged coefficient is divided by D1 * D2 once.
-        """
-        lhs, rhs = self._terms, other._terms
-        Q = lcm(_angle_lcm(lhs), _angle_lcm(rhs))
-        D1, D2 = _weight_lcm(lhs), _weight_lcm(rhs)
-        right = _lattice(rhs, Q, D2)
+    def _product(self, rhs: "PhaseSum") -> "PhaseSum":
+        """The product with a sum of at most as many terms: angle numerators
+        over the lcm Q add mod Q, weight numerators multiply over D1 * D2, and
+        equal angles merge."""
+        Q = lcm(self._Q, rhs._Q)
+        a, b = Q // self._Q, Q // rhs._Q
+        right = [(A * b, W) for A, W in rhs._acc.items()]
         acc: dict[int, int] = {}
         get = acc.get
-        for A1, W1 in _lattice(lhs, Q, D1):
+        for A1, W1 in self._acc.items():
+            A1 *= a
             for A2, W2 in right:
                 key = (A1 + A2) % Q
                 acc[key] = get(key, 0) + W1 * W2
-        return PhaseSum._from_lattice(acc, Q, D1 * D2)
+        return PhaseSum.from_lattice(acc, Q, self._D * rhs._D)
 
     def conjugate(self) -> "PhaseSum":
-        if not self._terms:
+        Q = self._Q
+        if Q == 1:  # real: every angle is 0
             return self
-        return PhaseSum._canonical(tuple(sorted(
-            (-a % 1 if a else a, w) for a, w in self._terms)))
+        return PhaseSum.from_lattice({-A % Q: W for A, W in self._acc.items()}, Q, self._D)
 
     def rotated(self, angle: Fraction | int, modulus: int = 1) -> "PhaseSum":
-        """Multiply by the unit phase e^(2*pi*i*angle/modulus).  The shifted
-        angles are numerators over the lcm of all denominators, so each term
-        costs one new ``Fraction``."""
+        """Multiply by the unit phase e^(2*pi*i*angle/modulus): every angle
+        numerator shifts over the lcm of both angle denominators."""
         Q = angle.denominator * modulus
         P = angle.numerator % Q
-        if not P or not self._terms:
+        if not P or not self._acc:
             return self
-        L = lcm(Q, _angle_lcm(self._terms))
-        shift = P * (L // Q)
-        keyed = sorted(((a.numerator * (L // a.denominator) + shift) % L, w)
-                       for a, w in self._terms)
-        return PhaseSum._canonical(tuple((Fraction(A, L), w) for A, w in keyed))
+        L = lcm(Q, self._Q)
+        a, shift = L // self._Q, P * (L // Q)
+        return PhaseSum.from_lattice({(A * a + shift) % L: W for A, W in self._acc.items()},
+                                     L, self._D)
 
     def abs2(self) -> "PhaseSum":
         """|self|^2 as an exact (real) PhaseSum."""
-        if not self._terms:
+        if not self._acc:
             return self
-        if len(self._terms) == 1:
-            w = self._terms[0][1]
-            return PhaseSum._canonical(((_ZERO, w * w),))
+        if len(self._acc) == 1:
+            (W,) = self._acc.values()
+            return PhaseSum.from_lattice({0: W * W}, 1, self._D ** 2)
         return self * self.conjugate()
 
     # -- evaluation ----------------------------------------------------------
 
     def value(self) -> complex:
+        """The sum in floats, term by term in increasing angle; W / D and A / Q
+        are the correctly rounded floats of the reduced fractions."""
         if self._cached_value is None:
-            acc = 0j
-            for a, w in self._terms:
-                acc += float(w) * cmath.exp(2j * cmath.pi * float(a))
-            self._cached_value = acc
+            Q, D, acc, total = self._Q, self._D, self._acc, 0j
+            for A in sorted(acc):
+                total += acc[A] / D * cmath.exp(2j * cmath.pi * (A / Q))
+            self._cached_value = total
         return self._cached_value
 
     def __complex__(self) -> complex:
@@ -388,16 +366,8 @@ class PhaseSum:
 
     # -- exact predicates ------------------------------------------------------
 
-    def _integers(self) -> tuple[dict[int, int], int, int]:
-        """(acc, q, D) with self = sum(acc[A] / D * e(A / q))."""
-        q, D = _angle_lcm(self._terms), _weight_lcm(self._terms)
-        return dict(_lattice(self._terms, q, D)), q, D
-
     def is_zero(self) -> bool:
-        if not self._terms:
-            return True
-        acc, q, _ = self._integers()
-        return _vanishes(acc, q)
+        return _vanishes(self._acc, self._Q)
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)
@@ -408,12 +378,24 @@ class PhaseSum:
     __hash__ = None  # type: ignore[assignment]
 
     def as_rational(self) -> Fraction | None:
-        """The exact rational value of this sum, or None if it is not rational."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and self._terms[0][0] == 0:
-            return self._terms[0][1]
-        return lattice_rational(*self._integers())
+        """The exact rational value of this sum, or None if it is not rational.
+
+        If the sum is c, then so is class j = 0's beta_(0,0) - beta_(0,1) of
+        ``_split`` over m (c sits at t = 0), with at most len(self) terms.  Once
+        no prime of m is <= len(self) + 1, that sum minus c vanishes only if it
+        is empty, so c is its weight at angle 0.
+        """
+        rest, m = self._acc, self._Q
+        for p in range(2, len(self._acc) + 2):
+            if m % p == 0:
+                classes, m = _split(rest, m, p)
+                row = classes.get(0, {})
+                rest = _difference(row.get(0, {}), row.get(1, {}))
+        c = rest.get(0, 0)
+        if _vanishes(_difference(self._acc, {0: c}), self._Q):
+            return Fraction(c, self._D)
+        return None
 
 
-_ZERO_SUM = PhaseSum._canonical(())
+_ZERO_SUM = PhaseSum()
+_ONE_SUM = PhaseSum.from_rational(1)

@@ -89,15 +89,14 @@ def run(config: ExperimentConfig) -> list[Check]:
     bound = 2.0 / N
     worst_avg = 0.0
     ok = True
+    freqs = range(-max_freq, max_freq + 1)
+    mean_g = {kg: identity.measure.integrate_character((kg,)) for kg in freqs}
     for name, joining in joinings:
-        for kg in range(-max_freq, max_freq + 1):
-            for kh in range(-max_freq, max_freq + 1):
-                if kh == 0:
-                    continue
+        avg_h = {kh: _stationary_time_average(joining, (0, kh), N) for kh in freqs if kh}
+        for kg in freqs:
+            for kh in avg_h:
                 avg_gh = _stationary_time_average(joining, (kg, kh), N)
-                avg_h = _stationary_time_average(joining, (0, kh), N)
-                mean_g = identity.measure.integrate_character((kg,))
-                centered = avg_gh - mean_g * avg_h
+                centered = avg_gh - mean_g[kg] * avg_h[kh]
                 value = abs(centered.value())
                 worst_avg = max(worst_avg, value)
                 ok &= value <= bound + 1e-12

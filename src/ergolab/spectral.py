@@ -48,7 +48,7 @@ from ergolab.core import (
     rng_from_seed,
     validate_frequencies,
 )
-from ergolab.exact import PhaseSum, lattice_rational, parse_scalar, scalar_str
+from ergolab.exact import PhaseSum, parse_scalar, scalar_str
 from ergolab.schema import require_wiener_length
 
 DEFAULT_ORDER = 4096
@@ -97,7 +97,7 @@ class CorrelationSeq:
     def phases(self) -> list[PhaseSum] | None:
         if self._phases is None and self.numerators is not None:
             den = self.denominator
-            self._phases = [PhaseSum.from_rational(Fraction(c, den)) for c in self.numerators]
+            self._phases = [PhaseSum.from_lattice({0: c}, 1, den) for c in self.numerators]
         return self._phases
 
     def rotated_sum(self, angle: Fraction, N: int) -> PhaseSum | None:
@@ -108,16 +108,15 @@ class CorrelationSeq:
             for n, c in enumerate(self.numerators[:N]):
                 key = n * S % Q
                 acc[key] = acc.get(key, 0) + c
-            return PhaseSum._from_lattice(acc, Q, self.denominator)
+            return PhaseSum.from_lattice(acc, Q, self.denominator)
         if self.exact and self.phases is not None:
             return PhaseSum.sum(self.phases[:N], angle)
         return None
 
     def rotated_abs2(self, angle: Fraction, N: int, total: PhaseSum | None = None
-                     ) -> tuple[dict[int, int], int, int] | None:
-        """|rotated_sum(angle, N)|^2 exactly, as integers (acc, Q, D): the sum of
-        acc[A] / D * e(A / Q) over the entries of acc, all nonzero; None for a
-        sampled sequence.  ``total`` is that rotated sum, if the caller has it.
+                     ) -> PhaseSum | None:
+        """|rotated_sum(angle, N)|^2 exactly; None for a sampled sequence.
+        ``total`` is that rotated sum, if the caller has it.
 
         A sum of more than sqrt(2N - 1) terms is squared over the 2N - 1 lags d,
         as sum_{|d|<N} r_d * e(d * phi) (Katznelson, *An Introduction to Harmonic
@@ -125,10 +124,7 @@ class CorrelationSeq:
         - rational entries c_n / den give r_d = sum_n c_n * c_(n+d), the integer
           autocorrelation (``_autocorrelation``), and phi = angle;
         - an eigenfunction has c_n = w * e(a + n * beta), and then r_d is
-          w^2 * (N - |d|) with phi = angle + beta: N times the Fejer kernel at
-          phi.  It is taken when every phase is one term of one weight w and the
-          angle numerators over the lcm Q of all angle denominators step by one
-          B mod Q.
+          w^2 * (N - |d|) with phi = angle + beta (``PhaseSum.geometric_abs2``).
         Either equals ``total.abs2()`` term for term; any other sequence, or a
         smaller sum, takes that product."""
         if total is None:
@@ -136,29 +132,13 @@ class CorrelationSeq:
         if total is None:
             return None
         entries = (self.numerators if self.numerators is not None else self.phases)[:N]
-        N, size = len(entries), len(total.terms)
+        N, size = len(entries), len(total)
         if size < 2 or size * size <= 2 * N - 1:
-            return total.abs2()._integers()
+            return total.abs2()
         if self.numerators is not None:
-            Q, step, D = angle.denominator, angle.numerator, self.denominator ** 2
-            lags = _autocorrelation(entries)
-        else:
-            terms = [p.terms[0] for p in entries if len(p.terms) == 1]
-            if len(terms) < N or len({w for _, w in terms}) > 1:
-                return total.abs2()._integers()
-            w = terms[0][1]
-            Q = math.lcm(angle.denominator, *(a.denominator for a, _ in terms))
-            A = [a.numerator * (Q // a.denominator) for a, _ in terms]
-            B = (A[1] - A[0]) % Q
-            if any((A[n] - A[0] - n * B) % Q for n in range(2, N)):
-                return total.abs2()._integers()
-            step, D = (angle.numerator * (Q // angle.denominator) + B) % Q, w.denominator ** 2
-            lags = [w.numerator ** 2 * (N - d) for d in range(N)]
-        acc: dict[int, int] = {}
-        for d in range(1 - N, N):
-            key = d * step % Q
-            acc[key] = acc.get(key, 0) + lags[abs(d)]
-        return {A: W for A, W in acc.items() if W}, Q, D
+            return PhaseSum.from_lags(_autocorrelation(entries), angle, self.denominator ** 2)
+        square = PhaseSum.geometric_abs2(entries, angle)
+        return total.abs2() if square is None else square
 
     def value(self, n: int) -> complex:
         if abs(n) > self.N:
@@ -277,7 +257,7 @@ def _exact_sequence(system: System, k: FreqVector, N: int,
         if integral is None:
             break
         # c_n = e(P / Q) * mu_hat(k_n - k);  values(n) = conj(c_n), 0 where mu_hat is
-        phases.append(integral.conjugate().rotated(-P, Q) if integral.terms else integral)
+        phases.append(integral.conjugate().rotated(-P, Q))
     if len(phases) == N + 1:
         return _finish_exact(phases, k, N, center, mean, "affine-pullback")
 
@@ -575,9 +555,9 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
     of sigma_f at conj(alpha), which is exactly the extent to which f witnesses
     alpha as an eigenvalue; it equals 1 when f o T = alpha * f.
 
-    On an exact sequence the squared mass is also decided exactly, on the
-    integer lattice of ``seq.rotated_abs2`` (``lattice_rational``): for an
-    eigenfunction, c_n = w * e(b + n * beta), that is
+    On an exact sequence the squared mass is also decided exactly, as the
+    ``as_rational`` of ``seq.rotated_abs2``: for an eigenfunction,
+    c_n = w * e(b + n * beta), that is
     w^2 * sum_{|d|<N} (N - |d|) * e(d * (a + beta)), N times the Fejer kernel,
     and for rational entries the sum over lags of their integer
     autocorrelation, each built in O(N) once the lags are known; any other
@@ -595,7 +575,7 @@ def detect_eigenvalue(system: System, f, alpha, N: int = DEFAULT_ORDER, *,
     total = seq.rotated_sum(angle, N)
     if total is not None:
         mass = float(abs(total.value()) / N)
-        ms = lattice_rational(*seq.rotated_abs2(angle, N, total))
+        ms = seq.rotated_abs2(angle, N, total).as_rational()
         if ms is not None:
             mass_sq_exact = ms / (N * N)
             mass = math.sqrt(float(mass_sq_exact)) if mass_sq_exact >= 0 else mass

@@ -42,6 +42,10 @@ RUNS = [
             {"weight": "1/2", "measure": {"kind": "haar"}},
             {"weight": "1/2", "measure": {"kind": "atoms", "atoms": [{"point": ["1/3"]}]}}]}}},
         "N": 64, "toeplitz_size": 8, "eigenvalue_queries": [{"angle": "0"}]}),
+    # 64 distinct 40-digit phases: the eigenvalue query squares them by the Fejer kernel
+    ("spectral-probe", {"system": {"kind": "rotation", "precision": 40, "params": {
+        "angle": "0.4142135623730950488016887242096980785697"}},
+        "N": 64, "toeplitz_size": 8, "eigenvalue_queries": [{"angle": "1/3"}]}),
 ]
 
 ROT = {"kind": "rotation", "params": {"angle": "1/3"}}
@@ -125,8 +129,8 @@ ALLOWLIST = {
         "the regression oracle that perfbench/child.py hashes; the CLI writes formatted reports",
     "ergolab.exact.PhaseSum.unit":
         "an exact constructor; perfbench/test_harness.py builds a PhaseSum with it",
-    "ergolab.exact.PhaseSum.from_rational":
-        "an exact constructor; arithmetic with an int or Fraction operand calls it",
+    "ergolab.exact.PhaseSum.terms":
+        "the Fraction view of the integer lattice; perfbench's tracer reads it",
     "ergolab.core.RotationSystem.apply":
         "the exact map of a rotation (orbit); the runs pull rotations back instead",
     **dict.fromkeys([
