@@ -524,8 +524,7 @@ def test_the_lattice_rational_is_as_rational(drawn):
     y = PhaseSum.from_lattice(acc, q, D)
     if x is not None:
         assert y.terms == x.terms
-    expected = sum((Fraction(W, D) * PhaseSum.unit(Fraction(A, q)) for A, W in acc.items()),
-                   PhaseSum.zero())
+    expected = PhaseSum((Fraction(A, q), Fraction(W, D)) for A, W in acc.items())
     assert y.terms == expected.terms
     assert y.as_rational() == expected.as_rational() == dense_verdicts(y)[1]
 
